@@ -24,7 +24,6 @@ from .gains import (
     oracle_check,
     residue_pair_count,
     subset_terms,
-    upper_bound_u,
     upper_bound_u_exact,
 )
 from .halton import (

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -47,7 +46,6 @@ class RunConfig:
     seed: int = 0
     fmt: str = "csv"
     out: str | None = None
-    threads: int = 1
     params: dict[str, Any] = field(default_factory=dict)
 
     def echo(self) -> dict[str, Any]:
@@ -95,10 +93,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0, help="PRF seed (default 0)")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument(
-            "--threads", type=int, default=os.cpu_count() or 1,
-            help="worker bound for partitioned searches",
-        )
 
     p = sub.add_parser("primes", help="first d prime bases")
     p.add_argument("--d", type=int, required=True)
@@ -244,9 +238,7 @@ def _cmd_gain_curve(cfg: RunConfig) -> int:
 
 def _cmd_gamma(cfg: RunConfig) -> int:
     d = cfg.params["d"]
-    summary = gains.gamma_max(
-        d, n_cap=cfg.params["n_cap"], threads=max(1, cfg.threads)
-    )
+    summary = gains.gamma_max(d, n_cap=cfg.params["n_cap"])
     g = summary.gamma
     _emit_json(
         cfg,
@@ -346,7 +338,7 @@ def _curve_rows(cfg: RunConfig, rows) -> int:
 def _cmd_figure(cfg: RunConfig) -> int:
     which = cfg.params["which"]
     if which == "1":
-        sub = RunConfig("bounds", cfg.seed, "csv", cfg.out, cfg.threads,
+        sub = RunConfig("bounds", cfg.seed, "csv", cfg.out,
                         {"d_max": cfg.params["d_max"]})
         return _cmd_bounds(sub)
     if which == "2":
@@ -404,14 +396,11 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     seed = opts.pop("seed")
     fmt = opts.pop("format")
     out = opts.pop("out")
-    threads = opts.pop("threads")
     if fmt is None:
         fmt = _DEFAULT_FMT.get(command, "csv")
     if seed < 0 or seed >= 1 << 64:
         raise ValueError("--seed must fit in 64 bits")
-    if threads < 1:
-        raise ValueError("--threads must be >= 1")
-    cfg = RunConfig(command, seed, fmt, out, threads, opts)
+    cfg = RunConfig(command, seed, fmt, out, opts)
     return _HANDLERS[command](cfg)
 
 

@@ -12,14 +12,14 @@ closed form
 where H_{u,v} = (-1)^{|u|-|v|} prod_{j in v} b_j, the modulus m_{u,v,k} is
 prod_{j in v} b_j^(k_j+1) * prod_{j in u-v} b_j^(k_j), and C(m, n) counts
 index pairs below n that agree modulo m.  Everything here is exact rational
-arithmetic; floats appear only in the large-d bound tables and as views.
+arithmetic; floats appear only in the large-d bound tables, as views, and to
+pick the counts the worst-gain scan re-checks exactly.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -41,7 +41,6 @@ __all__ = [
     "gamma_at_n",
     "gamma_max",
     "lower_bound_n_star",
-    "upper_bound_u",
     "upper_bound_u_exact",
     "global_bounds",
     "global_bounds_exact",
@@ -82,21 +81,6 @@ class CoordSubset:
 
     def __contains__(self, j: int) -> bool:
         return j in self.indices
-
-    def mask(self) -> int:
-        """Bitmask view; meaningful for coordinates up to 64."""
-        if self.indices and self.indices[-1] > 64:
-            raise ValueError("bitmask view limited to coordinates 1..64")
-        m = 0
-        for j in self.indices:
-            m |= 1 << (j - 1)
-        return m
-
-    def complement(self, d: int) -> "CoordSubset":
-        if self.indices and self.indices[-1] > d:
-            raise ValueError(f"subset exceeds dimension {d}")
-        present = set(self.indices)
-        return CoordSubset(tuple(j for j in range(1, d + 1) if j not in present))
 
     def subsets(self) -> Iterator["CoordSubset"]:
         """All subsets, the empty one first, in bitmask order."""
@@ -184,51 +168,34 @@ def residue_pair_count(m: int, n: int) -> int:
     return n + (2 * n - m) * q - m * q * q
 
 
+def _terms(bases: Sequence[int], levels: Sequence[int]) -> list[tuple[int, int]]:
+    """(H_v, m_v) for every subset v of the positions, in bitmask order."""
+    out = [(1, 1)]
+    for b, k in zip(bases, levels):
+        low = b**k
+        out = [(-h, m * low) for h, m in out] + [(h * b, m * low * b) for h, m in out]
+    return out
+
+
+def _pair_sum(terms: list[tuple[int, int]], n: int) -> int:
+    """sum_v H_v * C(m_v, n), which is n * prod(b_j - 1) * G(n)."""
+    return sum(h * residue_pair_count(m, n) for h, m in terms)
+
+
 def subset_terms(q: GainQuery) -> list[SubsetTerm]:
     """The 2^|u| inclusion-exclusion terms of the closed form for q."""
-    s = len(q.u)
-    out = []
-    for bits in range(1 << s):
-        h = 1
-        m = 1
-        members = []
-        for t in range(s):
-            b, k = q.bases[t], q.levels[t]
-            if bits >> t & 1:
-                h *= b
-                m *= b ** (k + 1)
-                members.append(q.u.indices[t])
-            else:
-                h = -h
-                m *= b**k
-        out.append(
-            SubsetTerm(CoordSubset(tuple(members)), h, m, residue_pair_count(m, q.n))
-        )
-    return out
+    return [
+        SubsetTerm(v, h, m, residue_pair_count(m, q.n))
+        for v, (h, m) in zip(q.u.subsets(), _terms(q.bases, q.levels))
+    ]
 
 
 def gain_exact(q: GainQuery) -> Fraction:
     """G_{u,k}(n) by the closed form, as an exact reduced rational."""
-    s = len(q.u)
-    total = 0
-    for bits in range(1 << s):
-        h = 1
-        m = 1
-        for t in range(s):
-            b, k = q.bases[t], q.levels[t]
-            if bits >> t & 1:
-                h *= b
-                m *= b ** (k + 1)
-            else:
-                h = -h
-                m *= b**k
-        total += h * residue_pair_count(m, q.n)
-    denom = 1
-    for b in q.bases:
-        denom *= b - 1
+    total = _pair_sum(_terms(q.bases, q.levels), q.n)
     if total < 0:
         raise RuntimeError("negative gain sum; closed-form evaluation is broken")
-    return Fraction(total, q.n * denom)
+    return Fraction(total, q.n * math.prod(b - 1 for b in q.bases))
 
 
 def gain_bruteforce(q: GainQuery) -> Fraction:
@@ -270,17 +237,9 @@ def gain_curve(
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     template = GainQuery.build(u, levels, 1, basis)
-    terms = [(t.h, t.m) for t in subset_terms(template)]
-    denom = 1
-    for b in template.bases:
-        denom *= b - 1
-    out = []
-    for n in range(1, n_max + 1):
-        total = 0
-        for h, m in terms:
-            total += h * residue_pair_count(m, n)
-        out.append(Fraction(total, n * denom))
-    return out
+    terms = _terms(template.bases, template.levels)
+    denom = math.prod(b - 1 for b in template.bases)
+    return [Fraction(_pair_sum(terms, n), n * denom) for n in range(1, n_max + 1)]
 
 
 def _level_vectors(bases: Sequence[int], cap: int) -> Iterator[tuple[int, ...]]:
@@ -352,60 +311,22 @@ class GainSummary:
     argmax_n: int
     lower: Fraction
     upper: Fraction
-    gains: tuple[tuple[int, Fraction], ...] = field(default=())
-
-
-def _exact_curve_max(
-    terms: list[tuple[int, int]], denom: int, lo: int, hi: int
-) -> tuple[Fraction, int]:
-    """Exact max of G over n in [lo, hi), smallest argmax."""
-    best = Fraction(-1)
-    best_n = lo
-    for n in range(lo, hi):
-        total = 0
-        for h, m in terms:
-            q = n // m
-            total += h * (n + (2 * n - m) * q - m * q * q)
-        value = Fraction(total, n * denom)
-        if value > best:
-            best, best_n = value, n
-    return best, best_n
-
-
-def _screen_chunk(args) -> tuple[float, list[tuple[int, float]]]:
-    """Float screen of one n-chunk; returns chunk max and near-max candidates.
-
-    Pair counts are exact in int64 (n stays below 2^31, so n^2 < 2^62); only
-    the weighted accumulation rounds.  The candidate band is far wider than
-    that rounding, so no near-maximal n can be screened out.
-    """
-    lo, hi, hs, ms, band = args
-    n = np.arange(lo, hi, dtype=np.int64)
-    acc = np.zeros(len(n), dtype=np.float64)
-    for h, m in zip(hs, ms):
-        q = n // m
-        c = n + (2 * n - m) * q - m * q * q
-        acc += float(h) * c.astype(np.float64)
-    g = acc / n.astype(np.float64)
-    top = float(g.max())
-    keep = np.flatnonzero(g >= top - band)
-    return top, [(int(n[t]), float(g[t])) for t in keep]
 
 
 def gamma_max(
     d: int,
     basis: PrimeBasis | None = None,
     n_cap: int | None = None,
-    threads: int = 1,
-    record_n: Sequence[int] = (),
 ) -> GainSummary:
     """Worst gain over all n for u = 1..d at levels 0, with its argmax.
 
     The search range 1..prod b_j suffices: beyond one full cycle the gain is
     a strictly shrunk copy of the first cycle, and only levels 0 matter for
-    the supremum.  Large ranges are screened in float64 first and every
-    near-maximal n is re-evaluated exactly, so the reported value and the
-    smallest argmax are exact.
+    the supremum.  Every n up to the cycle (or n_cap) is scanned exactly in
+    int64 by _scan_gamma; the reported value and the smallest argmax are
+    exact.  At level 0 |H_v| = m_v, so the scanned partial sums obey
+    |T(n)| < 2^(d-1) n^2; searches with 2^(d-1) n_hi^2 >= 2^63 raise
+    ValueError before any work is done.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
@@ -426,58 +347,57 @@ def gamma_max(
                 f"full search defaults to d <= {_FULL_SEARCH_DIM}; pass n_cap"
             )
         n_hi = cycle
-    terms = [(t.h, t.m) for t in subset_terms(template)]
-    denom = 1
-    for b in template.bases:
-        denom *= b - 1
-    gamma, argmax = _search_gamma(terms, denom, n_hi, threads)
+    if n_hi * n_hi << (d - 1) >= 1 << 63:
+        raise ValueError("exact int64 scan needs 2^(d-1) n^2 < 2^63; lower n_cap")
+    gamma, argmax = _scan_gamma(
+        _terms(template.bases, template.levels),
+        math.prod(b - 1 for b in template.bases),
+        n_hi,
+    )
     lower, upper = global_bounds_exact(d, basis)
-    gains = tuple((n, gamma_at_n(d, n, basis)[0]) for n in record_n)
-    return GainSummary(d, gamma, argmax, lower, upper, gains)
+    return GainSummary(d, gamma, argmax, lower, upper)
 
 
-_SERIAL_TERM_LIMIT = 4_000_000
-_SCREEN_BAND = 1e-4
 _CHUNK = 1 << 19
 
 
-def _search_gamma(
-    terms: list[tuple[int, int]], denom: int, n_hi: int, threads: int
+def _scan_gamma(
+    terms: list[tuple[int, int]], denom: int, n_hi: int
 ) -> tuple[Fraction, int]:
-    if n_hi * len(terms) <= _SERIAL_TERM_LIMIT:
-        return _exact_curve_max(terms, denom, 1, n_hi + 1)
-    if n_hi >= 1 << 31:
-        raise ValueError("screened search capped at n < 2^31; pass a smaller n_cap")
-    hs = [h for h, _ in terms]
-    ms = [m for _, m in terms]
-    # Screen in units of the unnormalized sum over n: G * denom.
-    band = _SCREEN_BAND * denom
-    jobs = [
-        (lo, min(lo + _CHUNK, n_hi + 1), hs, ms, band)
-        for lo in range(1, n_hi + 1, _CHUNK)
-    ]
-    results: list[tuple[float, list[tuple[int, float]]]] = []
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_screen_chunk, jobs))
-    else:
-        results = [_screen_chunk(j) for j in jobs]
-    top = max(r[0] for r in results)
-    candidates = sorted(
-        n for _, kept in results for n, g in kept if g >= top - band
-    )
-    if not candidates:
-        raise RuntimeError("screen produced no candidates; search is broken")
+    """Exact max of G(n) over 1 <= n <= n_hi, smallest argmax.
+
+    G(n) = 1 + 2 T(n) / (n * denom) with T(n) = sum_{n' < n} F(n') and
+    F(n') = sum_v H_v floor(n'/m_v), whose differences are spikes H_v at
+    the multiples of m_v.  Each chunk of n' scatters those spikes and takes
+    two in-place cumulative sums, seeded with F(lo) and T(lo) as exact
+    Python ints, so chunks share no state.  The n whose T(n)/n is near the
+    chunk top in float64 are re-checked exactly with the closed form.
+    """
+    small = [(h, m) for h, m in terms if m < n_hi]
     best = Fraction(-1)
-    best_n = candidates[0]
-    for n in candidates:
-        total = 0
-        for h, m in terms:
-            q = n // m
-            total += h * (n + (2 * n - m) * q - m * q * q)
-        value = Fraction(total, n * denom)
-        if value > best:
-            best, best_n = value, n
+    best_n = 1
+    for lo in range(0, n_hi, _CHUNK):
+        hi = min(lo + _CHUNK, n_hi)
+        acc = np.zeros(hi - lo, dtype=np.int64)
+        for h, m in small:
+            first = (lo // m + 1) * m
+            if first < hi:
+                acc[first - lo :: m] += h
+        acc[0] = sum(h * (lo // m) for h, m in small)
+        np.cumsum(acc, out=acc)  # acc[i] = F(lo + i)
+        acc[0] += (_pair_sum(terms, lo) - lo * denom) // 2
+        np.cumsum(acc, out=acc)  # acc[i] = T(lo + i + 1)
+        ratio = acc / np.arange(lo + 1, hi + 1, dtype=np.float64)
+        top = ratio.max()
+        # float64 rounding moves T/n by ~1e-16 relative; the band is far wider
+        for i in np.flatnonzero(ratio >= top - abs(top) * 1e-12):
+            n = lo + 1 + int(i)
+            total = _pair_sum(terms, n)
+            if total != n * denom + 2 * int(acc[i]):
+                raise RuntimeError(f"scan disagrees with the closed form at n = {n}")
+            value = Fraction(total, n * denom)
+            if value > best:
+                best, best_n = value, n
     return best, best_n
 
 
@@ -552,10 +472,6 @@ def upper_bound_u_exact(
             b = basis.base(j)
             out *= Fraction(b, b - 1)
     return out
-
-
-def upper_bound_u(u: CoordSubset | Iterable[int], basis: PrimeBasis) -> float:
-    return float(upper_bound_u_exact(u, basis))
 
 
 def global_bounds_exact(

@@ -25,7 +25,6 @@ from haltongain import (
     oracle_check,
     residue_pair_count,
     subset_terms,
-    upper_bound_u,
     upper_bound_u_exact,
 )
 
@@ -218,7 +217,6 @@ def test_leave_one_out_upper_bound(basis3):
     for u in [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]:
         bound = upper_bound_u_exact(u, basis3)
         assert _cycle_max(u, (0,) * len(u), basis3) <= bound
-        assert math.isclose(upper_bound_u(u, basis3), float(bound), rel_tol=1e-12)
     assert upper_bound_u_exact((1, 2), basis3) == Fraction(3, 2)
     assert upper_bound_u_exact((1, 2, 3), basis3) == Fraction(15, 8)
 
@@ -292,10 +290,13 @@ def test_gamma_max_matches_pointwise_search(basis3):
 
 
 def test_gamma_max_record_n():
-    summary = gamma_max(2, record_n=(2, 6))
-    # At n = 6 the worst case is 3/2 again: levels (0, 1) shift the
-    # n = 2 peak out to 3 * 2 (the level-bump identity).
-    assert summary.gains == ((2, Fraction(3, 2)), (6, Fraction(3, 2)))
+    # The per-n worst gains that gamma_max(2) peaks over: 3/2 at n = 2,
+    # and 3/2 again at n = 6, where levels (0, 1) shift the n = 2 peak
+    # out to 3 * 2 (the level-bump identity).
+    gains_at = tuple((n, gamma_at_n(2, n)[0]) for n in (2, 6))
+    assert gains_at == ((2, Fraction(3, 2)), (6, Fraction(3, 2)))
+    two = gamma_max(2)
+    assert (two.gamma, two.argmax_n) == (Fraction(3, 2), 2)
 
 
 def test_gamma_max_frozen_six():
@@ -305,24 +306,60 @@ def test_gamma_max_frozen_six():
     assert six.lower <= six.gamma <= six.upper
 
 
-def test_gamma_screen_path_matches_serial(monkeypatch, basis4):
-    serial = gamma_max(4)
-    monkeypatch.setattr(gains, "_SERIAL_TERM_LIMIT", 0)
-    screened = gamma_max(4)
-    pooled = gamma_max(4, threads=2)
-    assert (serial.gamma, serial.argmax_n) == (screened.gamma, screened.argmax_n)
-    assert (serial.gamma, serial.argmax_n) == (pooled.gamma, pooled.argmax_n)
+def test_gamma_scan_matches_curve_oracle(monkeypatch):
+    # gain_curve's per-n closed form over one full cycle is the oracle for
+    # the chunked scan; chunks of 7 and 1000 carry F and T across many
+    # chunk borders.
+    basis = first_primes(6)
+    oracle = {}
+    for d in range(1, 7):
+        u = tuple(range(1, d + 1))
+        curve = gain_curve(u, (0,) * d, basis, math.prod(basis.bases[:d]))
+        top = max(curve)
+        oracle[d] = (top, curve.index(top) + 1)
+    for chunk in (gains._CHUNK, 7, 1000):
+        monkeypatch.setattr(gains, "_CHUNK", chunk)
+        for d in range(1, 7):
+            summary = gamma_max(d, basis)
+            assert (summary.gamma, summary.argmax_n) == oracle[d], (chunk, d)
 
 
 def test_gamma_max_frozen_seven_screened():
-    # Large enough to take the float screen plus exact re-check route.
+    # One full cycle of 510510 counts, all inside the first scan chunk.
     seven = gamma_max(7)
     assert seven.gamma == Fraction(4210265, 1633632)
     assert seven.argmax_n == 187187
     assert seven.lower <= seven.gamma <= seven.upper
 
 
-def test_gamma_max_guards():
+def test_gamma_max_frozen_eight():
+    # One full cycle of 9699690 counts spans 19 scan chunks.
+    eight = gamma_max(8)
+    assert eight.gamma == Fraction(109986683, 40432392)
+    assert eight.argmax_n == 3556553
+    assert eight.lower <= eight.gamma <= eight.upper
+
+
+def test_gamma_max_capped_high_dimension():
+    # Moduli of u = 1..16 reach far past 2^63; only those below the cap
+    # enter the int64 scan.
+    basis = first_primes(16)
+    u = tuple(range(1, 17))
+    summary = gamma_max(16, basis, n_cap=250)
+    at = gain_exact(GainQuery.build(u, (0,) * 16, summary.argmax_n, basis))
+    assert summary.gamma == at
+    rng = random.Random(20260822)
+    for n in rng.sample(range(1, 251), 16):
+        assert summary.gamma >= gain_exact(GainQuery.build(u, (0,) * 16, n, basis))
+    # Against the per-n closed form on every count below the cap.
+    basis = first_primes(12)
+    curve = gain_curve(range(1, 13), (0,) * 12, basis, 600)
+    top = max(curve)
+    summary = gamma_max(12, basis, n_cap=600)
+    assert (summary.gamma, summary.argmax_n) == (top, curve.index(top) + 1)
+
+
+def test_gamma_max_guards(monkeypatch):
     with pytest.raises(ValueError):
         gamma_max(0)
     with pytest.raises(ValueError):
@@ -333,6 +370,21 @@ def test_gamma_max_guards():
         gamma_max(9, n_cap=0)
     capped = gamma_max(2, n_cap=2)
     assert capped.gamma == Fraction(3, 2)
+    # The int64 scan needs 2^(d-1) n^2 < 2^63.  2^19 * (10^7)^2 exceeds it
+    # and is refused before the 2^20 terms are built; 2^19 * (2^22)^2 is
+    # 2^63 exactly.
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(gains, "_terms", reached)
+    for n_cap in (10**7, 1 << 22):
+        with pytest.raises(ValueError, match="2\\^63"):
+            gamma_max(20, n_cap=n_cap)
+    with pytest.raises(Reached):
+        gamma_max(20, n_cap=(1 << 22) - 1)
 
 
 # ------------------------------------------------------------------ the bounds
@@ -378,15 +430,9 @@ def test_coord_subset_basics():
     u = CoordSubset.of([3, 1, 3])
     assert u.indices == (1, 3)
     assert 1 in u and 2 not in u
-    assert u.mask() == 0b101
-    assert u.complement(4).indices == (2, 4)
     assert len(list(u.subsets())) == 4
     with pytest.raises(ValueError):
         CoordSubset((0,))
-    with pytest.raises(ValueError):
-        CoordSubset((70,)).mask()
-    with pytest.raises(ValueError):
-        CoordSubset((5,)).complement(4)
 
 
 def test_query_validation(basis3):
