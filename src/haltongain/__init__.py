@@ -51,8 +51,8 @@ from .rqmc import (
 from .scramble import (
     KeyedStream,
     LinearScramble,
-    PermutationNode,
     ScrambleSpec,
+    coordinate_scrambler,
     draw_linear_scramble,
     linear_scramble_digits,
     nested_scramble_digits,

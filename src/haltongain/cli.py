@@ -89,14 +89,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="haltongain", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser) -> None:
+    def common(p: _Parser, formats: tuple[str, ...]) -> None:
+        # The formats the command writes; the first is its default.
         p.add_argument("--seed", type=int, default=0, help="PRF seed (default 0)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("primes", help="first d prime bases")
     p.add_argument("--d", type=int, required=True)
-    common(p)
+    common(p, ("csv", "json"))
 
     p = sub.add_parser("points", help="consecutive (optionally scrambled) points")
     p.add_argument("--d", type=int, required=True)
@@ -104,28 +105,28 @@ def _build_parser() -> _Parser:
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--scramble", choices=("none", "nested", "linear"), default="none")
     p.add_argument("--replicate", type=int, default=0)
-    common(p)
+    common(p, ("csv", "json"))
 
     p = sub.add_parser("gain", help="one exact gain value")
     p.add_argument("--u", required=True, help="coordinate subset, e.g. 1,2")
     p.add_argument("--k", required=True, help="levels aligned with --u, e.g. 0,0")
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    common(p, ("csv", "json"))
 
     p = sub.add_parser("gain-curve", help="gain as a function of n")
     p.add_argument("--u", required=True)
     p.add_argument("--k", required=True)
     p.add_argument("--n-max", type=int, required=True)
-    common(p)
+    common(p, ("csv", "json"))
 
     p = sub.add_parser("gamma", help="worst gain over all n for u = 1..d")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n-cap", type=int, default=None)
-    common(p)
+    common(p, ("json",))
 
     p = sub.add_parser("bounds", help="dimension sandwich table")
     p.add_argument("--d-max", type=int, required=True)
-    common(p)
+    common(p, ("csv",))
 
     p = sub.add_parser("variance", help="replicated variance experiment")
     p.add_argument("--u", required=True)
@@ -133,19 +134,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--scramble", choices=("nested", "linear"), default="nested")
-    common(p)
+    common(p, ("json",))
 
     p = sub.add_parser("oracle-check", help="closed form vs brute force grid")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--n-max", type=int, default=90)
     p.add_argument("--k-max", type=int, default=1)
-    common(p)
+    common(p, ("text",))
 
     p = sub.add_parser("figure", help="data behind the stock figures")
     p.add_argument("which", choices=("1", "2", "3"))
     p.add_argument("--d-max", type=int, default=1_000_000, help="figure 1 range")
     p.add_argument("--n-max", type=int, default=1000, help="figure 3 range")
-    common(p)
+    common(p, ("csv",))
 
     return parser
 
@@ -204,14 +205,10 @@ def _cmd_gain(cfg: RunConfig) -> int:
         _emit_json(cfg, {"gain": f"{g.numerator}/{g.denominator}", **{
             "gain_" + k: v for k, v in _rat(g).items()}})
         return 0
-    if cfg.fmt == "csv":
-        with _open_out(cfg.out) as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["n", "gain_num", "gain_den", "gain_float"])
-            w.writerow([q.n, g.numerator, g.denominator, _f17(float(g))])
-        return 0
     with _open_out(cfg.out) as fh:
-        fh.write(f"{g.numerator}/{g.denominator} ({_f17(float(g))})\n")
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["n", "gain_num", "gain_den", "gain_float"])
+        w.writerow([q.n, g.numerator, g.denominator, _f17(float(g))])
     return 0
 
 
@@ -259,10 +256,10 @@ def _cmd_gamma(cfg: RunConfig) -> int:
 def _cmd_bounds(cfg: RunConfig) -> int:
     d_max = cfg.params["d_max"]
     with _open_out(cfg.out) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["d", "lower", "upper", "guide"])
-        for d, lower, upper, guide in gains.bounds_table(d_max):
-            w.writerow([d, _f17(lower), _f17(upper), _f17(guide)])
+        fh.write("d,lower,upper,guide\n")
+        # one %-format per row: the same bytes as csv.writer over _f17, faster
+        rows = gains.bounds_table(d_max)
+        fh.writelines("%d,%.17g,%.17g,%.17g\n" % row for row in rows)
     return 0
 
 
@@ -385,8 +382,6 @@ _HANDLERS = {
     "figure": _cmd_figure,
 }
 
-_DEFAULT_FMT = {"gain": "text", "gamma": "json", "variance": "json"}
-
 
 def dispatch(argv: Sequence[str] | None = None) -> int:
     """Parse argv and run one subcommand; returns the exit code."""
@@ -396,8 +391,6 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     seed = opts.pop("seed")
     fmt = opts.pop("format")
     out = opts.pop("out")
-    if fmt is None:
-        fmt = _DEFAULT_FMT.get(command, "csv")
     if seed < 0 or seed >= 1 << 64:
         raise ValueError("--seed must fit in 64 bits")
     cfg = RunConfig(command, seed, fmt, out, opts)

@@ -168,12 +168,26 @@ def residue_pair_count(m: int, n: int) -> int:
     return n + (2 * n - m) * q - m * q * q
 
 
-def _terms(bases: Sequence[int], levels: Sequence[int]) -> list[tuple[int, int]]:
-    """(H_v, m_v) for every subset v of the positions, in bitmask order."""
+def _terms(
+    bases: Sequence[int], levels: Sequence[int], limit: int | None = None
+) -> list[tuple[int, int]]:
+    """(H_v, m_v) for every subset v of the positions, in bitmask order.
+
+    With a limit, only the terms with m_v < limit are listed, plus one
+    folded term (denom - sum of their H, limit).  That is exact for every
+    n <= limit: a term with m >= n contributes H * C(m, n) = H * n, the H_v
+    sum to denom = prod(b_j - 1) over all v, and m_v only grows as v does,
+    so a pruned partial term has no descendant below the limit.
+    """
     out = [(1, 1)]
     for b, k in zip(bases, levels):
         low = b**k
         out = [(-h, m * low) for h, m in out] + [(h * b, m * low * b) for h, m in out]
+        if limit is not None:
+            out = [(h, m) for h, m in out if m < limit]
+    if limit is not None:
+        denom = math.prod(b - 1 for b in bases)
+        out.append((denom - sum(h for h, _ in out), limit))
     return out
 
 
@@ -192,7 +206,7 @@ def subset_terms(q: GainQuery) -> list[SubsetTerm]:
 
 def gain_exact(q: GainQuery) -> Fraction:
     """G_{u,k}(n) by the closed form, as an exact reduced rational."""
-    total = _pair_sum(_terms(q.bases, q.levels), q.n)
+    total = _pair_sum(_terms(q.bases, q.levels, q.n), q.n)
     if total < 0:
         raise RuntimeError("negative gain sum; closed-form evaluation is broken")
     return Fraction(total, q.n * math.prod(b - 1 for b in q.bases))
@@ -237,7 +251,7 @@ def gain_curve(
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     template = GainQuery.build(u, levels, 1, basis)
-    terms = _terms(template.bases, template.levels)
+    terms = _terms(template.bases, template.levels, n_max)
     denom = math.prod(b - 1 for b in template.bases)
     return [Fraction(_pair_sum(terms, n), n * denom) for n in range(1, n_max + 1)]
 
@@ -350,7 +364,7 @@ def gamma_max(
     if n_hi * n_hi << (d - 1) >= 1 << 63:
         raise ValueError("exact int64 scan needs 2^(d-1) n^2 < 2^63; lower n_cap")
     gamma, argmax = _scan_gamma(
-        _terms(template.bases, template.levels),
+        _terms(template.bases, template.levels, n_hi),
         math.prod(b - 1 for b in template.bases),
         n_hi,
     )

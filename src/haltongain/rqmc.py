@@ -20,15 +20,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .gains import CoordSubset
-from .halton import DigitVector
+from .halton import DigitVector, digits_of
 from .primes import PrimeBasis
-from .scramble import (
-    KeyedStream,
-    ScrambleSpec,
-    draw_linear_scramble,
-    linear_scramble_digits,
-    nested_scramble_digits,
-)
+from .scramble import KeyedStream, ScrambleSpec, coordinate_scrambler
 
 __all__ = [
     "HaarIntegrand",
@@ -149,17 +143,6 @@ def _summarize(n: int, means: list[float], sigma2: float) -> EstimateSummary:
     )
 
 
-def _digit_prefix(i: int, base: int, depth: int) -> tuple[int, ...]:
-    # Leading digits only; deeper digits cannot influence the first `depth`
-    # scrambled outputs of either kind.
-    out = []
-    rem = i
-    for _ in range(depth):
-        rem, a = divmod(rem, base)
-        out.append(a)
-    return tuple(out)
-
-
 def rqmc_estimate(
     f: HaarIntegrand,
     basis: PrimeBasis,
@@ -182,37 +165,27 @@ def rqmc_estimate(
     if spec.kind == "none":
         raise ValueError("variance experiments need a randomizing scramble")
     depths = [k + 1 for k in f.levels]
+    # Leading digits only: deeper digits cannot influence the first `depth`
+    # scrambled outputs of either kind.
     inputs = [
         [
-            DigitVector(b, _digit_prefix(start + p, b, depth))
+            digits_of((start + p) % b**depth, b, depth)
             for b, depth in zip(f.bases, depths)
         ]
         for p in range(n)
     ]
-    coords = list(f.u.indices)
+    coords = f.u.indices
     means = []
     for r in range(replicates):
         rspec = ScrambleSpec(spec.kind, spec.seed, spec.replicate + r)
-        if spec.kind == "linear":
-            scrambles = [
-                draw_linear_scramble(rspec, c, b, depth)
-                for c, b, depth in zip(coords, f.bases, depths)
-            ]
-            values = []
-            for row in inputs:
-                point = [
-                    linear_scramble_digits(dv, L) for dv, L in zip(row, scrambles)
-                ]
-                values.append(evaluate(f, point))
-        else:
-            cache: dict = {}
-            values = []
-            for row in inputs:
-                point = [
-                    nested_scramble_digits(dv, c, rspec, cache=cache)
-                    for dv, c in zip(row, coords)
-                ]
-                values.append(evaluate(f, point))
+        scrambles = [
+            coordinate_scrambler(rspec, c, b, depth)
+            for c, b, depth in zip(coords, f.bases, depths)
+        ]
+        values = [
+            evaluate(f, [scramble(dv) for scramble, dv in zip(scrambles, row)])
+            for row in inputs
+        ]
         means.append(math.fsum(values) / n)
     return _summarize(n, means, float(f.sigma2))
 

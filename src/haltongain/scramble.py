@@ -11,14 +11,16 @@ own base:
 All randomness is counter-based: a (seed, replicate, coordinate, node) key
 deterministically yields the permutation or matrix row, so replicates need
 no sequential state and any subset of digits can be scrambled without
-generating the rest.
+generating the rest.  A nested node is the integer pair (s, r): depth s and
+r = x_1 + x_2 b + ... + x_s b^(s-1), which is i mod b^s for the digits of
+index i and encodes the prefix (x_1, ..., x_s) bijectively.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Literal, Mapping, MutableMapping, Sequence
+from typing import Callable, Literal, Mapping, MutableMapping
 
 from .halton import DigitVector, PointSet, _num, _realize
 
@@ -26,12 +28,12 @@ __all__ = [
     "Kind",
     "ScrambleSpec",
     "LinearScramble",
-    "PermutationNode",
     "KeyedStream",
     "permutation_node",
     "draw_linear_scramble",
     "nested_scramble_digits",
     "linear_scramble_digits",
+    "coordinate_scrambler",
     "randomize",
 ]
 
@@ -63,16 +65,13 @@ class ScrambleSpec:
             raise ValueError("replicate must be >= 0")
 
 
-def _encode(part) -> bytes:
+def _encode(part: int | str) -> bytes:
     if isinstance(part, str):
         raw = part.encode()
         return b"s" + len(raw).to_bytes(4, "big") + raw
     if isinstance(part, int):
         raw = part.to_bytes((part.bit_length() + 7) // 8 or 1, "big")
         return b"i" + len(raw).to_bytes(4, "big") + raw
-    if isinstance(part, tuple):
-        out = b"t" + len(part).to_bytes(4, "big")
-        return out + b"".join(_encode(p) for p in part)
     raise TypeError(f"cannot key a stream on {type(part).__name__}")
 
 
@@ -131,15 +130,6 @@ class KeyedStream:
 
 
 @dataclass(frozen=True)
-class PermutationNode:
-    """The uniform permutation scrambling digit len(prefix)+1 below `prefix`."""
-
-    base: int
-    prefix: tuple[int, ...]
-    table: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class LinearScramble:
     """Lower-triangular digit matrix and shift for one coordinate.
 
@@ -169,11 +159,11 @@ class LinearScramble:
 
 
 def permutation_node(
-    spec: ScrambleSpec, coordinate: int, base: int, prefix: tuple[int, ...]
-) -> PermutationNode:
-    """Permutation for the digit following `prefix` in this coordinate."""
-    stream = KeyedStream(spec.seed, "perm", spec.replicate, coordinate, prefix)
-    return PermutationNode(base, prefix, stream.permutation(base))
+    spec: ScrambleSpec, coordinate: int, base: int, depth: int, r: int
+) -> tuple[int, ...]:
+    """Permutation table for digit depth+1 below the prefix encoded by r."""
+    stream = KeyedStream(spec.seed, "perm", spec.replicate, coordinate, depth, r)
+    return stream.permutation(base)
 
 
 def draw_linear_scramble(
@@ -196,29 +186,33 @@ def nested_scramble_digits(
     coordinate: int,
     spec: ScrambleSpec,
     depth: int | None = None,
-    cache: MutableMapping[tuple[int, tuple[int, ...]], tuple[int, ...]] | None = None,
+    cache: MutableMapping[tuple[int, int, int], tuple[int, ...]] | None = None,
 ) -> DigitVector:
     """Apply the nested scramble to one coordinate's digits.
 
-    Digit s is permuted by the node at the input prefix (x_1, ..., x_{s-1}),
-    so points agreeing to depth s-1 share that node.  Pass a dict as `cache`
-    to reuse nodes across the points of one replicate.
+    Digit s+1 is permuted by node (coordinate, s, r) with r the input prefix
+    (x_1, ..., x_s) read as an integer, so points agreeing to depth s share
+    that node.  Pass a dict as `cache` to reuse nodes across the points of
+    one replicate; it is keyed by the same (coordinate, s, r).
     """
     if depth is None:
         depth = x.precision
+    b = x.base
     out = []
-    prefix: tuple[int, ...] = ()
+    r = 0
+    weight = 1
     for s in range(depth):
         a = x.digits[s] if s < x.precision else 0
-        key = (coordinate, prefix)
+        key = (coordinate, s, r)
         table = cache.get(key) if cache is not None else None
         if table is None:
-            table = permutation_node(spec, coordinate, x.base, prefix).table
+            table = permutation_node(spec, coordinate, b, s, r)
             if cache is not None:
                 cache[key] = table
         out.append(table[a])
-        prefix = prefix + (a,)
-    return DigitVector(x.base, tuple(out))
+        r += a * weight
+        weight *= b
+    return DigitVector(b, tuple(out))
 
 
 def linear_scramble_digits(
@@ -243,6 +237,24 @@ def linear_scramble_digits(
     return DigitVector(b, tuple(out))
 
 
+def coordinate_scrambler(
+    spec: ScrambleSpec, coordinate: int, base: int, depth: int
+) -> Callable[[DigitVector], DigitVector]:
+    """digits -> scrambled digits (`depth` of them) for one coordinate.
+
+    The one place that turns a spec's kind into a scramble: nested nodes are
+    drawn on first use and cached for the life of the returned function, a
+    linear matrix is drawn once up front.
+    """
+    if spec.kind == "nested":
+        cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        return lambda x: nested_scramble_digits(x, coordinate, spec, depth, cache)
+    if spec.kind == "linear":
+        L = draw_linear_scramble(spec, coordinate, base, depth)
+        return lambda x: linear_scramble_digits(x, L, depth)
+    raise ValueError("kind 'none' scrambles no digits")
+
+
 def _out_precision(spec: ScrambleSpec, column: int, stored: int) -> int:
     if spec.precision is not None and column in spec.precision:
         p = spec.precision[column]
@@ -255,41 +267,36 @@ def _out_precision(spec: ScrambleSpec, column: int, stored: int) -> int:
 def randomize(points: PointSet, spec: ScrambleSpec) -> PointSet:
     """Scramble every coordinate of every point; kind "none" is identity.
 
-    Nested realization adds one uniform tail draw per (point, coordinate) at
-    the level below the last scrambled digit: the tail digits of a nested
-    scramble are independent uniforms, and a single draw in [0,1) scaled by
-    b**-D has exactly that law.  Linear tails are zero, matching the zero
-    input digits beyond the stored precision.
+    Each column is scrambled to one depth: its precision override, else the
+    largest precision stored in the column.  Nested realization adds one
+    uniform tail draw per (point, coordinate) at the level below the last
+    scrambled digit: the tail digits of a nested scramble are independent
+    uniforms, and a single draw in [0,1) scaled by b**-D has exactly that
+    law.  Linear tails are zero, matching the zero input digits beyond the
+    stored precision.
     """
     if spec.kind == "none":
         return points
-    caches: list[dict] = [dict() for _ in points.bases]
-    linears: list[LinearScramble | None] = [None] * len(points.bases)
-    rows_d = []
-    rows_x = []
-    for p in range(points.count):
-        i = points.start + p
-        new_row = []
-        new_x = []
-        for c, x in enumerate(points.digits[p]):
-            column = c + 1
-            depth = _out_precision(spec, column, x.precision)
-            if spec.kind == "nested":
-                y = nested_scramble_digits(x, column, spec, depth, caches[c])
-                tail = KeyedStream(
-                    spec.seed, "tail", spec.replicate, column, i
-                ).unit_float()
-                new_x.append(_realize(_num(y), y.base, y.precision, tail))
-            else:
-                L = linears[c]
-                if L is None or L.depth < depth:
-                    L = draw_linear_scramble(spec, column, x.base, depth)
-                    linears[c] = L
-                y = linear_scramble_digits(x, L, depth)
-                new_x.append(_realize(_num(y), y.base, y.precision))
-            new_row.append(y)
-        rows_d.append(tuple(new_row))
-        rows_x.append(tuple(new_x))
+    nested = spec.kind == "nested"
+    cols_d = []
+    cols_x = []
+    for c, base in enumerate(points.bases):
+        column = c + 1
+        xs = [row[c] for row in points.digits]
+        depth = _out_precision(spec, column, max((x.precision for x in xs), default=1))
+        scramble = coordinate_scrambler(spec, column, base, depth)
+        ys = [scramble(x) for x in xs]
+        tails = [
+            KeyedStream(spec.seed, "tail", spec.replicate, column, i).unit_float()
+            if nested else 0.0
+            for i in range(points.start, points.start + points.count)
+        ]
+        cols_d.append(ys)
+        cols_x.append([_realize(_num(y), base, depth, t) for y, t in zip(ys, tails)])
     return PointSet(
-        points.start, points.count, points.bases, tuple(rows_d), tuple(rows_x)
+        points.start,
+        points.count,
+        points.bases,
+        tuple(zip(*cols_d)),
+        tuple(zip(*cols_x)),
     )

@@ -11,7 +11,10 @@ Statistical criteria (7) run under one fixed seed and tolerances sized at
 or above four standard errors, so a false failure needs a several-sigma
 excursion (roughly a 0.01% event).  Policy: the seed is bumped exactly
 once, with a note here, if an intentional generator change shifts the
-stream; it is never searched for a passing value.
+stream; it is never searched for a passing value.  Note: bumped once,
+from 20260822 to 20261018 (chosen before any run), when nested
+permutation nodes were rekeyed from digit-prefix tuples to the integer
+node (depth s, i mod b^s), which shifts the "perm" stream.
 
 Criterion 6 checks the abstract's sentence: for 6 <= d <= 10^6 the
 upper bound on the gain coefficient is never larger than 1.5 + ln(d/2).
@@ -53,7 +56,7 @@ from haltongain import (
 )
 from haltongain.cli import main
 
-SEED = 20260822
+SEED = 20261018
 D2_LEVELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -66,14 +69,12 @@ def _verdict(capfd, num: int, ok: bool, detail: str) -> None:
 def test_criterion_1_reference_values(capfd):
     t0 = time.perf_counter()
     problems = []
-    code = main(["gain", "--u", "1,2", "--k", "0,0", "--n", "2"])
-    out = capfd.readouterr().out
-    if code != 0 or not out.startswith("3/2 "):
-        problems.append(f"gain(1:2, 0, 2) printed {out!r}")
-    code = main(["gain", "--u", "1,2,3", "--k", "0,0,0", "--n", "2"])
-    out = capfd.readouterr().out
-    if code != 0 or not out.startswith("7/8 "):
-        problems.append(f"gain(1:3, 0, 2) printed {out!r}")
+    # CSV row n,gain_num,gain_den,gain_float: 3/2 and 7/8 at n = 2
+    for u, k, row in (("1,2", "0,0", "2,3,2,1.5"), ("1,2,3", "0,0,0", "2,7,8,0.875")):
+        code = main(["gain", "--u", u, "--k", k, "--n", "2"])
+        out = capfd.readouterr().out
+        if code != 0 or out.splitlines()[1:] != [row]:
+            problems.append(f"gain({u}, {k}, 2) printed {out!r}")
     basis = first_primes(2)
     for levels in D2_LEVELS:
         if gain_curve((1, 2), levels, basis, 36)[35] != 0:

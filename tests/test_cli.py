@@ -1,6 +1,8 @@
 """Command-line surface: formats, determinism, exit codes."""
 
 import csv
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -8,8 +10,21 @@ from fractions import Fraction
 
 import pytest
 
-from haltongain import GainQuery, first_primes, gain_exact
+from haltongain import GainQuery, bounds_table, first_primes, gain_exact
 from haltongain.cli import main
+
+# sha256 of outputs built from exact integer digits with one correctly
+# rounded division per coordinate, so the bytes are the same on every
+# platform; a change to any of them is a change of behaviour.
+PINNED = {
+    ("points", "--d", "6", "--n", "200", "--scramble", "linear", "--seed", "7",
+     "--replicate", "3", "--format", "json"):
+        "a0e6a52c542f22534f7e69a088589f0f18c275828276561931ca2aeb4816e47f",
+    ("points", "--d", "8", "--n", "200"):
+        "90fd9b2e2e70a6e50711449c4f9f6ba9951f72bd233d6ef8f82cd4e9f5512a56",
+    ("figure", "3", "--n-max", "60"):
+        "da678030594ccacbab31de3d90f922f3b54a194ddd08f716d57572114594aa28",
+}
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -70,10 +85,10 @@ def test_points_scramble_changes_values(capsys):
     assert plain.splitlines()[1:] != scrambled.splitlines()[2:]
 
 
-def test_gain_text(capsys):
+def test_gain_csv_default(capsys):
     code, out = run(capsys, "gain", "--u", "1,2", "--k", "0,0", "--n", "2")
     assert code == 0
-    assert out == "3/2 (1.5)\n"
+    assert out == "n,gain_num,gain_den,gain_float\n2,3,2,1.5\n"
 
 
 def test_gain_json(capsys):
@@ -183,6 +198,41 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (("gain", "--u", "1", "--k", "0", "--n", "1"), "text"),
+        (("gamma", "--d", "2"), "csv"),
+        (("bounds", "--d-max", "3"), "json"),
+        (("variance", "--u", "1", "--k", "0", "--n", "2", "--reps", "2"), "csv"),
+        (("oracle-check", "--d", "1", "--n-max", "2"), "json"),
+        (("figure", "1", "--d-max", "3"), "json"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, tuple) else v,
+)
+def test_format_outside_declared_set_refused(capsys, argv, refused):
+    assert main([*argv, "--format", refused]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", list(PINNED), ids=["linear", "plain", "figure3"])
+def test_output_bytes_pinned(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[argv]
+
+
+def test_bounds_rows_match_csv_writer(capsys):
+    code, out = run(capsys, "bounds", "--d-max", "5000", "--format", "csv")
+    want = io.StringIO()
+    w = csv.writer(want, lineterminator="\n")
+    w.writerow(["d", "lower", "upper", "guide"])
+    for d, *values in bounds_table(5000):
+        w.writerow([d, *(format(x, ".17g") for x in values)])
+    assert code == 0
+    assert out == want.getvalue()
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out
@@ -197,4 +247,4 @@ def test_module_entry_point():
         timeout=60,
     )
     assert proc.returncode == 0
-    assert proc.stdout == "3/2 (1.5)\n"
+    assert proc.stdout == "n,gain_num,gain_den,gain_float\n2,3,2,1.5\n"

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -385,6 +386,43 @@ def test_gamma_max_guards(monkeypatch):
             gamma_max(20, n_cap=n_cap)
     with pytest.raises(Reached):
         gamma_max(20, n_cap=(1 << 22) - 1)
+
+
+def test_gamma_scan_keeps_smallest_argmax(monkeypatch):
+    # One term that never reaches its modulus: G(n) = 1 for every n, so
+    # every count ties and the first must win, within and across chunks.
+    for chunk in (gains._CHUNK, 2):
+        monkeypatch.setattr(gains, "_CHUNK", chunk)
+        assert gains._scan_gamma([(1, 10)], 1, 5) == (Fraction(1), 1)
+
+
+def test_pruned_terms_match_bruteforce_at_25_dimensions():
+    # 2^25 terms in full; only the m_v < n ones are listed, the rest fold
+    # into one.  Brute force over index pairs shares none of that.
+    basis = first_primes(25)
+    u = tuple(range(1, 26))
+    brute = [
+        gain_bruteforce(GainQuery.build(u, (0,) * 25, n, basis)) for n in range(1, 11)
+    ]
+    exact = [gain_exact(GainQuery.build(u, (0,) * 25, n, basis)) for n in range(1, 11)]
+    assert exact == brute == gain_curve(u, (0,) * 25, basis, 10)
+    summary = gamma_max(25, basis, n_cap=10)
+    top = max(brute)
+    assert (summary.gamma, summary.argmax_n) == (top, brute.index(top) + 1)
+
+
+def test_pruned_terms_memory_at_20_dimensions():
+    # The full 2^20 term list of u = 1..20 alone takes about 190 MB.
+    basis = first_primes(20)
+    u = tuple(range(1, 21))
+    tracemalloc.start()
+    try:
+        gain_exact(GainQuery.build(u, (0,) * 20, 1000, basis))
+        gamma_max(20, basis, n_cap=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 # ------------------------------------------------------------------ the bounds

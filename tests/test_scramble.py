@@ -12,6 +12,8 @@ from haltongain import (
     KeyedStream,
     LinearScramble,
     ScrambleSpec,
+    coordinate_scrambler,
+    digits_of,
     draw_linear_scramble,
     first_primes,
     halton_points,
@@ -81,17 +83,21 @@ def test_spec_validation():
         ScrambleSpec("nested", seed=-1)
     with pytest.raises(ValueError):
         ScrambleSpec("nested", replicate=-1)
-    ScrambleSpec("none")
+    with pytest.raises(ValueError):
+        coordinate_scrambler(ScrambleSpec("none"), 1, 2, 3)
 
 
 def test_permutation_node_is_cached_shape():
     spec = ScrambleSpec("nested", seed=5)
-    node = permutation_node(spec, 1, 5, ())
-    assert sorted(node.table) == list(range(5))
-    again = permutation_node(spec, 1, 5, ())
-    assert node.table == again.table
-    other = permutation_node(spec, 1, 5, (3,))
-    assert sorted(other.table) == list(range(5))
+    table = permutation_node(spec, 1, 5, 0, 0)
+    assert sorted(table) == list(range(5))
+    assert permutation_node(spec, 1, 5, 0, 0) == table
+    other = permutation_node(spec, 1, 5, 1, 3)
+    assert sorted(other) == list(range(5))
+    # The cache is keyed by the node identity (coordinate, depth, r).
+    cache: dict = {}
+    nested_scramble_digits(DigitVector(5, (3, 1)), 1, spec, cache=cache)
+    assert cache == {(1, 0, 0): table, (1, 1, 3): other}
 
 
 digit_vectors = st.integers(min_value=2, max_value=7).flatmap(
@@ -118,16 +124,15 @@ def test_nested_scramble_respects_prefixes(dv, data):
 
 
 def test_nested_scramble_matches_node_walk():
+    # Digit s+1 of index i is permuted by the node at depth s, r = i mod b^s.
     spec = ScrambleSpec("nested", seed=4)
-    for i in range(9):
-        dv = DigitVector(3, (i % 3, i // 3))
+    for i in range(27):
+        dv = digits_of(i, 3, 3)
         out = nested_scramble_digits(dv, 2, spec)
-        prefix: tuple[int, ...] = ()
-        want = []
-        for a in dv.digits:
-            node = permutation_node(spec, 2, 3, prefix)
-            want.append(node.table[a])
-            prefix = prefix + (a,)
+        want = [
+            permutation_node(spec, 2, 3, s, i % 3**s)[a]
+            for s, a in enumerate(dv.digits)
+        ]
         assert list(out.digits) == want
 
 
