@@ -31,6 +31,7 @@ from .primes import PrimeBasis, first_primes
 __all__ = [
     "CoordSubset",
     "GainQuery",
+    "pair_levels",
     "SubsetTerm",
     "GainSummary",
     "residue_pair_count",
@@ -91,12 +92,33 @@ class CoordSubset:
             )
 
 
+def pair_levels(
+    u: CoordSubset | Iterable[int], levels: Sequence[int]
+) -> tuple[CoordSubset, tuple[int, ...]]:
+    """u and its levels sorted together by coordinate.
+
+    `levels` holds one level per member of u in the order u lists them, so
+    a permuted u pairs exactly as its sorted form.  A coordinate listed
+    twice is refused.
+    """
+    coords = tuple(u)
+    levels = tuple(levels)
+    twice = sorted(j for j in set(coords) if coords.count(j) > 1)
+    if twice:
+        raise ValueError(f"coordinate {twice[0]} listed more than once in u")
+    if len(levels) != len(coords):
+        raise ValueError("one level per subset member required")
+    pairs = sorted(zip(coords, levels))
+    return CoordSubset(tuple(j for j, _ in pairs)), tuple(k for _, k in pairs)
+
+
 @dataclass(frozen=True)
 class GainQuery:
     """One gain evaluation point: subset u, levels k (aligned with u), count n.
 
-    Bases travel with the query; `build` is the validated constructor and
-    also precomputes the extreme moduli m_under = prod b^k and
+    Bases travel with the query; `build` is the validated constructor (its
+    levels follow u in the order given, see `pair_levels`) and also
+    precomputes the extreme moduli m_under = prod b^k and
     m_over = prod b^(k+1).
     """
 
@@ -115,7 +137,7 @@ class GainQuery:
         n: int,
         basis: PrimeBasis,
     ) -> "GainQuery":
-        u = CoordSubset.of(u)
+        u, levels = pair_levels(u, levels)
         if not len(u):
             raise ValueError("gain queries need a nonempty coordinate subset")
         if len(u) > _MAX_SUBSET:
@@ -124,9 +146,6 @@ class GainQuery:
             raise ValueError(
                 f"coordinate {u.indices[-1]} outside basis dimension {basis.dimension}"
             )
-        levels = tuple(levels)
-        if len(levels) != len(u):
-            raise ValueError("one level per subset member required")
         if any(k < 0 for k in levels):
             raise ValueError("levels must be >= 0")
         if n < 1:

@@ -19,10 +19,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .gains import CoordSubset
-from .halton import DigitVector, digits_of
+import numpy as np
+
+from .gains import CoordSubset, pair_levels
+from .halton import DigitVector
 from .primes import PrimeBasis
-from .scramble import KeyedStream, ScrambleSpec, coordinate_scrambler
+from .scramble import (
+    KeyedStream,
+    ScrambleSpec,
+    key_head,
+    replicate_head,
+    scramble_level,
+)
 
 __all__ = [
     "HaarIntegrand",
@@ -60,22 +68,24 @@ def make_haar(
 ) -> HaarIntegrand:
     """Build an integrand; default table per coordinate is b*[c = b-1] - 1.
 
-    Each table must have one entry per digit value, sum to zero, and not be
+    `levels` and `tables` follow u in the order it is given.  Each table
+    must have one entry per digit value, sum to zero, and not be
     identically zero.
     """
-    u = CoordSubset.of(u)
+    coords = tuple(u)
+    u, levels = pair_levels(coords, levels)
     if not len(u):
         raise ValueError("integrand needs a nonempty coordinate subset")
-    levels = tuple(levels)
-    if len(levels) != len(u):
-        raise ValueError("one level per subset member required")
     if any(k < 0 for k in levels):
         raise ValueError("levels must be >= 0")
     bases = tuple(basis.base(j) for j in u.indices)
     if tables is None:
         tables = [[-1] * (b - 1) + [b - 1] for b in bases]
-    if len(tables) != len(u):
+    elif len(tables) != len(coords):
         raise ValueError("one table per subset member required")
+    else:
+        given = dict(zip(coords, tables))
+        tables = [given[j] for j in u.indices]
     frozen = []
     sigma2 = Fraction(1)
     for b, table in zip(bases, tables):
@@ -155,8 +165,12 @@ def rqmc_estimate(
 
     Replicate r reuses `spec` with its replicate field set to
     spec.replicate + r, so a fixed (seed, spec) reproduces the summary
-    bit for bit and replicates are independent.  Only the digits f reads
-    are scrambled; coordinates outside u never influence f.
+    bit for bit and replicates are independent.  Only the one digit f reads
+    per coordinate is scrambled (`scramble_level`); it depends on a point's
+    index i only through i mod b^(k+1), so each replicate scrambles the
+    distinct residues once and every point looks its value up.  The
+    products and the correctly rounded `math.fsum` are those of `evaluate`
+    over the scrambled points, so the means are too, bit for bit.
     """
     if n < 1 or n > _MAX_COUNT:
         raise ValueError(f"point count must be in 1..2^53, got {n}")
@@ -164,29 +178,26 @@ def rqmc_estimate(
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if spec.kind == "none":
         raise ValueError("variance experiments need a randomizing scramble")
-    depths = [k + 1 for k in f.levels]
-    # Leading digits only: deeper digits cannot influence the first `depth`
-    # scrambled outputs of either kind.
-    inputs = [
-        [
-            digits_of((start + p) % b**depth, b, depth)
-            for b, depth in zip(f.bases, depths)
-        ]
-        for p in range(n)
-    ]
+    # Per coordinate: the distinct residues mod m = b^(k+1) of the window's
+    # indices, which are those of its first min(n, m) points, and for point
+    # p the position p mod min(n, m) of its residue among them.
+    residues, positions = [], []
+    for b, k in zip(f.bases, f.levels):
+        m = b ** (k + 1)
+        size = min(n, m)
+        residues.append([(start + p) % m for p in range(size)])
+        positions.append(np.arange(n) % size)
+    values = [[float(x) for x in table] for table in f.tables]
     coords = f.u.indices
     means = []
     for r in range(replicates):
         rspec = ScrambleSpec(spec.kind, spec.seed, spec.replicate + r)
-        scrambles = [
-            coordinate_scrambler(rspec, c, b, depth)
-            for c, b, depth in zip(coords, f.bases, depths)
-        ]
-        values = [
-            evaluate(f, [scramble(dv) for scramble, dv in zip(scrambles, row)])
-            for row in inputs
-        ]
-        means.append(math.fsum(values) / n)
+        head = replicate_head(rspec)
+        product = 1.0  # then times each coordinate's factor, as in `evaluate`
+        for t, (c, b, k) in enumerate(zip(coords, f.bases, f.levels)):
+            digits = scramble_level(rspec, c, b, k, residues[t], head)
+            product = product * np.array([values[t][d] for d in digits])[positions[t]]
+        means.append(math.fsum(product.tolist()) / n)
     return _summarize(n, means, float(f.sigma2))
 
 
@@ -207,11 +218,11 @@ def mc_estimate(
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     depths = [k + 1 for k in f.levels]
+    mc_head = key_head(seed, "mc")
     means = []
     for r in range(replicates):
-        streams = [
-            KeyedStream(seed, "mc", r, c) for c in f.u.indices
-        ]
+        head = key_head(r, head=mc_head)
+        streams = [KeyedStream(c, head=head) for c in f.u.indices]
         values = []
         for _ in range(n):
             out = 1.0

@@ -14,13 +14,18 @@ no sequential state and any subset of digits can be scrambled without
 generating the rest.  A nested node is the integer pair (s, r): depth s and
 r = x_1 + x_2 b + ... + x_s b^(s-1), which is i mod b^s for the digits of
 index i and encodes the prefix (x_1, ..., x_s) bijectively.
+
+Every stream of one replicate starts its key with (seed, tag, replicate);
+`replicate_head` feeds that start to a blake2b state once, and each stream
+copies the state and adds only its own node parts.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Literal, Mapping, MutableMapping
+from typing import Callable, Literal, Mapping, MutableMapping, Sequence
 
 from .halton import DigitVector, PointSet, _num, _realize
 
@@ -29,10 +34,13 @@ __all__ = [
     "ScrambleSpec",
     "LinearScramble",
     "KeyedStream",
+    "key_head",
+    "replicate_head",
     "permutation_node",
     "draw_linear_scramble",
     "nested_scramble_digits",
     "linear_scramble_digits",
+    "scramble_level",
     "coordinate_scrambler",
     "randomize",
 ]
@@ -40,6 +48,7 @@ __all__ = [
 Kind = Literal["none", "nested", "linear"]
 
 _KINDS = ("none", "nested", "linear")
+_TAGS = {"nested": "perm", "linear": "row"}  # stream tag of each kind's draws
 
 
 @dataclass(frozen=True)
@@ -65,14 +74,34 @@ class ScrambleSpec:
             raise ValueError("replicate must be >= 0")
 
 
+def _int_code(part: int) -> bytes:
+    raw = part.to_bytes((part.bit_length() + 7) // 8 or 1, "big")
+    return b"i" + len(raw).to_bytes(4, "big") + raw
+
+
+# Coordinates, depths and most node prefixes: encoded once, not per stream.
+_SMALL_INT_CODES = tuple(_int_code(v) for v in range(256))
+
+
 def _encode(part: int | str) -> bytes:
     if isinstance(part, str):
         raw = part.encode()
         return b"s" + len(raw).to_bytes(4, "big") + raw
     if isinstance(part, int):
-        raw = part.to_bytes((part.bit_length() + 7) // 8 or 1, "big")
-        return b"i" + len(raw).to_bytes(4, "big") + raw
+        return _SMALL_INT_CODES[part] if 0 <= part < 256 else _int_code(part)
     raise TypeError(f"cannot key a stream on {type(part).__name__}")
+
+
+def key_head(*parts: int | str, head=None):
+    """A blake2b state fed `parts` after those of `head`: a shared key start.
+
+    `KeyedStream(*rest, head=key_head(*first))` draws exactly what
+    `KeyedStream(*first, *rest)` draws; `first` is encoded only once.
+    """
+    h = hashlib.blake2b(digest_size=32) if head is None else head.copy()
+    for p in parts:
+        h.update(_encode(p))
+    return h
 
 
 class KeyedStream:
@@ -80,15 +109,13 @@ class KeyedStream:
 
     The key parts are length-prefixed, so distinct part tuples can never
     collide.  Draws are rejection-sampled from 64-bit chunks, hence unbiased.
+    The key is `head`'s parts (see `key_head`), if given, then `parts`.
     """
 
     __slots__ = ("_key", "_counter", "_buf", "_pos")
 
-    def __init__(self, *parts) -> None:
-        h = hashlib.blake2b(digest_size=32)
-        for p in parts:
-            h.update(_encode(p))
-        self._key = h.digest()
+    def __init__(self, *parts, head=None) -> None:
+        self._key = key_head(*parts, head=head).digest()
         self._counter = 0
         self._buf = b""
         self._pos = 0
@@ -158,27 +185,57 @@ class LinearScramble:
         return len(self.rows)
 
 
+@functools.lru_cache(maxsize=16)
+def _tag_head(seed: int, tag: str):
+    # (seed, tag) fed once for every replicate of a run; users only copy it.
+    return key_head(seed, tag)
+
+
+def replicate_head(spec: ScrambleSpec, tag: str | None = None):
+    """`key_head(seed, tag, replicate)`: the start of every key `spec` draws.
+
+    `tag` defaults to the kind's own ("perm" nested, "row" linear).
+    """
+    return key_head(spec.replicate, head=_tag_head(spec.seed, tag or _TAGS[spec.kind]))
+
+
 def permutation_node(
-    spec: ScrambleSpec, coordinate: int, base: int, depth: int, r: int
+    spec: ScrambleSpec, coordinate: int, base: int, depth: int, r: int, head=None
 ) -> tuple[int, ...]:
-    """Permutation table for digit depth+1 below the prefix encoded by r."""
-    stream = KeyedStream(spec.seed, "perm", spec.replicate, coordinate, depth, r)
-    return stream.permutation(base)
+    """Permutation table for digit depth+1 below the prefix encoded by r.
+
+    Keyed (seed, "perm", replicate, coordinate, depth, r); `head`, if given,
+    is `replicate_head(spec)`, shared by the nodes of a replicate.
+    """
+    if head is None:
+        head = replicate_head(spec, "perm")
+    return KeyedStream(coordinate, depth, r, head=head).permutation(base)
+
+
+def _linear_row(
+    head, coordinate: int, base: int, s: int
+) -> tuple[tuple[int, ...], int]:
+    """Row s of the matrix, (L[s][1], ..., L[s][s]), and the shift e_s.
+
+    Keyed (seed, "row", replicate, coordinate, s), `head` holding the first
+    three parts, and drawn diagonal first, then the off-diagonal entries,
+    then the shift.
+    """
+    stream = KeyedStream(coordinate, s, head=head)
+    diag = 1 + stream.next_uint(base - 1)
+    off = tuple(stream.next_uint(base) for _ in range(s - 1))
+    return off + (diag,), stream.next_uint(base)
 
 
 def draw_linear_scramble(
     spec: ScrambleSpec, coordinate: int, base: int, depth: int
 ) -> LinearScramble:
     """Matrix rows 1..depth and shift for this coordinate under `spec`."""
-    rows = []
-    shift = []
-    for s in range(1, depth + 1):
-        stream = KeyedStream(spec.seed, "row", spec.replicate, coordinate, s)
-        diag = 1 + stream.next_uint(base - 1)
-        off = tuple(stream.next_uint(base) for _ in range(s - 1))
-        rows.append(off + (diag,))
-        shift.append(stream.next_uint(base))
-    return LinearScramble(base, tuple(rows), tuple(shift))
+    head = replicate_head(spec, "row")
+    drawn = [_linear_row(head, coordinate, base, s) for s in range(1, depth + 1)]
+    return LinearScramble(
+        base, tuple(row for row, _ in drawn), tuple(e for _, e in drawn)
+    )
 
 
 def nested_scramble_digits(
@@ -187,13 +244,15 @@ def nested_scramble_digits(
     spec: ScrambleSpec,
     depth: int | None = None,
     cache: MutableMapping[tuple[int, int, int], tuple[int, ...]] | None = None,
+    head=None,
 ) -> DigitVector:
     """Apply the nested scramble to one coordinate's digits.
 
     Digit s+1 is permuted by node (coordinate, s, r) with r the input prefix
     (x_1, ..., x_s) read as an integer, so points agreeing to depth s share
     that node.  Pass a dict as `cache` to reuse nodes across the points of
-    one replicate; it is keyed by the same (coordinate, s, r).
+    one replicate; it is keyed by the same (coordinate, s, r).  `head` is as
+    for `permutation_node`.
     """
     if depth is None:
         depth = x.precision
@@ -206,7 +265,7 @@ def nested_scramble_digits(
         key = (coordinate, s, r)
         table = cache.get(key) if cache is not None else None
         if table is None:
-            table = permutation_node(spec, coordinate, b, s, r)
+            table = permutation_node(spec, coordinate, b, s, r, head)
             if cache is not None:
                 cache[key] = table
         out.append(table[a])
@@ -237,18 +296,63 @@ def linear_scramble_digits(
     return DigitVector(b, tuple(out))
 
 
+def scramble_level(
+    spec: ScrambleSpec,
+    coordinate: int,
+    base: int,
+    level: int,
+    residues: Sequence[int],
+    head=None,
+) -> list[int]:
+    """Scrambled digit level+1 of an index i, for each residue i mod b^(level+1).
+
+    That one digit depends on i only through this residue.  Nested: node
+    (coordinate, level, residue mod b^level) permutes input digit level+1,
+    one permutation per distinct prefix.  Linear: matrix row level+1 and
+    shift e_{level+1} combine input digits 1..level+1, one row in all.
+    These are the full scramble's draws, so the digit is its digit level+1.
+    `head`, if given, is `replicate_head(spec)`.
+    """
+    if spec.kind == "none":
+        raise ValueError("kind 'none' scrambles no digits")
+    if head is None:
+        head = replicate_head(spec)
+    if spec.kind == "linear":
+        row, shift = _linear_row(head, coordinate, base, level + 1)
+        out = []
+        for rho in residues:
+            acc = shift
+            for a in row:  # input digits 1..level+1, least significant first
+                rho, x = divmod(rho, base)
+                acc += a * x
+            out.append(acc % base)
+        return out
+    low = base**level
+    tables: dict[int, tuple[int, ...]] = {}
+    out = []
+    for rho in residues:
+        prefix, digit = rho % low, rho // low
+        if prefix not in tables:
+            tables[prefix] = permutation_node(
+                spec, coordinate, base, level, prefix, head
+            )
+        out.append(tables[prefix][digit])
+    return out
+
+
 def coordinate_scrambler(
     spec: ScrambleSpec, coordinate: int, base: int, depth: int
 ) -> Callable[[DigitVector], DigitVector]:
     """digits -> scrambled digits (`depth` of them) for one coordinate.
 
-    The one place that turns a spec's kind into a scramble: nested nodes are
-    drawn on first use and cached for the life of the returned function, a
-    linear matrix is drawn once up front.
+    The one place that turns a spec's kind into a scramble of whole digit
+    vectors: nested nodes are drawn on first use and cached for the life of
+    the returned function, a linear matrix is drawn once up front.
     """
     if spec.kind == "nested":
         cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        return lambda x: nested_scramble_digits(x, coordinate, spec, depth, cache)
+        head = replicate_head(spec)
+        return lambda x: nested_scramble_digits(x, coordinate, spec, depth, cache, head)
     if spec.kind == "linear":
         L = draw_linear_scramble(spec, coordinate, base, depth)
         return lambda x: linear_scramble_digits(x, L, depth)
@@ -278,6 +382,7 @@ def randomize(points: PointSet, spec: ScrambleSpec) -> PointSet:
     if spec.kind == "none":
         return points
     nested = spec.kind == "nested"
+    tail_head = replicate_head(spec, "tail")
     cols_d = []
     cols_x = []
     for c, base in enumerate(points.bases):
@@ -287,8 +392,7 @@ def randomize(points: PointSet, spec: ScrambleSpec) -> PointSet:
         scramble = coordinate_scrambler(spec, column, base, depth)
         ys = [scramble(x) for x in xs]
         tails = [
-            KeyedStream(spec.seed, "tail", spec.replicate, column, i).unit_float()
-            if nested else 0.0
+            KeyedStream(column, i, head=tail_head).unit_float() if nested else 0.0
             for i in range(points.start, points.start + points.count)
         ]
         cols_d.append(ys)

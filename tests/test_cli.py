@@ -14,7 +14,8 @@ from haltongain import GainQuery, bounds_table, first_primes, gain_exact
 from haltongain.cli import main
 
 # sha256 of outputs built from exact integer digits with one correctly
-# rounded division per coordinate, so the bytes are the same on every
+# rounded division per coordinate, or (variance) from IEEE products summed
+# by the correctly rounded math.fsum, so the bytes are the same on every
 # platform; a change to any of them is a change of behaviour.
 PINNED = {
     ("points", "--d", "6", "--n", "200", "--scramble", "linear", "--seed", "7",
@@ -24,6 +25,12 @@ PINNED = {
         "90fd9b2e2e70a6e50711449c4f9f6ba9951f72bd233d6ef8f82cd4e9f5512a56",
     ("figure", "3", "--n-max", "60"):
         "da678030594ccacbab31de3d90f922f3b54a194ddd08f716d57572114594aa28",
+    ("variance", "--u", "1,2,3", "--k", "1,1,0", "--n", "50", "--reps", "300",
+     "--scramble", "nested", "--seed", "7"):
+        "e3558bdf01db6bba334cbee0cb17a41b9d22715511826e6b02e8ca492c118fbd",
+    ("variance", "--u", "1,3", "--k", "2,1", "--n", "40", "--reps", "300",
+     "--scramble", "linear", "--seed", "7"):
+        "65054478ba1f235b16c9f124308af299c6d762e361c121dae4232db64ddbfe78",
 }
 
 
@@ -215,11 +222,52 @@ def test_format_outside_declared_set_refused(capsys, argv, refused):
     assert "invalid choice" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", list(PINNED), ids=["linear", "plain", "figure3"])
+@pytest.mark.parametrize(
+    "argv",
+    list(PINNED),
+    ids=["linear", "plain", "figure3", "variance-nested", "variance-linear"],
+)
 def test_output_bytes_pinned(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[argv]
+
+
+def _body(out: str) -> dict:
+    body = json.loads(out)
+    del body["config"]  # echoes --u and --k as typed
+    return body
+
+
+@pytest.mark.parametrize(
+    "command, tail",
+    [
+        ("gain", ("--n", "5")),
+        ("gain-curve", ("--n-max", "40")),
+        ("variance", ("--n", "7", "--reps", "40", "--scramble", "linear")),
+    ],
+)
+def test_levels_follow_u_as_given(capsys, command, tail):
+    # --k lists one level per --u entry in --u's order, sorted or not.
+    runs = [
+        run(capsys, command, "--u", u, "--k", k, *tail, "--format", "json")
+        for u, k in (("1,3", "0,2"), ("3,1", "2,0"), ("2,3,1", "1,2,0"),
+                     ("1,2,3", "0,1,2"))
+    ]
+    assert all(code == 0 for code, _ in runs)
+    bodies = [_body(out) for _, out in runs]
+    assert bodies[0] == bodies[1]
+    assert bodies[2] == bodies[3]
+    if command == "gain":
+        assert bodies[1]["gain"] == "1/1"  # the README's pairing, not 11/10
+
+
+def test_coordinate_listed_twice_refused(capsys):
+    assert main(["gain", "--u", "1,1", "--k", "0,0", "--n", "5"]) == 1
+    assert "coordinate 1 listed more than once" in capsys.readouterr().err
+    assert main(["variance", "--u", "2,1,2", "--k", "0,0,1", "--n", "5",
+                 "--reps", "2"]) == 1
+    assert "coordinate 2 listed more than once" in capsys.readouterr().err
 
 
 def test_bounds_rows_match_csv_writer(capsys):

@@ -486,6 +486,9 @@ def test_query_validation(basis3):
         GainQuery.build((1,), (0,), 0, basis3)
     with pytest.raises(OverflowError):
         GainQuery.build((1,), (200,), 5, basis3)
+    with pytest.raises(ValueError, match="coordinate 1 listed more than once"):
+        GainQuery.build((1, 2, 1), (0, 0, 0), 5, basis3)
     q = GainQuery.build((2, 1), (0, 1), 5, basis3)
     assert q.u.indices == (1, 2)
-    assert (q.m_under, q.m_over) == (3, 18)
+    assert q.levels == (1, 0)  # each level stays with its coordinate
+    assert (q.m_under, q.m_over) == (2, 12)  # 2^1 * 3^0, 2^2 * 3^1

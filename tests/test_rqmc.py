@@ -9,7 +9,10 @@ from haltongain import (
     DigitVector,
     GainQuery,
     ScrambleSpec,
+    coordinate_scrambler,
+    digits_of,
     evaluate,
+    first_primes,
     gain_exact,
     make_haar,
     mc_estimate,
@@ -152,3 +155,59 @@ def test_validation(basis2):
         mc_estimate(f, 0, 1)
     with pytest.raises(ValueError):
         mc_estimate(f, 1, 0)
+
+
+def _oracle_means(f, n, replicates, spec, start=0):
+    """rqmc_estimate's means the slow way: scramble every point in full."""
+    means = []
+    for r in range(replicates):
+        rspec = ScrambleSpec(spec.kind, spec.seed, spec.replicate + r)
+        scrambles = [
+            coordinate_scrambler(rspec, c, b, k + 1)
+            for c, b, k in zip(f.u.indices, f.bases, f.levels)
+        ]
+        values = []
+        for i in range(start, start + n):
+            point = [
+                scramble(digits_of(i, b, k + 1 + i.bit_length()))
+                for scramble, b, k in zip(scrambles, f.bases, f.levels)
+            ]
+            values.append(evaluate(f, point))
+        means.append(math.fsum(values) / n)
+    return tuple(means)
+
+
+NON_DYADIC = [
+    [Fraction(1, 3), Fraction(-1, 7), Fraction(-4, 21)],
+    [Fraction(2, 5), Fraction(-1, 3), Fraction(1, 9), Fraction(-8, 45), 0],
+]
+
+
+@pytest.mark.parametrize("kind", ["nested", "linear"])
+@pytest.mark.parametrize(
+    "u, k, n, start, tables",
+    [
+        ((1,), (3,), 5, 0, None),  # n below b^k
+        ((1,), (3,), 37, 11, None),  # n above b^(k+1), start > 0
+        ((2,), (3,), 30, 2, None),  # n between b^k and b^(k+1)
+        ((1, 2, 3), (1, 2, 0), 40, 3, None),
+        ((1, 2, 3), (3, 0, 1), 6, 50, None),
+        ((2, 3), (1, 0), 23, 100, NON_DYADIC),
+        ((1, 2, 3), (2, 1, 0), 45, 7, [[Fraction(1, 3), Fraction(-1, 3)], *NON_DYADIC]),
+    ],
+)
+def test_level_path_matches_per_point_oracle(kind, u, k, n, start, tables):
+    basis = first_primes(3)
+    f = make_haar(u, k, basis, tables=tables)
+    spec = ScrambleSpec(kind, seed=20261018, replicate=4)
+    got = rqmc_estimate(f, basis, n, 6, spec, start=start).means
+    assert got == _oracle_means(f, n, 6, spec, start)
+
+
+def test_make_haar_pairs_levels_and_tables_with_u_as_given(basis3):
+    t1, t3 = [3, -3], NON_DYADIC[1]
+    a = make_haar((3, 1), (2, 0), basis3, tables=[t3, t1])
+    assert a == make_haar((1, 3), (0, 2), basis3, tables=[t1, t3])
+    assert a.levels == (0, 2)
+    with pytest.raises(ValueError, match="coordinate 3 listed more than once"):
+        make_haar((3, 1, 3), (0, 0, 0), basis3)

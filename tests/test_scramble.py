@@ -23,6 +23,7 @@ from haltongain import (
     randomize,
     stratum_occupancy,
 )
+from haltongain.scramble import key_head, replicate_head, scramble_level
 
 P_FLOOR = 1e-6  # chi-square tests reject only on overwhelming evidence
 
@@ -47,6 +48,34 @@ def test_stream_key_encoding_cannot_collide():
     ).next_uint(1 << 32)
     with pytest.raises(TypeError):
         KeyedStream(1.5)
+
+
+def _draws(stream: KeyedStream) -> list[int]:
+    return [stream.next_uint(1 << 40) for _ in range(6)] + list(stream.permutation(7))
+
+
+@pytest.mark.parametrize("split", range(7))
+def test_prefed_head_draws_as_full_key(split):
+    parts = (20261018, "perm", 9, 3, 2, 1 << 70)
+    want = _draws(KeyedStream(*parts))
+    head = key_head(*parts[:split])
+    assert _draws(KeyedStream(*parts[split:], head=head)) == want
+    assert _draws(KeyedStream(*parts[split:], head=head)) == want  # head unspent
+    mid = max(split, 4)  # heads stack
+    inner = key_head(*parts[split:mid], head=key_head(*parts[:split]))
+    assert _draws(KeyedStream(*parts[mid:], head=inner)) == want
+
+
+@pytest.mark.parametrize(
+    "kind, tag", [("nested", None), ("linear", None), ("nested", "tail")]
+)
+def test_replicate_head_is_the_key_start(kind, tag):
+    spec = ScrambleSpec(kind, seed=1 << 40, replicate=123456)
+    head = replicate_head(spec, tag)
+    tag = tag or {"nested": "perm", "linear": "row"}[kind]
+    for node in ((4, 5, 300), (1, 0, 0), (2, 255, 256, 1 << 70)):
+        want = _draws(KeyedStream(spec.seed, tag, spec.replicate, *node))
+        assert _draws(KeyedStream(*node, head=head)) == want
 
 
 def test_next_uint_bounds_and_uniformity():
@@ -174,6 +203,21 @@ def test_draw_linear_scramble():
     short = draw_linear_scramble(spec, 3, 5, 2)
     assert short.rows == L.rows[:2] and short.shift == L.shift[:2]
     assert draw_linear_scramble(spec, 4, 5, 4).rows != L.rows
+
+
+@pytest.mark.parametrize("kind", ["nested", "linear"])
+@pytest.mark.parametrize("base, level", [(2, 0), (2, 3), (3, 2), (5, 1)])
+def test_scramble_level_is_digit_of_full_scramble(kind, base, level):
+    spec = ScrambleSpec(kind, seed=31, replicate=2)
+    m = base ** (level + 1)
+    full = coordinate_scrambler(spec, 2, base, level + 1)
+    want = [full(digits_of(rho, base, level + 1)).digits[level] for rho in range(m)]
+    assert scramble_level(spec, 2, base, level, range(m)) == want
+    some = [m - 1, 0, m // 2]
+    head = replicate_head(spec)
+    assert scramble_level(spec, 2, base, level, some, head) == [want[r] for r in some]
+    with pytest.raises(ValueError):
+        scramble_level(ScrambleSpec("none"), 2, base, level, some)
 
 
 def test_linear_scramble_bijective_on_prefixes():
