@@ -27,7 +27,6 @@ from .gains import (
     upper_bound_u_exact,
 )
 from .halton import (
-    DigitVector,
     PointSet,
     PrecisionError,
     default_precision,
@@ -43,7 +42,6 @@ from .primes import MAX_DIMENSION, PrimeBasis, first_primes, nth_prime
 from .rqmc import (
     EstimateSummary,
     HaarIntegrand,
-    evaluate,
     make_haar,
     mc_estimate,
     rqmc_estimate,
@@ -54,6 +52,7 @@ from .scramble import (
     ScrambleSpec,
     coordinate_scrambler,
     draw_linear_scramble,
+    linear_depth_limit,
     linear_scramble_digits,
     nested_scramble_digits,
     permutation_node,

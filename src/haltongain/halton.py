@@ -2,22 +2,25 @@
 
 The i-th point's coordinate j is the base-b_j radical inverse of i: write
 i = sum_l a_l * b^(l-1) and reflect the digits about the radix point,
-x = sum_l a_l * b^(-l).  All structural logic here (strata, residue tests)
-works on the digits directly; floats are a derived view.
+x = sum_l a_l * b^(-l).  A point set holds each coordinate as one integer
+digit array; strata and residue tests work on the digits, and floats are a
+derived view.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .primes import PrimeBasis
 
 __all__ = [
     "MAX_INDEX",
     "PrecisionError",
-    "DigitVector",
     "PointSet",
     "default_precision",
     "digits_of",
@@ -31,7 +34,6 @@ __all__ = [
 
 # Point indices are 64-bit; the default digit precision is chosen to match.
 MAX_INDEX = 1 << 64
-_PRECISION_CAP = 64
 
 
 class PrecisionError(ValueError):
@@ -39,96 +41,42 @@ class PrecisionError(ValueError):
 
 
 def default_precision(base: int) -> int:
-    """Smallest D with base**D >= 2**64, capped at 64 digits."""
+    """Smallest D with base**D >= 2**64: at most 64 digits, reached in base 2."""
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
     d, p = 0, 1
-    while p < MAX_INDEX and d < _PRECISION_CAP:
+    while p < MAX_INDEX:
         p *= base
         d += 1
     return d
 
 
-@dataclass(frozen=True)
-class DigitVector:
-    """Base-b digits of one coordinate, least significant first.
-
-    digits[l-1] is the coefficient of b**(-l) in the coordinate value,
-    equivalently the coefficient of b**(l-1) in the point index.
-    """
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-        if any(not 0 <= a < self.base for a in self.digits):
-            raise ValueError("digit out of range for base")
-
-    @property
-    def precision(self) -> int:
-        return len(self.digits)
-
-    def index(self) -> int:
-        """Reconstruct the integer whose expansion these digits are."""
-        i = 0
-        for a in reversed(self.digits):
-            i = i * self.base + a
-        return i
-
-    def fraction(self) -> Fraction:
-        """Exact coordinate value sum_l digits[l] * base**(-l)."""
-        return Fraction(_num(self), self.base ** len(self.digits))
-
-    def float(self) -> float:
-        return _realize(_num(self), self.base, len(self.digits))
-
-
-def _num(x: DigitVector) -> int:
-    """Numerator of the coordinate over base**precision.
-
-    Digit l weighs base**(precision - l): the first stored digit is the most
-    significant of the fraction.
-    """
-    num = 0
-    for a in x.digits:
-        num = num * x.base + a
-    return num
-
-
-def _realize(num: int, base: int, precision: int, tail: float = 0.0) -> float:
-    """Float view of num/base**precision (+ tail in the same units), kept < 1."""
-    den = base**precision
-    x = num / den
-    if tail:
-        x += tail / den
-    if x >= 1.0:
-        x = 1.0 - 2.0**-53
-    return x
-
-
-def digits_of(i: int, base: int, precision: int) -> DigitVector:
+def digits_of(i: int, base: int, precision: int) -> tuple[int, ...]:
     """First `precision` base-b digits of i, least significant first.
 
-    Refuses to drop significant digits: requires base**precision > i.
+    The per-point oracle of `halton_points`' digit columns.  Refuses to
+    drop significant digits: requires base**precision > i.
     """
     if i < 0:
         raise ValueError(f"index must be >= 0, got {i}")
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
     if i >= base**precision:
-        raise PrecisionError(
-            f"{precision} base-{base} digits cannot represent index {i}"
-        )
+        raise PrecisionError(f"{precision} base-{base} digits cannot represent index {i}")
     digits = []
     rem = i
     for _ in range(precision):
         rem, a = divmod(rem, base)
         digits.append(a)
-    return DigitVector(base, tuple(digits))
+    return tuple(digits)
 
 
 def radical_inverse(i: int, base: int) -> Fraction:
-    """Reflect the base-b digits of i about the radix point; exact value."""
+    """Reflect the base-b digits of i about the radix point; exact value.
+
+    The oracle of `halton_points`' floats, which are this value correctly
+    rounded.
+    """
     if i < 0:
         raise ValueError(f"index must be >= 0, got {i}")
     if base < 2:
@@ -142,25 +90,92 @@ def radical_inverse(i: int, base: int) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """Consecutive Halton points with digits and realized floats.
+    """Consecutive Halton points as digit columns and realized floats.
 
-    `digits[p][c]` is the DigitVector of point `start + p`, coordinate c+1;
-    `coords[p][c]` the matching float in [0,1).  `bases[c]` is that
-    coordinate's base (columns may be scrambled or reordered, so the base
-    travels with the column rather than with a PrimeBasis).
+    `digits[c]` is column c+1, a uint64 array of shape (count, D_c) whose
+    entry [p, l-1] is digit l (weight b**-l) of point `start + p`;
+    `coords[p][c]` is the matching float in [0,1).  `bases[c]` is that
+    column's base: columns may be scrambled or reordered, so the base
+    travels with the column rather than with a PrimeBasis.
     """
 
     start: int
     count: int
     bases: tuple[int, ...]
-    digits: tuple[tuple[DigitVector, ...], ...]
+    digits: tuple[np.ndarray, ...]
     coords: tuple[tuple[float, ...], ...]
 
     @property
     def dimension(self) -> int:
         return len(self.bases)
+
+
+def _leading(digits: np.ndarray, base: int, k: int) -> np.ndarray:
+    """Each row's first k digits read as one integer, most significant first.
+
+    Row p gives sum_{l=1..k} digits[p, l-1] * base**(k-l).  Horner runs on
+    uint64 limbs of `per` digits, the most with base**per <= 2**64, so each
+    limb is exact.  Past one limb the value can exceed 2**64, so the limbs
+    are joined as Python ints (an object array).
+    """
+    per = 1
+    while base ** (per + 1) <= MAX_INDEX:
+        per += 1
+    b = np.uint64(base)
+    value = np.zeros(len(digits), dtype=np.uint64)
+    for lo in range(0, k, per):
+        hi = min(lo + per, k)
+        limb = np.zeros(len(digits), dtype=np.uint64)
+        for l in range(lo, hi):
+            limb = limb * b + digits[:, l]
+        value = limb if lo == 0 else value.astype(object) * base ** (hi - lo) + limb.astype(object)
+    return value
+
+
+def _float_column(digits: np.ndarray, base: int, tails: list[float] | None) -> list[float]:
+    """Float view of one digit column, plus `tails` in units of b**-D.
+
+    Each value is num/b**D correctly rounded, plus the tail, kept below 1.
+    When the digits past the first L are all zero, num/b**D = num_L/b**L,
+    and with b**L <= 2**53 both are exact doubles, so one float64 division
+    is correctly rounded.  Otherwise the exact numerator is a Python int,
+    whose division Python rounds correctly.
+    """
+    depth = digits.shape[1]
+    used = np.flatnonzero(digits.any(axis=0))
+    width = int(used[-1]) + 1 if len(used) else 1
+    if tails is None and base**width <= 1 << 53:
+        return (_leading(digits, base, width).astype(np.float64) / base**width).tolist()
+    den = base**depth
+    x = np.array([num / den for num in _leading(digits, base, depth).tolist()])
+    if tails is not None:
+        x += np.array(tails) / float(den)
+    x[x >= 1.0] = 1.0 - 2.0**-53
+    return x.tolist()
+
+
+def _point_set(start: int, bases: Sequence[int], digits: list, tails: list) -> PointSet:
+    """These digit columns and their float view, with `tails[c]` column c's
+    nested tails or None."""
+    cols = [_float_column(x, b, t) for b, x, t in zip(bases, digits, tails)]
+    return PointSet(start, len(digits[0]), tuple(bases), tuple(digits), tuple(zip(*cols)))
+
+
+def _index_digits(start: int, count: int, base: int, precision: int) -> np.ndarray:
+    """Digits 1..precision of indices start..start+count-1, one row each."""
+    last = start + count - 1
+    digits_of(last, base, precision)  # refuses a largest index of base**precision or more
+    out = np.zeros((count, precision), dtype=np.uint64)
+    rem = np.uint64(start) + np.arange(count, dtype=np.uint64)
+    b = np.uint64(base)
+    l = 0
+    while last:  # digits past those of the largest index are all zero
+        rem, out[:, l] = np.divmod(rem, b)
+        last //= base
+        l += 1
+    return out
 
 
 def _column_order(basis: PrimeBasis, permutation: Sequence[int] | None) -> list[int]:
@@ -193,46 +208,31 @@ def halton_points(
         raise ValueError("index range exceeds 64-bit point indices")
     order = _column_order(basis, permutation)
     col_bases = tuple(basis.base(j) for j in order)
-    col_prec = []
-    for t, j in enumerate(order):
-        p = default_precision(col_bases[t])
-        if precision is not None and j in precision:
-            p = precision[j]
-            if p < 1:
-                raise ValueError(f"precision override for coordinate {j} must be >= 1")
-        col_prec.append(p)
-    rows_d = []
-    rows_x = []
-    for p in range(count):
-        i = start + p
-        dv = tuple(digits_of(i, b, pr) for b, pr in zip(col_bases, col_prec))
-        rows_d.append(dv)
-        rows_x.append(tuple(_realize(_num(v), v.base, v.precision) for v in dv))
-    return PointSet(start, count, col_bases, tuple(rows_d), tuple(rows_x))
+    digits = []
+    for j, b in zip(order, col_bases):
+        p = (precision or {}).get(j, default_precision(b))
+        if p < 1:
+            raise ValueError(f"precision override for coordinate {j} must be >= 1")
+        digits.append(_index_digits(start, count, b, p))
+    return _point_set(start, col_bases, digits, [None] * len(digits))
 
 
-def stratum_index(point: Sequence[DigitVector], levels: Sequence[int]) -> tuple[int, ...]:
-    """Which level-k elementary box the point falls in.
+def stratum_index(points: PointSet, levels: Sequence[int]) -> list[tuple[int, ...]]:
+    """Which level-k elementary box each point falls in, one tuple per point.
 
     Coordinate j with level k_j contributes floor(b^k_j * x_j), read off the
     first k_j digits most significant first.  Level 0 contributes 0.
     """
-    if len(levels) != len(point):
+    if len(levels) != points.dimension:
         raise ValueError("one level per coordinate required")
-    out = []
-    for dv, k in zip(point, levels):
+    cols = []
+    for x, b, k in zip(points.digits, points.bases, levels):
         if k < 0:
             raise ValueError(f"level must be >= 0, got {k}")
-        if k > dv.precision:
-            raise PrecisionError(
-                f"level {k} needs more digits than the stored {dv.precision}"
-            )
-        # digit l (1-based) carries weight b**(k-l)
-        r = 0
-        for l in range(1, k + 1):
-            r = r * dv.base + dv.digits[l - 1]
-        out.append(r)
-    return tuple(out)
+        if k > x.shape[1]:
+            raise PrecisionError(f"level {k} needs more digits than the stored {x.shape[1]}")
+        cols.append(_leading(x, b, k).tolist())
+    return list(zip(*cols))
 
 
 def residue_match(i: int, i2: int, base: int, r: int) -> bool:
@@ -285,8 +285,4 @@ def stratum_occupancy(
     points: PointSet, levels: Sequence[int]
 ) -> dict[tuple[int, ...], int]:
     """Occupancy of level-k boxes for an existing (possibly scrambled) set."""
-    counts: dict[tuple[int, ...], int] = {}
-    for row in points.digits:
-        key = stratum_index(row, levels)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return dict(Counter(stratum_index(points, levels)))

@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .gains import CoordSubset, pair_levels
-from .halton import DigitVector
 from .primes import PrimeBasis
 from .scramble import (
     KeyedStream,
@@ -36,7 +35,6 @@ __all__ = [
     "HaarIntegrand",
     "EstimateSummary",
     "make_haar",
-    "evaluate",
     "rqmc_estimate",
     "mc_estimate",
 ]
@@ -102,27 +100,6 @@ def make_haar(
     return HaarIntegrand(u, levels, bases, tuple(frozen), sigma2)
 
 
-def evaluate(f: HaarIntegrand, point: Sequence[DigitVector]) -> float:
-    """f at one point given per-coordinate digits (full dimension or u-only).
-
-    Coordinate u.indices[t] must sit at position u.indices[t]-1 when the
-    full point is passed, or at position t when only the u coordinates are.
-    """
-    if len(point) == len(f.u):
-        rows = point
-    else:
-        rows = [point[j - 1] for j in f.u.indices]
-    out = 1.0
-    for t, dv in enumerate(rows):
-        k = f.levels[t]
-        if dv.precision < k + 1:
-            raise ValueError(
-                f"digit {k + 1} required but only {dv.precision} stored"
-            )
-        out *= float(f.tables[t][dv.digits[k]])
-    return out
-
-
 @dataclass(frozen=True)
 class EstimateSummary:
     """Replicated estimate of a mean and the implied variance gain."""
@@ -169,8 +146,8 @@ def rqmc_estimate(
     per coordinate is scrambled (`scramble_level`); it depends on a point's
     index i only through i mod b^(k+1), so each replicate scrambles the
     distinct residues once and every point looks its value up.  The
-    products and the correctly rounded `math.fsum` are those of `evaluate`
-    over the scrambled points, so the means are too, bit for bit.
+    products and the correctly rounded `math.fsum` are those of evaluating
+    f at every fully scrambled point, so the means are too, bit for bit.
     """
     if n < 1 or n > _MAX_COUNT:
         raise ValueError(f"point count must be in 1..2^53, got {n}")
@@ -193,7 +170,7 @@ def rqmc_estimate(
     for r in range(replicates):
         rspec = ScrambleSpec(spec.kind, spec.seed, spec.replicate + r)
         head = replicate_head(rspec)
-        product = 1.0  # then times each coordinate's factor, as in `evaluate`
+        product = 1.0  # then times each coordinate's factor, in u's order
         for t, (c, b, k) in enumerate(zip(coords, f.bases, f.levels)):
             digits = scramble_level(rspec, c, b, k, residues[t], head)
             product = product * np.array([values[t][d] for d in digits])[positions[t]]

@@ -27,7 +27,9 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Literal, Mapping, MutableMapping, Sequence
 
-from .halton import DigitVector, PointSet, _num, _realize
+import numpy as np
+
+from .halton import PointSet, _point_set
 
 __all__ = [
     "Kind",
@@ -38,6 +40,7 @@ __all__ = [
     "replicate_head",
     "permutation_node",
     "draw_linear_scramble",
+    "linear_depth_limit",
     "nested_scramble_digits",
     "linear_scramble_digits",
     "scramble_level",
@@ -239,61 +242,61 @@ def draw_linear_scramble(
 
 
 def nested_scramble_digits(
-    x: DigitVector,
+    x: Sequence[int],
+    base: int,
     coordinate: int,
     spec: ScrambleSpec,
     depth: int | None = None,
     cache: MutableMapping[tuple[int, int, int], tuple[int, ...]] | None = None,
-    head=None,
-) -> DigitVector:
-    """Apply the nested scramble to one coordinate's digits.
+) -> tuple[int, ...]:
+    """Apply the nested scramble to one point's digits in one coordinate.
 
-    Digit s+1 is permuted by node (coordinate, s, r) with r the input prefix
+    The per-point oracle of `randomize`'s nested columns.  Digit s+1 is
+    permuted by node (coordinate, s, r) with r the input prefix
     (x_1, ..., x_s) read as an integer, so points agreeing to depth s share
     that node.  Pass a dict as `cache` to reuse nodes across the points of
-    one replicate; it is keyed by the same (coordinate, s, r).  `head` is as
-    for `permutation_node`.
+    one replicate; it is keyed by the same (coordinate, s, r).
     """
     if depth is None:
-        depth = x.precision
-    b = x.base
-    out = []
-    r = 0
-    weight = 1
+        depth = len(x)
+    out, r, weight = [], 0, 1
     for s in range(depth):
-        a = x.digits[s] if s < x.precision else 0
+        a = x[s] if s < len(x) else 0
         key = (coordinate, s, r)
         table = cache.get(key) if cache is not None else None
         if table is None:
-            table = permutation_node(spec, coordinate, b, s, r, head)
+            table = permutation_node(spec, coordinate, base, s, r)
             if cache is not None:
                 cache[key] = table
         out.append(table[a])
         r += a * weight
-        weight *= b
-    return DigitVector(b, tuple(out))
+        weight *= base
+    return tuple(out)
 
 
 def linear_scramble_digits(
-    x: DigitVector, scramble: LinearScramble, depth: int | None = None
-) -> DigitVector:
-    """Apply a drawn linear scramble to one coordinate's digits."""
-    if x.base != scramble.base:
-        raise ValueError("scramble and digits disagree on the base")
+    x: Sequence[int], scramble: LinearScramble, depth: int | None = None
+) -> tuple[int, ...]:
+    """Apply a drawn linear scramble to one point's digits in one coordinate.
+
+    The per-point oracle of `randomize`'s linear columns.
+    """
+    b = scramble.base
+    if any(not 0 <= a < b for a in x):
+        raise ValueError("digits out of range for the scramble's base")
     if depth is None:
-        depth = min(x.precision, scramble.depth)
+        depth = min(len(x), scramble.depth)
     if depth > scramble.depth:
         raise ValueError(f"scramble holds only {scramble.depth} rows")
-    b = x.base
     out = []
     for s in range(1, depth + 1):
         row = scramble.rows[s - 1]
         acc = scramble.shift[s - 1]
         for t in range(s):
-            a = x.digits[t] if t < x.precision else 0
+            a = x[t] if t < len(x) else 0
             acc += row[t] * a
         out.append(acc % b)
-    return DigitVector(b, tuple(out))
+    return tuple(out)
 
 
 def scramble_level(
@@ -340,67 +343,91 @@ def scramble_level(
     return out
 
 
+def linear_depth_limit(base: int) -> int:
+    """Deepest linear scramble whose column product is exact in int64.
+
+    Digit s sums at most D products L[s][t]*x_t plus e_s, below
+    D*(b-1)**2 + b <= 2**63 for D up to this limit: 286 at the largest
+    admitted base, p_{10^7} = 179,424,673, whose default depth is 3.
+    """
+    return ((1 << 63) - base) // (base - 1) ** 2
+
+
 def coordinate_scrambler(
     spec: ScrambleSpec, coordinate: int, base: int, depth: int
-) -> Callable[[DigitVector], DigitVector]:
-    """digits -> scrambled digits (`depth` of them) for one coordinate.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """digit column -> scrambled column (`depth` digits) for one coordinate.
 
-    The one place that turns a spec's kind into a scramble of whole digit
-    vectors: nested nodes are drawn on first use and cached for the life of
-    the returned function, a linear matrix is drawn once up front.
+    The one place that turns a spec's kind into a scramble of digit arrays
+    of shape (points, digits).  Linear: the matrix is drawn once up front,
+    then one integer product (x @ L^T + e) mod b scrambles the column.
+    Nested: one pass per depth s draws each distinct node (s, r) once.
     """
-    if spec.kind == "nested":
-        cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        head = replicate_head(spec)
-        return lambda x: nested_scramble_digits(x, coordinate, spec, depth, cache, head)
     if spec.kind == "linear":
+        if depth > linear_depth_limit(base):
+            raise ValueError(f"linear scramble depth {depth} exceeds the int64-exact "
+                             f"limit {linear_depth_limit(base)} for base {base}")
         L = draw_linear_scramble(spec, coordinate, base, depth)
-        return lambda x: linear_scramble_digits(x, L, depth)
-    raise ValueError("kind 'none' scrambles no digits")
+        matrix = np.zeros((depth, depth), dtype=np.int64)
+        for s, row in enumerate(L.rows):
+            matrix[s, : s + 1] = row
 
+        def linear(x: np.ndarray) -> np.ndarray:
+            width = min(depth, x.shape[1])  # input digits past the stored ones are 0
+            y = x[:, :width].astype(np.int64) @ matrix[:, :width].T + L.shift
+            return (y % base).astype(np.uint64)
 
-def _out_precision(spec: ScrambleSpec, column: int, stored: int) -> int:
-    if spec.precision is not None and column in spec.precision:
-        p = spec.precision[column]
-        if p < 1:
-            raise ValueError(f"precision override for coordinate {column} must be >= 1")
-        return p
-    return stored
+        return linear
+    if spec.kind != "nested":
+        raise ValueError("kind 'none' scrambles no digits")
+    head = replicate_head(spec)
+
+    def nested(x: np.ndarray) -> np.ndarray:
+        n, stored = x.shape
+        out = np.empty((n, depth), dtype=np.uint64)
+        # The prefix r = x_1 + x_2 b + ... + x_s b^(s-1) < b^s, by Horner.
+        # Exact at every depth: uint64 while b^s <= 2^64, Python ints (an
+        # object array) past that, which default depths D (b^(D-1) < 2^64)
+        # never reach.
+        r = np.zeros(n, dtype=np.uint64)
+        for s in range(depth):
+            a = x[:, s] if s < stored else 0
+            nodes, which = np.unique(r, return_inverse=True)
+            node_head = key_head(coordinate, s, head=head)
+            tables = [KeyedStream(v, head=node_head).permutation(base) for v in nodes.tolist()]
+            out[:, s] = np.array(tables, dtype=np.uint64)[which, a]
+            if s + 1 < depth and s < stored:  # digits past the stored ones are 0
+                if base ** (s + 1) <= 1 << 64:
+                    r = r + a * np.uint64(base**s)
+                else:
+                    r = r.astype(object) + a.astype(object) * base**s
+        return out
+
+    return nested
 
 
 def randomize(points: PointSet, spec: ScrambleSpec) -> PointSet:
     """Scramble every coordinate of every point; kind "none" is identity.
 
-    Each column is scrambled to one depth: its precision override, else the
-    largest precision stored in the column.  Nested realization adds one
-    uniform tail draw per (point, coordinate) at the level below the last
-    scrambled digit: the tail digits of a nested scramble are independent
-    uniforms, and a single draw in [0,1) scaled by b**-D has exactly that
-    law.  Linear tails are zero, matching the zero input digits beyond the
-    stored precision.
+    Each column is scrambled to one depth: its precision override, else its
+    stored precision.  Nested realization adds one uniform tail draw per
+    (point, coordinate) at the level below the last scrambled digit: the
+    tail digits of a nested scramble are independent uniforms, and a single
+    draw in [0,1) scaled by b**-D has exactly that law.  Linear tails are
+    zero, matching the zero input digits beyond the stored precision.
     """
     if spec.kind == "none":
         return points
-    nested = spec.kind == "nested"
     tail_head = replicate_head(spec, "tail")
-    cols_d = []
-    cols_x = []
-    for c, base in enumerate(points.bases):
+    indices = range(points.start, points.start + points.count)
+    nested = spec.kind == "nested"
+    digits, tails = [], []
+    for c, (base, x) in enumerate(zip(points.bases, points.digits)):
         column = c + 1
-        xs = [row[c] for row in points.digits]
-        depth = _out_precision(spec, column, max((x.precision for x in xs), default=1))
-        scramble = coordinate_scrambler(spec, column, base, depth)
-        ys = [scramble(x) for x in xs]
-        tails = [
-            KeyedStream(column, i, head=tail_head).unit_float() if nested else 0.0
-            for i in range(points.start, points.start + points.count)
-        ]
-        cols_d.append(ys)
-        cols_x.append([_realize(_num(y), base, depth, t) for y, t in zip(ys, tails)])
-    return PointSet(
-        points.start,
-        points.count,
-        points.bases,
-        tuple(zip(*cols_d)),
-        tuple(zip(*cols_x)),
-    )
+        depth = (spec.precision or {}).get(column, x.shape[1])
+        if depth < 1:
+            raise ValueError(f"precision override for coordinate {column} must be >= 1")
+        digits.append(coordinate_scrambler(spec, column, base, depth)(x))
+        head = key_head(column, head=tail_head)
+        tails.append([KeyedStream(i, head=head).unit_float() for i in indices] if nested else None)
+    return _point_set(points.start, points.bases, digits, tails)

@@ -317,8 +317,7 @@ def test_criterion_8_strata_balance(capfd, basis3):
                 problems.append(f"digit tally differs start={start}")
             for kind, sc in scrambled.items():
                 tally: dict[tuple[int, ...], int] = {}
-                for row in sc.digits[:window]:
-                    key = stratum_index(row, levels)
+                for key in stratum_index(sc, levels)[:window]:
                     tally[key] = tally.get(key, 0) + 1
                 if len(tally) != boxes or set(tally.values()) != {1}:
                     problems.append(

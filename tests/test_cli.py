@@ -23,6 +23,15 @@ PINNED = {
         "a0e6a52c542f22534f7e69a088589f0f18c275828276561931ca2aeb4816e47f",
     ("points", "--d", "8", "--n", "200"):
         "90fd9b2e2e70a6e50711449c4f9f6ba9951f72bd233d6ef8f82cd4e9f5512a56",
+    ("points", "--d", "3", "--n", "300", "--scramble", "nested", "--seed", "7",
+     "--replicate", "3", "--format", "json"):
+        "64637a618454b278f87147a5846ecaec910459be3bf48dfd7ce0f4919df16256",
+    # the last 64-bit index: the 1 - 2^-53 clamp and the Python-int float path
+    ("points", "--d", "2", "--n", "3", "--start", "18446744073709551613"):
+        "125f2a72486ab8409f25501c0fd1bba922bb33b9e0e2f03169598e5433ffaf14",
+    ("points", "--d", "2", "--n", "3", "--start", "18446744073709551613",
+     "--scramble", "nested"):
+        "202d6d41a03a7adf0e465d99b64500b5500f6b2190e1e66acda138d889f10462",
     ("figure", "3", "--n-max", "60"):
         "da678030594ccacbab31de3d90f922f3b54a194ddd08f716d57572114594aa28",
     ("variance", "--u", "1,2,3", "--k", "1,1,0", "--n", "50", "--reps", "300",
@@ -225,7 +234,8 @@ def test_format_outside_declared_set_refused(capsys, argv, refused):
 @pytest.mark.parametrize(
     "argv",
     list(PINNED),
-    ids=["linear", "plain", "figure3", "variance-nested", "variance-linear"],
+    ids=["linear", "plain", "nested", "plain-last-index", "nested-last-index",
+         "figure3", "variance-nested", "variance-linear"],
 )
 def test_output_bytes_pinned(capsys, argv):
     code, out = run(capsys, *argv)

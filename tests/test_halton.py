@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haltongain import (
-    DigitVector,
     PrecisionError,
+    PrimeBasis,
     default_precision,
     digits_of,
     first_primes,
@@ -20,8 +20,17 @@ from haltongain import (
     stratum_index,
     stratum_occupancy,
 )
+from haltongain.halton import MAX_INDEX
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _fraction(row, base: int) -> Fraction:
+    """Exact value sum_l row[l-1] * base**(-l) of one point's digit row."""
+    num = 0
+    for a in row.tolist():
+        num = num * base + a
+    return Fraction(num, base ** len(row))
 
 
 @given(
@@ -31,9 +40,9 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 def test_digit_round_trip(i, base):
     p = default_precision(base)
     dv = digits_of(i, base, p)
-    assert dv.index() == i
-    assert len(dv.digits) == p
-    assert all(0 <= a < base for a in dv.digits)
+    assert sum(a * base**l for l, a in enumerate(dv)) == i
+    assert len(dv) == p
+    assert all(0 <= a < base for a in dv)
 
 
 def test_van_der_corput_base2():
@@ -71,12 +80,11 @@ def test_radical_inverse_digit_reversal(i, base):
     assert radical_inverse(i, base) == Fraction(int(s[::-1], base), base ** len(s))
 
 
-def test_digit_vector_fraction_and_float():
-    dv = DigitVector(2, (1, 0, 1))
-    assert dv.fraction() == Fraction(5, 8)
-    assert dv.float() == 0.625
-    assert dv.precision == 3
-    assert dv.index() == 5
+def test_column_digits_fraction_and_float():
+    pts = halton_points(PrimeBasis(1, (2,)), 5, 1, precision={1: 3})
+    assert pts.digits[0].tolist() == [[1, 0, 1]]
+    assert _fraction(pts.digits[0][0], 2) == Fraction(5, 8)
+    assert pts.coords == ((0.625,),)
 
 
 def test_precision_guard():
@@ -96,7 +104,7 @@ def test_first_points(basis3):
     pts = halton_points(basis3, 0, 2)
     assert pts.coords[0] == (0.0, 0.0, 0.0)
     assert pts.coords[1] == (0.5, 1 / 3, 0.2)
-    assert pts.digits[1][0].digits[0] == 1
+    assert pts.digits[0][1, 0] == 1
     assert pts.dimension == 3
     assert pts.bases == (2, 3, 5)
 
@@ -105,17 +113,17 @@ def test_point_fractions_match_radical_inverse(basis3):
     pts = halton_points(basis3, 37, 20)
     for p in range(pts.count):
         i = 37 + p
-        for c, dv in enumerate(pts.digits[p]):
-            assert dv.fraction() == radical_inverse(i, pts.bases[c])
+        for c, col in enumerate(pts.digits):
+            assert _fraction(col[p], pts.bases[c]) == radical_inverse(i, pts.bases[c])
 
 
 def test_float_realization_error(basis3):
     pts = halton_points(basis3, 1000, 50)
     for p in range(pts.count):
-        for c, dv in enumerate(pts.digits[p]):
+        for c, col in enumerate(pts.digits):
             x = pts.coords[p][c]
             assert 0.0 <= x < 1.0
-            assert abs(x - float(dv.fraction())) < 2.0**-50
+            assert abs(x - float(_fraction(col[p], pts.bases[c]))) < 2.0**-50
 
 
 def test_column_permutation(basis3):
@@ -131,7 +139,7 @@ def test_column_permutation(basis3):
 
 def test_precision_override(basis3):
     pts = halton_points(basis3, 0, 4, precision={1: 3})
-    assert pts.digits[0][0].precision == 3
+    assert pts.digits[0].shape == (4, 3)
     with pytest.raises(PrecisionError):
         halton_points(basis3, 6, 4, precision={1: 3})
     with pytest.raises(ValueError):
@@ -150,19 +158,19 @@ def test_point_count_validation(basis3):
     st.integers(min_value=0, max_value=4),
 )
 def test_stratum_index_is_scaled_floor(i, k):
-    dv = digits_of(i, 3, 6)
-    (r,) = stratum_index([dv], [k])
-    assert r == math.floor(dv.fraction() * 3**k)
+    pts = halton_points(PrimeBasis(1, (3,)), i, 1, precision={1: 6})
+    [(r,)] = stratum_index(pts, [k])
+    assert r == math.floor(_fraction(pts.digits[0][0], 3) * 3**k)
 
 
 def test_stratum_index_validation():
-    dv = digits_of(3, 2, 4)
+    pts = halton_points(PrimeBasis(1, (2,)), 3, 1, precision={1: 4})
     with pytest.raises(ValueError):
-        stratum_index([dv], [1, 2])
+        stratum_index(pts, [1, 2])
     with pytest.raises(ValueError):
-        stratum_index([dv], [-1])
+        stratum_index(pts, [-1])
     with pytest.raises(PrecisionError):
-        stratum_index([dv], [5])
+        stratum_index(pts, [5])
 
 
 def test_residue_match_is_interval_agreement():
@@ -196,3 +204,31 @@ def test_full_window_balance(basis3):
     counts = stratum_counts(basis3, 12345, 450, (1, 2, 2))
     assert len(counts) == 450
     assert set(counts.values()) == {1}
+
+
+@pytest.mark.parametrize(
+    "start, count",
+    [
+        (0, 40),
+        (37, 300),
+        (3**33 - 150, 300),  # base 3: 3^33 < 2^53 < 3^34, float path to Python ints
+        (2**53 - 150, 300),  # base 2 likewise at 2^53
+        (MAX_INDEX - 200, 200),  # ends at the last 64-bit index
+    ],
+)
+def test_columns_match_per_point_oracles(basis5, start, count):
+    # Digits against digits_of, floats against the correctly rounded
+    # radical inverse, on a permuted 5-coordinate basis.
+    pts = halton_points(basis5, start, count, precision={4: 30},
+                        permutation=[3, 1, 5, 2, 4])
+    assert pts.bases == (5, 2, 11, 3, 7)
+    for c, (b, col) in enumerate(zip(pts.bases, pts.digits)):
+        depth = 30 if b == 7 else default_precision(b)
+        assert col.shape == (count, depth)
+        for p in range(count):
+            i = start + p
+            assert tuple(col[p].tolist()) == digits_of(i, b, depth)
+            want = float(radical_inverse(i, b))
+            assert pts.coords[p][c] == (want if want < 1.0 else 1.0 - 2.0**-53)
+    if start + count == MAX_INDEX:
+        assert pts.coords[-1][1] == 1.0 - 2.0**-53  # 64 binary ones round to 1

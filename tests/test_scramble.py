@@ -1,22 +1,27 @@
 """Keyed streams, digit scrambles, and their structural invariants."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haltongain import (
-    DigitVector,
     KeyedStream,
     LinearScramble,
+    PointSet,
+    PrimeBasis,
     ScrambleSpec,
     coordinate_scrambler,
+    default_precision,
     digits_of,
     draw_linear_scramble,
     first_primes,
     halton_points,
+    linear_depth_limit,
     linear_scramble_digits,
     nested_scramble_digits,
     permutation_node,
@@ -26,6 +31,14 @@ from haltongain import (
 from haltongain.scramble import key_head, replicate_head, scramble_level
 
 P_FLOOR = 1e-6  # chi-square tests reject only on overwhelming evidence
+
+
+def _fraction(row, base: int) -> Fraction:
+    """Exact value sum_l row[l-1] * base**(-l) of one point's digit row."""
+    num = 0
+    for a in row.tolist():
+        num = num * base + a
+    return Fraction(num, base ** len(row))
 
 
 def test_stream_is_deterministic():
@@ -125,31 +138,33 @@ def test_permutation_node_is_cached_shape():
     assert sorted(other) == list(range(5))
     # The cache is keyed by the node identity (coordinate, depth, r).
     cache: dict = {}
-    nested_scramble_digits(DigitVector(5, (3, 1)), 1, spec, cache=cache)
+    nested_scramble_digits((3, 1), 5, 1, spec, cache=cache)
     assert cache == {(1, 0, 0): table, (1, 1, 3): other}
 
 
 digit_vectors = st.integers(min_value=2, max_value=7).flatmap(
-    lambda b: st.lists(
-        st.integers(min_value=0, max_value=b - 1), min_size=1, max_size=8
-    ).map(lambda ds: DigitVector(b, tuple(ds)))
+    lambda b: st.tuples(
+        st.just(b),
+        st.lists(st.integers(min_value=0, max_value=b - 1), min_size=1, max_size=8),
+    )
 )
 
 
 @given(digit_vectors, st.data())
 @settings(max_examples=50)
 def test_nested_scramble_respects_prefixes(dv, data):
+    base, dv = dv
     spec = ScrambleSpec("nested", seed=77)
-    out = nested_scramble_digits(dv, 1, spec)
-    assert out.base == dv.base and out.precision == dv.precision
+    out = nested_scramble_digits(dv, base, 1, spec)
+    assert len(out) == len(dv) and all(0 <= a < base for a in out)
     # Change one digit; earlier output digits must not move.
-    pos = data.draw(st.integers(min_value=0, max_value=dv.precision - 1))
-    delta = data.draw(st.integers(min_value=1, max_value=dv.base - 1))
-    digits = list(dv.digits)
-    digits[pos] = (digits[pos] + delta) % dv.base
-    out2 = nested_scramble_digits(DigitVector(dv.base, tuple(digits)), 1, spec)
-    assert out2.digits[:pos] == out.digits[:pos]
-    assert out2.digits[pos] != out.digits[pos]
+    pos = data.draw(st.integers(min_value=0, max_value=len(dv) - 1))
+    delta = data.draw(st.integers(min_value=1, max_value=base - 1))
+    digits = list(dv)
+    digits[pos] = (digits[pos] + delta) % base
+    out2 = nested_scramble_digits(digits, base, 1, spec)
+    assert out2[:pos] == out[:pos]
+    assert out2[pos] != out[pos]
 
 
 def test_nested_scramble_matches_node_walk():
@@ -157,27 +172,26 @@ def test_nested_scramble_matches_node_walk():
     spec = ScrambleSpec("nested", seed=4)
     for i in range(27):
         dv = digits_of(i, 3, 3)
-        out = nested_scramble_digits(dv, 2, spec)
+        out = nested_scramble_digits(dv, 3, 2, spec)
         want = [
             permutation_node(spec, 2, 3, s, i % 3**s)[a]
-            for s, a in enumerate(dv.digits)
+            for s, a in enumerate(dv)
         ]
-        assert list(out.digits) == want
+        assert list(out) == want
 
 
 def test_nested_scramble_first_digit_uniform():
-    dv = DigitVector(5, (2, 4, 0))
     freq = [0] * 5
     for rep in range(3000):
         spec = ScrambleSpec("nested", seed=123, replicate=rep)
-        freq[nested_scramble_digits(dv, 1, spec).digits[0]] += 1
+        freq[nested_scramble_digits((2, 4, 0), 5, 1, spec)[0]] += 1
     assert scipy.stats.chisquare(freq).pvalue > P_FLOOR
 
 
 def test_linear_scramble_manual_example():
     L = LinearScramble(3, ((1,), (2, 2), (0, 1, 2)), (1, 0, 2))
-    assert linear_scramble_digits(DigitVector(3, (2, 1, 0)), L).digits == (0, 0, 0)
-    assert linear_scramble_digits(DigitVector(3, (1, 2, 1)), L).digits == (2, 0, 0)
+    assert linear_scramble_digits((2, 1, 0), L) == (0, 0, 0)
+    assert linear_scramble_digits((1, 2, 1), L) == (2, 0, 0)
 
 
 def test_linear_scramble_validation():
@@ -189,7 +203,7 @@ def test_linear_scramble_validation():
         LinearScramble(3, ((1,),), (3,))  # shift out of range
     L = LinearScramble(3, ((1,),), (0,))
     with pytest.raises(ValueError):
-        linear_scramble_digits(DigitVector(2, (1,)), L)
+        linear_scramble_digits((3,), L)  # not a base-3 digit
 
 
 def test_draw_linear_scramble():
@@ -211,7 +225,8 @@ def test_scramble_level_is_digit_of_full_scramble(kind, base, level):
     spec = ScrambleSpec(kind, seed=31, replicate=2)
     m = base ** (level + 1)
     full = coordinate_scrambler(spec, 2, base, level + 1)
-    want = [full(digits_of(rho, base, level + 1)).digits[level] for rho in range(m)]
+    column = np.array([digits_of(rho, base, level + 1) for rho in range(m)], dtype=np.uint64)
+    want = full(column)[:, level].tolist()
     assert scramble_level(spec, 2, base, level, range(m)) == want
     some = [m - 1, 0, m // 2]
     head = replicate_head(spec)
@@ -224,7 +239,7 @@ def test_linear_scramble_bijective_on_prefixes():
     spec = ScrambleSpec("linear", seed=8)
     L = draw_linear_scramble(spec, 1, 2, 3)
     outs = {
-        linear_scramble_digits(DigitVector(2, (i & 1, i >> 1 & 1, i >> 2)), L).digits
+        linear_scramble_digits((i & 1, i >> 1 & 1, i >> 2), L)
         for i in range(8)
     }
     assert len(outs) == 8
@@ -241,12 +256,11 @@ def test_randomize_shapes_and_values(kind, basis3):
     out = randomize(pts, ScrambleSpec(kind, seed=31))
     assert (out.start, out.count, out.bases) == (pts.start, pts.count, pts.bases)
     for p in range(out.count):
-        for c in range(out.dimension):
+        for c, (b, col) in enumerate(zip(out.bases, out.digits)):
             x = out.coords[p][c]
-            dv = out.digits[p][c]
             assert 0.0 <= x < 1.0
             # Digits pin the float down to one part in b**precision.
-            assert abs(x - float(dv.fraction())) <= dv.base ** -dv.precision + 2**-50
+            assert abs(x - float(_fraction(col[p], b))) <= b ** -col.shape[1] + 2**-50
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
@@ -262,8 +276,8 @@ def test_randomize_deterministic(kind, basis3):
 def test_randomize_precision_override(basis3):
     pts = halton_points(basis3, 0, 4)
     out = randomize(pts, ScrambleSpec("nested", seed=2, precision={1: 2}))
-    assert out.digits[0][0].precision == 2
-    assert out.digits[0][1].precision == pts.digits[0][1].precision
+    assert out.digits[0].shape[1] == 2
+    assert out.digits[1].shape[1] == pts.digits[1].shape[1]
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
@@ -275,3 +289,87 @@ def test_randomize_preserves_stratum_multiset(kind, basis2):
     after = stratum_occupancy(randomize(pts, ScrambleSpec(kind, seed=5)), levels)
     assert sorted(before.values()) == sorted(after.values())
     assert sum(after.values()) == 29
+
+
+def _realized(row: tuple[int, ...], base: int, tail: float) -> float:
+    """The float of one scrambled digit row: num/b**D correctly rounded,
+    plus the tail in units of b**-D, kept below 1."""
+    num = 0
+    for a in row:
+        num = num * base + a
+    den = base ** len(row)
+    x = num / den
+    if tail:
+        x += tail / den
+    return x if x < 1.0 else 1.0 - 2.0**-53
+
+
+def _per_point(points, spec):
+    """randomize the slow way: every point through the per-point oracles."""
+    tail_head = replicate_head(spec, "tail")
+    digits, coords = [], []
+    for c, (b, col) in enumerate(zip(points.bases, points.digits)):
+        column = c + 1
+        depth = (spec.precision or {}).get(column, col.shape[1])
+        if spec.kind == "nested":
+            cache: dict = {}
+            rows = [nested_scramble_digits(x, b, column, spec, depth, cache)
+                    for x in col.tolist()]
+            tails = [KeyedStream(column, i, head=tail_head).unit_float()
+                     for i in range(points.start, points.start + points.count)]
+        else:
+            L = draw_linear_scramble(spec, column, b, depth)
+            rows = [linear_scramble_digits(x, L, depth) for x in col.tolist()]
+            tails = [0.0] * points.count
+        digits.append(rows)
+        coords.append([_realized(y, b, t) for y, t in zip(rows, tails)])
+    return digits, list(zip(*coords))
+
+
+@pytest.mark.parametrize("kind", ["nested", "linear"])
+@pytest.mark.parametrize(
+    "start, count, in_prec, out_prec",
+    [
+        (0, 60, None, None),
+        (37, 80, None, {1: 5, 3: 40}),  # below and above the stored 64 and 28
+        ((1 << 64) - 50, 50, None, {2: 3, 5: 20}),  # ends at the last 64-bit index
+        (1000, 40, {1: 70, 4: 12}, {1: 72, 4: 9}),  # prefixes past 64 bits
+    ],
+)
+def test_randomize_matches_per_point_oracles(kind, basis5, start, count, in_prec, out_prec):
+    pts = halton_points(basis5, start, count, precision=in_prec)
+    spec = ScrambleSpec(kind, seed=20261018, replicate=5, precision=out_prec)
+    out = randomize(pts, spec)
+    digits, coords = _per_point(pts, spec)
+    assert [col.tolist() for col in out.digits] == [[list(y) for y in rows] for rows in digits]
+    assert list(out.coords) == coords
+
+
+def test_nested_prefixes_of_scrambled_digits_past_64_bits():
+    # Scrambled digits beyond digit 64 are not zero, so the prefix r of a
+    # second nested scramble exceeds 2^64 there.
+    pts = halton_points(PrimeBasis(1, (2,)), 5, 30, precision={1: 72})
+    once = randomize(pts, ScrambleSpec("nested", seed=1))
+    assert once.digits[0][:, 64:].any()
+    spec = ScrambleSpec("nested", seed=1, replicate=1)
+    digits, coords = _per_point(once, spec)
+    out = randomize(once, spec)
+    assert out.digits[0].tolist() == [list(y) for y in digits[0]]
+    assert list(out.coords) == coords
+
+
+def test_linear_depth_limit_at_the_largest_base():
+    b = 179_424_673  # p_{10^7}, the largest base first_primes admits
+    limit = linear_depth_limit(b)
+    assert limit == 286
+    assert limit * (b - 1) ** 2 + (b - 1) < 2**63 <= (limit + 1) * (b - 1) ** 2 + (b - 1)
+    assert default_precision(b) == 3
+    # The largest column product at the limit: every input digit is b - 1.
+    col = np.full((2, limit), b - 1, dtype=np.uint64)
+    pts = PointSet(0, 2, (b,), (col,), ((0.0,), (0.0,)))
+    spec = ScrambleSpec("linear", seed=3)
+    digits, coords = _per_point(pts, spec)
+    out = randomize(pts, spec)
+    assert out.digits[0].tolist() == [list(y) for y in digits[0]]
+    with pytest.raises(ValueError, match="int64"):
+        randomize(pts, ScrambleSpec("linear", seed=3, precision={1: limit + 1}))
