@@ -47,7 +47,6 @@ from .rqmc import (
     rqmc_estimate,
 )
 from .scramble import (
-    KeyedStream,
     LinearScramble,
     ScrambleSpec,
     coordinate_scrambler,

@@ -23,13 +23,7 @@ import numpy as np
 
 from .gains import CoordSubset, pair_levels
 from .primes import PrimeBasis
-from .scramble import (
-    KeyedStream,
-    ScrambleSpec,
-    key_head,
-    replicate_head,
-    scramble_level,
-)
+from .scramble import ScrambleSpec, draw, scramble_level
 
 __all__ = [
     "HaarIntegrand",
@@ -40,6 +34,9 @@ __all__ = [
 ]
 
 _MAX_COUNT = 1 << 53  # counts stay exactly representable as floats
+# Array cells (points, plus residues times base) one block of replicates may
+# fill: about 2^10 replicates at n = 2, one replicate at a time for n >= 2^14.
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -130,6 +127,12 @@ def _summarize(n: int, means: list[float], sigma2: float) -> EstimateSummary:
     )
 
 
+def _blocks(replicates: int, cells: int) -> list[tuple[int, int]]:
+    """(first, count) of each block of replicates, `cells` per replicate."""
+    step = max(1, _BLOCK_CELLS // cells)
+    return [(r0, min(step, replicates - r0)) for r0 in range(0, replicates, step)]
+
+
 def rqmc_estimate(
     f: HaarIntegrand,
     basis: PrimeBasis,
@@ -144,10 +147,11 @@ def rqmc_estimate(
     spec.replicate + r, so a fixed (seed, spec) reproduces the summary
     bit for bit and replicates are independent.  Only the one digit f reads
     per coordinate is scrambled (`scramble_level`); it depends on a point's
-    index i only through i mod b^(k+1), so each replicate scrambles the
-    distinct residues once and every point looks its value up.  The
-    products and the correctly rounded `math.fsum` are those of evaluating
-    f at every fully scrambled point, so the means are too, bit for bit.
+    index i only through i mod b^(k+1), so the distinct residues are
+    scrambled once, for a whole block of replicates in one call, and every
+    point looks its value up.  Each replicate's products and correctly
+    rounded `math.fsum` are those of evaluating f at every fully scrambled
+    point, so the means are too, bit for bit.
     """
     if n < 1 or n > _MAX_COUNT:
         raise ValueError(f"point count must be in 1..2^53, got {n}")
@@ -155,6 +159,8 @@ def rqmc_estimate(
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if spec.kind == "none":
         raise ValueError("variance experiments need a randomizing scramble")
+    if spec.replicate + replicates > 1 << 64:
+        raise ValueError("replicates past 2^64 - 1 do not fit the Philox key")
     # Per coordinate: the distinct residues mod m = b^(k+1) of the window's
     # indices, which are those of its first min(n, m) points, and for point
     # p the position p mod min(n, m) of its residue among them.
@@ -162,19 +168,18 @@ def rqmc_estimate(
     for b, k in zip(f.bases, f.levels):
         m = b ** (k + 1)
         size = min(n, m)
-        residues.append([(start + p) % m for p in range(size)])
+        residues.append(np.array([(start + p) % m for p in range(size)]))
         positions.append(np.arange(n) % size)
-    values = [[float(x) for x in table] for table in f.tables]
-    coords = f.u.indices
+    values = [np.array([float(x) for x in table]) for table in f.tables]
+    cells = n + sum(len(rho) * b for rho, b in zip(residues, f.bases))
     means = []
-    for r in range(replicates):
-        rspec = ScrambleSpec(spec.kind, spec.seed, spec.replicate + r)
-        head = replicate_head(rspec)
+    for r0, count in _blocks(replicates, cells):
+        rspec = ScrambleSpec(spec.kind, spec.seed, spec.replicate + r0)
         product = 1.0  # then times each coordinate's factor, in u's order
-        for t, (c, b, k) in enumerate(zip(coords, f.bases, f.levels)):
-            digits = scramble_level(rspec, c, b, k, residues[t], head)
-            product = product * np.array([values[t][d] for d in digits])[positions[t]]
-        means.append(math.fsum(product.tolist()) / n)
+        for t, (c, b, k) in enumerate(zip(f.u.indices, f.bases, f.levels)):
+            digits = scramble_level(rspec, c, b, k, residues[t], count)
+            product = product * values[t][digits][:, positions[t]]
+        means.extend(math.fsum(row) / n for row in product.tolist())
     return _summarize(n, means, float(f.sigma2))
 
 
@@ -186,28 +191,25 @@ def mc_estimate(
 ) -> EstimateSummary:
     """Plain Monte Carlo baseline: n iid uniform points per replicate.
 
-    Draws the digits f reads directly (the digits of a uniform coordinate
-    are iid uniform over Z_b), from the same keyed stream family as the
-    scrambles under a distinct tag.
+    Draws only the digit f reads per coordinate (the digits of a uniform
+    coordinate are iid uniform over Z_b): digit k+1 of coordinate c of
+    point p in replicate r is stream ("mc", c, k, p) under key (seed, r),
+    drawn for a block of replicates in one call per coordinate.
     """
     if n < 1 or n > _MAX_COUNT:
         raise ValueError(f"point count must be in 1..2^53, got {n}")
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    depths = [k + 1 for k in f.levels]
-    mc_head = key_head(seed, "mc")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must fit in 64 bits")
+    values = [np.array([float(x) for x in table]) for table in f.tables]
+    points = np.arange(n, dtype=np.uint64)
     means = []
-    for r in range(replicates):
-        head = key_head(r, head=mc_head)
-        streams = [KeyedStream(c, head=head) for c in f.u.indices]
-        values = []
-        for _ in range(n):
-            out = 1.0
-            for t, (b, depth) in enumerate(zip(f.bases, depths)):
-                digit = 0
-                for _ in range(depth):  # draw in digit order for determinism
-                    digit = streams[t].next_uint(b)
-                out *= float(f.tables[t][digit])
-            values.append(out)
-        means.append(math.fsum(values) / n)
+    for r0, count in _blocks(replicates, n * (len(values) + 1)):
+        reps = np.repeat(np.arange(r0, r0 + count, dtype=np.uint64), n)
+        product = 1.0  # then times each coordinate's factor, in u's order
+        for c, b, k, table in zip(f.u.indices, f.bases, f.levels, values):
+            digits = draw(seed, reps, "mc", c, k, np.tile(points, count), [b])
+            product = product * table[digits.reshape(count, n)]
+        means.extend(math.fsum(row) / n for row in product.tolist())
     return _summarize(n, means, float(f.sigma2))

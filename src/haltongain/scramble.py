@@ -8,22 +8,28 @@ own base:
 * linear: a random lower-triangular digit matrix with nonzero diagonal plus
   a uniform digital shift, out_s = (sum_{t<=s} L[s][t] x_t + e_s) mod b.
 
-All randomness is counter-based: a (seed, replicate, coordinate, node) key
-deterministically yields the permutation or matrix row, so replicates need
-no sequential state and any subset of digits can be scrambled without
-generating the rest.  A nested node is the integer pair (s, r): depth s and
-r = x_1 + x_2 b + ... + x_s b^(s-1), which is i mod b^s for the digits of
-index i and encodes the prefix (x_1, ..., x_s) bijectively.
+All randomness comes from one keyed counter PRF, Philox4x64-10 (Salmon et
+al., SC'11), so replicates need no sequential state and any digit can be
+scrambled alone.  Stream (tag, coordinate, depth, r) under key (seed,
+replicate) reads the words of counter (block, r mod 2^64, r >> 64,
+coordinate | depth << 24 | tag << 56) for blocks 0, 1, 2, ..., one word per
+draw, rejecting words that would bias it; `counter` refuses fields too wide
+for their bits, so distinct streams never share a counter.  Tag "perm" is
+nested node (s, r) at depth s, where r = x_1 + x_2 b + ... + x_s b^(s-1) is
+i mod b^s for index i and encodes the prefix (x_1, ..., x_s) bijectively;
+"row" is linear row s at depth s, r = 0; "tail" is the nested tail of point
+i, r = i; "mc" is digit s+1 of `rqmc.mc_estimate`'s point p, depth s, r = p.
 
-Every stream of one replicate starts its key with (seed, tag, replicate);
-`replicate_head` feeds that start to a blake2b state once, and each stream
-copies the state and adds only its own node parts.
+Two routes draw the same words.  `draw` runs Philox for many streams at
+once in numpy, each 64 x 64 -> 128-bit product split into 32-bit halves;
+every scramble uses it.  `stream` runs one stream on Python ints: it is the
+oracle of the per-point scrambles, and `draw` redraws through it the rare
+stream one of whose words it must reject.
 """
 
 from __future__ import annotations
 
-import functools
-import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Literal, Mapping, MutableMapping, Sequence
 
@@ -32,26 +38,21 @@ import numpy as np
 from .halton import PointSet, _point_set
 
 __all__ = [
-    "Kind",
-    "ScrambleSpec",
-    "LinearScramble",
-    "KeyedStream",
-    "key_head",
-    "replicate_head",
-    "permutation_node",
-    "draw_linear_scramble",
-    "linear_depth_limit",
-    "nested_scramble_digits",
-    "linear_scramble_digits",
-    "scramble_level",
-    "coordinate_scrambler",
+    "Kind", "ScrambleSpec", "LinearScramble", "philox", "philox_array", "counter", "stream",
+    "draw", "permutation_node", "draw_linear_scramble", "linear_depth_limit",
+    "nested_scramble_digits", "linear_scramble_digits", "scramble_level", "coordinate_scrambler",
     "randomize",
 ]
 
 Kind = Literal["none", "nested", "linear"]
 
 _KINDS = ("none", "nested", "linear")
-_TAGS = {"nested": "perm", "linear": "row"}  # stream tag of each kind's draws
+_TAGS = {"perm": 0, "row": 1, "tail": 2, "mc": 3}
+_MASK = (1 << 64) - 1
+_SPAN = 1 << 64  # a draw below `bound` takes the first word below _SPAN - _SPAN % bound
+_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64 multipliers
+_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # and key increments
+_ROUNDS = 10
 
 
 @dataclass(frozen=True)
@@ -73,90 +74,99 @@ class ScrambleSpec:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
-        if self.replicate < 0:
-            raise ValueError("replicate must be >= 0")
+        if not 0 <= self.replicate < 1 << 64:
+            raise ValueError("replicate must be in 0..2^64-1")
 
 
-def _int_code(part: int) -> bytes:
-    raw = part.to_bytes((part.bit_length() + 7) // 8 or 1, "big")
-    return b"i" + len(raw).to_bytes(4, "big") + raw
+def philox(ctr: Sequence[int], key: Sequence[int]) -> tuple[int, int, int, int]:
+    """Philox4x64-10 of one 4-word counter under a 2-word key, on Python ints."""
+    c0, c1, c2, c3 = ctr
+    k0, k1 = key
+    for _ in range(_ROUNDS):
+        p0, p1 = _MUL[0] * c0, _MUL[1] * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK
+        k0, k1 = (k0 + _WEYL[0]) & _MASK, (k1 + _WEYL[1]) & _MASK
+    return c0, c1, c2, c3
 
 
-# Coordinates, depths and most node prefixes: encoded once, not per stream.
-_SMALL_INT_CODES = tuple(_int_code(v) for v in range(256))
+_HALF, _LOW = np.uint64(32), np.uint64(0xFFFFFFFF)
+_NP_MUL = tuple((np.uint64(m), np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)) for m in _MUL)
+_NP_WEYL = tuple(np.uint64(w) for w in _WEYL)
 
 
-def _encode(part: int | str) -> bytes:
-    if isinstance(part, str):
-        raw = part.encode()
-        return b"s" + len(raw).to_bytes(4, "big") + raw
-    if isinstance(part, int):
-        return _SMALL_INT_CODES[part] if 0 <= part < 256 else _int_code(part)
-    raise TypeError(f"cannot key a stream on {type(part).__name__}")
+def _mulhi(m, x: np.ndarray) -> np.ndarray:
+    """High word of each 128-bit product m * x, from 32-bit halves (m split as in _NP_MUL)."""
+    _, mh, ml = m
+    xh, xl = x >> _HALF, x & _LOW
+    mid = mh * xl + (ml * xl >> _HALF)  # every partial sum stays below 2^64
+    return mh * xh + (mid >> _HALF) + ((ml * xh + (mid & _LOW)) >> _HALF)
 
 
-def key_head(*parts: int | str, head=None):
-    """A blake2b state fed `parts` after those of `head`: a shared key start.
+def philox_array(ctr, key) -> tuple[np.ndarray, ...]:
+    """`philox` elementwise over uint64 arrays that broadcast together."""
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in ctr)
+    k0, k1 = (np.asarray(k, dtype=np.uint64) for k in key)
+    m0, m1 = _NP_MUL
+    with np.errstate(over="ignore"):  # the low words are products mod 2^64
+        for _ in range(_ROUNDS):
+            c0, c1, c2, c3 = (_mulhi(m1, c2) ^ c1 ^ k0, c2 * m1[0],
+                              _mulhi(m0, c0) ^ c3 ^ k1, c0 * m0[0])
+            k0, k1 = k0 + _NP_WEYL[0], k1 + _NP_WEYL[1]
+    return c0, c1, c2, c3
 
-    `KeyedStream(*rest, head=key_head(*first))` draws exactly what
-    `KeyedStream(*first, *rest)` draws; `first` is encoded only once.
+
+def counter(tag: str, coordinate: int, depth: int, r: int, block: int = 0) -> tuple[int, ...]:
+    """The Philox counter of word block `block` of stream (tag, coordinate, depth, r)."""
+    if not 0 <= coordinate < 1 << 24:
+        raise ValueError(f"coordinate {coordinate} does not fit the counter's 24 bits")
+    if not 0 <= depth < 1 << 32:
+        raise ValueError(f"depth {depth} does not fit the counter's 32 bits")
+    if not 0 <= r < 1 << 128:
+        raise ValueError(f"node {r} does not fit the counter's 128 bits")
+    return block, r & _MASK, r >> 64, coordinate | depth << 24 | _TAGS[tag] << 56
+
+
+def stream(seed: int, replicate: int, tag: str, coordinate: int, depth: int, r: int,
+           bounds: Sequence[int]) -> list[int]:
+    """One draw below each of `bounds` from one stream, on Python ints.
+
+    Each draw reads words in order and keeps word % bound from the first
+    word below the largest multiple of bound that fits in 64 bits.
     """
-    h = hashlib.blake2b(digest_size=32) if head is None else head.copy()
-    for p in parts:
-        h.update(_encode(p))
-    return h
+    _, lo, hi, word3 = counter(tag, coordinate, depth, r)
+    words = (w for block in itertools.count()
+             for w in philox((block, lo, hi, word3), (seed, replicate)))
+    return [next(w % b for w in words if w < _SPAN - _SPAN % b) for b in bounds]
 
 
-class KeyedStream:
-    """Deterministic byte stream: blake2b over a structured key plus counter.
+def draw(seed: int, replicate, tag: str, coordinate: int, depth, r, bounds) -> np.ndarray:
+    """`stream` for many streams at once, in numpy: uint64 draws, one row each.
 
-    The key parts are length-prefixed, so distinct part tuples can never
-    collide.  Draws are rejection-sampled from 64-bit chunks, hence unbiased.
-    The key is `head`'s parts (see `key_head`), if given, then `parts`.
+    Row j is stream (tag, coordinate, depth[j], r[j]) under key (seed,
+    replicate[j]); `replicate` and `depth` are one int or one per row, and
+    `r` is a uint64 array, or an object array for prefixes past 64 bits.
     """
-
-    __slots__ = ("_key", "_counter", "_buf", "_pos")
-
-    def __init__(self, *parts, head=None) -> None:
-        self._key = key_head(*parts, head=head).digest()
-        self._counter = 0
-        self._buf = b""
-        self._pos = 0
-
-    def _chunk(self) -> int:
-        if self._pos >= len(self._buf):
-            self._buf = hashlib.blake2b(
-                self._key + self._counter.to_bytes(8, "big"), digest_size=32
-            ).digest()
-            self._counter += 1
-            self._pos = 0
-        v = int.from_bytes(self._buf[self._pos : self._pos + 8], "big")
-        self._pos += 8
-        return v
-
-    def next_uint(self, bound: int) -> int:
-        """Uniform draw from range(bound)."""
-        if bound < 1:
-            raise ValueError("bound must be >= 1")
-        if bound == 1:
-            return 0
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            v = self._chunk()
-            if v < limit:
-                return v % bound
-
-    def unit_float(self) -> float:
-        """Uniform draw from [0, 1) with 53 random bits."""
-        return (self._chunk() >> 11) / (1 << 53)
-
-    def permutation(self, size: int) -> tuple[int, ...]:
-        """Uniform permutation of range(size), by Fisher-Yates."""
-        table = list(range(size))
-        for i in range(size - 1, 0, -1):
-            j = self.next_uint(i + 1)
-            table[i], table[j] = table[j], table[i]
-        return tuple(table)
+    r = np.asarray(r)
+    n = len(r)
+    depth = np.broadcast_to(np.asarray(depth), (n,))
+    for d, v in ((depth.min(), r.min()), (depth.max(), r.max())):
+        counter(tag, coordinate, int(d), int(v))
+    replicate = np.broadcast_to(np.asarray(replicate, dtype=np.uint64), (n,))
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    m = len(bounds)
+    lo = (r & _MASK if r.dtype == object else r).astype(np.uint64)
+    hi = (r >> 64 if r.dtype == object else np.zeros(n)).astype(np.uint64)
+    word3 = np.uint64(counter(tag, coordinate, 0, 0)[3]) | depth.astype(np.uint64) << np.uint64(24)
+    blocks = np.arange(-(-m // 4), dtype=np.uint64)
+    words = philox_array((blocks, lo[:, None], hi[:, None], word3[:, None]),
+                         (seed, replicate[:, None]))
+    words = np.stack(words, axis=-1).reshape(n, -1)[:, :m]
+    top = np.uint64(_SPAN - 1)
+    out = words % bounds
+    for j in np.flatnonzero((words > top - (top % bounds + np.uint64(1)) % bounds).any(axis=1)):
+        out[j] = stream(seed, int(replicate[j]), tag, coordinate, int(depth[j]), int(r[j]),
+                        bounds.tolist())
+    return out
 
 
 @dataclass(frozen=True)
@@ -188,57 +198,46 @@ class LinearScramble:
         return len(self.rows)
 
 
-@functools.lru_cache(maxsize=16)
-def _tag_head(seed: int, tag: str):
-    # (seed, tag) fed once for every replicate of a run; users only copy it.
-    return key_head(seed, tag)
-
-
-def replicate_head(spec: ScrambleSpec, tag: str | None = None):
-    """`key_head(seed, tag, replicate)`: the start of every key `spec` draws.
-
-    `tag` defaults to the kind's own ("perm" nested, "row" linear).
-    """
-    return key_head(spec.replicate, head=_tag_head(spec.seed, tag or _TAGS[spec.kind]))
-
-
 def permutation_node(
-    spec: ScrambleSpec, coordinate: int, base: int, depth: int, r: int, head=None
+    spec: ScrambleSpec, coordinate: int, base: int, depth: int, r: int
 ) -> tuple[int, ...]:
     """Permutation table for digit depth+1 below the prefix encoded by r.
 
-    Keyed (seed, "perm", replicate, coordinate, depth, r); `head`, if given,
-    is `replicate_head(spec)`, shared by the nodes of a replicate.
+    Stream ("perm", coordinate, depth, r) under (seed, replicate) draws the
+    Fisher-Yates swaps: draw t, below base - t, picks the entry swapped
+    with entry base-1-t.
     """
-    if head is None:
-        head = replicate_head(spec, "perm")
-    return KeyedStream(coordinate, depth, r, head=head).permutation(base)
+    table = list(range(base))
+    swaps = stream(spec.seed, spec.replicate, "perm", coordinate, depth, r, range(base, 1, -1))
+    for i, j in zip(range(base - 1, 0, -1), swaps):
+        table[i], table[j] = table[j], table[i]
+    return tuple(table)
 
 
-def _linear_row(
-    head, coordinate: int, base: int, s: int
-) -> tuple[tuple[int, ...], int]:
-    """Row s of the matrix, (L[s][1], ..., L[s][s]), and the shift e_s.
-
-    Keyed (seed, "row", replicate, coordinate, s), `head` holding the first
-    three parts, and drawn diagonal first, then the off-diagonal entries,
-    then the shift.
-    """
-    stream = KeyedStream(coordinate, s, head=head)
-    diag = 1 + stream.next_uint(base - 1)
-    off = tuple(stream.next_uint(base) for _ in range(s - 1))
-    return off + (diag,), stream.next_uint(base)
+def _permutations(seed: int, replicate, coordinate: int, base: int, depth: int, r) -> np.ndarray:
+    """`permutation_node` of each (replicate, r) at once: one table row each."""
+    swaps = draw(seed, replicate, "perm", coordinate, depth, r, np.arange(base, 1, -1))
+    table = np.tile(np.arange(base, dtype=np.uint64), (len(swaps), 1))
+    rows = np.arange(len(swaps))
+    for t in range(base - 1):
+        i, j = base - 1 - t, swaps[:, t].astype(np.intp)
+        table[rows, i], table[rows, j] = table[rows, j], table[rows, i]
+    return table
 
 
 def draw_linear_scramble(
     spec: ScrambleSpec, coordinate: int, base: int, depth: int
 ) -> LinearScramble:
-    """Matrix rows 1..depth and shift for this coordinate under `spec`."""
-    head = replicate_head(spec, "row")
-    drawn = [_linear_row(head, coordinate, base, s) for s in range(1, depth + 1)]
-    return LinearScramble(
-        base, tuple(row for row, _ in drawn), tuple(e for _, e in drawn)
-    )
+    """Matrix rows 1..depth and shift for this coordinate under `spec`.
+
+    Stream ("row", coordinate, s, 0) draws L[s][s] - 1, then e_s, then
+    L[s][1], ..., L[s][s-1]: every row reads a prefix of the bounds
+    (b - 1, b, b, ...), so `coordinate_scrambler` draws all rows at once.
+    """
+    drawn = [stream(spec.seed, spec.replicate, "row", coordinate, s, 0, [base - 1] + [base] * s)
+             for s in range(1, depth + 1)]
+    return LinearScramble(base, tuple((*off, diag + 1) for diag, _, *off in drawn),
+                          tuple(shift for _, shift, *_ in drawn))
 
 
 def nested_scramble_digits(
@@ -299,50 +298,6 @@ def linear_scramble_digits(
     return tuple(out)
 
 
-def scramble_level(
-    spec: ScrambleSpec,
-    coordinate: int,
-    base: int,
-    level: int,
-    residues: Sequence[int],
-    head=None,
-) -> list[int]:
-    """Scrambled digit level+1 of an index i, for each residue i mod b^(level+1).
-
-    That one digit depends on i only through this residue.  Nested: node
-    (coordinate, level, residue mod b^level) permutes input digit level+1,
-    one permutation per distinct prefix.  Linear: matrix row level+1 and
-    shift e_{level+1} combine input digits 1..level+1, one row in all.
-    These are the full scramble's draws, so the digit is its digit level+1.
-    `head`, if given, is `replicate_head(spec)`.
-    """
-    if spec.kind == "none":
-        raise ValueError("kind 'none' scrambles no digits")
-    if head is None:
-        head = replicate_head(spec)
-    if spec.kind == "linear":
-        row, shift = _linear_row(head, coordinate, base, level + 1)
-        out = []
-        for rho in residues:
-            acc = shift
-            for a in row:  # input digits 1..level+1, least significant first
-                rho, x = divmod(rho, base)
-                acc += a * x
-            out.append(acc % base)
-        return out
-    low = base**level
-    tables: dict[int, tuple[int, ...]] = {}
-    out = []
-    for rho in residues:
-        prefix, digit = rho % low, rho // low
-        if prefix not in tables:
-            tables[prefix] = permutation_node(
-                spec, coordinate, base, level, prefix, head
-            )
-        out.append(tables[prefix][digit])
-    return out
-
-
 def linear_depth_limit(base: int) -> int:
     """Deepest linear scramble whose column product is exact in int64.
 
@@ -353,49 +308,89 @@ def linear_depth_limit(base: int) -> int:
     return ((1 << 63) - base) // (base - 1) ** 2
 
 
+def _check_linear_depth(base: int, depth: int) -> None:
+    if depth > linear_depth_limit(base):
+        raise ValueError(f"linear scramble depth {depth} exceeds the int64-exact "
+                         f"limit {linear_depth_limit(base)} for base {base}")
+
+
+def scramble_level(
+    spec: ScrambleSpec,
+    coordinate: int,
+    base: int,
+    level: int,
+    residues: Sequence[int],
+    replicates: int = 1,
+) -> np.ndarray:
+    """Scrambled digit level+1 of an index i, for each residue i mod b^(level+1).
+
+    That one digit depends on i only through this residue.  Row j is under
+    replicate spec.replicate + j; all rows come from one `draw`.  Nested:
+    node (coordinate, level, residue mod b^level) permutes input digit
+    level+1.  Linear: row level+1 and shift e_{level+1} combine input digits
+    1..level+1.  These are the full scramble's draws, so the digit is its
+    digit level+1.
+    """
+    if spec.kind == "none":
+        raise ValueError("kind 'none' scrambles no digits")
+    if spec.replicate + replicates > 1 << 64:
+        raise ValueError("replicates past 2^64 - 1 do not fit the Philox key")
+    rho = np.asarray(residues, dtype=object if base ** (level + 1) > 1 << 64 else np.uint64)
+    reps = np.uint64(spec.replicate) + np.arange(replicates, dtype=np.uint64)
+    if spec.kind == "linear":
+        _check_linear_depth(base, level + 1)
+        row = draw(spec.seed, reps, "row", coordinate, level + 1, np.zeros(replicates, np.uint64),
+                   [base - 1] + [base] * (level + 1)).astype(np.int64)
+        x = np.empty((len(rho), level + 1), dtype=np.int64)
+        for t in range(level + 1):  # input digits 1..level+1, least significant first
+            rho, x[:, t] = rho // base, rho % base
+        return (row[:, 2:] @ x[:, :level].T + (row[:, :1] + 1) * x[:, level] + row[:, 1:2]) % base
+    low = base**level
+    nodes, which = np.unique(rho % low, return_inverse=True)
+    tables = _permutations(spec.seed, np.repeat(reps, len(nodes)), coordinate, base, level,
+                           np.tile(nodes, replicates))
+    return tables.reshape(replicates, len(nodes), base)[:, which, (rho // low).astype(np.intp)]
+
+
 def coordinate_scrambler(
     spec: ScrambleSpec, coordinate: int, base: int, depth: int
 ) -> Callable[[np.ndarray], np.ndarray]:
     """digit column -> scrambled column (`depth` digits) for one coordinate.
 
     The one place that turns a spec's kind into a scramble of digit arrays
-    of shape (points, digits).  Linear: the matrix is drawn once up front,
-    then one integer product (x @ L^T + e) mod b scrambles the column.
-    Nested: one pass per depth s draws each distinct node (s, r) once.
+    of shape (points, digits).  Linear: one `draw` gives all matrix rows up
+    front, then one integer product (x @ L^T + e) mod b scrambles the column.
+    Nested: one pass per depth s draws each distinct node (s, r) once, all
+    nodes of the depth in one `draw`.
     """
     if spec.kind == "linear":
-        if depth > linear_depth_limit(base):
-            raise ValueError(f"linear scramble depth {depth} exceeds the int64-exact "
-                             f"limit {linear_depth_limit(base)} for base {base}")
-        L = draw_linear_scramble(spec, coordinate, base, depth)
-        matrix = np.zeros((depth, depth), dtype=np.int64)
-        for s, row in enumerate(L.rows):
-            matrix[s, : s + 1] = row
+        _check_linear_depth(base, depth)
+        drawn = draw(spec.seed, spec.replicate, "row", coordinate, np.arange(1, depth + 1),
+                     np.zeros(depth, np.uint64), [base - 1] + [base] * depth).astype(np.int64)
+        matrix = np.diag(1 + drawn[:, 0])  # row s reads its first s + 1 draws
+        matrix[:, :-1] += np.tril(drawn[:, 2:], -1)
+        shift = drawn[:, 1]
 
         def linear(x: np.ndarray) -> np.ndarray:
             width = min(depth, x.shape[1])  # input digits past the stored ones are 0
-            y = x[:, :width].astype(np.int64) @ matrix[:, :width].T + L.shift
+            y = x[:, :width].astype(np.int64) @ matrix[:, :width].T + shift
             return (y % base).astype(np.uint64)
 
         return linear
     if spec.kind != "nested":
         raise ValueError("kind 'none' scrambles no digits")
-    head = replicate_head(spec)
 
     def nested(x: np.ndarray) -> np.ndarray:
         n, stored = x.shape
         out = np.empty((n, depth), dtype=np.uint64)
-        # The prefix r = x_1 + x_2 b + ... + x_s b^(s-1) < b^s, by Horner.
-        # Exact at every depth: uint64 while b^s <= 2^64, Python ints (an
-        # object array) past that, which default depths D (b^(D-1) < 2^64)
-        # never reach.
+        # The prefix r = x_1 + x_2 b + ... + x_s b^(s-1) < b^s: uint64 while
+        # b^s <= 2^64, Python ints past that (never at default depths).
         r = np.zeros(n, dtype=np.uint64)
         for s in range(depth):
             a = x[:, s] if s < stored else 0
             nodes, which = np.unique(r, return_inverse=True)
-            node_head = key_head(coordinate, s, head=head)
-            tables = [KeyedStream(v, head=node_head).permutation(base) for v in nodes.tolist()]
-            out[:, s] = np.array(tables, dtype=np.uint64)[which, a]
+            tables = _permutations(spec.seed, spec.replicate, coordinate, base, s, nodes)
+            out[:, s] = tables[which, a]
             if s + 1 < depth and s < stored:  # digits past the stored ones are 0
                 if base ** (s + 1) <= 1 << 64:
                     r = r + a * np.uint64(base**s)
@@ -413,14 +408,12 @@ def randomize(points: PointSet, spec: ScrambleSpec) -> PointSet:
     stored precision.  Nested realization adds one uniform tail draw per
     (point, coordinate) at the level below the last scrambled digit: the
     tail digits of a nested scramble are independent uniforms, and a single
-    draw in [0,1) scaled by b**-D has exactly that law.  Linear tails are
+    draw of 53 bits scaled by b**-D has exactly that law.  Linear tails are
     zero, matching the zero input digits beyond the stored precision.
     """
     if spec.kind == "none":
         return points
-    tail_head = replicate_head(spec, "tail")
-    indices = range(points.start, points.start + points.count)
-    nested = spec.kind == "nested"
+    indices = np.uint64(points.start) + np.arange(points.count, dtype=np.uint64)
     digits, tails = [], []
     for c, (base, x) in enumerate(zip(points.bases, points.digits)):
         column = c + 1
@@ -428,6 +421,6 @@ def randomize(points: PointSet, spec: ScrambleSpec) -> PointSet:
         if depth < 1:
             raise ValueError(f"precision override for coordinate {column} must be >= 1")
         digits.append(coordinate_scrambler(spec, column, base, depth)(x))
-        head = key_head(column, head=tail_head)
-        tails.append([KeyedStream(i, head=head).unit_float() for i in indices] if nested else None)
+        tails.append(draw(spec.seed, spec.replicate, "tail", column, 0, indices, [1 << 53])[:, 0]
+                     / 2.0**53 if spec.kind == "nested" else None)
     return _point_set(points.start, points.bases, digits, tails)

@@ -14,7 +14,10 @@ once, with a note here, if an intentional generator change shifts the
 stream; it is never searched for a passing value.  Note: bumped once,
 from 20260822 to 20261018 (chosen before any run), when nested
 permutation nodes were rekeyed from digit-prefix tuples to the integer
-node (depth s, i mod b^s), which shifts the "perm" stream.
+node (depth s, i mod b^s), which shifts the "perm" stream.  Note: bumped
+once more, from 20261018 to 20270107 (written down before any run), when
+the blake2b streams were replaced by the Philox4x64-10 counter PRF, which
+moves every stream.
 
 Criterion 6 checks the abstract's sentence: for 6 <= d <= 10^6 the
 upper bound on the gain coefficient is never larger than 1.5 + ln(d/2).
@@ -56,7 +59,7 @@ from haltongain import (
 )
 from haltongain.cli import main
 
-SEED = 20261018
+SEED = 20270107
 D2_LEVELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 

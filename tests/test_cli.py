@@ -20,26 +20,26 @@ from haltongain.cli import main
 PINNED = {
     ("points", "--d", "6", "--n", "200", "--scramble", "linear", "--seed", "7",
      "--replicate", "3", "--format", "json"):
-        "a0e6a52c542f22534f7e69a088589f0f18c275828276561931ca2aeb4816e47f",
+        "2ebf57a6b84c2765fd334241aaf379f87554659547a47818f26e22615a351cba",
     ("points", "--d", "8", "--n", "200"):
         "90fd9b2e2e70a6e50711449c4f9f6ba9951f72bd233d6ef8f82cd4e9f5512a56",
     ("points", "--d", "3", "--n", "300", "--scramble", "nested", "--seed", "7",
      "--replicate", "3", "--format", "json"):
-        "64637a618454b278f87147a5846ecaec910459be3bf48dfd7ce0f4919df16256",
+        "09551bb14e918be6d155f12af6f1cfda87608942e3628c637be8b78f0547d1b4",
     # the last 64-bit index: the 1 - 2^-53 clamp and the Python-int float path
     ("points", "--d", "2", "--n", "3", "--start", "18446744073709551613"):
         "125f2a72486ab8409f25501c0fd1bba922bb33b9e0e2f03169598e5433ffaf14",
     ("points", "--d", "2", "--n", "3", "--start", "18446744073709551613",
      "--scramble", "nested"):
-        "202d6d41a03a7adf0e465d99b64500b5500f6b2190e1e66acda138d889f10462",
+        "8736a680c979477f265709602e380c9e7513121075d65f3136a2db534f144606",
     ("figure", "3", "--n-max", "60"):
         "da678030594ccacbab31de3d90f922f3b54a194ddd08f716d57572114594aa28",
     ("variance", "--u", "1,2,3", "--k", "1,1,0", "--n", "50", "--reps", "300",
      "--scramble", "nested", "--seed", "7"):
-        "e3558bdf01db6bba334cbee0cb17a41b9d22715511826e6b02e8ca492c118fbd",
+        "ae9bbe02517febfe9200db0efae32d1b7a41e15ed0cb8cf67c44eb0ccf41fa5a",
     ("variance", "--u", "1,3", "--k", "2,1", "--n", "40", "--reps", "300",
      "--scramble", "linear", "--seed", "7"):
-        "65054478ba1f235b16c9f124308af299c6d762e361c121dae4232db64ddbfe78",
+        "8d083d4b1168eeec787487560b734643b3857329f5c53b1d732ce2deed569e1a",
 }
 
 

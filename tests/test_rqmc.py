@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from haltongain import rqmc, scramble
 from haltongain import (
     GainQuery,
     ScrambleSpec,
@@ -19,6 +20,7 @@ from haltongain import (
     nested_scramble_digits,
     rqmc_estimate,
 )
+from haltongain.scramble import stream
 
 
 def evaluate(f, point) -> float:
@@ -171,10 +173,16 @@ def test_validation(basis2):
         rqmc_estimate(f, basis2, 1, 1, ScrambleSpec("none"))
     with pytest.raises(ValueError):
         rqmc_estimate(f, basis2, 1 << 54, 1, ScrambleSpec("nested"))
+    last = ScrambleSpec("nested", replicate=(1 << 64) - 1)
+    rqmc_estimate(f, basis2, 1, 1, last)  # the last replicate the key holds
+    with pytest.raises(ValueError, match="2\\^64"):
+        rqmc_estimate(f, basis2, 1, 2, last)
     with pytest.raises(ValueError):
         mc_estimate(f, 0, 1)
     with pytest.raises(ValueError):
         mc_estimate(f, 1, 0)
+    with pytest.raises(ValueError):
+        mc_estimate(f, 1, 1, seed=1 << 64)  # the Philox key holds 64 bits
 
 
 def _oracle_means(f, n, replicates, spec, start=0):
@@ -219,6 +227,7 @@ NON_DYADIC = [
         ((1, 2, 3), (3, 0, 1), 6, 50, None),
         ((2, 3), (1, 0), 23, 100, NON_DYADIC),
         ((1, 2, 3), (2, 1, 0), 45, 7, [[Fraction(1, 3), Fraction(-1, 3)], *NON_DYADIC]),
+        ((1, 2), (63, 40), 4, 5, None),  # prefixes b^k past 2^63 and 2^64
     ],
 )
 def test_level_path_matches_per_point_oracle(kind, u, k, n, start, tables):
@@ -236,3 +245,57 @@ def test_make_haar_pairs_levels_and_tables_with_u_as_given(basis3):
     assert a.levels == (0, 2)
     with pytest.raises(ValueError, match="coordinate 3 listed more than once"):
         make_haar((3, 1, 3), (0, 0, 0), basis3)
+
+
+def _mc_oracle_means(f, n, replicates, seed):
+    """mc_estimate's means the slow way: every digit from its own scalar stream."""
+    means = []
+    for r in range(replicates):
+        values = []
+        for p in range(n):
+            out = 1.0
+            for t, (c, b, k) in enumerate(zip(f.u.indices, f.bases, f.levels)):
+                out *= float(f.tables[t][stream(seed, r, "mc", c, k, p, [b])[0]])
+            values.append(out)
+        means.append(math.fsum(values) / n)
+    return tuple(means)
+
+
+@pytest.mark.parametrize(
+    "u, k, n, reps, tables",
+    [
+        ((1, 2), (0, 0), 5, 1200, None),  # two blocks of replicates
+        ((3, 1, 2), (0, 2, 1), 9, 40, [NON_DYADIC[1], [Fraction(1, 3), Fraction(-1, 3)],
+                                      NON_DYADIC[0]]),
+    ],
+)
+def test_mc_matches_scalar_oracle(u, k, n, reps, tables):
+    basis = first_primes(3)
+    f = make_haar(u, k, basis, tables=tables)
+    assert mc_estimate(f, n, reps, seed=20261018).means == _mc_oracle_means(f, n, reps, 20261018)
+
+
+def test_rejected_words_fall_back_to_the_scalar_route(monkeypatch):
+    # Reject every word at or above 3 * 2^62, about one in four, so that
+    # batched Fisher-Yates, linear-row and mc words are rejected; blocks of
+    # a few replicates make several blocks per estimate.
+    monkeypatch.setattr(scramble, "_SPAN", 3 << 62)
+    monkeypatch.setattr(rqmc, "_BLOCK_CELLS", 64)
+    tags = []
+    scalar = scramble.stream
+
+    def counted(*args):
+        tags.append(args[2])
+        return scalar(*args)
+
+    monkeypatch.setattr(scramble, "stream", counted)
+    basis = first_primes(3)
+    f = make_haar((1, 2, 3), (2, 1, 0), basis, tables=[[Fraction(1, 3), Fraction(-1, 3)],
+                                                      *NON_DYADIC])
+    got = {kind: rqmc_estimate(f, basis, 23, 12, ScrambleSpec(kind, seed=9, replicate=3),
+                               start=4).means for kind in ("nested", "linear")}
+    mc = mc_estimate(f, 23, 12, seed=9).means
+    assert {"perm", "row", "mc"} <= set(tags)  # each batched kind fell back at least once
+    for kind, means in got.items():
+        assert means == _oracle_means(f, 23, 12, ScrambleSpec(kind, seed=9, replicate=3), 4)
+    assert mc == _mc_oracle_means(f, 23, 12, 9)

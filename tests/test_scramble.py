@@ -1,6 +1,8 @@
-"""Keyed streams, digit scrambles, and their structural invariants."""
+"""The Philox streams, digit scrambles, and their structural invariants."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haltongain import (
-    KeyedStream,
+    MAX_DIMENSION,
     LinearScramble,
     PointSet,
     PrimeBasis,
@@ -28,7 +30,16 @@ from haltongain import (
     randomize,
     stratum_occupancy,
 )
-from haltongain.scramble import key_head, replicate_head, scramble_level
+from haltongain import scramble
+from haltongain.scramble import (
+    _permutations,
+    counter,
+    draw,
+    philox,
+    philox_array,
+    scramble_level,
+    stream,
+)
 
 P_FLOOR = 1e-6  # chi-square tests reject only on overwhelming evidence
 
@@ -41,77 +52,145 @@ def _fraction(row, base: int) -> Fraction:
     return Fraction(num, base ** len(row))
 
 
+def _fisher_yates(swaps) -> tuple[int, ...]:
+    """The permutation that swaps entry base-1-t with entry swaps[t], in order."""
+    table = list(range(len(swaps) + 1))
+    for t, j in enumerate(swaps):
+        i = len(swaps) - t
+        table[i], table[j] = table[j], table[i]
+    return tuple(table)
+
+
+def test_philox_matches_numpy():
+    # np.random.Philox advances its counter before each block, so its first
+    # four words under counter c are the Philox block of counter c + 1.
+    rng = random.Random(20261018)
+    mask = (1 << 64) - 1
+    cases = [[rng.getrandbits(64) for _ in range(6)] for _ in range(20)]
+    cases[0][0] = mask  # the +1 carries from the low word into the next
+    cases[1][:3] = [mask, mask, 5]  # and on through two words
+    for *ctr, k0, k1 in cases:
+        gen = np.random.Philox(counter=np.array(ctr, dtype=np.uint64),
+                               key=np.array([k0, k1], dtype=np.uint64))
+        want = gen.random_raw(4).tolist()
+        c = sum(w << 64 * t for t, w in enumerate(ctr)) + 1
+        nxt = [c >> 64 * t & mask for t in range(4)]
+        assert list(philox(nxt, (k0, k1))) == want
+        words = philox_array([np.array([w], dtype=np.uint64) for w in nxt], (k0, np.array([k1])))
+        assert [int(w[0]) for w in words] == want
+
+
 def test_stream_is_deterministic():
-    a = [KeyedStream(1, "x", 2).next_uint(1000) for _ in range(5)]
-    b = [KeyedStream(1, "x", 2).next_uint(1000) for _ in range(5)]
-    assert a == b
+    args = (1, 2, "perm", 3, 4, 5, [1000] * 5)
+    assert stream(*args) == stream(*args)
+    both = draw(*args[:5], np.array([5, 5], dtype=np.uint64), args[6])
+    assert both.tolist() == [stream(*args)] * 2
 
 
 def test_stream_keys_separate():
-    a = KeyedStream(1, "x", 2).next_uint(1 << 32)
-    assert a != KeyedStream(1, "x", 3).next_uint(1 << 32)
-    assert a != KeyedStream(1, "y", 2).next_uint(1 << 32)
-    assert a != KeyedStream(2, "x", 2).next_uint(1 << 32)
+    parts = (1, 2, "perm", 3, 4, 5)
+    a = stream(*parts, [1 << 32])
+    for pos, other in enumerate((9, 3, "row", 4, 5, 6)):
+        changed = list(parts)
+        changed[pos] = other
+        assert stream(*changed, [1 << 32]) != a
 
 
 def test_stream_key_encoding_cannot_collide():
-    # ("ab",) and ("a", "b") must key different streams.
-    assert KeyedStream("ab").next_uint(1 << 32) != KeyedStream(
-        "a", "b"
-    ).next_uint(1 << 32)
-    with pytest.raises(TypeError):
-        KeyedStream(1.5)
+    # Every field at its ends, coordinate 2^24 - 1 beyond MAX_DIMENSION and r
+    # across the 64-bit word boundary: distinct tuples, distinct counters.
+    coords = (0, 1, MAX_DIMENSION, (1 << 24) - 1)
+    depths = (0, 1, 1 << 24, (1 << 32) - 1)
+    rs = (0, 1, (1 << 64) - 1, 1 << 64, (1 << 128) - 1)
+    tuples = list(itertools.product(("perm", "row", "tail", "mc"), coords, depths, rs, (0, 1)))
+    assert len({counter(*t) for t in tuples}) == len(tuples)
+    for bad in ((1 << 24, 0, 0), (-1, 0, 0), (1, 1 << 32, 0), (1, 0, 1 << 128), (1, 0, -1)):
+        with pytest.raises(ValueError):
+            counter("perm", *bad)
 
 
-def _draws(stream: KeyedStream) -> list[int]:
-    return [stream.next_uint(1 << 40) for _ in range(6)] + list(stream.permutation(7))
+def test_counter_bounds_on_both_routes():
+    wide = np.array([(1 << 64) - 1, 1 << 64, (1 << 128) - 1, 7], dtype=object)
+    got = draw(5, 6, "perm", (1 << 24) - 1, (1 << 32) - 1, wide, [3, 2])
+    assert got.tolist() == [stream(5, 6, "perm", (1 << 24) - 1, (1 << 32) - 1, r, [3, 2])
+                            for r in wide]
+    spec = ScrambleSpec("nested", seed=5, replicate=(1 << 64) - 1)
+    assert sorted(permutation_node(spec, 1, 3, 0, (1 << 128) - 1)) == [0, 1, 2]
+    with pytest.raises(ValueError, match="128 bits"):
+        permutation_node(spec, 1, 3, 0, 1 << 128)
+    with pytest.raises(ValueError, match="128 bits"):
+        draw(5, 6, "perm", 1, 0, np.array([1, 1 << 128], dtype=object), [3, 2])
+    with pytest.raises(ValueError, match="32 bits"):
+        permutation_node(spec, 1, 3, 1 << 32, 0)
+    with pytest.raises(ValueError, match="32 bits"):
+        draw(5, 6, "perm", 1, [0, 1 << 32], np.zeros(2, dtype=np.uint64), [3, 2])
+    with pytest.raises(ValueError, match="24 bits"):
+        draw(5, 6, "perm", 1 << 24, 0, np.zeros(2, dtype=np.uint64), [3, 2])
 
 
 @pytest.mark.parametrize("split", range(7))
 def test_prefed_head_draws_as_full_key(split):
-    parts = (20261018, "perm", 9, 3, 2, 1 << 70)
-    want = _draws(KeyedStream(*parts))
-    head = key_head(*parts[:split])
-    assert _draws(KeyedStream(*parts[split:], head=head)) == want
-    assert _draws(KeyedStream(*parts[split:], head=head)) == want  # head unspent
-    mid = max(split, 4)  # heads stack
-    inner = key_head(*parts[split:mid], head=key_head(*parts[:split]))
-    assert _draws(KeyedStream(*parts[mid:], head=inner)) == want
+    # A stream's key start, now the Philox key (seed, replicate) it shares
+    # with its batch, does not change its draws: seven streams drawn in two
+    # batches split at `split` draw what one batch and the scalar route draw.
+    rs = np.array([1 << 70, 3, 0, 1 << 64, 300, 3, 2], dtype=object)
+    reps = np.array([9, 9, 0, 1, (1 << 64) - 1, 8, 9], dtype=np.uint64)
+    bounds = [1 << 40] * 6 + list(range(7, 1, -1))
+    want = [stream(20261018, int(v), "perm", 3, 2, r, bounds) for v, r in zip(reps, rs)]
+    assert draw(20261018, reps, "perm", 3, 2, rs, bounds).tolist() == want
+    parts = [draw(20261018, reps[sl], "perm", 3, 2, rs[sl], bounds).tolist()
+             for sl in (slice(None, split), slice(split, None)) if rs[sl].size]
+    assert sum(parts, []) == want
 
 
 @pytest.mark.parametrize(
     "kind, tag", [("nested", None), ("linear", None), ("nested", "tail")]
 )
 def test_replicate_head_is_the_key_start(kind, tag):
+    # Every stream a spec draws is keyed (seed, replicate), under its kind's tag.
     spec = ScrambleSpec(kind, seed=1 << 40, replicate=123456)
-    head = replicate_head(spec, tag)
-    tag = tag or {"nested": "perm", "linear": "row"}[kind]
-    for node in ((4, 5, 300), (1, 0, 0), (2, 255, 256, 1 << 70)):
-        want = _draws(KeyedStream(spec.seed, tag, spec.replicate, *node))
-        assert _draws(KeyedStream(*node, head=head)) == want
+    key = (spec.seed, spec.replicate)
+    for c, depth, r in ((4, 5, 300), (1, 0, 0), (2, 255, 1 << 70)):
+        if tag == "tail":  # the tail of point i, with i < 2^64
+            i = min(r, (1 << 64) - 1)
+            pts = PointSet(i, 1, (3,), (np.zeros((1, 2), dtype=np.uint64),), ((0.0,),))
+            got = randomize(pts, ScrambleSpec(kind, *key, precision={1: 1})).coords[0][0]
+            tail = stream(*key, "tail", 1, 0, i, [1 << 53])[0] / 2**53
+            assert got == permutation_node(spec, 1, 3, 0, 0)[0] / 3 + tail / 3
+        elif kind == "nested":
+            swaps = stream(*key, "perm", c, depth, r, range(7, 1, -1))
+            assert permutation_node(spec, c, 7, depth, r) == _fisher_yates(swaps)
+        else:
+            s = depth + 1
+            diag, shift, *off = stream(*key, "row", c, s, 0, [6] + [7] * s)
+            L = draw_linear_scramble(spec, c, 7, s)
+            assert (L.rows[-1], L.shift[-1]) == ((*off, diag + 1), shift)
 
 
 def test_next_uint_bounds_and_uniformity():
-    s = KeyedStream(9, "uniform")
-    draws = [s.next_uint(7) for _ in range(21_000)]
+    draws = draw(9, 0, "mc", 1, 0, np.arange(21_000, dtype=np.uint64), [7])[:, 0].tolist()
+    assert draws[:5] == [stream(9, 0, "mc", 1, 0, r, [7])[0] for r in range(5)]
     assert min(draws) == 0 and max(draws) == 6
     freq = [draws.count(c) for c in range(7)]
     assert scipy.stats.chisquare(freq).pvalue > P_FLOOR
 
 
 def test_unit_float_range_and_mean():
-    s = KeyedStream(11, "floats")
-    draws = [s.unit_float() for _ in range(20_000)]
+    # The nested tails: 53 random bits scaled to [0, 1).
+    draws = (draw(11, 0, "tail", 1, 0, np.arange(20_000, dtype=np.uint64), [1 << 53])[:, 0]
+             / 2.0**53).tolist()
     assert all(0.0 <= x < 1.0 for x in draws)
     se = 1.0 / math.sqrt(12 * len(draws))
     assert abs(sum(draws) / len(draws) - 0.5) < 4 * se
 
 
 def test_permutation_uniform_over_small_group():
-    s = KeyedStream(3, "perms")
+    tables = _permutations(3, 0, 1, 3, 0, np.arange(6000, dtype=np.uint64))
+    spec = ScrambleSpec("nested", seed=3)
+    assert [tuple(t) for t in tables[:20].tolist()] == [
+        permutation_node(spec, 1, 3, 0, r) for r in range(20)]
     freq: dict[tuple[int, ...], int] = {}
-    for _ in range(6000):
-        p = s.permutation(3)
+    for p in map(tuple, tables.tolist()):
         assert sorted(p) == [0, 1, 2]
         freq[p] = freq.get(p, 0) + 1
     assert len(freq) == 6
@@ -125,6 +204,8 @@ def test_spec_validation():
         ScrambleSpec("nested", seed=-1)
     with pytest.raises(ValueError):
         ScrambleSpec("nested", replicate=-1)
+    with pytest.raises(ValueError):
+        ScrambleSpec("nested", replicate=1 << 64)
     with pytest.raises(ValueError):
         coordinate_scrambler(ScrambleSpec("none"), 1, 2, 3)
 
@@ -227,10 +308,10 @@ def test_scramble_level_is_digit_of_full_scramble(kind, base, level):
     full = coordinate_scrambler(spec, 2, base, level + 1)
     column = np.array([digits_of(rho, base, level + 1) for rho in range(m)], dtype=np.uint64)
     want = full(column)[:, level].tolist()
-    assert scramble_level(spec, 2, base, level, range(m)) == want
+    assert scramble_level(spec, 2, base, level, range(m)).tolist() == [want]
     some = [m - 1, 0, m // 2]
-    head = replicate_head(spec)
-    assert scramble_level(spec, 2, base, level, some, head) == [want[r] for r in some]
+    both = scramble_level(ScrambleSpec(kind, seed=31, replicate=1), 2, base, level, some, 2)
+    assert both[1].tolist() == [want[r] for r in some]  # row 1 is replicate 2
     with pytest.raises(ValueError):
         scramble_level(ScrambleSpec("none"), 2, base, level, some)
 
@@ -306,7 +387,6 @@ def _realized(row: tuple[int, ...], base: int, tail: float) -> float:
 
 def _per_point(points, spec):
     """randomize the slow way: every point through the per-point oracles."""
-    tail_head = replicate_head(spec, "tail")
     digits, coords = [], []
     for c, (b, col) in enumerate(zip(points.bases, points.digits)):
         column = c + 1
@@ -315,7 +395,7 @@ def _per_point(points, spec):
             cache: dict = {}
             rows = [nested_scramble_digits(x, b, column, spec, depth, cache)
                     for x in col.tolist()]
-            tails = [KeyedStream(column, i, head=tail_head).unit_float()
+            tails = [stream(spec.seed, spec.replicate, "tail", column, 0, i, [1 << 53])[0] / 2**53
                      for i in range(points.start, points.start + points.count)]
         else:
             L = draw_linear_scramble(spec, column, b, depth)
@@ -373,3 +453,25 @@ def test_linear_depth_limit_at_the_largest_base():
     assert out.digits[0].tolist() == [list(y) for y in digits[0]]
     with pytest.raises(ValueError, match="int64"):
         randomize(pts, ScrambleSpec("linear", seed=3, precision={1: limit + 1}))
+
+
+@pytest.mark.parametrize("kind", ["nested", "linear"])
+def test_rejected_words_fall_back_to_the_scalar_route(kind, basis5, monkeypatch):
+    # Reject every word at or above 3 * 2^62, about one in four, so that
+    # batched Fisher-Yates, linear-row and tail words are rejected.
+    monkeypatch.setattr(scramble, "_SPAN", 3 << 62)
+    tags = []
+    scalar = scramble.stream
+
+    def counted(*args):
+        tags.append(args[2])
+        return scalar(*args)
+
+    monkeypatch.setattr(scramble, "stream", counted)
+    pts = halton_points(basis5, 37, 40)
+    spec = ScrambleSpec(kind, seed=20261018, replicate=5, precision={1: 9, 4: 3})
+    out = randomize(pts, spec)
+    assert set(tags) == ({"perm", "tail"} if kind == "nested" else {"row"})
+    digits, coords = _per_point(pts, spec)
+    assert [col.tolist() for col in out.digits] == [[list(y) for y in rows] for rows in digits]
+    assert list(out.coords) == coords
