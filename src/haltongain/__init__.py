@@ -11,10 +11,10 @@ from .gains import (
     CoordSubset,
     GainQuery,
     GainSummary,
-    SubsetTerm,
     bounds_table,
     gain_bruteforce,
     gain_curve,
+    gain_curve_arrays,
     gain_exact,
     gamma_at_n,
     gamma_max,
@@ -23,7 +23,6 @@ from .gains import (
     lower_bound_n_star,
     oracle_check,
     residue_pair_count,
-    subset_terms,
     upper_bound_u_exact,
 )
 from .halton import (

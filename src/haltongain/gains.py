@@ -14,6 +14,12 @@ prod_{j in v} b_j^(k_j+1) * prod_{j in u-v} b_j^(k_j), and C(m, n) counts
 index pairs below n that agree modulo m.  Everything here is exact rational
 arithmetic; floats appear only in the large-d bound tables, as views, and to
 pick the counts the worst-gain scan re-checks exactly.
+
+Every gain curve, the worst-gain scan and the oracle grid share one
+evaluator, _pair_prefix: with C(m, n) = n + 2 sum_{n' < n} floor(n'/m), the
+pair sum is n * denom + 2 T(n), and T over a whole range of n is two int64
+cumulative sums.  The brute force shares none of it: it sums the defining
+pair kernel over index pairs.
 """
 
 from __future__ import annotations
@@ -25,20 +31,18 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .halton import residue_match
 from .primes import PrimeBasis, first_primes
 
 __all__ = [
     "CoordSubset",
     "GainQuery",
     "pair_levels",
-    "SubsetTerm",
     "GainSummary",
     "residue_pair_count",
-    "subset_terms",
     "gain_exact",
     "gain_bruteforce",
     "gain_curve",
+    "gain_curve_arrays",
     "gamma_at_n",
     "gamma_max",
     "lower_bound_n_star",
@@ -52,6 +56,7 @@ __all__ = [
 _MODULUS_BITS = 127  # queries whose moduli would not fit a signed 128-bit int fail
 _MAX_SUBSET = 30
 _MAX_BRUTEFORCE_N = 10_000
+_PAIR_BLOCK = 1 << 18  # index pairs per brute-force block
 _FULL_SEARCH_DIM = 8
 
 
@@ -163,16 +168,6 @@ class GainQuery:
         return cls(u, levels, n, bases, m_under, m_over)
 
 
-@dataclass(frozen=True)
-class SubsetTerm:
-    """One inclusion-exclusion term: subset v with weight H and modulus m."""
-
-    v: CoordSubset
-    h: int
-    m: int
-    c: int
-
-
 def residue_pair_count(m: int, n: int) -> int:
     """Pairs (i, i2) in [0, n)^2 with i == i2 (mod m).
 
@@ -215,14 +210,6 @@ def _pair_sum(terms: list[tuple[int, int]], n: int) -> int:
     return sum(h * residue_pair_count(m, n) for h, m in terms)
 
 
-def subset_terms(q: GainQuery) -> list[SubsetTerm]:
-    """The 2^|u| inclusion-exclusion terms of the closed form for q."""
-    return [
-        SubsetTerm(v, h, m, residue_pair_count(m, q.n))
-        for v, (h, m) in zip(q.u.subsets(), _terms(q.bases, q.levels))
-    ]
-
-
 def gain_exact(q: GainQuery) -> Fraction:
     """G_{u,k}(n) by the closed form, as an exact reduced rational."""
     total = _pair_sum(_terms(q.bases, q.levels, q.n), q.n)
@@ -231,33 +218,117 @@ def gain_exact(q: GainQuery) -> Fraction:
     return Fraction(total, q.n * math.prod(b - 1 for b in q.bases))
 
 
+def _pair_prefix(terms: list[tuple[int, int]], lo: int, hi: int) -> np.ndarray:
+    """T(n) for lo < n <= hi as an int64 array, T(n) at index n - lo - 1.
+
+    T(n) = sum_{n' < n} F(n') with F(n') = sum_v H_v floor(n'/m_v), so that
+    sum_v H_v C(m_v, n) = n * sum_v H_v + 2 T(n).  The differences of F are
+    spikes H_v at the multiples of m_v: they are scattered, then two
+    in-place cumulative sums seeded with F(lo) and T(lo), both exact Python
+    ints, give T, so ranges share no state.  Only the K terms with m_v < hi
+    reach F below hi.  With levels >= 0, |H_v| <= m_v, so |F(n')| <= K n'
+    and |T(n)| < K n^2 / 2; ranges with K hi^2 >= 2^64 are refused before
+    any array is made.
+    """
+    small = [(h, m) for h, m in terms if m < hi]
+    if len(small) * hi * hi >= 1 << 64:
+        raise ValueError(
+            f"exact int64 prefix sums need K n^2 < 2^64; {len(small)} terms "
+            f"below n = {hi} exceed it, lower n_max"
+        )
+    acc = np.zeros(hi - lo, dtype=np.int64)
+    f_lo = t_lo = 0
+    for h, m in small:
+        q, r = divmod(lo, m)
+        f_lo += h * q
+        t_lo += h * (m * q * (q - 1) // 2 + r * q)
+        first = (q + 1) * m
+        if first < hi:
+            acc[first - lo :: m] += h
+    acc[0] = f_lo
+    np.cumsum(acc, out=acc)  # acc[i] = F(lo + i)
+    acc[0] += t_lo
+    np.cumsum(acc, out=acc)  # acc[i] = T(lo + i + 1)
+    return acc
+
+
+def _pair_weights(
+    bases: Sequence[int], levels: Sequence[int], rows: np.ndarray, n: int
+) -> np.ndarray:
+    """The defining kernel w(i, i2) for i in rows, 0 <= i2 < n; 0 unless i2 < i.
+
+    w(i, i2) = prod_j (b_j [i == i2 mod b_j^(k_j+1)] - [i == i2 mod b_j^k_j]),
+    by residue matching.  A modulus >= n matches no pair i2 < i < n, so it
+    is skipped and never reaches int64.  The b_j^(k_j+1) that divide i - i2
+    are coprime, so |w| <= i - i2 < n.
+    """
+    cols = np.arange(n, dtype=np.int64)
+    w = (rows[:, None] > cols).astype(np.int64)
+    for b, k in zip(bases, levels):
+        factor = np.zeros(w.shape, dtype=np.int64)
+        for m, h in ((b**k, -1), (b ** (k + 1), b)):
+            if m < n:
+                factor += h * (rows[:, None] % m == cols % m)
+        w *= factor
+    return w
+
+
+def _bruteforce_prefix(
+    bases: Sequence[int], levels: Sequence[int], n_max: int
+) -> np.ndarray:
+    """T(n) for 1 <= n <= n_max by the defining double sum, T(n) at index n - 1.
+
+    T(n) sums w(i, i2) over the pairs i2 < i < n; the diagonal adds
+    n * prod(b_j - 1) to the pair sum.  No inclusion-exclusion and no
+    pair-count formula.  Rows of pairs go in blocks, so memory is
+    O(block * n_max); |w| < n_max keeps T below n_max^3, well inside int64.
+    """
+    if n_max > _MAX_BRUTEFORCE_N:
+        raise ValueError(f"brute force capped at n <= {_MAX_BRUTEFORCE_N}")
+    f = np.empty(n_max, dtype=np.int64)  # f[i] = sum_{i2 < i} w(i, i2)
+    step = max(1, _PAIR_BLOCK // n_max)
+    for lo in range(0, n_max, step):
+        hi = min(lo + step, n_max)
+        rows = np.arange(lo, hi, dtype=np.int64)
+        f[lo:hi] = _pair_weights(bases, levels, rows, hi).sum(axis=1)
+    return np.cumsum(f)
+
+
 def gain_bruteforce(q: GainQuery) -> Fraction:
     """G_{u,k}(n) by the defining double sum over index pairs.
 
-    Evaluates prod_j (b_j [i == i2 mod b^(k+1)] - [i == i2 mod b^k]) for
-    every pair via residue matching; no inclusion-exclusion, no pair-count
-    formula.  Quadratic in n, so n is capped.
+    The last entry of _bruteforce_prefix.  Quadratic in n, so n is capped.
     """
-    n = q.n
-    if n > _MAX_BRUTEFORCE_N:
-        raise ValueError(f"brute force capped at n <= {_MAX_BRUTEFORCE_N}")
-    factors = [(b, k) for b, k in zip(q.bases, q.levels)]
-    denom = 1
-    for b in q.bases:
-        denom *= b - 1
-    # i == i2 contributes prod (b_j - 1); off-diagonal pairs are symmetric.
-    total = n * denom
-    for i in range(n):
-        for i2 in range(i):
-            w = 1
-            for b, k in factors:
-                hi = b if residue_match(i, i2, b, k + 1) else 0
-                lo = 1 if residue_match(i, i2, b, k) else 0
-                w *= hi - lo
-                if w == 0:
-                    break
-            total += 2 * w
-    return Fraction(total, n * denom)
+    t = int(_bruteforce_prefix(q.bases, q.levels, q.n)[-1])
+    total = q.n * math.prod(b - 1 for b in q.bases)
+    return Fraction(total + 2 * t, total)
+
+
+def gain_curve_arrays(
+    u: CoordSubset | Iterable[int],
+    levels: Sequence[int],
+    basis: PrimeBasis,
+    n_max: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """G_{u,k}(1..n_max) as reduced (numerator, denominator) arrays.
+
+    One _pair_prefix pass gives every pair sum n * denom + 2 T(n).  The
+    arrays are int64 when every pair sum fits, which n_max * denom
+    + K n_max^2 < 2^63 ensures, and hold Python ints otherwise.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    template = GainQuery.build(u, levels, 1, basis)
+    terms = _terms(template.bases, template.levels, n_max)
+    denom = math.prod(b - 1 for b in template.bases)
+    t = _pair_prefix(terms, 0, n_max)
+    n = np.arange(1, n_max + 1, dtype=np.int64)
+    if n_max * (denom + len(terms) * n_max) >= 1 << 63:
+        n, t = n.astype(object), t.astype(object)
+    den = n * denom
+    num = den + 2 * t
+    g = np.gcd(num, den)
+    return num // g, den // g
 
 
 def gain_curve(
@@ -267,12 +338,8 @@ def gain_curve(
     n_max: int,
 ) -> list[Fraction]:
     """[G_{u,k}(1), ..., G_{u,k}(n_max)], exact."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    template = GainQuery.build(u, levels, 1, basis)
-    terms = _terms(template.bases, template.levels, n_max)
-    denom = math.prod(b - 1 for b in template.bases)
-    return [Fraction(_pair_sum(terms, n), n * denom) for n in range(1, n_max + 1)]
+    num, den = gain_curve_arrays(u, levels, basis, n_max)
+    return [Fraction(a, b) for a, b in zip(num.tolist(), den.tolist())]
 
 
 def _level_vectors(bases: Sequence[int], cap: int) -> Iterator[tuple[int, ...]]:
@@ -399,27 +466,16 @@ def _scan_gamma(
 ) -> tuple[Fraction, int]:
     """Exact max of G(n) over 1 <= n <= n_hi, smallest argmax.
 
-    G(n) = 1 + 2 T(n) / (n * denom) with T(n) = sum_{n' < n} F(n') and
-    F(n') = sum_v H_v floor(n'/m_v), whose differences are spikes H_v at
-    the multiples of m_v.  Each chunk of n' scatters those spikes and takes
-    two in-place cumulative sums, seeded with F(lo) and T(lo) as exact
-    Python ints, so chunks share no state.  The n whose T(n)/n is near the
-    chunk top in float64 are re-checked exactly with the closed form.
+    G(n) = 1 + 2 T(n) / (n * denom), with T(n) from _pair_prefix, the
+    evaluator every gain curve shares, one chunk of counts at a time so
+    memory stays flat.  The n whose T(n)/n is near the chunk top in float64
+    are re-checked exactly with the closed form.
     """
-    small = [(h, m) for h, m in terms if m < n_hi]
     best = Fraction(-1)
     best_n = 1
     for lo in range(0, n_hi, _CHUNK):
         hi = min(lo + _CHUNK, n_hi)
-        acc = np.zeros(hi - lo, dtype=np.int64)
-        for h, m in small:
-            first = (lo // m + 1) * m
-            if first < hi:
-                acc[first - lo :: m] += h
-        acc[0] = sum(h * (lo // m) for h, m in small)
-        np.cumsum(acc, out=acc)  # acc[i] = F(lo + i)
-        acc[0] += (_pair_sum(terms, lo) - lo * denom) // 2
-        np.cumsum(acc, out=acc)  # acc[i] = T(lo + i + 1)
+        acc = _pair_prefix(terms, lo, hi)  # acc[i] = T(lo + i + 1)
         ratio = acc / np.arange(lo + 1, hi + 1, dtype=np.float64)
         top = ratio.max()
         # float64 rounding moves T/n by ~1e-16 relative; the band is far wider
@@ -597,28 +653,37 @@ def oracle_check(
     k_max: int = 1,
     basis: PrimeBasis | None = None,
 ) -> list[tuple[tuple[int, ...], tuple[int, ...], int, Fraction, Fraction]]:
-    """Compare gain_exact and gain_bruteforce over a full grid.
+    """Compare the closed form and the brute force over a full grid.
 
     Every nonempty u in 1..d, every level vector with entries up to k_max,
-    every n up to n_max.  Returns the disagreements; an empty list means the
-    two routes agree everywhere.
+    every n up to n_max: one _pair_prefix array against one
+    _bruteforce_prefix array per (u, k).  Returns the disagreements as
+    (u, k, n, closed form, brute force); an empty list means the two routes
+    agree everywhere.
     """
     if d < 1 or d > 6:
         raise ValueError("oracle grid supported for 1 <= d <= 6")
     if basis is None:
         basis = first_primes(d)
     mismatches = []
+    if n_max < 1:
+        return mismatches  # no count to compare at
     full = CoordSubset(tuple(range(1, d + 1)))
     for u in full.subsets():
         if not len(u):
             continue
         for levels in _all_levels(len(u), k_max):
-            for n in range(1, n_max + 1):
-                q = GainQuery.build(u, levels, n, basis)
-                a = gain_exact(q)
-                b = gain_bruteforce(q)
-                if a != b:
-                    mismatches.append((u.indices, levels, n, a, b))
+            q = GainQuery.build(u, levels, n_max, basis)
+            closed = _pair_prefix(_terms(q.bases, q.levels, n_max), 0, n_max)
+            brute = _bruteforce_prefix(q.bases, q.levels, n_max)
+            denom = math.prod(b - 1 for b in q.bases)
+            for i in np.flatnonzero(closed != brute):
+                n = int(i) + 1
+                mismatches.append((
+                    u.indices, levels, n,
+                    Fraction(n * denom + 2 * int(closed[i]), n * denom),
+                    Fraction(n * denom + 2 * int(brute[i]), n * denom),
+                ))
     return mismatches
 
 

@@ -34,6 +34,15 @@ PINNED = {
         "8736a680c979477f265709602e380c9e7513121075d65f3136a2db534f144606",
     ("figure", "3", "--n-max", "60"):
         "da678030594ccacbab31de3d90f922f3b54a194ddd08f716d57572114594aa28",
+    ("figure", "3", "--n-max", "400"):
+        "377884ad931da870393283cba6d1d6993dc5e86c5c797ea2fbef192f0b702595",
+    ("figure", "2"):
+        "a9595fb50bb5d30ff63434bad501d5d9db7119e05c1da966a052544fc5330109",
+    ("gain-curve", "--u", "1,2,3", "--k", "1,0,1", "--n-max", "300"):
+        "b7cdfeaccd40a11be9e457adbedfdc111126461be952e277060f1a612130077d",
+    ("gain-curve", "--u", "1,2,3", "--k", "1,0,1", "--n-max", "300",
+     "--format", "json"):
+        "dc3e303eecb14a02dc79d68bcfa2468babb2147521f5ea22e99e2635077b165e",
     ("variance", "--u", "1,2,3", "--k", "1,1,0", "--n", "50", "--reps", "300",
      "--scramble", "nested", "--seed", "7"):
         "ae9bbe02517febfe9200db0efae32d1b7a41e15ed0cb8cf67c44eb0ccf41fa5a",
@@ -127,6 +136,26 @@ def test_gain_curve_matches_library(capsys):
         n, num, den, _ = row.split(",")
         want = gain_exact(GainQuery.build((1, 2), (1, 0), int(n), basis))
         assert Fraction(int(num), int(den)) == want
+
+
+@pytest.mark.parametrize("d", [13, 15, 16, 25])
+def test_gain_curve_floats_match_fractions(capsys, d):
+    # d = 13: numerators and denominators below 2^53, divided in float64;
+    # d = 15: int64 but above 2^53, divided as Python ints; d = 16 and 25:
+    # n * denom beyond int64, so Python ints throughout.  Every gain is
+    # gain_exact's and every float is float(Fraction(num, den)).
+    u = ",".join(str(j) for j in range(1, d + 1))
+    code, out = run(capsys, "gain-curve", "--u", u, "--k", ",".join("0" * d),
+                    "--n-max", "60")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 60
+    basis = first_primes(d)
+    for n, num, den, flt in rows:
+        g = Fraction(int(num), int(den))
+        assert g == gain_exact(GainQuery.build(range(1, d + 1), (0,) * d, int(n), basis))
+        assert flt == format(float(g), ".17g")
+    assert (max(int(r[2]) for r in rows) >= 1 << 53) == (d > 13)
 
 
 def test_gamma_json(capsys):
@@ -235,7 +264,8 @@ def test_format_outside_declared_set_refused(capsys, argv, refused):
     "argv",
     list(PINNED),
     ids=["linear", "plain", "nested", "plain-last-index", "nested-last-index",
-         "figure3", "variance-nested", "variance-linear"],
+         "figure3", "figure3-400", "figure2", "gain-curve", "gain-curve-json",
+         "variance-nested", "variance-linear"],
 )
 def test_output_bytes_pinned(capsys, argv):
     code, out = run(capsys, *argv)

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +25,8 @@ from haltongain import (
     global_bounds_exact,
     lower_bound_n_star,
     oracle_check,
+    residue_match,
     residue_pair_count,
-    subset_terms,
     upper_bound_u_exact,
 )
 
@@ -35,6 +36,30 @@ D2_LEVELS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 def _cycle_max(u, levels, basis) -> Fraction:
     template = GainQuery.build(u, levels, 1, basis)
     return max(gain_curve(u, levels, basis, template.m_over))
+
+
+def closed_form_curve(u, levels, basis, n_max) -> list[Fraction]:
+    """[G(1), ..., G(n_max)] by the pair-count closed form, one n at a time.
+
+    gain_curve and the worst-gain scan share one prefix-sum evaluator, so
+    this per-n route is the scan's independent oracle.
+    """
+    template = GainQuery.build(u, levels, 1, basis)
+    terms = gains._terms(template.bases, template.levels, n_max)
+    denom = math.prod(b - 1 for b in template.bases)
+    return [
+        Fraction(gains._pair_sum(terms, n), n * denom) for n in range(1, n_max + 1)
+    ]
+
+
+def brute_curve(u, levels, basis, n_max) -> list[Fraction]:
+    """[G(1), ..., G(n_max)] from one brute-force pass over index pairs."""
+    template = GainQuery.build(u, levels, 1, basis)
+    denom = math.prod(b - 1 for b in template.bases)
+    t = gains._bruteforce_prefix(template.bases, template.levels, n_max)
+    return [
+        Fraction(n * denom + 2 * int(x), n * denom) for n, x in enumerate(t, start=1)
+    ]
 
 
 # ---------------------------------------------------------------- pair counts
@@ -96,7 +121,9 @@ def test_d2_curves_peak_then_never_reattain(basis2):
 
 def test_subset_terms_structure(basis3):
     q = GainQuery.build((1, 2), (1, 0), 6, basis3)
-    terms = {t.v.indices: (t.h, t.m) for t in subset_terms(q)}
+    terms = dict(
+        zip((v.indices for v in q.u.subsets()), gains._terms(q.bases, q.levels))
+    )
     assert terms == {
         (): (1, 2),
         (1,): (-2, 4),
@@ -138,8 +165,76 @@ def test_bruteforce_count_guard(basis2):
         gain_bruteforce(GainQuery.build((1,), (0,), 10_001, basis2))
 
 
+def test_pair_weights_match_residue_match(basis4):
+    # The vectorized kernel against the per-pair definition, every pair
+    # below n: w(i, i2) = prod_j (b [i == i2 mod b^(k+1)] - [i == i2 mod b^k])
+    # for i2 < i, and 0 on and above the diagonal.
+    for u, levels in [((1,), (0,)), ((2,), (1,)), ((1, 2), (1, 0)),
+                      ((1, 3), (0, 2)), ((1, 2, 3), (1, 1, 0)),
+                      ((1, 2, 3, 4), (0, 0, 0, 0)), ((1, 4), (3, 1))]:
+        q = GainQuery.build(u, levels, 1, basis4)
+        for n in (1, 2, 7, 30):
+            got = gains._pair_weights(q.bases, q.levels, np.arange(n), n)
+            for i in range(n):
+                for i2 in range(n):
+                    want = 0
+                    if i2 < i:
+                        want = 1
+                        for b, k in zip(q.bases, q.levels):
+                            want *= (b * residue_match(i, i2, b, k + 1)
+                                     - residue_match(i, i2, b, k))
+                    assert got[i, i2] == want, (u, levels, n, i, i2)
+
+
+def test_bruteforce_huge_modulus(basis2):
+    # 2^71 and 2^70 exceed every index difference below 5, so each pair
+    # weighs 0 and the gain is 1; neither modulus is cast to int64.
+    q = GainQuery.build((1,), (70,), 5, basis2)
+    assert gain_bruteforce(q) == gain_exact(q) == 1
+    assert gains._bruteforce_prefix(q.bases, q.levels, 5).tolist() == [0] * 5
+
+
 def test_oracle_check_clean(basis2):
     assert oracle_check(2, n_max=40, k_max=1, basis=basis2) == []
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_curve_routes_agree(basis4, data):
+    # The shared prefix-sum evaluator, the per-n closed form and one
+    # brute-force pass over index pairs give the same curve.
+    u = tuple(sorted(data.draw(
+        st.sets(st.integers(min_value=1, max_value=4), min_size=1)
+    )))
+    levels = tuple(data.draw(st.integers(min_value=0, max_value=2)) for _ in u)
+    n_max = data.draw(st.integers(min_value=1, max_value=60))
+    curve = gain_curve(u, levels, basis4, n_max)
+    assert curve == closed_form_curve(u, levels, basis4, n_max)
+    assert curve == brute_curve(u, levels, basis4, n_max)
+
+
+def test_curve_routes_agree_folded_25_dimensions():
+    # u = 1..25 keeps only the terms with m_v < 40 and folds the rest.
+    basis = first_primes(25)
+    u = tuple(range(1, 26))
+    curve = gain_curve(u, (0,) * 25, basis, 40)
+    assert curve == closed_form_curve(u, (0,) * 25, basis, 40)
+    assert curve == brute_curve(u, (0,) * 25, basis, 40)
+
+
+def test_prefix_sum_overflow_bound(basis2):
+    # K terms with |H| <= m below n give |T(n)| < K n^2 / 2, so the int64
+    # prefix sums are admitted exactly while K n^2 < 2^64.  Four terms
+    # (1, 1) give F(n') = 4 n' and T(n) = 2 n (n - 1): the last admitted
+    # range ends at 2^31 - 1, where T is just below 2^63.
+    top = (1 << 31) - 1
+    got = gains._pair_prefix([(1, 1)] * 4, top - 4, top)
+    assert got.tolist() == [2 * n * (n - 1) for n in range(top - 3, top + 1)]
+    with pytest.raises(ValueError, match="K n\\^2 < 2\\^64"):
+        gains._pair_prefix([(1, 1)] * 4, top - 3, top + 1)
+    # u = (1,) keeps the terms m = 1 and m = 2: refused before any array.
+    with pytest.raises(ValueError, match="K n\\^2 < 2\\^64"):
+        gain_curve((1,), (0,), basis2, 1 << 40)
 
 
 # ----------------------------------------------------------- curve recurrences
@@ -307,15 +402,29 @@ def test_gamma_max_frozen_six():
     assert six.lower <= six.gamma <= six.upper
 
 
+def test_curve_arrays_int64_edge():
+    # u = 1..16 at level 0 has denom = prod(b - 1) ~ 4.4e18: the pair sums
+    # of n <= 2 fit int64, the one at n = 3 does not, so that curve is kept
+    # in Python ints.
+    basis = first_primes(16)
+    u = tuple(range(1, 17))
+    for n_max, dtype in ((2, np.int64), (3, object)):
+        num, den = gains.gain_curve_arrays(u, (0,) * 16, basis, n_max)
+        assert num.dtype == den.dtype == dtype
+        assert gain_curve(u, (0,) * 16, basis, n_max) == closed_form_curve(
+            u, (0,) * 16, basis, n_max
+        )
+
+
 def test_gamma_scan_matches_curve_oracle(monkeypatch):
-    # gain_curve's per-n closed form over one full cycle is the oracle for
-    # the chunked scan; chunks of 7 and 1000 carry F and T across many
-    # chunk borders.
+    # The per-n closed form over one full cycle is the oracle for the
+    # chunked scan; chunks of 7 and 1000 carry F and T across many chunk
+    # borders.
     basis = first_primes(6)
     oracle = {}
     for d in range(1, 7):
         u = tuple(range(1, d + 1))
-        curve = gain_curve(u, (0,) * d, basis, math.prod(basis.bases[:d]))
+        curve = closed_form_curve(u, (0,) * d, basis, math.prod(basis.bases[:d]))
         top = max(curve)
         oracle[d] = (top, curve.index(top) + 1)
     for chunk in (gains._CHUNK, 7, 1000):
@@ -354,7 +463,7 @@ def test_gamma_max_capped_high_dimension():
         assert summary.gamma >= gain_exact(GainQuery.build(u, (0,) * 16, n, basis))
     # Against the per-n closed form on every count below the cap.
     basis = first_primes(12)
-    curve = gain_curve(range(1, 13), (0,) * 12, basis, 600)
+    curve = closed_form_curve(range(1, 13), (0,) * 12, basis, 600)
     top = max(curve)
     summary = gamma_max(12, basis, n_cap=600)
     assert (summary.gamma, summary.argmax_n) == (top, curve.index(top) + 1)
