@@ -14,7 +14,6 @@ from .gains import (
     bounds_table,
     gain_bruteforce,
     gain_curve,
-    gain_curve_arrays,
     gain_exact,
     gamma_at_n,
     gamma_max,

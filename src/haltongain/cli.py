@@ -215,15 +215,11 @@ def _cmd_gain(cfg: RunConfig) -> int:
 def _gain_columns(u, levels, basis, n_max) -> tuple[list, list, list]:
     """Numerators, denominators and floats of G_{u,k}(1..n_max).
 
-    A float is the float64 quotient when numerator and denominator are both
-    below 2^53, so both convert exactly and the one division rounds
-    correctly; otherwise it is the Python-int quotient.  Either way it
+    Each float is the Python-int quotient, which rounds correctly and so
     equals float(Fraction(num, den)).
     """
-    num, den = gains.gain_curve_arrays(u, levels, basis, n_max)
+    num, den = gains._gain_curve_arrays(u, levels, basis, n_max)
     nums, dens = num.tolist(), den.tolist()
-    if num.max() < 1 << 53 and den.max() < 1 << 53:
-        return nums, dens, (num / den).tolist()
     return nums, dens, [a / b for a, b in zip(nums, dens)]
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "gain_exact",
     "gain_bruteforce",
     "gain_curve",
-    "gain_curve_arrays",
     "gamma_at_n",
     "gamma_max",
     "lower_bound_n_star",
@@ -304,7 +303,7 @@ def gain_bruteforce(q: GainQuery) -> Fraction:
     return Fraction(total + 2 * t, total)
 
 
-def gain_curve_arrays(
+def _gain_curve_arrays(
     u: CoordSubset | Iterable[int],
     levels: Sequence[int],
     basis: PrimeBasis,
@@ -338,7 +337,7 @@ def gain_curve(
     n_max: int,
 ) -> list[Fraction]:
     """[G_{u,k}(1), ..., G_{u,k}(n_max)], exact."""
-    num, den = gain_curve_arrays(u, levels, basis, n_max)
+    num, den = _gain_curve_arrays(u, levels, basis, n_max)
     return [Fraction(a, b) for a, b in zip(num.tolist(), den.tolist())]
 
 

@@ -409,7 +409,7 @@ def test_curve_arrays_int64_edge():
     basis = first_primes(16)
     u = tuple(range(1, 17))
     for n_max, dtype in ((2, np.int64), (3, object)):
-        num, den = gains.gain_curve_arrays(u, (0,) * 16, basis, n_max)
+        num, den = gains._gain_curve_arrays(u, (0,) * 16, basis, n_max)
         assert num.dtype == den.dtype == dtype
         assert gain_curve(u, (0,) * 16, basis, n_max) == closed_form_curve(
             u, (0,) * 16, basis, n_max
