@@ -15,9 +15,7 @@ from .gains import (
     gain_bruteforce,
     gain_curve,
     gain_exact,
-    gamma_at_n,
     gamma_max,
-    global_bounds,
     global_bounds_exact,
     lower_bound_n_star,
     oracle_check,
@@ -36,7 +34,7 @@ from .halton import (
     stratum_index,
     stratum_occupancy,
 )
-from .primes import MAX_DIMENSION, PrimeBasis, first_primes, nth_prime
+from .primes import MAX_DIMENSION, PrimeBasis, first_primes
 from .rqmc import (
     EstimateSummary,
     HaarIntegrand,

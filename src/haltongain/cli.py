@@ -13,7 +13,7 @@ consistency check fails (for example the two gain routes disagreeing).
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import sys
 from contextlib import contextmanager
@@ -157,10 +157,8 @@ def _cmd_primes(cfg: RunConfig) -> int:
         _emit_json(cfg, {"d": basis.dimension, "primes": list(basis.bases)})
         return 0
     with _open_out(cfg.out) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["j", "prime"])
-        for j, b in enumerate(basis.bases, start=1):
-            w.writerow([j, b])
+        fh.write("j,prime\n")
+        fh.writelines("%d,%d\n" % row for row in enumerate(basis.bases, start=1))
     return 0
 
 
@@ -182,10 +180,9 @@ def _cmd_points(cfg: RunConfig) -> int:
         if kind != "none":
             # randomized runs carry their key in the header for replay
             fh.write("# config: " + json.dumps(cfg.echo()) + "\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["i"] + [f"x{j}" for j in range(1, d + 1)])
-        for p, row in enumerate(points.coords):
-            w.writerow([start + p] + [_f17(x) for x in row])
+        fh.write(",".join(["i"] + [f"x{j}" for j in range(1, d + 1)]) + "\n")
+        fmt = "%d" + ",%.17g" * d + "\n"
+        fh.writelines(fmt % (start + p, *row) for p, row in enumerate(points.coords))
     return 0
 
 
@@ -206,9 +203,8 @@ def _cmd_gain(cfg: RunConfig) -> int:
             "gain_" + k: v for k, v in _rat(g).items()}})
         return 0
     with _open_out(cfg.out) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "gain_num", "gain_den", "gain_float"])
-        w.writerow([q.n, g.numerator, g.denominator, _f17(float(g))])
+        fh.write("n,gain_num,gain_den,gain_float\n")
+        fh.write("%d,%d,%d,%.17g\n" % (q.n, g.numerator, g.denominator, float(g)))
     return 0
 
 
@@ -238,7 +234,6 @@ def _cmd_gain_curve(cfg: RunConfig) -> int:
         return 0
     with _open_out(cfg.out) as fh:
         fh.write("n,gain_num,gain_den,gain_float\n")
-        # one %-format per row: the bytes of csv.writer over _f17, faster
         fh.writelines("%d,%d,%d,%.17g\n" % row for row in rows)
     return 0
 
@@ -264,12 +259,13 @@ def _cmd_gamma(cfg: RunConfig) -> int:
 
 
 def _cmd_bounds(cfg: RunConfig) -> int:
-    d_max = cfg.params["d_max"]
+    rows = gains.bounds_table(cfg.params["d_max"])
+    first = next(rows)  # runs the table's argument checks before any output
     with _open_out(cfg.out) as fh:
         fh.write("d,lower,upper,guide\n")
-        # one %-format per row: the same bytes as csv.writer over _f17, faster
-        rows = gains.bounds_table(d_max)
-        fh.writelines("%d,%.17g,%.17g,%.17g\n" % row for row in rows)
+        fh.writelines(
+            "%d,%.17g,%.17g,%.17g\n" % row for row in itertools.chain((first,), rows)
+        )
     return 0
 
 
@@ -365,8 +361,10 @@ def _cmd_figure(cfg: RunConfig) -> int:
     if which == "2":
         curves = [((1, 2), levels, 0) for levels in _FIG2_LEVELS]
         return _curve_rows(cfg, first_primes(2), curves, 36, by_n=False)
-    basis = first_primes(3)
     n_max = cfg.params["n_max"]
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    basis = first_primes(3)
     curves = []
     full = gains.CoordSubset((1, 2, 3))
     for u in full.subsets():

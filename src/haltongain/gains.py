@@ -24,6 +24,7 @@ pair kernel over index pairs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,11 +43,9 @@ __all__ = [
     "gain_exact",
     "gain_bruteforce",
     "gain_curve",
-    "gamma_at_n",
     "gamma_max",
     "lower_bound_n_star",
     "upper_bound_u_exact",
-    "global_bounds",
     "global_bounds_exact",
     "bounds_table",
     "oracle_check",
@@ -358,49 +357,6 @@ def _level_vectors(bases: Sequence[int], cap: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, 1, ())
 
 
-def gamma_at_n(
-    d: int, n: int, basis: PrimeBasis | None = None
-) -> tuple[Fraction, tuple[CoordSubset, tuple[int, ...]]]:
-    """Worst gain at fixed n over all nonempty u in 1..d and all levels.
-
-    Levels with prod b^k > n all give gain exactly 1, so the enumeration
-    runs over prod b^k <= n and takes 1 as a floor.  Ties go to the
-    smallest (|u|, u, k).
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if d > 20:
-        raise ValueError("exhaustive subset enumeration capped at d <= 20")
-    if n < 1:
-        raise ValueError(f"point count must be >= 1, got {n}")
-    if basis is None:
-        basis = first_primes(d)
-    best: Fraction | None = None
-    best_key = None
-    best_arg = None
-    full = CoordSubset(tuple(range(1, d + 1)))
-    for u in full.subsets():
-        if not len(u):
-            continue
-        bases = tuple(basis.base(j) for j in u.indices)
-        for levels in _level_vectors(bases, n):
-            value = gain_exact(GainQuery.build(u, levels, n, basis))
-            key = (len(u), u.indices, levels)
-            if (
-                best is None
-                or value > best
-                or (value == best and key < best_key)
-            ):
-                best, best_key, best_arg = value, key, (u, levels)
-    # Floor of 1 from any excluded level vector (all of them give gain 1).
-    if best < 1:
-        kk = 1
-        while basis.base(1) ** kk <= n:
-            kk += 1
-        return Fraction(1), (CoordSubset((1,)), (kk,))
-    return best, best_arg
-
-
 @dataclass(frozen=True)
 class GainSummary:
     """Result of a worst-case search over n for the full subset u = 1..d."""
@@ -412,11 +368,7 @@ class GainSummary:
     upper: Fraction
 
 
-def gamma_max(
-    d: int,
-    basis: PrimeBasis | None = None,
-    n_cap: int | None = None,
-) -> GainSummary:
+def gamma_max(d: int, n_cap: int | None = None) -> GainSummary:
     """Worst gain over all n for u = 1..d at levels 0, with its argmax.
 
     The search range 1..prod b_j suffices: beyond one full cycle the gain is
@@ -431,10 +383,8 @@ def gamma_max(
         raise ValueError(f"dimension must be >= 1, got {d}")
     if d > _MAX_SUBSET:
         raise ValueError(f"search capped at d <= {_MAX_SUBSET}")
-    if basis is None:
-        basis = first_primes(d)
     full = CoordSubset(tuple(range(1, d + 1)))
-    template = GainQuery.build(full, (0,) * d, 1, basis)
+    template = GainQuery.build(full, (0,) * d, 1, first_primes(d))
     cycle = template.m_over
     if n_cap is not None:
         if n_cap < 1:
@@ -453,7 +403,7 @@ def gamma_max(
         math.prod(b - 1 for b in template.bases),
         n_hi,
     )
-    lower, upper = global_bounds_exact(d, basis)
+    lower, upper = global_bounds_exact(d)
     return GainSummary(d, gamma, argmax, lower, upper)
 
 
@@ -562,9 +512,7 @@ def upper_bound_u_exact(
     return out
 
 
-def global_bounds_exact(
-    d: int, basis: PrimeBasis | None = None
-) -> tuple[Fraction, Fraction]:
+def global_bounds_exact(d: int) -> tuple[Fraction, Fraction]:
     """Eq-style sandwich for the worst gain over all subsets of 1..d.
 
     (3/4) prod (b_j+1)/b_j <= Gamma_d <= (1/2) prod b_j/(b_j-1) for d >= 2;
@@ -573,31 +521,14 @@ def global_bounds_exact(
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if d > 10_000:
-        raise ValueError("exact bounds capped at d <= 10000; use global_bounds")
+        raise ValueError("exact bounds capped at d <= 10000; use bounds_table")
     if d == 1:
         return Fraction(1), Fraction(1)
-    if basis is None:
-        basis = first_primes(d)
     lower = Fraction(3, 4)
     upper = Fraction(1, 2)
-    for j in range(1, d + 1):
-        b = basis.base(j)
+    for b in first_primes(d).bases:
         lower *= Fraction(b + 1, b)
         upper *= Fraction(b, b - 1)
-    return lower, upper
-
-
-def global_bounds(d: int) -> tuple[float, float]:
-    """Float view of the d-dimensional sandwich, accumulated in log space."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if d == 1:
-        return 1.0, 1.0
-    basis = first_primes(d)
-    lo_logs = [math.log1p(1.0 / b) for b in basis.bases]
-    hi_logs = [-math.log1p(-1.0 / b) for b in basis.bases]
-    lower = 0.75 * math.exp(math.fsum(lo_logs))
-    upper = 0.5 * math.exp(math.fsum(hi_logs))
     return lower, upper
 
 
@@ -647,10 +578,7 @@ def bounds_table(d_max: int) -> Iterator[tuple[int, float, float, float]]:
 
 
 def oracle_check(
-    d: int,
-    n_max: int,
-    k_max: int = 1,
-    basis: PrimeBasis | None = None,
+    d: int, n_max: int, k_max: int = 1
 ) -> list[tuple[tuple[int, ...], tuple[int, ...], int, Fraction, Fraction]]:
     """Compare the closed form and the brute force over a full grid.
 
@@ -662,16 +590,17 @@ def oracle_check(
     """
     if d < 1 or d > 6:
         raise ValueError("oracle grid supported for 1 <= d <= 6")
-    if basis is None:
-        basis = first_primes(d)
-    mismatches = []
     if n_max < 1:
-        return mismatches  # no count to compare at
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    basis = first_primes(d)
+    mismatches = []
     full = CoordSubset(tuple(range(1, d + 1)))
     for u in full.subsets():
         if not len(u):
             continue
-        for levels in _all_levels(len(u), k_max):
+        for levels in itertools.product(range(k_max + 1), repeat=len(u)):
             q = GainQuery.build(u, levels, n_max, basis)
             closed = _pair_prefix(_terms(q.bases, q.levels, n_max), 0, n_max)
             brute = _bruteforce_prefix(q.bases, q.levels, n_max)
@@ -684,14 +613,3 @@ def oracle_check(
                     Fraction(n * denom + 2 * int(brute[i]), n * denom),
                 ))
     return mismatches
-
-
-def _all_levels(size: int, k_max: int) -> Iterator[tuple[int, ...]]:
-    def rec(t: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if t == size:
-            yield prefix
-            return
-        for k in range(k_max + 1):
-            yield from rec(t + 1, prefix + (k,))
-
-    yield from rec(0, ())

@@ -97,8 +97,8 @@ class PointSet:
     `digits[c]` is column c+1, a uint64 array of shape (count, D_c) whose
     entry [p, l-1] is digit l (weight b**-l) of point `start + p`;
     `coords[p][c]` is the matching float in [0,1).  `bases[c]` is that
-    column's base: columns may be scrambled or reordered, so the base
-    travels with the column rather than with a PrimeBasis.
+    column's base: a scrambled set has no PrimeBasis of its own, so the
+    base travels with the column.
     """
 
     start: int
@@ -178,27 +178,16 @@ def _index_digits(start: int, count: int, base: int, precision: int) -> np.ndarr
     return out
 
 
-def _column_order(basis: PrimeBasis, permutation: Sequence[int] | None) -> list[int]:
-    if permutation is None:
-        return list(range(1, basis.dimension + 1))
-    order = list(permutation)
-    if sorted(order) != list(range(1, basis.dimension + 1)):
-        raise ValueError("permutation must rearrange coordinates 1..d")
-    return order
-
-
 def halton_points(
     basis: PrimeBasis,
     start: int,
     count: int,
     precision: Mapping[int, int] | None = None,
-    permutation: Sequence[int] | None = None,
 ) -> PointSet:
     """Points start, ..., start+count-1 of the Halton sequence over `basis`.
 
     `precision` overrides the per-coordinate digit count (keyed by 1-based
-    coordinate); `permutation` reorders which base feeds which output column
-    (entry t is the basis coordinate used for column t).
+    coordinate).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -206,15 +195,13 @@ def halton_points(
         raise ValueError(f"start must be >= 0, got {start}")
     if start + count > MAX_INDEX:
         raise ValueError("index range exceeds 64-bit point indices")
-    order = _column_order(basis, permutation)
-    col_bases = tuple(basis.base(j) for j in order)
     digits = []
-    for j, b in zip(order, col_bases):
+    for j, b in enumerate(basis.bases, start=1):
         p = (precision or {}).get(j, default_precision(b))
         if p < 1:
             raise ValueError(f"precision override for coordinate {j} must be >= 1")
         digits.append(_index_digits(start, count, b, p))
-    return _point_set(start, col_bases, digits, [None] * len(digits))
+    return _point_set(start, basis.bases, digits, [None] * len(digits))
 
 
 def stratum_index(points: PointSet, levels: Sequence[int]) -> list[tuple[int, ...]]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["MAX_DIMENSION", "PrimeBasis", "first_primes", "nth_prime"]
+__all__ = ["MAX_DIMENSION", "PrimeBasis", "first_primes"]
 
 MAX_DIMENSION = 10_000_000
 
@@ -100,13 +100,3 @@ def first_primes(d: int) -> PrimeBasis:
         raise ValueError(f"dimension {d} exceeds supported cap {MAX_DIMENSION}")
     _extend_cache(d)
     return PrimeBasis(d, tuple(_cache[:d]))
-
-
-def nth_prime(j: int) -> int:
-    """The j-th prime (1-based): nth_prime(1) = 2."""
-    if j < 1:
-        raise ValueError(f"prime index must be >= 1, got {j}")
-    if j > MAX_DIMENSION:
-        raise ValueError(f"prime index {j} exceeds supported cap {MAX_DIMENSION}")
-    _extend_cache(j)
-    return _cache[j - 1]

@@ -49,6 +49,10 @@ PINNED = {
     ("variance", "--u", "1,3", "--k", "2,1", "--n", "40", "--reps", "300",
      "--scramble", "linear", "--seed", "7"):
         "8d083d4b1168eeec787487560b734643b3857329f5c53b1d732ce2deed569e1a",
+    ("primes", "--d", "1000"):
+        "63b718c0735d469b1bea6c08ab27de45af71457093a8f03cac1b05c1bfa0788b",
+    ("gain", "--u", "1,2,3", "--k", "0,1,0", "--n", "100000"):
+        "0cbf3a4402a4206f6c8e4e8f0d315f0c863097a4a74ae5d0926d8de0cc593ec2",
 }
 
 
@@ -193,6 +197,28 @@ def test_oracle_check_cli(capsys):
     assert "agree" in out
 
 
+@pytest.mark.parametrize("tail", [("--n-max", "0"), ("--d", "2", "--k-max", "-1")])
+def test_oracle_check_refuses_empty_grid(capsys, tail):
+    # a grid that compares nothing must not report agreement
+    assert run(capsys, "oracle-check", *tail) == (1, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("bounds", "--d-max", "0"), ("figure", "1", "--d-max", "0"),
+     ("bounds", "--d-max", "10000001")],
+)
+def test_bounds_refused_before_output(tmp_path, capsys, argv):
+    assert run(capsys, *argv) == (1, "")
+    target = tmp_path / "bounds.csv"
+    assert run(capsys, *argv, "--out", str(target)) == (1, "")
+    assert not target.exists()
+
+
+def test_figure_three_needs_a_count(capsys):
+    assert run(capsys, "figure", "3", "--n-max", "0") == (1, "")
+
+
 def test_figure_two(capsys):
     code, out = run(capsys, "figure", "2")
     lines = out.splitlines()
@@ -265,7 +291,7 @@ def test_format_outside_declared_set_refused(capsys, argv, refused):
     list(PINNED),
     ids=["linear", "plain", "nested", "plain-last-index", "nested-last-index",
          "figure3", "figure3-400", "figure2", "gain-curve", "gain-curve-json",
-         "variance-nested", "variance-linear"],
+         "variance-nested", "variance-linear", "primes-1000", "gain"],
 )
 def test_output_bytes_pinned(capsys, argv):
     code, out = run(capsys, *argv)

@@ -1,5 +1,6 @@
 """Exact gain arithmetic: closed form, brute force, and the search layers."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -19,9 +20,7 @@ from haltongain import (
     gain_bruteforce,
     gain_curve,
     gain_exact,
-    gamma_at_n,
     gamma_max,
-    global_bounds,
     global_bounds_exact,
     lower_bound_n_star,
     oracle_check,
@@ -194,8 +193,16 @@ def test_bruteforce_huge_modulus(basis2):
     assert gains._bruteforce_prefix(q.bases, q.levels, 5).tolist() == [0] * 5
 
 
-def test_oracle_check_clean(basis2):
-    assert oracle_check(2, n_max=40, k_max=1, basis=basis2) == []
+def test_oracle_check_clean():
+    assert oracle_check(2, n_max=40, k_max=1) == []
+
+
+def test_oracle_check_refuses_empty_grid():
+    # A grid with no count or no level vector would compare nothing.
+    with pytest.raises(ValueError, match="n_max"):
+        oracle_check(2, n_max=0)
+    with pytest.raises(ValueError, match="k_max"):
+        oracle_check(2, n_max=10, k_max=-1)
 
 
 @given(st.data())
@@ -292,7 +299,7 @@ def test_level_zero_attains_supremum(basis3):
         if not len(u):
             continue
         flat = _cycle_max(u, (0,) * len(u), basis3)
-        for levels in gains._all_levels(len(u), 1):
+        for levels in itertools.product((0, 1), repeat=len(u)):
             assert _cycle_max(u, levels, basis3) <= flat
 
 
@@ -356,18 +363,6 @@ def test_attained_bound_values(basis5):
         lower_bound_n_star((1, 2), basis5, 3)
 
 
-def test_gamma_at_fixed_counts(basis3):
-    value, (u, levels) = gamma_at_n(2, 2)
-    assert value == Fraction(3, 2)
-    assert (u.indices, levels) == ((1, 2), (0, 0))
-    assert gamma_at_n(1, 1)[0] == 1
-    assert gamma_at_n(3, 10)[0] == Fraction(9, 5)
-    # No reachable level fits, so the all-ones floor applies.
-    value, (u, levels) = gamma_at_n(1, 3)
-    assert value == 1
-    assert levels == (2,)
-
-
 def test_gamma_max_small_dimensions():
     one = gamma_max(1)
     assert (one.gamma, one.argmax_n) == (1, 1)
@@ -380,8 +375,21 @@ def test_gamma_max_small_dimensions():
     assert (three.lower, three.upper) == (Fraction(9, 5), Fraction(15, 8))
 
 
-def test_gamma_max_matches_pointwise_search(basis3):
-    best = max(gamma_at_n(3, n, basis3)[0] for n in range(1, 31))
+def _worst_gain_at(d: int, n: int) -> Fraction:
+    """Max of gain_exact at n over nonempty u in 1..d and levels with
+    prod b^k <= n, floored at 1: every other level vector gives gain 1."""
+    basis = first_primes(d)
+    best = Fraction(1)
+    for u in list(CoordSubset(tuple(range(1, d + 1))).subsets())[1:]:  # nonempty
+        bases = [basis.base(j) for j in u]
+        for levels in itertools.product(range(n.bit_length()), repeat=len(u)):
+            if math.prod(b**k for b, k in zip(bases, levels)) <= n:
+                best = max(best, gain_exact(GainQuery.build(u, levels, n, basis)))
+    return best
+
+
+def test_gamma_max_matches_pointwise_search():
+    best = max(_worst_gain_at(3, n) for n in range(1, 31))
     assert best == gamma_max(3).gamma
 
 
@@ -389,7 +397,7 @@ def test_gamma_max_record_n():
     # The per-n worst gains that gamma_max(2) peaks over: 3/2 at n = 2,
     # and 3/2 again at n = 6, where levels (0, 1) shift the n = 2 peak
     # out to 3 * 2 (the level-bump identity).
-    gains_at = tuple((n, gamma_at_n(2, n)[0]) for n in (2, 6))
+    gains_at = tuple((n, _worst_gain_at(2, n)) for n in (2, 6))
     assert gains_at == ((2, Fraction(3, 2)), (6, Fraction(3, 2)))
     two = gamma_max(2)
     assert (two.gamma, two.argmax_n) == (Fraction(3, 2), 2)
@@ -430,7 +438,7 @@ def test_gamma_scan_matches_curve_oracle(monkeypatch):
     for chunk in (gains._CHUNK, 7, 1000):
         monkeypatch.setattr(gains, "_CHUNK", chunk)
         for d in range(1, 7):
-            summary = gamma_max(d, basis)
+            summary = gamma_max(d)
             assert (summary.gamma, summary.argmax_n) == oracle[d], (chunk, d)
 
 
@@ -455,7 +463,7 @@ def test_gamma_max_capped_high_dimension():
     # enter the int64 scan.
     basis = first_primes(16)
     u = tuple(range(1, 17))
-    summary = gamma_max(16, basis, n_cap=250)
+    summary = gamma_max(16, n_cap=250)
     at = gain_exact(GainQuery.build(u, (0,) * 16, summary.argmax_n, basis))
     assert summary.gamma == at
     rng = random.Random(20260822)
@@ -465,7 +473,7 @@ def test_gamma_max_capped_high_dimension():
     basis = first_primes(12)
     curve = closed_form_curve(range(1, 13), (0,) * 12, basis, 600)
     top = max(curve)
-    summary = gamma_max(12, basis, n_cap=600)
+    summary = gamma_max(12, n_cap=600)
     assert (summary.gamma, summary.argmax_n) == (top, curve.index(top) + 1)
 
 
@@ -515,7 +523,7 @@ def test_pruned_terms_match_bruteforce_at_25_dimensions():
     ]
     exact = [gain_exact(GainQuery.build(u, (0,) * 25, n, basis)) for n in range(1, 11)]
     assert exact == brute == gain_curve(u, (0,) * 25, basis, 10)
-    summary = gamma_max(25, basis, n_cap=10)
+    summary = gamma_max(25, n_cap=10)
     top = max(brute)
     assert (summary.gamma, summary.argmax_n) == (top, brute.index(top) + 1)
 
@@ -527,7 +535,7 @@ def test_pruned_terms_memory_at_20_dimensions():
     tracemalloc.start()
     try:
         gain_exact(GainQuery.build(u, (0,) * 20, 1000, basis))
-        gamma_max(20, basis, n_cap=1000)
+        gamma_max(20, n_cap=1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -547,17 +555,9 @@ def test_global_bounds_exact_values():
         global_bounds_exact(10_001)
 
 
-def test_global_bounds_float_matches_exact():
-    for d in (1, 2, 10, 100):
-        lo, hi = global_bounds(d)
-        lo_x, hi_x = global_bounds_exact(d)
-        assert math.isclose(lo, float(lo_x), rel_tol=1e-12)
-        assert math.isclose(hi, float(hi_x), rel_tol=1e-12)
-
-
 def test_bounds_table_rows():
-    rows = list(bounds_table(60))
-    assert [r[0] for r in rows] == list(range(1, 61))
+    rows = list(bounds_table(100))
+    assert [r[0] for r in rows] == list(range(1, 101))
     assert rows[0][1] == rows[0][2] == 1.0
     for d, lower, upper, guide in rows:
         lo_x, hi_x = global_bounds_exact(d)

@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haltongain import PrimeBasis, first_primes, nth_prime
+from haltongain import PrimeBasis, first_primes
 
 
 def _trial_division(count: int) -> list[int]:
@@ -26,20 +26,24 @@ def test_trial_division_oracle():
     assert list(first_primes(1000).bases) == _trial_division(1000)
 
 
+def _nth(j: int) -> int:
+    return first_primes(j).bases[-1]
+
+
 def test_known_large_values():
-    assert nth_prime(26) == 101
-    assert nth_prime(27) == 103
-    assert nth_prime(10_000) == 104_729
+    assert _nth(26) == 101
+    assert _nth(27) == 103
+    assert _nth(10_000) == 104_729
 
 
 @given(st.integers(min_value=1, max_value=50_000))
 @settings(max_examples=40)
 def test_matches_sympy(j):
-    assert nth_prime(j) == sympy.prime(j)
+    assert _nth(j) == sympy.prime(j)
 
 
 def test_millionth_prime():
-    assert nth_prime(1_000_000) == 15_485_863
+    assert _nth(1_000_000) == 15_485_863
 
 
 def test_basis_indexing():
@@ -65,8 +69,6 @@ def test_repr_stays_short():
 def test_validation():
     with pytest.raises(ValueError):
         first_primes(0)
-    with pytest.raises(ValueError):
-        nth_prime(0)
     with pytest.raises(ValueError):
         first_primes(20_000_001)
 
