@@ -45,13 +45,13 @@ from .rqmc import (
 from .scramble import (
     LinearScramble,
     ScrambleSpec,
-    coordinate_scrambler,
     draw_linear_scramble,
     linear_depth_limit,
     linear_scramble_digits,
     nested_scramble_digits,
     permutation_node,
     randomize,
+    scramble_column,
 )
 
 __version__ = "0.1.0"

@@ -273,6 +273,8 @@ def _cmd_variance(cfg: RunConfig) -> int:
     u = _parse_ints(cfg.params["u"], "--u")
     k = _parse_ints(cfg.params["k"], "--k")
     n, reps = cfg.params["n"], cfg.params["reps"]
+    if reps < 2:
+        raise ValueError(f"--reps must be >= 2 for a sample variance, got {reps}")
     kind = cfg.params["scramble"]
     basis = first_primes(max(u) if u else 1)
     expected = gains.gain_exact(gains.GainQuery.build(u, k, n, basis))

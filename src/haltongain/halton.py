@@ -178,6 +178,20 @@ def _index_digits(start: int, count: int, base: int, precision: int) -> np.ndarr
     return out
 
 
+def _precisions(precision: Mapping[int, int] | None, defaults: Sequence[int]) -> list[int]:
+    """Digits per coordinate: the override keyed by 1-based coordinate, else
+    the default; refuses a key that names no coordinate."""
+    precision = precision or {}
+    stray = sorted(set(precision) - set(range(1, len(defaults) + 1)))
+    if stray:
+        raise ValueError(f"precision keys {stray} name no coordinate in 1..{len(defaults)}")
+    depths = [precision.get(j, p) for j, p in enumerate(defaults, start=1)]
+    for j, p in enumerate(depths, start=1):
+        if p < 1:
+            raise ValueError(f"precision override for coordinate {j} must be >= 1")
+    return depths
+
+
 def halton_points(
     basis: PrimeBasis,
     start: int,
@@ -195,12 +209,8 @@ def halton_points(
         raise ValueError(f"start must be >= 0, got {start}")
     if start + count > MAX_INDEX:
         raise ValueError("index range exceeds 64-bit point indices")
-    digits = []
-    for j, b in enumerate(basis.bases, start=1):
-        p = (precision or {}).get(j, default_precision(b))
-        if p < 1:
-            raise ValueError(f"precision override for coordinate {j} must be >= 1")
-        digits.append(_index_digits(start, count, b, p))
+    depths = _precisions(precision, [default_precision(b) for b in basis.bases])
+    digits = [_index_digits(start, count, b, p) for b, p in zip(basis.bases, depths)]
     return _point_set(start, basis.bases, digits, [None] * len(digits))
 
 

@@ -22,8 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .gains import CoordSubset, pair_levels
+from .halton import MAX_INDEX
 from .primes import PrimeBasis
-from .scramble import ScrambleSpec, draw, scramble_level
+from .scramble import ScrambleSpec, draw, scramble_column
 
 __all__ = [
     "HaarIntegrand",
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 _MAX_COUNT = 1 << 53  # counts stay exactly representable as floats
-# Array cells (points, plus residues times base) one block of replicates may
+# Array cells (points, plus digit rows times base) one block of replicates may
 # fill: about 2^10 replicates at n = 2, one replicate at a time for n >= 2^14.
 _BLOCK_CELLS = 1 << 14
 
@@ -146,12 +147,12 @@ def rqmc_estimate(
     Replicate r reuses `spec` with its replicate field set to
     spec.replicate + r, so a fixed (seed, spec) reproduces the summary
     bit for bit and replicates are independent.  Only the one digit f reads
-    per coordinate is scrambled (`scramble_level`); it depends on a point's
-    index i only through i mod b^(k+1), so the distinct residues are
-    scrambled once, for a whole block of replicates in one call, and every
-    point looks its value up.  Each replicate's products and correctly
-    rounded `math.fsum` are those of evaluating f at every fully scrambled
-    point, so the means are too, bit for bit.
+    per coordinate is scrambled (`scramble_column` at level k); it depends
+    on a point's index i only through i mod b^(k+1), so the window's first
+    min(n, b^(k+1)) points are scrambled, for a whole block of replicates
+    in one call, and every point looks its value up.  Each replicate's
+    products and correctly rounded `math.fsum` are those of evaluating f at
+    every fully scrambled point, so the means are too, bit for bit.
     """
     if n < 1 or n > _MAX_COUNT:
         raise ValueError(f"point count must be in 1..2^53, got {n}")
@@ -161,23 +162,27 @@ def rqmc_estimate(
         raise ValueError("variance experiments need a randomizing scramble")
     if spec.replicate + replicates > 1 << 64:
         raise ValueError("replicates past 2^64 - 1 do not fit the Philox key")
-    # Per coordinate: the distinct residues mod m = b^(k+1) of the window's
-    # indices, which are those of its first min(n, m) points, and for point
-    # p the position p mod min(n, m) of its residue among them.
-    residues, positions = [], []
+    if start < 0 or start + n > MAX_INDEX:
+        raise ValueError("index range exceeds 64-bit point indices")
+    # Per coordinate: digits 1..k+1 of the window's first min(n, b^(k+1)) indices, one per
+    # residue i mod b^(k+1) in the window, and for point p the row p mod min(n, b^(k+1)).
+    rows, positions = [], []
     for b, k in zip(f.bases, f.levels):
-        m = b ** (k + 1)
-        size = min(n, m)
-        residues.append(np.array([(start + p) % m for p in range(size)]))
+        size = min(n, b ** (k + 1))
+        index = np.uint64(start) + np.arange(size, dtype=np.uint64)
+        x = np.empty((size, k + 1), dtype=np.uint64)
+        for t in range(k + 1):
+            index, x[:, t] = np.divmod(index, np.uint64(b))
+        rows.append(x)
         positions.append(np.arange(n) % size)
     values = [np.array([float(x) for x in table]) for table in f.tables]
-    cells = n + sum(len(rho) * b for rho, b in zip(residues, f.bases))
+    cells = n + sum(len(x) * b for x, b in zip(rows, f.bases))
     means = []
     for r0, count in _blocks(replicates, cells):
         rspec = ScrambleSpec(spec.kind, spec.seed, spec.replicate + r0)
         product = 1.0  # then times each coordinate's factor, in u's order
         for t, (c, b, k) in enumerate(zip(f.u.indices, f.bases, f.levels)):
-            digits = scramble_level(rspec, c, b, k, residues[t], count)
+            digits = scramble_column(rspec, c, b, rows[t], [k], count)[:, :, 0]
             product = product * values[t][digits][:, positions[t]]
         means.extend(math.fsum(row) / n for row in product.tolist())
     return _summarize(n, means, float(f.sigma2))

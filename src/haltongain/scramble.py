@@ -31,17 +31,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Literal, Mapping, MutableMapping, Sequence
+from typing import Literal, Mapping, MutableMapping, Sequence
 
 import numpy as np
 
-from .halton import PointSet, _point_set
+from .halton import PointSet, _point_set, _precisions
 
 __all__ = [
     "Kind", "ScrambleSpec", "LinearScramble", "philox", "philox_array", "counter", "stream",
     "draw", "permutation_node", "draw_linear_scramble", "linear_depth_limit",
-    "nested_scramble_digits", "linear_scramble_digits", "scramble_level", "coordinate_scrambler",
-    "randomize",
+    "nested_scramble_digits", "linear_scramble_digits", "scramble_column", "randomize",
 ]
 
 Kind = Literal["none", "nested", "linear"]
@@ -232,7 +231,7 @@ def draw_linear_scramble(
 
     Stream ("row", coordinate, s, 0) draws L[s][s] - 1, then e_s, then
     L[s][1], ..., L[s][s-1]: every row reads a prefix of the bounds
-    (b - 1, b, b, ...), so `coordinate_scrambler` draws all rows at once.
+    (b - 1, b, b, ...), so `scramble_column` draws all rows at once.
     """
     drawn = [stream(spec.seed, spec.replicate, "row", coordinate, s, 0, [base - 1] + [base] * s)
              for s in range(1, depth + 1)]
@@ -308,97 +307,67 @@ def linear_depth_limit(base: int) -> int:
     return ((1 << 63) - base) // (base - 1) ** 2
 
 
-def _check_linear_depth(base: int, depth: int) -> None:
-    if depth > linear_depth_limit(base):
-        raise ValueError(f"linear scramble depth {depth} exceeds the int64-exact "
-                         f"limit {linear_depth_limit(base)} for base {base}")
-
-
-def scramble_level(
+def scramble_column(
     spec: ScrambleSpec,
     coordinate: int,
     base: int,
-    level: int,
-    residues: Sequence[int],
+    x: np.ndarray,
+    levels: Sequence[int],
     replicates: int = 1,
 ) -> np.ndarray:
-    """Scrambled digit level+1 of an index i, for each residue i mod b^(level+1).
+    """Scrambled digits levels[t]+1 of each digit row of one coordinate.
 
-    That one digit depends on i only through this residue.  Row j is under
-    replicate spec.replicate + j; all rows come from one `draw`.  Nested:
-    node (coordinate, level, residue mod b^level) permutes input digit
-    level+1.  Linear: row level+1 and shift e_{level+1} combine input digits
-    1..level+1.  These are the full scramble's draws, so the digit is its
-    digit level+1.
+    The one place that turns a spec's kind into a scramble of digit arrays.
+    `x` is uint64 of shape (rows, digits), digit l+1 in column l, and the
+    digits past its columns are 0.  Returns uint64 of shape (replicates,
+    rows, len(levels)); block j is under replicate spec.replicate + j.
+    Linear: one `draw` gives matrix row level+1 and shift e_{level+1} for
+    every level and replicate, then one integer product (x @ L^T + e) mod b.
+    Nested: for each requested level s, one `draw` over every replicate's
+    distinct nodes (coordinate, s, r), r the prefix (x_1, ..., x_s) read as
+    an integer.  Any subset of levels gives those digits of the full
+    scramble.
     """
     if spec.kind == "none":
         raise ValueError("kind 'none' scrambles no digits")
     if spec.replicate + replicates > 1 << 64:
         raise ValueError("replicates past 2^64 - 1 do not fit the Philox key")
-    rho = np.asarray(residues, dtype=object if base ** (level + 1) > 1 << 64 else np.uint64)
+    levels = np.asarray(levels)
     reps = np.uint64(spec.replicate) + np.arange(replicates, dtype=np.uint64)
+    rows, stored = x.shape
+    depth = int(levels.max()) + 1
     if spec.kind == "linear":
-        _check_linear_depth(base, level + 1)
-        row = draw(spec.seed, reps, "row", coordinate, level + 1, np.zeros(replicates, np.uint64),
-                   [base - 1] + [base] * (level + 1)).astype(np.int64)
-        x = np.empty((len(rho), level + 1), dtype=np.int64)
-        for t in range(level + 1):  # input digits 1..level+1, least significant first
-            rho, x[:, t] = rho // base, rho % base
-        return (row[:, 2:] @ x[:, :level].T + (row[:, :1] + 1) * x[:, level] + row[:, 1:2]) % base
-    low = base**level
-    nodes, which = np.unique(rho % low, return_inverse=True)
-    tables = _permutations(spec.seed, np.repeat(reps, len(nodes)), coordinate, base, level,
-                           np.tile(nodes, replicates))
-    return tables.reshape(replicates, len(nodes), base)[:, which, (rho // low).astype(np.intp)]
-
-
-def coordinate_scrambler(
-    spec: ScrambleSpec, coordinate: int, base: int, depth: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """digit column -> scrambled column (`depth` digits) for one coordinate.
-
-    The one place that turns a spec's kind into a scramble of digit arrays
-    of shape (points, digits).  Linear: one `draw` gives all matrix rows up
-    front, then one integer product (x @ L^T + e) mod b scrambles the column.
-    Nested: one pass per depth s draws each distinct node (s, r) once, all
-    nodes of the depth in one `draw`.
-    """
-    if spec.kind == "linear":
-        _check_linear_depth(base, depth)
-        drawn = draw(spec.seed, spec.replicate, "row", coordinate, np.arange(1, depth + 1),
-                     np.zeros(depth, np.uint64), [base - 1] + [base] * depth).astype(np.int64)
-        matrix = np.diag(1 + drawn[:, 0])  # row s reads its first s + 1 draws
-        matrix[:, :-1] += np.tril(drawn[:, 2:], -1)
-        shift = drawn[:, 1]
-
-        def linear(x: np.ndarray) -> np.ndarray:
-            width = min(depth, x.shape[1])  # input digits past the stored ones are 0
-            y = x[:, :width].astype(np.int64) @ matrix[:, :width].T + shift
-            return (y % base).astype(np.uint64)
-
-        return linear
-    if spec.kind != "nested":
-        raise ValueError("kind 'none' scrambles no digits")
-
-    def nested(x: np.ndarray) -> np.ndarray:
-        n, stored = x.shape
-        out = np.empty((n, depth), dtype=np.uint64)
-        # The prefix r = x_1 + x_2 b + ... + x_s b^(s-1) < b^s: uint64 while
-        # b^s <= 2^64, Python ints past that (never at default depths).
-        r = np.zeros(n, dtype=np.uint64)
-        for s in range(depth):
-            a = x[:, s] if s < stored else 0
+        if depth > linear_depth_limit(base):
+            raise ValueError(f"linear scramble depth {depth} exceeds the int64-exact "
+                             f"limit {linear_depth_limit(base)} for base {base}")
+        # Draw row (j, t) is matrix row s = levels[t] + 1 of replicate j; it
+        # reads its first s + 1 draws: L[s][s] - 1, e_s, L[s][1], ..., L[s][s-1].
+        diagonal = np.tile(levels, replicates)
+        drawn = draw(spec.seed, np.repeat(reps, len(levels)), "row", coordinate, diagonal + 1,
+                     np.zeros(len(diagonal), np.uint64), [base - 1] + [base] * depth)
+        drawn = drawn.astype(np.int64)
+        matrix = np.zeros((len(diagonal), depth), dtype=np.int64)
+        matrix[:, :-1] = np.where(np.arange(depth - 1) < diagonal[:, None], drawn[:, 2:], 0)
+        matrix[np.arange(len(diagonal)), diagonal] = 1 + drawn[:, 0]
+        y = (x[:, :depth].astype(np.int64) @ matrix[:, :stored].T + drawn[:, 1]) % base
+        return y.astype(np.uint64).reshape(rows, replicates, len(levels)).transpose(1, 0, 2)
+    out = np.empty((replicates, rows, len(levels)), dtype=np.uint64)
+    # The prefix r = x_1 + x_2 b + ... + x_s b^(s-1) < b^s: uint64 while
+    # b^s <= 2^64, Python ints past that (never at default depths).
+    r = np.zeros(rows, dtype=np.uint64)
+    for s in range(depth):
+        a = x[:, s] if s < stored else 0
+        for t in np.flatnonzero(levels == s):
             nodes, which = np.unique(r, return_inverse=True)
-            tables = _permutations(spec.seed, spec.replicate, coordinate, base, s, nodes)
-            out[:, s] = tables[which, a]
-            if s + 1 < depth and s < stored:  # digits past the stored ones are 0
-                if base ** (s + 1) <= 1 << 64:
-                    r = r + a * np.uint64(base**s)
-                else:
-                    r = r.astype(object) + a.astype(object) * base**s
-        return out
-
-    return nested
+            tables = _permutations(spec.seed, np.repeat(reps, len(nodes)), coordinate, base, s,
+                                   np.tile(nodes, replicates))
+            out[:, :, t] = tables.reshape(replicates, len(nodes), base)[:, which, a]
+        if s + 1 < depth and s < stored:  # digits past the stored ones are 0
+            if base ** (s + 1) <= 1 << 64:
+                r = r + a * np.uint64(base**s)
+            else:
+                r = r.astype(object) + a.astype(object) * base**s
+    return out
 
 
 def randomize(points: PointSet, spec: ScrambleSpec) -> PointSet:
@@ -413,14 +382,11 @@ def randomize(points: PointSet, spec: ScrambleSpec) -> PointSet:
     """
     if spec.kind == "none":
         return points
+    depths = _precisions(spec.precision, [x.shape[1] for x in points.digits])
     indices = np.uint64(points.start) + np.arange(points.count, dtype=np.uint64)
     digits, tails = [], []
-    for c, (base, x) in enumerate(zip(points.bases, points.digits)):
-        column = c + 1
-        depth = (spec.precision or {}).get(column, x.shape[1])
-        if depth < 1:
-            raise ValueError(f"precision override for coordinate {column} must be >= 1")
-        digits.append(coordinate_scrambler(spec, column, base, depth)(x))
+    for column, (base, x, depth) in enumerate(zip(points.bases, points.digits, depths), start=1):
+        digits.append(scramble_column(spec, column, base, x, range(depth))[0])
         tails.append(draw(spec.seed, spec.replicate, "tail", column, 0, indices, [1 << 53])[:, 0]
                      / 2.0**53 if spec.kind == "nested" else None)
     return _point_set(points.start, points.bases, digits, tails)

@@ -191,6 +191,13 @@ def test_variance_json(capsys):
     assert "z_score" in data
 
 
+def test_variance_needs_two_replicates(capsys):
+    # one replicate has no sample variance, so its gain and z-score mean nothing
+    assert main(["variance", "--u", "1,2", "--k", "0,0", "--n", "2", "--reps", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--reps must be >= 2" in err
+
+
 def test_oracle_check_cli(capsys):
     code, out = run(capsys, "oracle-check", "--d", "2", "--n-max", "20")
     assert code == 0

@@ -133,6 +133,8 @@ def test_precision_override(basis3):
         halton_points(basis3, 6, 4, precision={1: 3})
     with pytest.raises(ValueError):
         halton_points(basis3, 0, 4, precision={1: 0})
+    with pytest.raises(ValueError, match=r"keys \[0, 4\] name no coordinate"):
+        halton_points(basis3, 0, 4, precision={4: 2, 0: 5})
 
 
 def test_point_count_validation(basis3):

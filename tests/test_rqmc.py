@@ -177,6 +177,11 @@ def test_validation(basis2):
     rqmc_estimate(f, basis2, 1, 1, last)  # the last replicate the key holds
     with pytest.raises(ValueError, match="2\\^64"):
         rqmc_estimate(f, basis2, 1, 2, last)
+    with pytest.raises(ValueError, match="64-bit point indices"):
+        rqmc_estimate(f, basis2, 1, 1, ScrambleSpec("nested"), start=-1)
+    rqmc_estimate(f, basis2, 2, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)  # the last index
+    with pytest.raises(ValueError, match="64-bit point indices"):
+        rqmc_estimate(f, basis2, 3, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)
     with pytest.raises(ValueError):
         mc_estimate(f, 0, 1)
     with pytest.raises(ValueError):

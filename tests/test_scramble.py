@@ -17,7 +17,6 @@ from haltongain import (
     PointSet,
     PrimeBasis,
     ScrambleSpec,
-    coordinate_scrambler,
     default_precision,
     digits_of,
     draw_linear_scramble,
@@ -28,6 +27,7 @@ from haltongain import (
     nested_scramble_digits,
     permutation_node,
     randomize,
+    scramble_column,
     stratum_occupancy,
 )
 from haltongain import scramble
@@ -37,7 +37,6 @@ from haltongain.scramble import (
     draw,
     philox,
     philox_array,
-    scramble_level,
     stream,
 )
 
@@ -207,7 +206,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ScrambleSpec("nested", replicate=1 << 64)
     with pytest.raises(ValueError):
-        coordinate_scrambler(ScrambleSpec("none"), 1, 2, 3)
+        scramble_column(ScrambleSpec("none"), 1, 2, np.zeros((1, 3), np.uint64), range(3))
 
 
 def test_permutation_node_is_cached_shape():
@@ -305,15 +304,44 @@ def test_draw_linear_scramble():
 def test_scramble_level_is_digit_of_full_scramble(kind, base, level):
     spec = ScrambleSpec(kind, seed=31, replicate=2)
     m = base ** (level + 1)
-    full = coordinate_scrambler(spec, 2, base, level + 1)
     column = np.array([digits_of(rho, base, level + 1) for rho in range(m)], dtype=np.uint64)
-    want = full(column)[:, level].tolist()
-    assert scramble_level(spec, 2, base, level, range(m)).tolist() == [want]
+    if kind == "nested":
+        full = [nested_scramble_digits(d.tolist(), base, 2, spec) for d in column]
+    else:
+        L = draw_linear_scramble(spec, 2, base, level + 1)
+        full = [linear_scramble_digits(d.tolist(), L) for d in column]
+    want = [f[level] for f in full]
+    assert scramble_column(spec, 2, base, column, [level]).tolist() == [[[w] for w in want]]
     some = [m - 1, 0, m // 2]
-    both = scramble_level(ScrambleSpec(kind, seed=31, replicate=1), 2, base, level, some, 2)
-    assert both[1].tolist() == [want[r] for r in some]  # row 1 is replicate 2
+    both = scramble_column(ScrambleSpec(kind, seed=31, replicate=1), 2, base, column[some],
+                           [level], 2)
+    assert both[1, :, 0].tolist() == [want[r] for r in some]  # block 1 is replicate 2
     with pytest.raises(ValueError):
-        scramble_level(ScrambleSpec("none"), 2, base, level, some)
+        scramble_column(ScrambleSpec("none"), 2, base, column, [level])
+
+
+@pytest.mark.parametrize("kind", ["nested", "linear"])
+@pytest.mark.parametrize(
+    "base, depth, levels",
+    [
+        (2, 4, [0, 3]),
+        (3, 3, [2, 1]),
+        (5, 2, [1]),
+        (2, 70, [3, 64, 69]),  # nested prefixes past 2^64
+    ],
+)
+def test_scramble_column_levels_and_replicate_blocks(kind, base, depth, levels):
+    x = np.random.default_rng(depth).integers(0, base, size=(40, depth), dtype=np.uint64)
+    spec = ScrambleSpec(kind, seed=31, replicate=2)
+    full = scramble_column(spec, 2, base, x, range(depth))
+    assert full.shape == (1, 40, depth) and full.dtype == np.uint64
+    assert np.array_equal(scramble_column(spec, 2, base, x, levels), full[:, :, levels])
+    blocks = scramble_column(ScrambleSpec(kind, seed=31, replicate=1), 2, base, x, levels, 3)
+    for j in range(3):  # block j is replicate 1 + j
+        one = scramble_column(ScrambleSpec(kind, seed=31, replicate=1 + j), 2, base, x, levels)
+        assert np.array_equal(blocks[j], one[0])
+    with pytest.raises(ValueError):
+        scramble_column(ScrambleSpec("none"), 2, base, x, levels)
 
 
 def test_linear_scramble_bijective_on_prefixes():
@@ -359,6 +387,8 @@ def test_randomize_precision_override(basis3):
     out = randomize(pts, ScrambleSpec("nested", seed=2, precision={1: 2}))
     assert out.digits[0].shape[1] == 2
     assert out.digits[1].shape[1] == pts.digits[1].shape[1]
+    with pytest.raises(ValueError, match=r"keys \[7\] name no coordinate"):
+        randomize(pts, ScrambleSpec("nested", precision={7: 1}))
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
