@@ -1,7 +1,7 @@
 """Scrambled Halton sequences and their exact variance gain coefficients.
 
 The package splits into small layers: prime bases (`primes`), digit-exact
-point generation and strata (`halton`), nested and linear digit scrambles
+point generation (`halton`), nested and linear digit scrambles
 (`scramble`), exact rational gain coefficients with worst-case searches and
 dimension bounds (`gains`), replicated variance experiments (`rqmc`), and a
 CLI (`cli`).
@@ -12,28 +12,15 @@ from .gains import (
     GainQuery,
     GainSummary,
     bounds_table,
-    gain_bruteforce,
     gain_curve,
     gain_exact,
     gamma_max,
     global_bounds_exact,
-    lower_bound_n_star,
     oracle_check,
     residue_pair_count,
     upper_bound_u_exact,
 )
-from .halton import (
-    PointSet,
-    PrecisionError,
-    default_precision,
-    digits_of,
-    halton_points,
-    radical_inverse,
-    residue_match,
-    stratum_counts,
-    stratum_index,
-    stratum_occupancy,
-)
+from .halton import PointSet, PrecisionError, default_precision, halton_points
 from .primes import MAX_DIMENSION, PrimeBasis, first_primes
 from .rqmc import (
     EstimateSummary,
@@ -42,16 +29,6 @@ from .rqmc import (
     mc_estimate,
     rqmc_estimate,
 )
-from .scramble import (
-    LinearScramble,
-    ScrambleSpec,
-    draw_linear_scramble,
-    linear_depth_limit,
-    linear_scramble_digits,
-    nested_scramble_digits,
-    permutation_node,
-    randomize,
-    scramble_column,
-)
+from .scramble import ScrambleSpec, linear_depth_limit, randomize, scramble_column
 
 __version__ = "0.1.0"

@@ -41,10 +41,8 @@ __all__ = [
     "GainSummary",
     "residue_pair_count",
     "gain_exact",
-    "gain_bruteforce",
     "gain_curve",
     "gamma_max",
-    "lower_bound_n_star",
     "upper_bound_u_exact",
     "global_bounds_exact",
     "bounds_table",
@@ -292,16 +290,6 @@ def _bruteforce_prefix(
     return np.cumsum(f)
 
 
-def gain_bruteforce(q: GainQuery) -> Fraction:
-    """G_{u,k}(n) by the defining double sum over index pairs.
-
-    The last entry of _bruteforce_prefix.  Quadratic in n, so n is capped.
-    """
-    t = int(_bruteforce_prefix(q.bases, q.levels, q.n)[-1])
-    total = q.n * math.prod(b - 1 for b in q.bases)
-    return Fraction(total + 2 * t, total)
-
-
 def _gain_curve_arrays(
     u: CoordSubset | Iterable[int],
     levels: Sequence[int],
@@ -437,36 +425,6 @@ def _scan_gamma(
             if value > best:
                 best, best_n = value, n
     return best, best_n
-
-
-def lower_bound_n_star(
-    u: CoordSubset | Iterable[int],
-    basis: PrimeBasis,
-    j_star: int,
-) -> tuple[int, Fraction]:
-    """The count n* at which the worst gain over u is provably attained.
-
-    Requires j_star in u with base 2 or 3 (coordinate 1 or 2); then at
-    n* = prod of the other member bases the level-0 gain equals
-    prod_{j in u, j != j_star} (b_j + 1)/b_j exactly.  The returned value is
-    re-verified against gain_exact.
-    """
-    u = CoordSubset.of(u)
-    if j_star not in u or j_star not in (1, 2):
-        raise ValueError("j_star must be a member of u with coordinate 1 or 2")
-    others = [basis.base(j) for j in u.indices if j != j_star]
-    n_star = 1
-    value = Fraction(1)
-    for b in others:
-        n_star *= b
-        value *= Fraction(b + 1, b)
-    check = gain_exact(GainQuery.build(u, (0,) * len(u), n_star, basis))
-    if check != value:
-        raise RuntimeError(
-            f"attained-bound identity failed: gain({n_star}) = {check}, "
-            f"expected {value}"
-        )
-    return n_star, value
 
 
 def upper_bound_u_exact(

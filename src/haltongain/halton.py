@@ -1,36 +1,21 @@
-"""Halton points, their digit expansions, and elementary-interval strata.
+"""Halton points and their digit expansions.
 
 The i-th point's coordinate j is the base-b_j radical inverse of i: write
 i = sum_l a_l * b^(l-1) and reflect the digits about the radix point,
 x = sum_l a_l * b^(-l).  A point set holds each coordinate as one integer
-digit array; strata and residue tests work on the digits, and floats are a
-derived view.
+digit array, and floats are a derived view.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .primes import PrimeBasis
 
-__all__ = [
-    "MAX_INDEX",
-    "PrecisionError",
-    "PointSet",
-    "default_precision",
-    "digits_of",
-    "radical_inverse",
-    "halton_points",
-    "stratum_index",
-    "residue_match",
-    "stratum_counts",
-    "stratum_occupancy",
-]
+__all__ = ["MAX_INDEX", "PrecisionError", "PointSet", "default_precision", "halton_points"]
 
 # Point indices are 64-bit; the default digit precision is chosen to match.
 MAX_INDEX = 1 << 64
@@ -49,45 +34,6 @@ def default_precision(base: int) -> int:
         p *= base
         d += 1
     return d
-
-
-def digits_of(i: int, base: int, precision: int) -> tuple[int, ...]:
-    """First `precision` base-b digits of i, least significant first.
-
-    The per-point oracle of `halton_points`' digit columns.  Refuses to
-    drop significant digits: requires base**precision > i.
-    """
-    if i < 0:
-        raise ValueError(f"index must be >= 0, got {i}")
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
-    if i >= base**precision:
-        raise PrecisionError(f"{precision} base-{base} digits cannot represent index {i}")
-    digits = []
-    rem = i
-    for _ in range(precision):
-        rem, a = divmod(rem, base)
-        digits.append(a)
-    return tuple(digits)
-
-
-def radical_inverse(i: int, base: int) -> Fraction:
-    """Reflect the base-b digits of i about the radix point; exact value.
-
-    The oracle of `halton_points`' floats, which are this value correctly
-    rounded.
-    """
-    if i < 0:
-        raise ValueError(f"index must be >= 0, got {i}")
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    num, den = 0, 1
-    rem = i
-    while rem:
-        rem, a = divmod(rem, base)
-        num = num * base + a
-        den *= base
-    return Fraction(num, den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +112,8 @@ def _point_set(start: int, bases: Sequence[int], digits: list, tails: list) -> P
 def _index_digits(start: int, count: int, base: int, precision: int) -> np.ndarray:
     """Digits 1..precision of indices start..start+count-1, one row each."""
     last = start + count - 1
-    digits_of(last, base, precision)  # refuses a largest index of base**precision or more
+    if last >= base**precision:
+        raise PrecisionError(f"{precision} base-{base} digits cannot represent index {last}")
     out = np.zeros((count, precision), dtype=np.uint64)
     rem = np.uint64(start) + np.arange(count, dtype=np.uint64)
     b = np.uint64(base)
@@ -212,74 +159,3 @@ def halton_points(
     depths = _precisions(precision, [default_precision(b) for b in basis.bases])
     digits = [_index_digits(start, count, b, p) for b, p in zip(basis.bases, depths)]
     return _point_set(start, basis.bases, digits, [None] * len(digits))
-
-
-def stratum_index(points: PointSet, levels: Sequence[int]) -> list[tuple[int, ...]]:
-    """Which level-k elementary box each point falls in, one tuple per point.
-
-    Coordinate j with level k_j contributes floor(b^k_j * x_j), read off the
-    first k_j digits most significant first.  Level 0 contributes 0.
-    """
-    if len(levels) != points.dimension:
-        raise ValueError("one level per coordinate required")
-    cols = []
-    for x, b, k in zip(points.digits, points.bases, levels):
-        if k < 0:
-            raise ValueError(f"level must be >= 0, got {k}")
-        if k > x.shape[1]:
-            raise PrecisionError(f"level {k} needs more digits than the stored {x.shape[1]}")
-        cols.append(_leading(x, b, k).tolist())
-    return list(zip(*cols))
-
-
-def residue_match(i: int, i2: int, base: int, r: int) -> bool:
-    """Whether points i and i2 share their level-r interval in this base.
-
-    floor(b^r * x_i) == floor(b^r * x_i2) holds exactly when
-    i == i2 (mod b^r); this is the digit-level statement of that fact.
-    """
-    if r < 0:
-        raise ValueError(f"level must be >= 0, got {r}")
-    return (i - i2) % base**r == 0
-
-
-def _stratum_of_index(i: int, bases: Sequence[int], levels: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for b, k in zip(bases, levels):
-        rem = i % b**k
-        r = 0
-        for l in range(1, k + 1):
-            rem, a = divmod(rem, b)
-            r += a * b ** (k - l)
-        out.append(r)
-    return tuple(out)
-
-
-def stratum_counts(
-    basis: PrimeBasis,
-    start: int,
-    batch: int,
-    levels: Sequence[int],
-) -> dict[tuple[int, ...], int]:
-    """Occupancy of every level-k box over one batch of consecutive indices.
-
-    Works on index arithmetic alone (the first k_j digits of point i depend
-    only on i mod b_j^k_j), so no floats are involved.
-    """
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    if len(levels) != basis.dimension:
-        raise ValueError("one level per coordinate required")
-    bases = [basis.base(j) for j in range(1, basis.dimension + 1)]
-    counts: dict[tuple[int, ...], int] = {}
-    for i in range(start, start + batch):
-        key = _stratum_of_index(i, bases, levels)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def stratum_occupancy(
-    points: PointSet, levels: Sequence[int]
-) -> dict[tuple[int, ...], int]:
-    """Occupancy of level-k boxes for an existing (possibly scrambled) set."""
-    return dict(Counter(stratum_index(points, levels)))

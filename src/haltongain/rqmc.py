@@ -144,9 +144,10 @@ def rqmc_estimate(
 ) -> EstimateSummary:
     """Replicate means of f over n scrambled Halton points.
 
-    Replicate r reuses `spec` with its replicate field set to
-    spec.replicate + r, so a fixed (seed, spec) reproduces the summary
-    bit for bit and replicates are independent.  Only the one digit f reads
+    Replicate r reuses `spec`, which must set no precision, with its
+    replicate field set to spec.replicate + r, so a fixed (seed, spec)
+    reproduces the summary bit for bit and replicates are independent.
+    Only the one digit f reads
     per coordinate is scrambled (`scramble_column` at level k); it depends
     on a point's index i only through i mod b^(k+1), so the window's first
     min(n, b^(k+1)) points are scrambled, for a whole block of replicates
@@ -160,6 +161,9 @@ def rqmc_estimate(
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if spec.kind == "none":
         raise ValueError("variance experiments need a randomizing scramble")
+    if spec.precision:
+        raise ValueError("rqmc_estimate takes no precision override: it scrambles only "
+                         "the digit f reads")
     if spec.replicate + replicates > 1 << 64:
         raise ValueError("replicates past 2^64 - 1 do not fit the Philox key")
     if start < 0 or start + n > MAX_INDEX:

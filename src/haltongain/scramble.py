@@ -22,25 +22,24 @@ i, r = i; "mc" is digit s+1 of `rqmc.mc_estimate`'s point p, depth s, r = p.
 
 Two routes draw the same words.  `draw` runs Philox for many streams at
 once in numpy, each 64 x 64 -> 128-bit product split into 32-bit halves;
-every scramble uses it.  `stream` runs one stream on Python ints: it is the
-oracle of the per-point scrambles, and `draw` redraws through it the rare
-stream one of whose words it must reject.
+every scramble uses it.  `stream` runs one stream on Python ints: it is
+`draw`'s fallback, which redraws the rare stream one of whose words `draw`
+must reject, and the PRF route of the per-point oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Literal, Mapping, MutableMapping, Sequence
+from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
 from .halton import PointSet, _point_set, _precisions
 
 __all__ = [
-    "Kind", "ScrambleSpec", "LinearScramble", "philox", "philox_array", "counter", "stream",
-    "draw", "permutation_node", "draw_linear_scramble", "linear_depth_limit",
-    "nested_scramble_digits", "linear_scramble_digits", "scramble_column", "randomize",
+    "Kind", "ScrambleSpec", "philox", "philox_array", "counter", "stream", "draw",
+    "linear_depth_limit", "scramble_column", "randomize",
 ]
 
 Kind = Literal["none", "nested", "linear"]
@@ -168,53 +167,12 @@ def draw(seed: int, replicate, tag: str, coordinate: int, depth, r, bounds) -> n
     return out
 
 
-@dataclass(frozen=True)
-class LinearScramble:
-    """Lower-triangular digit matrix and shift for one coordinate.
-
-    rows[s-1] holds (L[s][1], ..., L[s][s]) with L[s][s] != 0; shift[s-1]
-    is e_s.  Rows are generated independently, so a depth-D' truncation of a
-    depth-D scramble matches the directly drawn depth-D' one.
-    """
-
-    base: int
-    rows: tuple[tuple[int, ...], ...]
-    shift: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for s, row in enumerate(self.rows, start=1):
-            if len(row) != s:
-                raise ValueError(f"row {s} must have {s} entries")
-            if row[-1] % self.base == 0:
-                raise ValueError(f"diagonal entry of row {s} must be nonzero")
-        if len(self.shift) != len(self.rows):
-            raise ValueError("one shift entry per row required")
-        if any(not 0 <= e < self.base for e in self.shift):
-            raise ValueError("shift entries must be digits in the base")
-
-    @property
-    def depth(self) -> int:
-        return len(self.rows)
-
-
-def permutation_node(
-    spec: ScrambleSpec, coordinate: int, base: int, depth: int, r: int
-) -> tuple[int, ...]:
-    """Permutation table for digit depth+1 below the prefix encoded by r.
-
-    Stream ("perm", coordinate, depth, r) under (seed, replicate) draws the
-    Fisher-Yates swaps: draw t, below base - t, picks the entry swapped
-    with entry base-1-t.
-    """
-    table = list(range(base))
-    swaps = stream(spec.seed, spec.replicate, "perm", coordinate, depth, r, range(base, 1, -1))
-    for i, j in zip(range(base - 1, 0, -1), swaps):
-        table[i], table[j] = table[j], table[i]
-    return tuple(table)
-
-
 def _permutations(seed: int, replicate, coordinate: int, base: int, depth: int, r) -> np.ndarray:
-    """`permutation_node` of each (replicate, r) at once: one table row each."""
+    """Permutation table of each node (replicate, r) at once: one row each.
+
+    Stream ("perm", coordinate, depth, r) draws the Fisher-Yates swaps:
+    draw t, below base - t, picks the entry swapped with entry base-1-t.
+    """
     swaps = draw(seed, replicate, "perm", coordinate, depth, r, np.arange(base, 1, -1))
     table = np.tile(np.arange(base, dtype=np.uint64), (len(swaps), 1))
     rows = np.arange(len(swaps))
@@ -222,79 +180,6 @@ def _permutations(seed: int, replicate, coordinate: int, base: int, depth: int, 
         i, j = base - 1 - t, swaps[:, t].astype(np.intp)
         table[rows, i], table[rows, j] = table[rows, j], table[rows, i]
     return table
-
-
-def draw_linear_scramble(
-    spec: ScrambleSpec, coordinate: int, base: int, depth: int
-) -> LinearScramble:
-    """Matrix rows 1..depth and shift for this coordinate under `spec`.
-
-    Stream ("row", coordinate, s, 0) draws L[s][s] - 1, then e_s, then
-    L[s][1], ..., L[s][s-1]: every row reads a prefix of the bounds
-    (b - 1, b, b, ...), so `scramble_column` draws all rows at once.
-    """
-    drawn = [stream(spec.seed, spec.replicate, "row", coordinate, s, 0, [base - 1] + [base] * s)
-             for s in range(1, depth + 1)]
-    return LinearScramble(base, tuple((*off, diag + 1) for diag, _, *off in drawn),
-                          tuple(shift for _, shift, *_ in drawn))
-
-
-def nested_scramble_digits(
-    x: Sequence[int],
-    base: int,
-    coordinate: int,
-    spec: ScrambleSpec,
-    depth: int | None = None,
-    cache: MutableMapping[tuple[int, int, int], tuple[int, ...]] | None = None,
-) -> tuple[int, ...]:
-    """Apply the nested scramble to one point's digits in one coordinate.
-
-    The per-point oracle of `randomize`'s nested columns.  Digit s+1 is
-    permuted by node (coordinate, s, r) with r the input prefix
-    (x_1, ..., x_s) read as an integer, so points agreeing to depth s share
-    that node.  Pass a dict as `cache` to reuse nodes across the points of
-    one replicate; it is keyed by the same (coordinate, s, r).
-    """
-    if depth is None:
-        depth = len(x)
-    out, r, weight = [], 0, 1
-    for s in range(depth):
-        a = x[s] if s < len(x) else 0
-        key = (coordinate, s, r)
-        table = cache.get(key) if cache is not None else None
-        if table is None:
-            table = permutation_node(spec, coordinate, base, s, r)
-            if cache is not None:
-                cache[key] = table
-        out.append(table[a])
-        r += a * weight
-        weight *= base
-    return tuple(out)
-
-
-def linear_scramble_digits(
-    x: Sequence[int], scramble: LinearScramble, depth: int | None = None
-) -> tuple[int, ...]:
-    """Apply a drawn linear scramble to one point's digits in one coordinate.
-
-    The per-point oracle of `randomize`'s linear columns.
-    """
-    b = scramble.base
-    if any(not 0 <= a < b for a in x):
-        raise ValueError("digits out of range for the scramble's base")
-    if depth is None:
-        depth = min(len(x), scramble.depth)
-    if depth > scramble.depth:
-        raise ValueError(f"scramble holds only {scramble.depth} rows")
-    out = []
-    for s in range(1, depth + 1):
-        row = scramble.rows[s - 1]
-        acc = scramble.shift[s - 1]
-        for t in range(s):
-            a = x[t] if t < len(x) else 0
-            acc += row[t] * a
-        out.append(acc % b)
-    return tuple(out)
 
 
 def linear_depth_limit(base: int) -> int:
@@ -330,9 +215,13 @@ def scramble_column(
     """
     if spec.kind == "none":
         raise ValueError("kind 'none' scrambles no digits")
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    levels = np.asarray(levels)
+    if levels.size == 0 or levels.min() < 0:
+        raise ValueError(f"levels must be one or more digit levels >= 0, got {levels.tolist()}")
     if spec.replicate + replicates > 1 << 64:
         raise ValueError("replicates past 2^64 - 1 do not fit the Philox key")
-    levels = np.asarray(levels)
     reps = np.uint64(spec.replicate) + np.arange(replicates, dtype=np.uint64)
     rows, stored = x.shape
     depth = int(levels.max()) + 1
@@ -374,15 +263,16 @@ def randomize(points: PointSet, spec: ScrambleSpec) -> PointSet:
     """Scramble every coordinate of every point; kind "none" is identity.
 
     Each column is scrambled to one depth: its precision override, else its
-    stored precision.  Nested realization adds one uniform tail draw per
-    (point, coordinate) at the level below the last scrambled digit: the
-    tail digits of a nested scramble are independent uniforms, and a single
-    draw of 53 bits scaled by b**-D has exactly that law.  Linear tails are
-    zero, matching the zero input digits beyond the stored precision.
+    stored precision; the overrides are checked under every kind.  Nested
+    realization adds one uniform tail draw per (point, coordinate) at the
+    level below the last scrambled digit: the tail digits of a nested
+    scramble are independent uniforms, and a single draw of 53 bits scaled
+    by b**-D has exactly that law.  Linear tails are zero, matching the zero
+    input digits beyond the stored precision.
     """
+    depths = _precisions(spec.precision, [x.shape[1] for x in points.digits])
     if spec.kind == "none":
         return points
-    depths = _precisions(spec.precision, [x.shape[1] for x in points.digits])
     indices = np.uint64(points.start) + np.arange(points.count, dtype=np.uint64)
     digits, tails = [], []
     for column, (base, x, depth) in enumerate(zip(points.bases, points.digits, depths), start=1):

@@ -47,17 +47,15 @@ from haltongain import (
     gamma_max,
     global_bounds_exact,
     halton_points,
-    lower_bound_n_star,
     make_haar,
     oracle_check,
     randomize,
     rqmc_estimate,
-    stratum_counts,
-    stratum_index,
-    stratum_occupancy,
     upper_bound_u_exact,
 )
 from haltongain.cli import main
+
+from oracles import lower_bound_n_star, stratum_counts, stratum_index, stratum_occupancy
 
 SEED = 20270107
 D2_LEVELS = ((0, 0), (0, 1), (1, 0), (1, 1))

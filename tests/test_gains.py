@@ -17,17 +17,16 @@ from haltongain import (
     GainQuery,
     bounds_table,
     first_primes,
-    gain_bruteforce,
     gain_curve,
     gain_exact,
     gamma_max,
     global_bounds_exact,
-    lower_bound_n_star,
     oracle_check,
-    residue_match,
     residue_pair_count,
     upper_bound_u_exact,
 )
+
+from oracles import gain_bruteforce, lower_bound_n_star, residue_match
 
 D2_LEVELS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 

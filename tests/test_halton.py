@@ -11,16 +11,19 @@ from haltongain import (
     PrecisionError,
     PrimeBasis,
     default_precision,
-    digits_of,
     first_primes,
     halton_points,
+)
+from haltongain.halton import MAX_INDEX
+
+from oracles import (
+    digits_of,
     radical_inverse,
     residue_match,
     stratum_counts,
     stratum_index,
     stratum_occupancy,
 )
-from haltongain.halton import MAX_INDEX
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 

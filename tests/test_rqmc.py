@@ -10,17 +10,20 @@ from haltongain import rqmc, scramble
 from haltongain import (
     GainQuery,
     ScrambleSpec,
-    digits_of,
-    draw_linear_scramble,
     first_primes,
     gain_exact,
-    linear_scramble_digits,
     make_haar,
     mc_estimate,
-    nested_scramble_digits,
     rqmc_estimate,
 )
 from haltongain.scramble import stream
+
+from oracles import (
+    digits_of,
+    draw_linear_scramble,
+    linear_scramble_digits,
+    nested_scramble_digits,
+)
 
 
 def evaluate(f, point) -> float:
@@ -180,6 +183,9 @@ def test_validation(basis2):
     with pytest.raises(ValueError, match="64-bit point indices"):
         rqmc_estimate(f, basis2, 1, 1, ScrambleSpec("nested"), start=-1)
     rqmc_estimate(f, basis2, 2, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)  # the last index
+    for precision in ({1: 1}, {5: 1}):  # a depth the one-digit route would ignore, a stray key
+        with pytest.raises(ValueError, match="precision"):
+            rqmc_estimate(f, basis2, 4, 2, ScrambleSpec("nested", precision=precision))
     with pytest.raises(ValueError, match="64-bit point indices"):
         rqmc_estimate(f, basis2, 3, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)
     with pytest.raises(ValueError):

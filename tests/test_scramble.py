@@ -13,22 +13,15 @@ from hypothesis import strategies as st
 
 from haltongain import (
     MAX_DIMENSION,
-    LinearScramble,
     PointSet,
     PrimeBasis,
     ScrambleSpec,
     default_precision,
-    digits_of,
-    draw_linear_scramble,
     first_primes,
     halton_points,
     linear_depth_limit,
-    linear_scramble_digits,
-    nested_scramble_digits,
-    permutation_node,
     randomize,
     scramble_column,
-    stratum_occupancy,
 )
 from haltongain import scramble
 from haltongain.scramble import (
@@ -38,6 +31,16 @@ from haltongain.scramble import (
     philox,
     philox_array,
     stream,
+)
+
+from oracles import (
+    LinearScramble,
+    digits_of,
+    draw_linear_scramble,
+    linear_scramble_digits,
+    nested_scramble_digits,
+    permutation_node,
+    stratum_occupancy,
 )
 
 P_FLOOR = 1e-6  # chi-square tests reject only on overwhelming evidence
@@ -207,6 +210,13 @@ def test_spec_validation():
         ScrambleSpec("nested", replicate=1 << 64)
     with pytest.raises(ValueError):
         scramble_column(ScrambleSpec("none"), 1, 2, np.zeros((1, 3), np.uint64), range(3))
+    x = np.zeros((1, 3), np.uint64)
+    for kind in ("nested", "linear"):
+        with pytest.raises(ValueError, match="replicates must be >= 1"):
+            scramble_column(ScrambleSpec(kind), 1, 2, x, range(3), replicates=0)
+        for levels in ([], [0, -1]):
+            with pytest.raises(ValueError, match="one or more digit levels >= 0"):
+                scramble_column(ScrambleSpec(kind), 1, 2, x, levels)
 
 
 def test_permutation_node_is_cached_shape():
@@ -389,6 +399,11 @@ def test_randomize_precision_override(basis3):
     assert out.digits[1].shape[1] == pts.digits[1].shape[1]
     with pytest.raises(ValueError, match=r"keys \[7\] name no coordinate"):
         randomize(pts, ScrambleSpec("nested", precision={7: 1}))
+    with pytest.raises(ValueError, match=r"keys \[7\] name no coordinate"):
+        randomize(pts, ScrambleSpec("none", precision={7: 1, 1: 0}))
+    with pytest.raises(ValueError, match="coordinate 1 must be >= 1"):
+        randomize(pts, ScrambleSpec("none", precision={1: 0}))
+    assert randomize(pts, ScrambleSpec("none", precision={1: 2})) is pts
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
