@@ -20,7 +20,7 @@ from .gains import (
     residue_pair_count,
     upper_bound_u_exact,
 )
-from .halton import PointSet, PrecisionError, default_precision, halton_points
+from .halton import PointSet, default_precision, halton_points
 from .primes import MAX_DIMENSION, PrimeBasis, first_primes
 from .rqmc import (
     EstimateSummary,

@@ -8,21 +8,25 @@ digit array, and floats are a derived view.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .primes import PrimeBasis
 
-__all__ = ["MAX_INDEX", "PrecisionError", "PointSet", "default_precision", "halton_points"]
+__all__ = ["MAX_INDEX", "PointSet", "default_precision", "halton_points"]
 
-# Point indices are 64-bit; the default digit precision is chosen to match.
+# Point indices are 64-bit; the digit precision is chosen to match.
 MAX_INDEX = 1 << 64
 
 
-class PrecisionError(ValueError):
-    """A digit expansion cannot represent the requested index or level."""
+def _require_integers(**values) -> None:
+    """Refuse any value that is not an integer: numpy would truncate 1.5 to 1."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def default_precision(base: int) -> int:
@@ -109,53 +113,33 @@ def _point_set(start: int, bases: Sequence[int], digits: list, tails: list) -> P
     return PointSet(start, len(digits[0]), tuple(bases), tuple(digits), tuple(zip(*cols)))
 
 
-def _index_digits(start: int, count: int, base: int, precision: int) -> np.ndarray:
-    """Digits 1..precision of indices start..start+count-1, one row each."""
-    last = start + count - 1
-    if last >= base**precision:
-        raise PrecisionError(f"{precision} base-{base} digits cannot represent index {last}")
-    out = np.zeros((count, precision), dtype=np.uint64)
+def _index_digits(start: int, count: int, base: int, depth: int) -> np.ndarray:
+    """Digits 1..depth of indices start..start+count-1, one row each.
+
+    Every index is below 2**64 <= base**default_precision(base), so that
+    depth holds each index exactly; a smaller depth keeps its first digits.
+    """
+    out = np.zeros((count, depth), dtype=np.uint64)
     rem = np.uint64(start) + np.arange(count, dtype=np.uint64)
     b = np.uint64(base)
-    l = 0
-    while last:  # digits past those of the largest index are all zero
+    last = start + count - 1
+    for l in range(depth):
+        if not last:  # digits past those of the largest index are all zero
+            break
         rem, out[:, l] = np.divmod(rem, b)
         last //= base
-        l += 1
     return out
 
 
-def _precisions(precision: Mapping[int, int] | None, defaults: Sequence[int]) -> list[int]:
-    """Digits per coordinate: the override keyed by 1-based coordinate, else
-    the default; refuses a key that names no coordinate."""
-    precision = precision or {}
-    stray = sorted(set(precision) - set(range(1, len(defaults) + 1)))
-    if stray:
-        raise ValueError(f"precision keys {stray} name no coordinate in 1..{len(defaults)}")
-    depths = [precision.get(j, p) for j, p in enumerate(defaults, start=1)]
-    for j, p in enumerate(depths, start=1):
-        if p < 1:
-            raise ValueError(f"precision override for coordinate {j} must be >= 1")
-    return depths
-
-
-def halton_points(
-    basis: PrimeBasis,
-    start: int,
-    count: int,
-    precision: Mapping[int, int] | None = None,
-) -> PointSet:
-    """Points start, ..., start+count-1 of the Halton sequence over `basis`.
-
-    `precision` overrides the per-coordinate digit count (keyed by 1-based
-    coordinate).
-    """
+def halton_points(basis: PrimeBasis, start: int, count: int) -> PointSet:
+    """Points start, ..., start+count-1 of the Halton sequence over `basis`,
+    with default_precision(b) digits per column."""
+    _require_integers(start=start, count=count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
     if start + count > MAX_INDEX:
         raise ValueError("index range exceeds 64-bit point indices")
-    depths = _precisions(precision, [default_precision(b) for b in basis.bases])
-    digits = [_index_digits(start, count, b, p) for b, p in zip(basis.bases, depths)]
+    digits = [_index_digits(start, count, b, default_precision(b)) for b in basis.bases]
     return _point_set(start, basis.bases, digits, [None] * len(digits))

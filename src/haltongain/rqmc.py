@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .gains import CoordSubset, pair_levels
-from .halton import MAX_INDEX
+from .halton import MAX_INDEX, _index_digits, _require_integers
 from .primes import PrimeBasis
 from .scramble import ScrambleSpec, draw, scramble_column
 
@@ -144,26 +144,23 @@ def rqmc_estimate(
 ) -> EstimateSummary:
     """Replicate means of f over n scrambled Halton points.
 
-    Replicate r reuses `spec`, which must set no precision, with its
-    replicate field set to spec.replicate + r, so a fixed (seed, spec)
-    reproduces the summary bit for bit and replicates are independent.
-    Only the one digit f reads
-    per coordinate is scrambled (`scramble_column` at level k); it depends
+    Replicate r reuses `spec` with its replicate field set to
+    spec.replicate + r, so a fixed (seed, spec) reproduces the summary bit
+    for bit and replicates are independent.  Only the one digit f reads per
+    coordinate is scrambled (`scramble_column` at level k); it depends
     on a point's index i only through i mod b^(k+1), so the window's first
     min(n, b^(k+1)) points are scrambled, for a whole block of replicates
     in one call, and every point looks its value up.  Each replicate's
     products and correctly rounded `math.fsum` are those of evaluating f at
     every fully scrambled point, so the means are too, bit for bit.
     """
+    _require_integers(n=n, replicates=replicates, start=start)
     if n < 1 or n > _MAX_COUNT:
         raise ValueError(f"point count must be in 1..2^53, got {n}")
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if spec.kind == "none":
         raise ValueError("variance experiments need a randomizing scramble")
-    if spec.precision:
-        raise ValueError("rqmc_estimate takes no precision override: it scrambles only "
-                         "the digit f reads")
     if spec.replicate + replicates > 1 << 64:
         raise ValueError("replicates past 2^64 - 1 do not fit the Philox key")
     if start < 0 or start + n > MAX_INDEX:
@@ -173,11 +170,7 @@ def rqmc_estimate(
     rows, positions = [], []
     for b, k in zip(f.bases, f.levels):
         size = min(n, b ** (k + 1))
-        index = np.uint64(start) + np.arange(size, dtype=np.uint64)
-        x = np.empty((size, k + 1), dtype=np.uint64)
-        for t in range(k + 1):
-            index, x[:, t] = np.divmod(index, np.uint64(b))
-        rows.append(x)
+        rows.append(_index_digits(start, size, b, k + 1))
         positions.append(np.arange(n) % size)
     values = [np.array([float(x) for x in table]) for table in f.tables]
     cells = n + sum(len(x) * b for x, b in zip(rows, f.bases))
@@ -205,6 +198,7 @@ def mc_estimate(
     point p in replicate r is stream ("mc", c, k, p) under key (seed, r),
     drawn for a block of replicates in one call per coordinate.
     """
+    _require_integers(n=n, replicates=replicates, seed=seed)
     if n < 1 or n > _MAX_COUNT:
         raise ValueError(f"point count must be in 1..2^53, got {n}")
     if replicates < 1:

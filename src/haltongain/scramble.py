@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
-from .halton import PointSet, _point_set, _precisions
+from .halton import PointSet, _point_set, _require_integers
 
 __all__ = [
     "Kind", "ScrambleSpec", "philox", "philox_array", "counter", "stream", "draw",
@@ -57,19 +57,17 @@ _ROUNDS = 10
 class ScrambleSpec:
     """What to apply and under which random key.
 
-    `precision` optionally caps the number of output digits per 1-based
-    coordinate; unlisted coordinates keep their stored precision.  Distinct
-    replicates give independent randomizations under the same seed.
+    Distinct replicates give independent randomizations under the same seed.
     """
 
     kind: Kind
     seed: int = 0
     replicate: int = 0
-    precision: Mapping[int, int] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        _require_integers(seed=self.seed, replicate=self.replicate)
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
         if not 0 <= self.replicate < 1 << 64:
@@ -218,7 +216,7 @@ def scramble_column(
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     levels = np.asarray(levels)
-    if levels.size == 0 or levels.min() < 0:
+    if levels.size == 0 or levels.dtype.kind not in "iu" or levels.min() < 0:
         raise ValueError(f"levels must be one or more digit levels >= 0, got {levels.tolist()}")
     if spec.replicate + replicates > 1 << 64:
         raise ValueError("replicates past 2^64 - 1 do not fit the Philox key")
@@ -241,8 +239,8 @@ def scramble_column(
         y = (x[:, :depth].astype(np.int64) @ matrix[:, :stored].T + drawn[:, 1]) % base
         return y.astype(np.uint64).reshape(rows, replicates, len(levels)).transpose(1, 0, 2)
     out = np.empty((replicates, rows, len(levels)), dtype=np.uint64)
-    # The prefix r = x_1 + x_2 b + ... + x_s b^(s-1) < b^s: uint64 while
-    # b^s <= 2^64, Python ints past that (never at default depths).
+    # The prefix r = x_1 + x_2 b + ... + x_s b^(s-1) < b^s: uint64 while b^s <= 2^64,
+    # Python ints past that (rqmc levels k >= default_precision(b), hand-built columns).
     r = np.zeros(rows, dtype=np.uint64)
     for s in range(depth):
         a = x[:, s] if s < stored else 0
@@ -260,23 +258,21 @@ def scramble_column(
 
 
 def randomize(points: PointSet, spec: ScrambleSpec) -> PointSet:
-    """Scramble every coordinate of every point; kind "none" is identity.
+    """Scramble every digit column of every point; kind "none" is identity.
 
-    Each column is scrambled to one depth: its precision override, else its
-    stored precision; the overrides are checked under every kind.  Nested
+    Each column is scrambled to the depth it holds, D digits.  Nested
     realization adds one uniform tail draw per (point, coordinate) at the
     level below the last scrambled digit: the tail digits of a nested
     scramble are independent uniforms, and a single draw of 53 bits scaled
     by b**-D has exactly that law.  Linear tails are zero, matching the zero
-    input digits beyond the stored precision.
+    input digits beyond the stored ones.
     """
-    depths = _precisions(spec.precision, [x.shape[1] for x in points.digits])
     if spec.kind == "none":
         return points
     indices = np.uint64(points.start) + np.arange(points.count, dtype=np.uint64)
     digits, tails = [], []
-    for column, (base, x, depth) in enumerate(zip(points.bases, points.digits, depths), start=1):
-        digits.append(scramble_column(spec, column, base, x, range(depth))[0])
+    for column, (base, x) in enumerate(zip(points.bases, points.digits), start=1):
+        digits.append(scramble_column(spec, column, base, x, range(x.shape[1]))[0])
         tails.append(draw(spec.seed, spec.replicate, "tail", column, 0, indices, [1 << 53])[:, 0]
                      / 2.0**53 if spec.kind == "nested" else None)
     return _point_set(points.start, points.bases, digits, tails)

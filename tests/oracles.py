@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, MutableMapping, Sequence
 
 from haltongain.gains import CoordSubset, GainQuery, _bruteforce_prefix, gain_exact
-from haltongain.halton import PointSet, PrecisionError, _leading
+from haltongain.halton import PointSet, _leading
 from haltongain.primes import PrimeBasis
 from haltongain.scramble import ScrambleSpec, stream
 
@@ -38,7 +38,7 @@ def digits_of(i: int, base: int, precision: int) -> tuple[int, ...]:
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
     if i >= base**precision:
-        raise PrecisionError(f"{precision} base-{base} digits cannot represent index {i}")
+        raise ValueError(f"{precision} base-{base} digits cannot represent index {i}")
     digits = []
     rem = i
     for _ in range(precision):
@@ -79,7 +79,7 @@ def stratum_index(points: PointSet, levels: Sequence[int]) -> list[tuple[int, ..
         if k < 0:
             raise ValueError(f"level must be >= 0, got {k}")
         if k > x.shape[1]:
-            raise PrecisionError(f"level {k} needs more digits than the stored {x.shape[1]}")
+            raise ValueError(f"level {k} needs more digits than the stored {x.shape[1]}")
         cols.append(_leading(x, b, k).tolist())
     return list(zip(*cols))
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haltongain import (
-    PrecisionError,
     PrimeBasis,
     default_precision,
     first_primes,
@@ -84,14 +83,14 @@ def test_radical_inverse_digit_reversal(i, base):
 
 
 def test_column_digits_fraction_and_float():
-    pts = halton_points(PrimeBasis(1, (2,)), 5, 1, precision={1: 3})
-    assert pts.digits[0].tolist() == [[1, 0, 1]]
-    assert _fraction(pts.digits[0][0], 2) == Fraction(5, 8)
+    pts = halton_points(PrimeBasis(1, (2,)), 5, 1)
+    assert pts.digits[0][:, :3].tolist() == [[1, 0, 1]]
+    assert _fraction(pts.digits[0][0, :3], 2) == Fraction(5, 8)
     assert pts.coords == ((0.625,),)
 
 
 def test_precision_guard():
-    with pytest.raises(PrecisionError):
+    with pytest.raises(ValueError, match="cannot represent index 8"):
         digits_of(8, 2, 3)
     digits_of(7, 2, 3)
 
@@ -129,22 +128,13 @@ def test_float_realization_error(basis3):
             assert abs(x - float(_fraction(col[p], pts.bases[c]))) < 2.0**-50
 
 
-def test_precision_override(basis3):
-    pts = halton_points(basis3, 0, 4, precision={1: 3})
-    assert pts.digits[0].shape == (4, 3)
-    with pytest.raises(PrecisionError):
-        halton_points(basis3, 6, 4, precision={1: 3})
-    with pytest.raises(ValueError):
-        halton_points(basis3, 0, 4, precision={1: 0})
-    with pytest.raises(ValueError, match=r"keys \[0, 4\] name no coordinate"):
-        halton_points(basis3, 0, 4, precision={4: 2, 0: 5})
-
-
 def test_point_count_validation(basis3):
     with pytest.raises(ValueError):
         halton_points(basis3, 0, 0)
     with pytest.raises(ValueError):
         halton_points(basis3, -1, 2)
+    with pytest.raises(ValueError, match="start must be an integer"):
+        halton_points(basis3, 1.5, 3)  # numpy would truncate it to points 1..3
 
 
 @given(
@@ -152,19 +142,19 @@ def test_point_count_validation(basis3):
     st.integers(min_value=0, max_value=4),
 )
 def test_stratum_index_is_scaled_floor(i, k):
-    pts = halton_points(PrimeBasis(1, (3,)), i, 1, precision={1: 6})
+    pts = halton_points(PrimeBasis(1, (3,)), i, 1)
     [(r,)] = stratum_index(pts, [k])
-    assert r == math.floor(_fraction(pts.digits[0][0], 3) * 3**k)
+    assert r == math.floor(_fraction(pts.digits[0][0, :6], 3) * 3**k)
 
 
 def test_stratum_index_validation():
-    pts = halton_points(PrimeBasis(1, (2,)), 3, 1, precision={1: 4})
+    pts = halton_points(PrimeBasis(1, (2,)), 3, 1)
     with pytest.raises(ValueError):
         stratum_index(pts, [1, 2])
     with pytest.raises(ValueError):
         stratum_index(pts, [-1])
-    with pytest.raises(PrecisionError):
-        stratum_index(pts, [5])
+    with pytest.raises(ValueError, match="more digits than the stored 64"):
+        stratum_index(pts, [65])
 
 
 def test_residue_match_is_interval_agreement():
@@ -212,11 +202,11 @@ def test_full_window_balance(basis3):
 )
 def test_columns_match_per_point_oracles(basis5, start, count):
     # Digits against digits_of, floats against the correctly rounded
-    # radical inverse, on a 5-coordinate basis with one precision override.
-    pts = halton_points(basis5, start, count, precision={4: 30})
+    # radical inverse, on a 5-coordinate basis.
+    pts = halton_points(basis5, start, count)
     assert pts.bases == (2, 3, 5, 7, 11)
     for c, (b, col) in enumerate(zip(pts.bases, pts.digits)):
-        depth = 30 if b == 7 else default_precision(b)
+        depth = default_precision(b)
         assert col.shape == (count, depth)
         for p in range(count):
             i = start + p

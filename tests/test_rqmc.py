@@ -183,9 +183,8 @@ def test_validation(basis2):
     with pytest.raises(ValueError, match="64-bit point indices"):
         rqmc_estimate(f, basis2, 1, 1, ScrambleSpec("nested"), start=-1)
     rqmc_estimate(f, basis2, 2, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)  # the last index
-    for precision in ({1: 1}, {5: 1}):  # a depth the one-digit route would ignore, a stray key
-        with pytest.raises(ValueError, match="precision"):
-            rqmc_estimate(f, basis2, 4, 2, ScrambleSpec("nested", precision=precision))
+    with pytest.raises(ValueError, match="start must be an integer"):
+        rqmc_estimate(f, basis2, 3, 2, ScrambleSpec("nested"), start=0.5)
     with pytest.raises(ValueError, match="64-bit point indices"):
         rqmc_estimate(f, basis2, 3, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)
     with pytest.raises(ValueError):
@@ -194,6 +193,8 @@ def test_validation(basis2):
         mc_estimate(f, 1, 0)
     with pytest.raises(ValueError):
         mc_estimate(f, 1, 1, seed=1 << 64)  # the Philox key holds 64 bits
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        mc_estimate(f, 2, 3, seed=1.5)  # would return the means of seed 1
 
 
 def _oracle_means(f, n, replicates, spec, start=0):
@@ -238,7 +239,9 @@ NON_DYADIC = [
         ((1, 2, 3), (3, 0, 1), 6, 50, None),
         ((2, 3), (1, 0), 23, 100, NON_DYADIC),
         ((1, 2, 3), (2, 1, 0), 45, 7, [[Fraction(1, 3), Fraction(-1, 3)], *NON_DYADIC]),
-        ((1, 2), (63, 40), 4, 5, None),  # prefixes b^k past 2^63 and 2^64
+        ((1, 2), (63, 40), 4, 5, None),  # prefixes below 2^63 and 3^40, just inside 64 bits
+        ((1,), (70,), 5, 3, None),  # k >= default_precision(2): nested prefixes past 2^64
+        ((1, 3), (66, 30), 4, 2**64 - 9, None),  # the same at the last 64-bit indices
     ],
 )
 def test_level_path_matches_per_point_oracle(kind, u, k, n, start, tables):

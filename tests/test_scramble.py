@@ -155,8 +155,8 @@ def test_replicate_head_is_the_key_start(kind, tag):
     for c, depth, r in ((4, 5, 300), (1, 0, 0), (2, 255, 1 << 70)):
         if tag == "tail":  # the tail of point i, with i < 2^64
             i = min(r, (1 << 64) - 1)
-            pts = PointSet(i, 1, (3,), (np.zeros((1, 2), dtype=np.uint64),), ((0.0,),))
-            got = randomize(pts, ScrambleSpec(kind, *key, precision={1: 1})).coords[0][0]
+            pts = PointSet(i, 1, (3,), (np.zeros((1, 1), dtype=np.uint64),), ((0.0,),))
+            got = randomize(pts, ScrambleSpec(kind, *key)).coords[0][0]
             tail = stream(*key, "tail", 1, 0, i, [1 << 53])[0] / 2**53
             assert got == permutation_node(spec, 1, 3, 0, 0)[0] / 3 + tail / 3
         elif kind == "nested":
@@ -208,13 +208,17 @@ def test_spec_validation():
         ScrambleSpec("nested", replicate=-1)
     with pytest.raises(ValueError):
         ScrambleSpec("nested", replicate=1 << 64)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        ScrambleSpec("nested", seed=1.5)  # would draw the streams of seed 1
+    with pytest.raises(ValueError, match="replicate must be an integer"):
+        ScrambleSpec("nested", replicate=2.7)
     with pytest.raises(ValueError):
         scramble_column(ScrambleSpec("none"), 1, 2, np.zeros((1, 3), np.uint64), range(3))
     x = np.zeros((1, 3), np.uint64)
     for kind in ("nested", "linear"):
         with pytest.raises(ValueError, match="replicates must be >= 1"):
             scramble_column(ScrambleSpec(kind), 1, 2, x, range(3), replicates=0)
-        for levels in ([], [0, -1]):
+        for levels in ([], [0, -1], [0.5]):  # no level equals 0.5: nothing would be drawn
             with pytest.raises(ValueError, match="one or more digit levels >= 0"):
                 scramble_column(ScrambleSpec(kind), 1, 2, x, levels)
 
@@ -392,20 +396,6 @@ def test_randomize_deterministic(kind, basis3):
     assert a.coords != c.coords
 
 
-def test_randomize_precision_override(basis3):
-    pts = halton_points(basis3, 0, 4)
-    out = randomize(pts, ScrambleSpec("nested", seed=2, precision={1: 2}))
-    assert out.digits[0].shape[1] == 2
-    assert out.digits[1].shape[1] == pts.digits[1].shape[1]
-    with pytest.raises(ValueError, match=r"keys \[7\] name no coordinate"):
-        randomize(pts, ScrambleSpec("nested", precision={7: 1}))
-    with pytest.raises(ValueError, match=r"keys \[7\] name no coordinate"):
-        randomize(pts, ScrambleSpec("none", precision={7: 1, 1: 0}))
-    with pytest.raises(ValueError, match="coordinate 1 must be >= 1"):
-        randomize(pts, ScrambleSpec("none", precision={1: 0}))
-    assert randomize(pts, ScrambleSpec("none", precision={1: 2})) is pts
-
-
 @pytest.mark.parametrize("kind", ["nested", "linear"])
 def test_randomize_preserves_stratum_multiset(kind, basis2):
     # Scrambles permute the boxes, so occupancy counts survive as a multiset.
@@ -430,12 +420,20 @@ def _realized(row: tuple[int, ...], base: int, tail: float) -> float:
     return x if x < 1.0 else 1.0 - 2.0**-53
 
 
+def _padded(points, depths):
+    """`points` with column c's digits zero-padded to depths[c], keyed by
+    1-based coordinate: a column deeper than halton_points stores."""
+    digits = tuple(np.pad(x, ((0, 0), (0, depths.get(c, x.shape[1]) - x.shape[1])))
+                   for c, x in enumerate(points.digits, start=1))
+    return PointSet(points.start, points.count, points.bases, digits, points.coords)
+
+
 def _per_point(points, spec):
     """randomize the slow way: every point through the per-point oracles."""
     digits, coords = [], []
     for c, (b, col) in enumerate(zip(points.bases, points.digits)):
         column = c + 1
-        depth = (spec.precision or {}).get(column, col.shape[1])
+        depth = col.shape[1]
         if spec.kind == "nested":
             cache: dict = {}
             rows = [nested_scramble_digits(x, b, column, spec, depth, cache)
@@ -453,17 +451,17 @@ def _per_point(points, spec):
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
 @pytest.mark.parametrize(
-    "start, count, in_prec, out_prec",
+    "start, count, depths",
     [
-        (0, 60, None, None),
-        (37, 80, None, {1: 5, 3: 40}),  # below and above the stored 64 and 28
-        ((1 << 64) - 50, 50, None, {2: 3, 5: 20}),  # ends at the last 64-bit index
-        (1000, 40, {1: 70, 4: 12}, {1: 72, 4: 9}),  # prefixes past 64 bits
+        pytest.param(0, 60, {}, id="0-60-None-None"),
+        pytest.param((1 << 64) - 50, 50, {},  # ends at the last 64-bit index
+                     id="18446744073709551566-50-None-out_prec2"),
+        pytest.param(1000, 40, {1: 72}, id="1000-40-in_prec3-out_prec3"),  # prefixes past 64 bits
     ],
 )
-def test_randomize_matches_per_point_oracles(kind, basis5, start, count, in_prec, out_prec):
-    pts = halton_points(basis5, start, count, precision=in_prec)
-    spec = ScrambleSpec(kind, seed=20261018, replicate=5, precision=out_prec)
+def test_randomize_matches_per_point_oracles(kind, basis5, start, count, depths):
+    pts = _padded(halton_points(basis5, start, count), depths)
+    spec = ScrambleSpec(kind, seed=20261018, replicate=5)
     out = randomize(pts, spec)
     digits, coords = _per_point(pts, spec)
     assert [col.tolist() for col in out.digits] == [[list(y) for y in rows] for rows in digits]
@@ -473,7 +471,7 @@ def test_randomize_matches_per_point_oracles(kind, basis5, start, count, in_prec
 def test_nested_prefixes_of_scrambled_digits_past_64_bits():
     # Scrambled digits beyond digit 64 are not zero, so the prefix r of a
     # second nested scramble exceeds 2^64 there.
-    pts = halton_points(PrimeBasis(1, (2,)), 5, 30, precision={1: 72})
+    pts = _padded(halton_points(PrimeBasis(1, (2,)), 5, 30), {1: 72})
     once = randomize(pts, ScrambleSpec("nested", seed=1))
     assert once.digits[0][:, 64:].any()
     spec = ScrambleSpec("nested", seed=1, replicate=1)
@@ -496,8 +494,9 @@ def test_linear_depth_limit_at_the_largest_base():
     digits, coords = _per_point(pts, spec)
     out = randomize(pts, spec)
     assert out.digits[0].tolist() == [list(y) for y in digits[0]]
+    deeper = _padded(pts, {1: limit + 1})
     with pytest.raises(ValueError, match="int64"):
-        randomize(pts, ScrambleSpec("linear", seed=3, precision={1: limit + 1}))
+        randomize(deeper, spec)
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
@@ -514,7 +513,7 @@ def test_rejected_words_fall_back_to_the_scalar_route(kind, basis5, monkeypatch)
 
     monkeypatch.setattr(scramble, "stream", counted)
     pts = halton_points(basis5, 37, 40)
-    spec = ScrambleSpec(kind, seed=20261018, replicate=5, precision={1: 9, 4: 3})
+    spec = ScrambleSpec(kind, seed=20261018, replicate=5)
     out = randomize(pts, spec)
     assert set(tags) == ({"perm", "tail"} if kind == "nested" else {"row"})
     digits, coords = _per_point(pts, spec)
