@@ -17,18 +17,11 @@ from .gains import (
     gamma_max,
     global_bounds_exact,
     oracle_check,
-    residue_pair_count,
     upper_bound_u_exact,
 )
 from .halton import PointSet, default_precision, halton_points
 from .primes import MAX_DIMENSION, PrimeBasis, first_primes
-from .rqmc import (
-    EstimateSummary,
-    HaarIntegrand,
-    make_haar,
-    mc_estimate,
-    rqmc_estimate,
-)
+from .rqmc import EstimateSummary, HaarIntegrand, make_haar, rqmc_estimate
 from .scramble import ScrambleSpec, linear_depth_limit, randomize, scramble_column
 
 __version__ = "0.1.0"

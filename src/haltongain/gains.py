@@ -15,11 +15,13 @@ index pairs below n that agree modulo m.  Everything here is exact rational
 arithmetic; floats appear only in the large-d bound tables, as views, and to
 pick the counts the worst-gain scan re-checks exactly.
 
-Every gain curve, the worst-gain scan and the oracle grid share one
-evaluator, _pair_prefix: with C(m, n) = n + 2 sum_{n' < n} floor(n'/m), the
-pair sum is n * denom + 2 T(n), and T over a whole range of n is two int64
-cumulative sums.  The brute force shares none of it: it sums the defining
-pair kernel over index pairs.
+With C(m, n) = n + 2 sum_{n' < n} floor(n'/m), the pair sum is
+n * denom + 2 T(n), T(n) = sum_{n' < n} sum_v H_v floor(n'/m_v).  One closed
+form, _prefix_at, gives T at a single n in Python ints: gain_exact uses it,
+the worst-gain scan re-checks with it, and it seeds _pair_prefix, the
+evaluator every gain curve, the scan and the oracle grid share, which gives
+T over a whole range of n as two int64 cumulative sums.  The brute force
+shares none of it: it sums the defining pair kernel over index pairs.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .halton import _require_integers
 from .primes import PrimeBasis, first_primes
 
 __all__ = [
@@ -39,7 +42,6 @@ __all__ = [
     "GainQuery",
     "pair_levels",
     "GainSummary",
-    "residue_pair_count",
     "gain_exact",
     "gain_curve",
     "gamma_max",
@@ -64,6 +66,8 @@ class CoordSubset:
 
     def __post_init__(self) -> None:
         idx = self.indices
+        for j in idx:
+            _require_integers(coordinate=j)
         if any(j < 1 for j in idx):
             raise ValueError("coordinate indices are 1-based")
         if list(idx) != sorted(set(idx)):
@@ -100,7 +104,7 @@ def pair_levels(
 
     `levels` holds one level per member of u in the order u lists them, so
     a permuted u pairs exactly as its sorted form.  A coordinate listed
-    twice is refused.
+    twice, and a level that is not an integer >= 0, are refused.
     """
     coords = tuple(u)
     levels = tuple(levels)
@@ -109,6 +113,10 @@ def pair_levels(
         raise ValueError(f"coordinate {twice[0]} listed more than once in u")
     if len(levels) != len(coords):
         raise ValueError("one level per subset member required")
+    for k in levels:
+        _require_integers(level=k)
+        if k < 0:
+            raise ValueError(f"levels must be >= 0, got {k}")
     pairs = sorted(zip(coords, levels))
     return CoordSubset(tuple(j for j, _ in pairs)), tuple(k for _, k in pairs)
 
@@ -147,8 +155,6 @@ class GainQuery:
             raise ValueError(
                 f"coordinate {u.indices[-1]} outside basis dimension {basis.dimension}"
             )
-        if any(k < 0 for k in levels):
-            raise ValueError("levels must be >= 0")
         if n < 1:
             raise ValueError(f"point count must be >= 1, got {n}")
         bases = tuple(basis.base(j) for j in u.indices)
@@ -162,20 +168,6 @@ class GainQuery:
                 "query moduli exceed 128-bit range; lower the levels or |u|"
             )
         return cls(u, levels, n, bases, m_under, m_over)
-
-
-def residue_pair_count(m: int, n: int) -> int:
-    """Pairs (i, i2) in [0, n)^2 with i == i2 (mod m).
-
-    Writing n = qm + r, the count is n + (2n - m)q - mq^2: the r residue
-    classes holding q+1 indices contribute (q+1)^2 each, the rest q^2.
-    """
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    if n < 0:
-        raise ValueError(f"count must be >= 0, got {n}")
-    q = n // m
-    return n + (2 * n - m) * q - m * q * q
 
 
 def _terms(
@@ -201,17 +193,26 @@ def _terms(
     return out
 
 
-def _pair_sum(terms: list[tuple[int, int]], n: int) -> int:
-    """sum_v H_v * C(m_v, n), which is n * prod(b_j - 1) * G(n)."""
-    return sum(h * residue_pair_count(m, n) for h, m in terms)
+def _prefix_at(terms: list[tuple[int, int]], n: int) -> tuple[int, int]:
+    """F(n) = sum_v H_v floor(n/m_v) and T(n) = sum_{n' < n} F(n'), exactly.
+
+    With n = qm + r, sum_{n' < n} floor(n'/m) = m q(q-1)/2 + r q.
+    """
+    f = t = 0
+    for h, m in terms:
+        q, r = divmod(n, m)
+        f += h * q
+        t += h * (m * q * (q - 1) // 2 + r * q)
+    return f, t
 
 
 def gain_exact(q: GainQuery) -> Fraction:
     """G_{u,k}(n) by the closed form, as an exact reduced rational."""
-    total = _pair_sum(_terms(q.bases, q.levels, q.n), q.n)
+    den = q.n * math.prod(b - 1 for b in q.bases)
+    total = den + 2 * _prefix_at(_terms(q.bases, q.levels, q.n), q.n)[1]
     if total < 0:
         raise RuntimeError("negative gain sum; closed-form evaluation is broken")
-    return Fraction(total, q.n * math.prod(b - 1 for b in q.bases))
+    return Fraction(total, den)
 
 
 def _pair_prefix(terms: list[tuple[int, int]], lo: int, hi: int) -> np.ndarray:
@@ -220,8 +221,8 @@ def _pair_prefix(terms: list[tuple[int, int]], lo: int, hi: int) -> np.ndarray:
     T(n) = sum_{n' < n} F(n') with F(n') = sum_v H_v floor(n'/m_v), so that
     sum_v H_v C(m_v, n) = n * sum_v H_v + 2 T(n).  The differences of F are
     spikes H_v at the multiples of m_v: they are scattered, then two
-    in-place cumulative sums seeded with F(lo) and T(lo), both exact Python
-    ints, give T, so ranges share no state.  Only the K terms with m_v < hi
+    in-place cumulative sums seeded with F(lo) and T(lo) from _prefix_at
+    give T, so ranges share no state.  Only the K terms with m_v < hi
     reach F below hi.  With levels >= 0, |H_v| <= m_v, so |F(n')| <= K n'
     and |T(n)| < K n^2 / 2; ranges with K hi^2 >= 2^64 are refused before
     any array is made.
@@ -233,15 +234,11 @@ def _pair_prefix(terms: list[tuple[int, int]], lo: int, hi: int) -> np.ndarray:
             f"below n = {hi} exceed it, lower n_max"
         )
     acc = np.zeros(hi - lo, dtype=np.int64)
-    f_lo = t_lo = 0
     for h, m in small:
-        q, r = divmod(lo, m)
-        f_lo += h * q
-        t_lo += h * (m * q * (q - 1) // 2 + r * q)
-        first = (q + 1) * m
+        first = (lo // m + 1) * m
         if first < hi:
             acc[first - lo :: m] += h
-    acc[0] = f_lo
+    acc[0], t_lo = _prefix_at(small, lo)
     np.cumsum(acc, out=acc)  # acc[i] = F(lo + i)
     acc[0] += t_lo
     np.cumsum(acc, out=acc)  # acc[i] = T(lo + i + 1)
@@ -406,7 +403,7 @@ def _scan_gamma(
     G(n) = 1 + 2 T(n) / (n * denom), with T(n) from _pair_prefix, the
     evaluator every gain curve shares, one chunk of counts at a time so
     memory stays flat.  The n whose T(n)/n is near the chunk top in float64
-    are re-checked exactly with the closed form.
+    are re-checked exactly with _prefix_at.
     """
     best = Fraction(-1)
     best_n = 1
@@ -418,10 +415,10 @@ def _scan_gamma(
         # float64 rounding moves T/n by ~1e-16 relative; the band is far wider
         for i in np.flatnonzero(ratio >= top - abs(top) * 1e-12):
             n = lo + 1 + int(i)
-            total = _pair_sum(terms, n)
-            if total != n * denom + 2 * int(acc[i]):
+            t = _prefix_at(terms, n)[1]
+            if int(acc[i]) != t:
                 raise RuntimeError(f"scan disagrees with the closed form at n = {n}")
-            value = Fraction(total, n * denom)
+            value = Fraction(n * denom + 2 * t, n * denom)
             if value > best:
                 best, best_n = value, n
     return best, best_n

@@ -24,14 +24,13 @@ import numpy as np
 from .gains import CoordSubset, pair_levels
 from .halton import MAX_INDEX, _index_digits, _require_integers
 from .primes import PrimeBasis
-from .scramble import ScrambleSpec, draw, scramble_column
+from .scramble import ScrambleSpec, scramble_column
 
 __all__ = [
     "HaarIntegrand",
     "EstimateSummary",
     "make_haar",
     "rqmc_estimate",
-    "mc_estimate",
 ]
 
 _MAX_COUNT = 1 << 53  # counts stay exactly representable as floats
@@ -72,8 +71,6 @@ def make_haar(
     u, levels = pair_levels(coords, levels)
     if not len(u):
         raise ValueError("integrand needs a nonempty coordinate subset")
-    if any(k < 0 for k in levels):
-        raise ValueError("levels must be >= 0")
     bases = tuple(basis.base(j) for j in u.indices)
     if tables is None:
         tables = [[-1] * (b - 1) + [b - 1] for b in bases]
@@ -181,38 +178,5 @@ def rqmc_estimate(
         for t, (c, b, k) in enumerate(zip(f.u.indices, f.bases, f.levels)):
             digits = scramble_column(rspec, c, b, rows[t], [k], count)[:, :, 0]
             product = product * values[t][digits][:, positions[t]]
-        means.extend(math.fsum(row) / n for row in product.tolist())
-    return _summarize(n, means, float(f.sigma2))
-
-
-def mc_estimate(
-    f: HaarIntegrand,
-    n: int,
-    replicates: int,
-    seed: int = 0,
-) -> EstimateSummary:
-    """Plain Monte Carlo baseline: n iid uniform points per replicate.
-
-    Draws only the digit f reads per coordinate (the digits of a uniform
-    coordinate are iid uniform over Z_b): digit k+1 of coordinate c of
-    point p in replicate r is stream ("mc", c, k, p) under key (seed, r),
-    drawn for a block of replicates in one call per coordinate.
-    """
-    _require_integers(n=n, replicates=replicates, seed=seed)
-    if n < 1 or n > _MAX_COUNT:
-        raise ValueError(f"point count must be in 1..2^53, got {n}")
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError("seed must fit in 64 bits")
-    values = [np.array([float(x) for x in table]) for table in f.tables]
-    points = np.arange(n, dtype=np.uint64)
-    means = []
-    for r0, count in _blocks(replicates, n * (len(values) + 1)):
-        reps = np.repeat(np.arange(r0, r0 + count, dtype=np.uint64), n)
-        product = 1.0  # then times each coordinate's factor, in u's order
-        for c, b, k, table in zip(f.u.indices, f.bases, f.levels, values):
-            digits = draw(seed, reps, "mc", c, k, np.tile(points, count), [b])
-            product = product * table[digits.reshape(count, n)]
         means.extend(math.fsum(row) / n for row in product.tolist())
     return _summarize(n, means, float(f.sigma2))

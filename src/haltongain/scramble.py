@@ -17,8 +17,8 @@ draw, rejecting words that would bias it; `counter` refuses fields too wide
 for their bits, so distinct streams never share a counter.  Tag "perm" is
 nested node (s, r) at depth s, where r = x_1 + x_2 b + ... + x_s b^(s-1) is
 i mod b^s for index i and encodes the prefix (x_1, ..., x_s) bijectively;
-"row" is linear row s at depth s, r = 0; "tail" is the nested tail of point
-i, r = i; "mc" is digit s+1 of `rqmc.mc_estimate`'s point p, depth s, r = p.
+"row" is linear row s at depth s, r = 0; and "tail" is the nested tail of
+point i, r = i.
 
 Two routes draw the same words.  `draw` runs Philox for many streams at
 once in numpy, each 64 x 64 -> 128-bit product split into 32-bit halves;
@@ -45,7 +45,7 @@ __all__ = [
 Kind = Literal["none", "nested", "linear"]
 
 _KINDS = ("none", "nested", "linear")
-_TAGS = {"perm": 0, "row": 1, "tail": 2, "mc": 3}
+_TAGS = {"perm": 0, "row": 1, "tail": 2}
 _MASK = (1 << 64) - 1
 _SPAN = 1 << 64  # a draw below `bound` takes the first word below _SPAN - _SPAN % bound
 _MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64 multipliers

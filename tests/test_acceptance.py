@@ -237,7 +237,8 @@ def test_criterion_6_bounds_at_scale(capfd, tmp_path):
     up6 = rows[5][2]
     if not math.isclose(up6, float(global_bounds_exact(6)[1]), rel_tol=1e-12):
         problems.append(f"d=6 upper {up6} is not 1001/384")
-    margins = [(d, g - float(star) * (up / up6)) for d, _, up, g in rows[5:]]
+    star_f = float(star)
+    margins = [(d, g - star_f * (up / up6)) for d, _, up, g in rows[5:]]
     viol = [m for m in margins if m[1] < 0]
     if viol:
         worst = min(viol, key=lambda v: v[1])

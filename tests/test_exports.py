@@ -1,5 +1,5 @@
 """Export lists: every public name resolves, the package re-exports only
-names its modules declare public, its 26 names are pinned, and the per-point
+names its modules declare public, its 24 names are pinned, and the per-point
 oracles of tests/oracles.py stay out of it."""
 
 import ast
@@ -48,11 +48,10 @@ def test_package_imports_are_declared_public():
 
 PUBLIC = sorted([
     "CoordSubset", "GainQuery", "GainSummary", "bounds_table", "gain_curve", "gain_exact",
-    "gamma_max", "global_bounds_exact", "oracle_check", "residue_pair_count",
-    "upper_bound_u_exact",
+    "gamma_max", "global_bounds_exact", "oracle_check", "upper_bound_u_exact",
     "PointSet", "default_precision", "halton_points",
     "MAX_DIMENSION", "PrimeBasis", "first_primes",
-    "EstimateSummary", "HaarIntegrand", "make_haar", "mc_estimate", "rqmc_estimate",
+    "EstimateSummary", "HaarIntegrand", "make_haar", "rqmc_estimate",
     "ScrambleSpec", "linear_depth_limit", "randomize", "scramble_column",
 ])
 
@@ -65,7 +64,7 @@ ORACLES = [
 
 
 def test_package_surface_is_pinned():
-    assert len(PUBLIC) == 26
+    assert len(PUBLIC) == 24
     assert sorted(name for _, name in _package_imports()) == PUBLIC
 
 

@@ -22,7 +22,6 @@ from haltongain import (
     gamma_max,
     global_bounds_exact,
     oracle_check,
-    residue_pair_count,
     upper_bound_u_exact,
 )
 
@@ -37,16 +36,17 @@ def _cycle_max(u, levels, basis) -> Fraction:
 
 
 def closed_form_curve(u, levels, basis, n_max) -> list[Fraction]:
-    """[G(1), ..., G(n_max)] by the pair-count closed form, one n at a time.
+    """[G(1), ..., G(n_max)] by the closed form _prefix_at, one n at a time.
 
-    gain_curve and the worst-gain scan share one prefix-sum evaluator, so
-    this per-n route is the scan's independent oracle.
+    gain_curve and the worst-gain scan share one prefix-sum evaluator, whose
+    cumulative sums this per-n route skips, so it is the scan's oracle.
     """
     template = GainQuery.build(u, levels, 1, basis)
     terms = gains._terms(template.bases, template.levels, n_max)
     denom = math.prod(b - 1 for b in template.bases)
     return [
-        Fraction(gains._pair_sum(terms, n), n * denom) for n in range(1, n_max + 1)
+        Fraction(n * denom + 2 * gains._prefix_at(terms, n)[1], n * denom)
+        for n in range(1, n_max + 1)
     ]
 
 
@@ -63,10 +63,15 @@ def brute_curve(u, levels, basis, n_max) -> list[Fraction]:
 # ---------------------------------------------------------------- pair counts
 
 
+def _pair_count(m, n):
+    """Pairs in [0, n)^2 agreeing mod m: C(m, n) = n + 2 T(n) for the term (1, m)."""
+    return n + 2 * gains._prefix_at([(1, m)], n)[1]
+
+
 def test_pair_count_known():
-    assert residue_pair_count(3, 7) == 17
-    assert residue_pair_count(1, 5) == 25
-    assert residue_pair_count(10, 7) == 7
+    assert _pair_count(3, 7) == 17
+    assert _pair_count(1, 5) == 25
+    assert _pair_count(10, 7) == 7
 
 
 @given(
@@ -77,7 +82,7 @@ def test_pair_count_closed_form(m, n):
     brute = sum(
         1 for i in range(n) for i2 in range(n) if (i - i2) % m == 0
     )
-    assert residue_pair_count(m, n) == brute
+    assert _pair_count(m, n) == brute
 
 
 # ------------------------------------------------------------ reference gains
@@ -280,6 +285,33 @@ def test_level_bump_invariance(queries, basis4):
         bumped[pos] += 1
         at = GainQuery.build(q.u, bumped, q.n * q.bases[pos], basis4)
         assert gain_exact(at) == gain_exact(q)
+
+
+def _residue_form(q) -> Fraction:
+    """G = sum_v s_v r_v (m_v - r_v) / (n prod(b_j - 1) m_under), where
+    s_v = (-1)^(|u|-|v|), m_v = m_under prod_{j in v} b_j and r_v = n mod m_v."""
+    total = 0
+    for v in itertools.product((0, 1), repeat=len(q.bases)):
+        m = q.m_under * math.prod(b for b, bit in zip(q.bases, v) if bit)
+        r = q.n % m
+        total += (-1) ** (len(v) - sum(v)) * r * (m - r)
+    return Fraction(total, q.n * math.prod(b - 1 for b in q.bases) * q.m_under)
+
+
+def test_gain_exact_matches_residue_form(queries):
+    # The sampler stops at n = 5000; the residue form also reaches n far
+    # past int64, where no other route evaluates gain_exact.
+    for q in queries:
+        assert gain_exact(q) == _residue_form(q)
+    basis = first_primes(6)
+    rng = random.Random(20261018)
+    counts = (2**64 + 7, 10**30, *(10**40 + s for s in range(-2, 3)))
+    for _ in range(300):
+        u = rng.sample(range(1, 7), rng.randint(1, 6))
+        levels = [rng.randint(0, 3) for _ in u]
+        for n in counts:
+            q = GainQuery.build(u, levels, n, basis)
+            assert gain_exact(q) == _residue_form(q)
 
 
 def test_level_shift_identity(queries, basis4):
@@ -579,6 +611,10 @@ def test_coord_subset_basics():
     assert len(list(u.subsets())) == 4
     with pytest.raises(ValueError):
         CoordSubset((0,))
+    with pytest.raises(ValueError, match="coordinate must be an integer, got 1.5"):
+        CoordSubset((1.5, 2))
+    with pytest.raises(ValueError, match="got 1.5"):
+        upper_bound_u_exact((1.5, 2), first_primes(2))
 
 
 def test_query_validation(basis3):
@@ -586,8 +622,10 @@ def test_query_validation(basis3):
         GainQuery.build((), (), 5, basis3)
     with pytest.raises(ValueError):
         GainQuery.build((1,), (0, 0), 5, basis3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="levels must be >= 0, got -1"):
         GainQuery.build((1,), (-1,), 5, basis3)
+    with pytest.raises(ValueError, match="level must be an integer, got 0.5"):
+        GainQuery.build((1,), (0.5,), 5, basis3)
     with pytest.raises(ValueError):
         GainQuery.build((4,), (0,), 5, basis3)
     with pytest.raises(ValueError):

@@ -13,10 +13,8 @@ from haltongain import (
     first_primes,
     gain_exact,
     make_haar,
-    mc_estimate,
     rqmc_estimate,
 )
-from haltongain.scramble import stream
 
 from oracles import (
     digits_of,
@@ -67,8 +65,12 @@ def test_make_haar_validation(basis3):
         make_haar((), (), basis3)
     with pytest.raises(ValueError):
         make_haar((1,), (0, 0), basis3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="levels must be >= 0, got -1"):
         make_haar((1,), (-1,), basis3)
+    with pytest.raises(ValueError, match="level must be an integer, got 0.5"):
+        make_haar((1,), (0.5,), basis3)
+    with pytest.raises(ValueError, match="coordinate must be an integer, got 1.0"):
+        make_haar((1.0,), (0,), basis3)
     with pytest.raises(ValueError):
         make_haar((1,), (0,), basis3, tables=[[1, 1]])  # no zero sum
     with pytest.raises(ValueError):
@@ -133,16 +135,6 @@ def test_single_point_matches_monte_carlo(basis2):
     assert abs(out.empirical_gain - 1.0) < band
 
 
-def test_mc_baseline(basis2):
-    f = make_haar((1, 2), (0, 0), basis2)
-    reps = 4000
-    out = mc_estimate(f, 5, reps, seed=73)
-    band = 4 * math.sqrt(2.0 / (reps - 1))
-    assert abs(out.empirical_gain - 1.0) < band
-    assert out == mc_estimate(f, 5, reps, seed=73)
-    assert out != mc_estimate(f, 5, reps, seed=74)
-
-
 def test_summary_arithmetic(basis2):
     f = make_haar((1,), (0,), basis2)
     out = rqmc_estimate(f, basis2, 3, 5, ScrambleSpec("nested", seed=1))
@@ -187,14 +179,6 @@ def test_validation(basis2):
         rqmc_estimate(f, basis2, 3, 2, ScrambleSpec("nested"), start=0.5)
     with pytest.raises(ValueError, match="64-bit point indices"):
         rqmc_estimate(f, basis2, 3, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)
-    with pytest.raises(ValueError):
-        mc_estimate(f, 0, 1)
-    with pytest.raises(ValueError):
-        mc_estimate(f, 1, 0)
-    with pytest.raises(ValueError):
-        mc_estimate(f, 1, 1, seed=1 << 64)  # the Philox key holds 64 bits
-    with pytest.raises(ValueError, match="seed must be an integer"):
-        mc_estimate(f, 2, 3, seed=1.5)  # would return the means of seed 1
 
 
 def _oracle_means(f, n, replicates, spec, start=0):
@@ -261,37 +245,9 @@ def test_make_haar_pairs_levels_and_tables_with_u_as_given(basis3):
         make_haar((3, 1, 3), (0, 0, 0), basis3)
 
 
-def _mc_oracle_means(f, n, replicates, seed):
-    """mc_estimate's means the slow way: every digit from its own scalar stream."""
-    means = []
-    for r in range(replicates):
-        values = []
-        for p in range(n):
-            out = 1.0
-            for t, (c, b, k) in enumerate(zip(f.u.indices, f.bases, f.levels)):
-                out *= float(f.tables[t][stream(seed, r, "mc", c, k, p, [b])[0]])
-            values.append(out)
-        means.append(math.fsum(values) / n)
-    return tuple(means)
-
-
-@pytest.mark.parametrize(
-    "u, k, n, reps, tables",
-    [
-        ((1, 2), (0, 0), 5, 1200, None),  # two blocks of replicates
-        ((3, 1, 2), (0, 2, 1), 9, 40, [NON_DYADIC[1], [Fraction(1, 3), Fraction(-1, 3)],
-                                      NON_DYADIC[0]]),
-    ],
-)
-def test_mc_matches_scalar_oracle(u, k, n, reps, tables):
-    basis = first_primes(3)
-    f = make_haar(u, k, basis, tables=tables)
-    assert mc_estimate(f, n, reps, seed=20261018).means == _mc_oracle_means(f, n, reps, 20261018)
-
-
 def test_rejected_words_fall_back_to_the_scalar_route(monkeypatch):
     # Reject every word at or above 3 * 2^62, about one in four, so that
-    # batched Fisher-Yates, linear-row and mc words are rejected; blocks of
+    # batched Fisher-Yates and linear-row words are rejected; blocks of
     # a few replicates make several blocks per estimate.
     monkeypatch.setattr(scramble, "_SPAN", 3 << 62)
     monkeypatch.setattr(rqmc, "_BLOCK_CELLS", 64)
@@ -308,8 +264,6 @@ def test_rejected_words_fall_back_to_the_scalar_route(monkeypatch):
                                                       *NON_DYADIC])
     got = {kind: rqmc_estimate(f, basis, 23, 12, ScrambleSpec(kind, seed=9, replicate=3),
                                start=4).means for kind in ("nested", "linear")}
-    mc = mc_estimate(f, 23, 12, seed=9).means
-    assert {"perm", "row", "mc"} <= set(tags)  # each batched kind fell back at least once
+    assert {"perm", "row"} <= set(tags)  # each batched kind fell back at least once
     for kind, means in got.items():
         assert means == _oracle_means(f, 23, 12, ScrambleSpec(kind, seed=9, replicate=3), 4)
-    assert mc == _mc_oracle_means(f, 23, 12, 9)
