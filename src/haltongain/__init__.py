@@ -8,7 +8,6 @@ CLI (`cli`).
 """
 
 from .gains import (
-    CoordSubset,
     GainQuery,
     GainSummary,
     bounds_table,

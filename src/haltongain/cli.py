@@ -23,7 +23,7 @@ from typing import Any, Sequence
 
 from . import gains, rqmc
 from .halton import halton_points
-from .primes import first_primes
+from .primes import PrimeBasis, first_primes
 from .scramble import ScrambleSpec, randomize
 
 __all__ = ["RunConfig", "dispatch", "main"]
@@ -186,17 +186,16 @@ def _cmd_points(cfg: RunConfig) -> int:
     return 0
 
 
-def _gain_query(cfg: RunConfig) -> gains.GainQuery:
+def _subset_args(cfg: RunConfig) -> tuple[tuple[int, ...], tuple[int, ...], PrimeBasis]:
+    """--u, --k and the first max(u) primes; the library checks the subset."""
     u = _parse_ints(cfg.params["u"], "--u")
     k = _parse_ints(cfg.params["k"], "--k")
-    if not u:
-        raise ValueError("--u must name at least one coordinate")
-    basis = first_primes(max(u))
-    return gains.GainQuery.build(u, k, cfg.params["n"], basis)
+    return u, k, first_primes(max((1, *u)))
 
 
 def _cmd_gain(cfg: RunConfig) -> int:
-    q = _gain_query(cfg)
+    u, k, basis = _subset_args(cfg)
+    q = gains.GainQuery.build(u, k, cfg.params["n"], basis)
     g = gains.gain_exact(q)
     if cfg.fmt == "json":
         _emit_json(cfg, {"gain": f"{g.numerator}/{g.denominator}", **{
@@ -220,10 +219,8 @@ def _gain_columns(u, levels, basis, n_max) -> tuple[list, list, list]:
 
 
 def _cmd_gain_curve(cfg: RunConfig) -> int:
-    u = _parse_ints(cfg.params["u"], "--u")
-    k = _parse_ints(cfg.params["k"], "--k")
+    u, k, basis = _subset_args(cfg)
     n_max = cfg.params["n_max"]
-    basis = first_primes(max(u) if u else 1)
     rows = zip(range(1, n_max + 1), *_gain_columns(u, k, basis, n_max))
     if cfg.fmt == "json":
         _emit_json(
@@ -270,13 +267,11 @@ def _cmd_bounds(cfg: RunConfig) -> int:
 
 
 def _cmd_variance(cfg: RunConfig) -> int:
-    u = _parse_ints(cfg.params["u"], "--u")
-    k = _parse_ints(cfg.params["k"], "--k")
+    u, k, basis = _subset_args(cfg)
     n, reps = cfg.params["n"], cfg.params["reps"]
     if reps < 2:
         raise ValueError(f"--reps must be >= 2 for a sample variance, got {reps}")
     kind = cfg.params["scramble"]
-    basis = first_primes(max(u) if u else 1)
     expected = gains.gain_exact(gains.GainQuery.build(u, k, n, basis))
     f = rqmc.make_haar(u, k, basis)
     summary = rqmc.rqmc_estimate(f, basis, n, reps, ScrambleSpec(kind, cfg.seed))
@@ -368,17 +363,15 @@ def _cmd_figure(cfg: RunConfig) -> int:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     basis = first_primes(3)
     curves = []
-    full = gains.CoordSubset((1, 2, 3))
-    for u in full.subsets():
-        if not len(u):
-            continue
-        bases = tuple(basis.base(j) for j in u.indices)
+    subsets = (u for size in (1, 2, 3) for u in itertools.combinations((1, 2, 3), size))
+    for u in subsets:
+        bases = tuple(basis.base(j) for j in u)
         for levels in gains._level_vectors(bases, n_max - 1):
             prod = 1
             for b, k in zip(bases, levels):
                 prod *= b**k
             # the curve only starts once a full level cell fits below n
-            curves.append((u.indices, levels, prod))
+            curves.append((u, levels, prod))
     curves.sort(key=lambda c: (len(c[0]), c[0], c[1]))
     return _curve_rows(cfg, basis, curves, n_max, by_n=True)
 

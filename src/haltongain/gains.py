@@ -38,7 +38,6 @@ from .halton import _require_integers
 from .primes import PrimeBasis, first_primes
 
 __all__ = [
-    "CoordSubset",
     "GainQuery",
     "pair_levels",
     "GainSummary",
@@ -58,81 +57,49 @@ _PAIR_BLOCK = 1 << 18  # index pairs per brute-force block
 _FULL_SEARCH_DIM = 8
 
 
-@dataclass(frozen=True)
-class CoordSubset:
-    """A set of 1-based coordinate indices, kept sorted and duplicate-free."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        idx = self.indices
-        for j in idx:
-            _require_integers(coordinate=j)
-        if any(j < 1 for j in idx):
-            raise ValueError("coordinate indices are 1-based")
-        if list(idx) != sorted(set(idx)):
-            object.__setattr__(self, "indices", tuple(sorted(set(idx))))
-
-    @classmethod
-    def of(cls, u: "CoordSubset | Iterable[int]") -> "CoordSubset":
-        if isinstance(u, CoordSubset):
-            return u
-        return cls(tuple(u))
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __contains__(self, j: int) -> bool:
-        return j in self.indices
-
-    def subsets(self) -> Iterator["CoordSubset"]:
-        """All subsets, the empty one first, in bitmask order."""
-        s = len(self.indices)
-        for bits in range(1 << s):
-            yield CoordSubset(
-                tuple(self.indices[t] for t in range(s) if bits >> t & 1)
-            )
-
-
 def pair_levels(
-    u: CoordSubset | Iterable[int], levels: Sequence[int]
-) -> tuple[CoordSubset, tuple[int, ...]]:
-    """u and its levels sorted together by coordinate.
+    u: Iterable[int], levels: Sequence[int], basis: PrimeBasis
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """u sorted, with its levels and bases aligned: the one subset check.
 
-    `levels` holds one level per member of u in the order u lists them, so
-    a permuted u pairs exactly as its sorted form.  A coordinate listed
-    twice, and a level that is not an integer >= 0, are refused.
+    A coordinate subset is a tuple of 1-based ints.  `levels` holds one
+    level per member of u in the order u lists them, so a permuted u pairs
+    exactly as its sorted form.  Refused: an empty u, a level count other
+    than |u|, a coordinate or level that is not an integer, a negative
+    level, a coordinate listed twice, and one outside 1..d of the basis.
     """
-    coords = tuple(u)
-    levels = tuple(levels)
-    twice = sorted(j for j in set(coords) if coords.count(j) > 1)
-    if twice:
-        raise ValueError(f"coordinate {twice[0]} listed more than once in u")
+    coords, levels = tuple(u), tuple(levels)
+    if not coords:
+        raise ValueError("u must name at least one coordinate")
     if len(levels) != len(coords):
-        raise ValueError("one level per subset member required")
-    for k in levels:
-        _require_integers(level=k)
+        raise ValueError(
+            f"one level per coordinate required, got {levels} for u = {coords}"
+        )
+    for j, k in zip(coords, levels):
+        _require_integers(coordinate=j, level=k)
         if k < 0:
             raise ValueError(f"levels must be >= 0, got {k}")
     pairs = sorted(zip(coords, levels))
-    return CoordSubset(tuple(j for j, _ in pairs)), tuple(k for _, k in pairs)
+    for (a, _), (b, _) in zip(pairs, pairs[1:]):
+        if a == b:
+            raise ValueError(f"coordinate {a} listed more than once in u")
+    u = tuple(j for j, _ in pairs)
+    return u, tuple(k for _, k in pairs), tuple(basis.base(j) for j in u)
 
 
 @dataclass(frozen=True)
 class GainQuery:
-    """One gain evaluation point: subset u, levels k (aligned with u), count n.
+    """One gain evaluation point: subset u, levels k, count n.
 
-    Bases travel with the query; `build` is the validated constructor (its
-    levels follow u in the order given, see `pair_levels`) and also
-    precomputes the extreme moduli m_under = prod b^k and
+    u is a sorted tuple of 1-based coordinates; `levels` and `bases` are
+    aligned with it.  `build` is the validated constructor: u and its
+    levels go through `pair_levels`, so levels follow u in the order given.
+    It also precomputes the extreme moduli m_under = prod b^k and
     m_over = prod b^(k+1).
     """
 
-    u: CoordSubset
-    levels: tuple[int, ...]  # aligned with u.indices, ascending coordinate order
+    u: tuple[int, ...]
+    levels: tuple[int, ...]
     n: int
     bases: tuple[int, ...]
     m_under: int
@@ -141,23 +108,18 @@ class GainQuery:
     @classmethod
     def build(
         cls,
-        u: CoordSubset | Iterable[int],
+        u: Iterable[int],
         levels: Sequence[int],
         n: int,
         basis: PrimeBasis,
     ) -> "GainQuery":
-        u, levels = pair_levels(u, levels)
-        if not len(u):
-            raise ValueError("gain queries need a nonempty coordinate subset")
-        if len(u) > _MAX_SUBSET:
-            raise ValueError(f"subset enumeration capped at |u| <= {_MAX_SUBSET}")
-        if u.indices[-1] > basis.dimension:
-            raise ValueError(
-                f"coordinate {u.indices[-1]} outside basis dimension {basis.dimension}"
-            )
+        u, levels, bases = pair_levels(u, levels, basis)
+        _require_integers(n=n)
         if n < 1:
             raise ValueError(f"point count must be >= 1, got {n}")
-        bases = tuple(basis.base(j) for j in u.indices)
+        # the closed form sums 2^|u| terms
+        if len(u) > _MAX_SUBSET:
+            raise ValueError(f"subset enumeration capped at |u| <= {_MAX_SUBSET}")
         m_under = 1
         m_over = 1
         for b, k in zip(bases, levels):
@@ -288,7 +250,7 @@ def _bruteforce_prefix(
 
 
 def _gain_curve_arrays(
-    u: CoordSubset | Iterable[int],
+    u: Iterable[int],
     levels: Sequence[int],
     basis: PrimeBasis,
     n_max: int,
@@ -299,6 +261,7 @@ def _gain_curve_arrays(
     arrays are int64 when every pair sum fits, which n_max * denom
     + K n_max^2 < 2^63 ensures, and hold Python ints otherwise.
     """
+    _require_integers(n_max=n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     template = GainQuery.build(u, levels, 1, basis)
@@ -315,7 +278,7 @@ def _gain_curve_arrays(
 
 
 def gain_curve(
-    u: CoordSubset | Iterable[int],
+    u: Iterable[int],
     levels: Sequence[int],
     basis: PrimeBasis,
     n_max: int,
@@ -364,14 +327,13 @@ def gamma_max(d: int, n_cap: int | None = None) -> GainSummary:
     |T(n)| < 2^(d-1) n^2; searches with 2^(d-1) n_hi^2 >= 2^63 raise
     ValueError before any work is done.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if d > _MAX_SUBSET:
+    _require_integers(d=d)
+    if d > _MAX_SUBSET:  # refused before the first d primes are sieved
         raise ValueError(f"search capped at d <= {_MAX_SUBSET}")
-    full = CoordSubset(tuple(range(1, d + 1)))
-    template = GainQuery.build(full, (0,) * d, 1, first_primes(d))
+    template = GainQuery.build(range(1, d + 1), (0,) * d, 1, first_primes(d))
     cycle = template.m_over
     if n_cap is not None:
+        _require_integers(n_cap=n_cap)
         if n_cap < 1:
             raise ValueError(f"n_cap must be >= 1, got {n_cap}")
         n_hi = min(n_cap, cycle)
@@ -424,9 +386,7 @@ def _scan_gamma(
     return best, best_n
 
 
-def upper_bound_u_exact(
-    u: CoordSubset | Iterable[int], basis: PrimeBasis
-) -> Fraction:
+def upper_bound_u_exact(u: Iterable[int], basis: PrimeBasis) -> Fraction:
     """sup_n G_{u,k}(n) <= prod_{j in u, j != j_min} b_j/(b_j - 1), exactly.
 
     This leave-one-out bound is the case A = {j_min} of a lemma: for every
@@ -455,16 +415,9 @@ def upper_bound_u_exact(
     within one class the kernel is the level-0 kernel, so G_{A,k_A}(n) is
     an n-weighted average of level-0 gains, each at most Gamma_A.
     """
-    u = CoordSubset.of(u)
-    if not len(u):
-        raise ValueError("upper bound needs a nonempty subset")
-    j_min = u.indices[0]  # bases increase with the index
-    out = Fraction(1)
-    for j in u.indices:
-        if j != j_min:
-            b = basis.base(j)
-            out *= Fraction(b, b - 1)
-    return out
+    u = tuple(u)
+    bases = pair_levels(u, (0,) * len(u), basis)[2]  # b_{j_min} comes first
+    return math.prod((Fraction(b, b - 1) for b in bases[1:]), start=Fraction(1))
 
 
 def global_bounds_exact(d: int) -> tuple[Fraction, Fraction]:
@@ -473,6 +426,7 @@ def global_bounds_exact(d: int) -> tuple[Fraction, Fraction]:
     (3/4) prod (b_j+1)/b_j <= Gamma_d <= (1/2) prod b_j/(b_j-1) for d >= 2;
     both collapse to 1 at d = 1.  Exact rationals, so meant for modest d.
     """
+    _require_integers(d=d)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if d > 10_000:
@@ -516,6 +470,7 @@ def bounds_table(d_max: int) -> Iterator[tuple[int, float, float, float]]:
     compensated log sums, one prime per row, so the full table to 10^6
     streams in a few seconds.
     """
+    _require_integers(d_max=d_max)
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
     basis = first_primes(d_max)
@@ -543,6 +498,7 @@ def oracle_check(
     (u, k, n, closed form, brute force); an empty list means the two routes
     agree everywhere.
     """
+    _require_integers(d=d, n_max=n_max, k_max=k_max)
     if d < 1 or d > 6:
         raise ValueError("oracle grid supported for 1 <= d <= 6")
     if n_max < 1:
@@ -551,10 +507,9 @@ def oracle_check(
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     basis = first_primes(d)
     mismatches = []
-    full = CoordSubset(tuple(range(1, d + 1)))
-    for u in full.subsets():
-        if not len(u):
-            continue
+    coords = range(1, d + 1)
+    subsets = (v for size in coords for v in itertools.combinations(coords, size))
+    for u in subsets:
         for levels in itertools.product(range(k_max + 1), repeat=len(u)):
             q = GainQuery.build(u, levels, n_max, basis)
             closed = _pair_prefix(_terms(q.bases, q.levels, n_max), 0, n_max)
@@ -563,7 +518,7 @@ def oracle_check(
             for i in np.flatnonzero(closed != brute):
                 n = int(i) + 1
                 mismatches.append((
-                    u.indices, levels, n,
+                    u, levels, n,
                     Fraction(n * denom + 2 * int(closed[i]), n * denom),
                     Fraction(n * denom + 2 * int(brute[i]), n * denom),
                 ))

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gains import CoordSubset, pair_levels
+from .gains import pair_levels
 from .halton import MAX_INDEX, _index_digits, _require_integers
 from .primes import PrimeBasis
 from .scramble import ScrambleSpec, scramble_column
@@ -43,12 +43,13 @@ _BLOCK_CELLS = 1 << 14
 class HaarIntegrand:
     """Digit-reading product integrand pinned to one variance component.
 
-    `tables[t]` is eta for coordinate u.indices[t] over its base
-    `bases[t]`; `levels[t]` is that coordinate's k.  sigma2 is the exact
-    integrand variance prod_j (1/b_j) sum_c eta_j(c)^2.
+    u is a sorted tuple of 1-based coordinates.  `tables[t]` is eta for
+    coordinate u[t] over its base `bases[t]`; `levels[t]` is that
+    coordinate's k.  sigma2 is the exact integrand variance
+    prod_j (1/b_j) sum_c eta_j(c)^2.
     """
 
-    u: CoordSubset
+    u: tuple[int, ...]
     levels: tuple[int, ...]
     bases: tuple[int, ...]
     tables: tuple[tuple[Fraction, ...], ...]
@@ -56,29 +57,27 @@ class HaarIntegrand:
 
 
 def make_haar(
-    u: CoordSubset | Sequence[int],
+    u: Sequence[int],
     levels: Sequence[int],
     basis: PrimeBasis,
     tables: Sequence[Sequence[int | Fraction]] | None = None,
 ) -> HaarIntegrand:
     """Build an integrand; default table per coordinate is b*[c = b-1] - 1.
 
-    `levels` and `tables` follow u in the order it is given.  Each table
+    u and its levels are checked by `pair_levels`; `levels` and `tables`
+    follow u in the order it is given.  Each table
     must have one entry per digit value, sum to zero, and not be
     identically zero.
     """
     coords = tuple(u)
-    u, levels = pair_levels(coords, levels)
-    if not len(u):
-        raise ValueError("integrand needs a nonempty coordinate subset")
-    bases = tuple(basis.base(j) for j in u.indices)
+    u, levels, bases = pair_levels(coords, levels, basis)
     if tables is None:
         tables = [[-1] * (b - 1) + [b - 1] for b in bases]
     elif len(tables) != len(coords):
         raise ValueError("one table per subset member required")
     else:
         given = dict(zip(coords, tables))
-        tables = [given[j] for j in u.indices]
+        tables = [given[j] for j in u]
     frozen = []
     sigma2 = Fraction(1)
     for b, table in zip(bases, tables):
@@ -175,7 +174,7 @@ def rqmc_estimate(
     for r0, count in _blocks(replicates, cells):
         rspec = ScrambleSpec(spec.kind, spec.seed, spec.replicate + r0)
         product = 1.0  # then times each coordinate's factor, in u's order
-        for t, (c, b, k) in enumerate(zip(f.u.indices, f.bases, f.levels)):
+        for t, (c, b, k) in enumerate(zip(f.u, f.bases, f.levels)):
             digits = scramble_column(rspec, c, b, rows[t], [k], count)[:, :, 0]
             product = product * values[t][digits][:, positions[t]]
         means.extend(math.fsum(row) / n for row in product.tolist())

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, MutableMapping, Sequence
 
-from haltongain.gains import CoordSubset, GainQuery, _bruteforce_prefix, gain_exact
+from haltongain.gains import GainQuery, _bruteforce_prefix, gain_exact
 from haltongain.halton import PointSet, _leading
 from haltongain.primes import PrimeBasis
 from haltongain.scramble import ScrambleSpec, stream
@@ -266,7 +266,7 @@ def gain_bruteforce(q: GainQuery) -> Fraction:
 
 
 def lower_bound_n_star(
-    u: CoordSubset | Iterable[int],
+    u: Iterable[int],
     basis: PrimeBasis,
     j_star: int,
 ) -> tuple[int, Fraction]:
@@ -277,10 +277,10 @@ def lower_bound_n_star(
     prod_{j in u, j != j_star} (b_j + 1)/b_j exactly.  The returned value is
     re-verified against gain_exact.
     """
-    u = CoordSubset.of(u)
+    u = tuple(u)
     if j_star not in u or j_star not in (1, 2):
         raise ValueError("j_star must be a member of u with coordinate 1 or 2")
-    others = [basis.base(j) for j in u.indices if j != j_star]
+    others = [basis.base(j) for j in u if j != j_star]
     n_star = 1
     value = Fraction(1)
     for b in others:

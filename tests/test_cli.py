@@ -335,6 +335,13 @@ def test_levels_follow_u_as_given(capsys, command, tail):
         assert bodies[1]["gain"] == "1/1"  # the README's pairing, not 11/10
 
 
+def test_coordinate_outside_basis_refused(capsys):
+    # --u builds the first max(u) primes, floored at 1, and the library's
+    # subset check names the coordinate.
+    assert main(["gain", "--u=0", "--k=0", "--n", "5"]) == 1
+    assert "coordinate 0 outside 1..1" in capsys.readouterr().err
+
+
 def test_coordinate_listed_twice_refused(capsys):
     assert main(["gain", "--u", "1,1", "--k", "0,0", "--n", "5"]) == 1
     assert "coordinate 1 listed more than once" in capsys.readouterr().err

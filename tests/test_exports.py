@@ -47,7 +47,7 @@ def test_package_imports_are_declared_public():
 
 
 PUBLIC = sorted([
-    "CoordSubset", "GainQuery", "GainSummary", "bounds_table", "gain_curve", "gain_exact",
+    "GainQuery", "GainSummary", "bounds_table", "gain_curve", "gain_exact",
     "gamma_max", "global_bounds_exact", "oracle_check", "upper_bound_u_exact",
     "PointSet", "default_precision", "halton_points",
     "MAX_DIMENSION", "PrimeBasis", "first_primes",
@@ -64,7 +64,7 @@ ORACLES = [
 
 
 def test_package_surface_is_pinned():
-    assert len(PUBLIC) == 24
+    assert len(PUBLIC) == 23
     assert sorted(name for _, name in _package_imports()) == PUBLIC
 
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import haltongain.gains as gains
 from haltongain import (
-    CoordSubset,
     GainQuery,
     bounds_table,
     first_primes,
@@ -21,6 +20,7 @@ from haltongain import (
     gain_exact,
     gamma_max,
     global_bounds_exact,
+    make_haar,
     oracle_check,
     upper_bound_u_exact,
 )
@@ -124,9 +124,11 @@ def test_d2_curves_peak_then_never_reattain(basis2):
 
 def test_subset_terms_structure(basis3):
     q = GainQuery.build((1, 2), (1, 0), 6, basis3)
-    terms = dict(
-        zip((v.indices for v in q.u.subsets()), gains._terms(q.bases, q.levels))
-    )
+    bitmask_order = [
+        tuple(j for t, j in enumerate(q.u) if bits >> t & 1)
+        for bits in range(1 << len(q.u))
+    ]
+    terms = dict(zip(bitmask_order, gains._terms(q.bases, q.levels)))
     assert terms == {
         (): (1, 2),
         (1,): (-2, 4),
@@ -207,6 +209,10 @@ def test_oracle_check_refuses_empty_grid():
         oracle_check(2, n_max=0)
     with pytest.raises(ValueError, match="k_max"):
         oracle_check(2, n_max=10, k_max=-1)
+    with pytest.raises(ValueError, match="d must be an integer, got 2.0"):
+        oracle_check(2.0, 10)
+    with pytest.raises(ValueError, match="k_max must be an integer, got 1.5"):
+        oracle_check(2, 10, 1.5)
 
 
 @given(st.data())
@@ -324,23 +330,20 @@ def test_level_shift_identity(queries, basis4):
 # ------------------------------------------------------------------ the search
 
 
+def _nonempty_subsets(d: int):
+    coords = range(1, d + 1)
+    return [u for size in coords for u in itertools.combinations(coords, size)]
+
+
 def test_level_zero_attains_supremum(basis3):
-    full = CoordSubset((1, 2, 3))
-    for u in full.subsets():
-        if not len(u):
-            continue
+    for u in _nonempty_subsets(3):
         flat = _cycle_max(u, (0,) * len(u), basis3)
         for levels in itertools.product((0, 1), repeat=len(u)):
             assert _cycle_max(u, levels, basis3) <= flat
 
 
 def test_supersets_dominate(basis3):
-    full = CoordSubset((1, 2, 3))
-    tops = {
-        u.indices: _cycle_max(u, (0,) * len(u), basis3)
-        for u in full.subsets()
-        if len(u)
-    }
+    tops = {u: _cycle_max(u, (0,) * len(u), basis3) for u in _nonempty_subsets(3)}
     for small, small_top in tops.items():
         for big, big_top in tops.items():
             if set(small) <= set(big):
@@ -411,7 +414,7 @@ def _worst_gain_at(d: int, n: int) -> Fraction:
     prod b^k <= n, floored at 1: every other level vector gives gain 1."""
     basis = first_primes(d)
     best = Fraction(1)
-    for u in list(CoordSubset(tuple(range(1, d + 1))).subsets())[1:]:  # nonempty
+    for u in _nonempty_subsets(d):
         bases = [basis.base(j) for j in u]
         for levels in itertools.product(range(n.bit_length()), repeat=len(u)):
             if math.prod(b**k for b, k in zip(bases, levels)) <= n:
@@ -517,6 +520,10 @@ def test_gamma_max_guards(monkeypatch):
         gamma_max(31)
     with pytest.raises(ValueError):
         gamma_max(9, n_cap=0)
+    with pytest.raises(ValueError, match="d must be an integer, got 2.5"):
+        gamma_max(2.5)
+    with pytest.raises(ValueError, match="n_cap must be an integer, got 2.5"):
+        gamma_max(2, n_cap=2.5)
     capped = gamma_max(2, n_cap=2)
     assert capped.gamma == Fraction(3, 2)
     # The int64 scan needs 2^(d-1) n^2 < 2^63.  2^19 * (10^7)^2 exceeds it
@@ -584,6 +591,8 @@ def test_global_bounds_exact_values():
         global_bounds_exact(0)
     with pytest.raises(ValueError):
         global_bounds_exact(10_001)
+    with pytest.raises(ValueError, match="d must be an integer, got 2.5"):
+        global_bounds_exact(2.5)
 
 
 def test_bounds_table_rows():
@@ -599,22 +608,56 @@ def test_bounds_table_rows():
         assert a[1] <= b[1] and a[2] <= b[2]
     with pytest.raises(ValueError):
         list(bounds_table(0))
+    with pytest.raises(ValueError, match="d_max must be an integer, got 2.5"):
+        list(bounds_table(2.5))
 
 
 # ------------------------------------------------------------------ containers
 
 
-def test_coord_subset_basics():
-    u = CoordSubset.of([3, 1, 3])
-    assert u.indices == (1, 3)
-    assert 1 in u and 2 not in u
-    assert len(list(u.subsets())) == 4
-    with pytest.raises(ValueError):
-        CoordSubset((0,))
-    with pytest.raises(ValueError, match="coordinate must be an integer, got 1.5"):
-        CoordSubset((1.5, 2))
+def test_coord_subset_basics(basis3):
+    # A subset is a tuple of 1-based ints, taken in any order but never
+    # with a coordinate twice.
+    assert upper_bound_u_exact((3, 1), basis3) == Fraction(5, 4)
+    with pytest.raises(ValueError, match="coordinate 3 listed more than once"):
+        upper_bound_u_exact((3, 1, 3), basis3)
     with pytest.raises(ValueError, match="got 1.5"):
         upper_bound_u_exact((1.5, 2), first_primes(2))
+
+
+# Each bad subset, the level-count mismatch included, and the message that
+# pair_levels, the one subset check, gives for it over the first 3 primes.
+REFUSED_SUBSETS = [
+    ((), (), "u must name at least one coordinate"),
+    ((0,), (0,), "coordinate 0 outside 1..3"),
+    ((4,), (0,), "coordinate 4 outside 1..3"),
+    ((1.5,), (0,), "coordinate must be an integer, got 1.5"),
+    ((1, 1), (0, 0), "coordinate 1 listed more than once in u"),
+    ((1, 2), (0,), "one level per coordinate required, got (0,) for u = (1, 2)"),
+]
+
+SUBSET_ENTRY_POINTS = {
+    "GainQuery.build": lambda u, k, basis: GainQuery.build(u, k, 5, basis),
+    "gain_curve": lambda u, k, basis: gain_curve(u, k, basis, 5),
+    "make_haar": make_haar,
+    "upper_bound_u_exact": lambda u, k, basis: upper_bound_u_exact(u, basis),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, u, levels, message",
+    [
+        (entry, *case)
+        for entry in SUBSET_ENTRY_POINTS
+        for case in REFUSED_SUBSETS
+        # upper_bound_u_exact takes no levels, so cannot mismatch them
+        if entry != "upper_bound_u_exact" or len(case[0]) == len(case[1])
+    ],
+)
+def test_one_refusal_across_entry_points(entry, u, levels, message):
+    with pytest.raises(ValueError) as refused:
+        SUBSET_ENTRY_POINTS[entry](u, levels, first_primes(3))
+    assert str(refused.value) == message
 
 
 def test_query_validation(basis3):
@@ -634,7 +677,11 @@ def test_query_validation(basis3):
         GainQuery.build((1,), (200,), 5, basis3)
     with pytest.raises(ValueError, match="coordinate 1 listed more than once"):
         GainQuery.build((1, 2, 1), (0, 0, 0), 5, basis3)
+    with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+        GainQuery.build((1,), (0,), 2.5, basis3)
+    with pytest.raises(ValueError, match="n_max must be an integer, got 3.5"):
+        gain_curve((1,), (0,), basis3, 3.5)
     q = GainQuery.build((2, 1), (0, 1), 5, basis3)
-    assert q.u.indices == (1, 2)
+    assert q.u == (1, 2)
     assert q.levels == (1, 0)  # each level stays with its coordinate
     assert (q.m_under, q.m_over) == (2, 12)  # 2^1 * 3^0, 2^2 * 3^1

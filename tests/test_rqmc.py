@@ -28,13 +28,13 @@ def evaluate(f, point) -> float:
     """f at one point given per-coordinate digit sequences: the per-point
     oracle of `rqmc_estimate`.
 
-    Coordinate u.indices[t] must sit at position u.indices[t]-1 when the
-    full point is passed, or at position t when only the u coordinates are.
+    Coordinate u[t] must sit at position u[t]-1 when the full point is
+    passed, or at position t when only the u coordinates are.
     """
     if len(point) == len(f.u):
         rows = point
     else:
-        rows = [point[j - 1] for j in f.u.indices]
+        rows = [point[j - 1] for j in f.u]
     out = 1.0
     for t, digits in enumerate(rows):
         k = f.levels[t]
@@ -187,7 +187,7 @@ def _oracle_means(f, n, replicates, spec, start=0):
     for r in range(replicates):
         rspec = ScrambleSpec(spec.kind, spec.seed, spec.replicate + r)
         scrambles = []
-        for c, b, k in zip(f.u.indices, f.bases, f.levels):
+        for c, b, k in zip(f.u, f.bases, f.levels):
             if spec.kind == "nested":
                 scrambles.append(functools.partial(
                     nested_scramble_digits, base=b, coordinate=c, spec=rspec, depth=k + 1))
