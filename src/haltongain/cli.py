@@ -15,11 +15,17 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
+
+# Set before numpy loads, which the next imports do: numpy's bundled OpenBLAS
+# starts a pool of worker threads as it loads, and no command makes a BLAS
+# call.  A value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import gains, rqmc
 from .halton import halton_points

@@ -51,6 +51,11 @@ _SPAN = 1 << 64  # a draw below `bound` takes the first word below _SPAN - _SPAN
 _MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64 multipliers
 _WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # and key increments
 _ROUNDS = 10
+# Nested levels share one `draw` up to this many rows (nodes x replicates).  A
+# call costs about 0.3 ms before its first row and 0.2 us per row (one x86
+# core), so 8192 rows leave little fixed cost, while the call's temporaries,
+# which grow with its rows, stay small; a level with more rows is drawn alone.
+_GROUP_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -165,8 +170,8 @@ def draw(seed: int, replicate, tag: str, coordinate: int, depth, r, bounds) -> n
     return out
 
 
-def _permutations(seed: int, replicate, coordinate: int, base: int, depth: int, r) -> np.ndarray:
-    """Permutation table of each node (replicate, r) at once: one row each.
+def _permutations(seed: int, replicate, coordinate: int, base: int, depth, r) -> np.ndarray:
+    """Permutation table of each node (replicate, depth, r) at once: one row each.
 
     Stream ("perm", coordinate, depth, r) draws the Fisher-Yates swaps:
     draw t, below base - t, picks the entry swapped with entry base-1-t.
@@ -206,10 +211,11 @@ def scramble_column(
     rows, len(levels)); block j is under replicate spec.replicate + j.
     Linear: one `draw` gives matrix row level+1 and shift e_{level+1} for
     every level and replicate, then one integer product (x @ L^T + e) mod b.
-    Nested: for each requested level s, one `draw` over every replicate's
-    distinct nodes (coordinate, s, r), r the prefix (x_1, ..., x_s) read as
-    an integer.  Any subset of levels gives those digits of the full
-    scramble.
+    Nested: the permutations of every replicate's distinct nodes
+    (coordinate, s, r) at each requested level s, r the prefix (x_1, ...,
+    x_s) read as an integer, with one `draw` per group of consecutive levels
+    of at most _GROUP_ROWS rows in all.  Any subset of levels gives those
+    digits of the full scramble.
     """
     if spec.kind == "none":
         raise ValueError("kind 'none' scrambles no digits")
@@ -239,21 +245,35 @@ def scramble_column(
         y = (x[:, :depth].astype(np.int64) @ matrix[:, :stored].T + drawn[:, 1]) % base
         return y.astype(np.uint64).reshape(rows, replicates, len(levels)).transpose(1, 0, 2)
     out = np.empty((replicates, rows, len(levels)), dtype=np.uint64)
+    group: list[tuple[int, np.ndarray, np.ndarray, np.ndarray | int]] = []  # (s, nodes, which, a)
+
+    def draw_group() -> None:
+        depths, nodes, inverses, digits = zip(*group)
+        sizes = [len(v) * replicates for v in nodes]
+        tables = _permutations(
+            spec.seed, np.concatenate([np.repeat(reps, len(v)) for v in nodes]), coordinate,
+            base, np.repeat(depths, sizes), np.concatenate([np.tile(v, replicates) for v in nodes]))
+        blocks = np.split(tables, np.cumsum(sizes)[:-1])
+        for s, v, which, a, block in zip(depths, nodes, inverses, digits, blocks):
+            out[:, :, levels == s] = block.reshape(replicates, len(v), base)[:, which, a, None]
+        group.clear()
+
     # The prefix r = x_1 + x_2 b + ... + x_s b^(s-1) < b^s: uint64 while b^s <= 2^64,
     # Python ints past that (rqmc levels k >= default_precision(b), hand-built columns).
     r = np.zeros(rows, dtype=np.uint64)
     for s in range(depth):
         a = x[:, s] if s < stored else 0
-        for t in np.flatnonzero(levels == s):
+        if s in levels:
             nodes, which = np.unique(r, return_inverse=True)
-            tables = _permutations(spec.seed, np.repeat(reps, len(nodes)), coordinate, base, s,
-                                   np.tile(nodes, replicates))
-            out[:, :, t] = tables.reshape(replicates, len(nodes), base)[:, which, a]
+            if group and (sum(len(g[1]) for g in group) + len(nodes)) * replicates > _GROUP_ROWS:
+                draw_group()
+            group.append((s, nodes, which, a))
         if s + 1 < depth and s < stored:  # digits past the stored ones are 0
             if base ** (s + 1) <= 1 << 64:
                 r = r + a * np.uint64(base**s)
             else:
                 r = r.astype(object) + a.astype(object) * base**s
+    draw_group()
     return out
 
 

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -364,6 +365,32 @@ def test_bounds_rows_match_csv_writer(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out
+
+
+def _python(code: str, **env: str) -> str:
+    """stdout of `python -c code`, with OPENBLAS_NUM_THREADS unset unless in `env`."""
+    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code], env={**inherited, **env},
+                          capture_output=True, text=True, timeout=60, check=True)
+    return proc.stdout
+
+
+def test_package_import_loads_no_numpy():
+    code = ("import os, sys; before = dict(os.environ); import haltongain; "
+            "print('numpy' in sys.modules, os.environ == before, haltongain.rqmc.__name__)")
+    assert _python(code) == "False True haltongain.rqmc\n"
+
+
+@pytest.mark.parametrize("env, want", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+def test_cli_import_defaults_blas_to_one_thread(env, want):
+    code = "import os, haltongain.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _python(code, **env) == want + "\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_process_starts_no_blas_threads():
+    code = "import os, haltongain.cli; print(len(os.listdir('/proc/self/task')))"
+    assert _python(code) == "1\n"
 
 
 def test_module_entry_point():

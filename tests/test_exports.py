@@ -1,10 +1,8 @@
 """Export lists: every public name resolves, the package re-exports only
-names its modules declare public, its 24 names are pinned, and the per-point
+names its modules declare public, its 23 names are pinned, and the per-point
 oracles of tests/oracles.py stay out of it."""
 
-import ast
 import importlib
-import inspect
 import pkgutil
 
 import pytest
@@ -26,22 +24,13 @@ def test_all_entries_resolve(name):
     assert missing == []
 
 
-def _package_imports() -> list[tuple[str, str]]:
-    """(module, name) for each name `haltongain/__init__.py` imports from a module."""
-    tree = ast.parse(inspect.getsource(haltongain))
-    return [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
-
-
 def test_package_imports_are_declared_public():
+    # Each name the package resolves is the object of a module that declares it.
+    modules = [importlib.import_module(f"haltongain.{name}") for name in MODULES]
     undeclared = [
-        f"{module}.{name}"
-        for module, name in _package_imports()
-        if name not in importlib.import_module(f"haltongain.{module}").__all__
+        name for name in haltongain.__all__
+        if not any(name in m.__all__ and getattr(m, name) is getattr(haltongain, name)
+                   for m in modules)
     ]
     assert undeclared == []
 
@@ -65,7 +54,7 @@ ORACLES = [
 
 def test_package_surface_is_pinned():
     assert len(PUBLIC) == 23
-    assert sorted(name for _, name in _package_imports()) == PUBLIC
+    assert sorted(haltongain.__all__) == PUBLIC
 
 
 def test_oracles_are_not_in_the_package():

@@ -612,6 +612,19 @@ def test_bounds_table_rows():
         list(bounds_table(2.5))
 
 
+def test_bounds_table_matches_correctly_rounded_log_sums():
+    # Each compensated running total equals math.fsum of its prefix, so the
+    # rows are exp of the correctly rounded log sums; a plain running sum
+    # already misses at d = 3.
+    checked = (2, 3, 7, 30, 1000, 2146, 5000, 20000)
+    rows = list(bounds_table(checked[-1]))
+    bases = first_primes(checked[-1]).bases
+    for d in checked:
+        lower = 0.75 * math.exp(math.fsum(math.log1p(1.0 / b) for b in bases[:d]))
+        upper = 0.5 * math.exp(math.fsum(-math.log1p(-1.0 / b) for b in bases[:d]))
+        assert rows[d - 1][:3] == (d, lower, upper)
+
+
 # ------------------------------------------------------------------ containers
 
 

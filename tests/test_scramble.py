@@ -468,6 +468,22 @@ def test_randomize_matches_per_point_oracles(kind, basis5, start, count, depths)
     assert list(out.coords) == coords
 
 
+
+@pytest.mark.parametrize("group_rows", [1, 100])
+def test_nested_level_groups_draw_the_same_digits(group_rows, basis5, monkeypatch):
+    # At the default budget each column here is one group.  Smaller budgets
+    # close groups between levels, between replicate blocks, and across the
+    # 72-digit column's prefixes past 64 bits.
+    pts = _padded(halton_points(basis5, 1000, 40), {1: 72})
+    spec = ScrambleSpec("nested", seed=20261018, replicate=5)
+    blocks = scramble_column(spec, 1, 2, pts.digits[0], range(72), 3)
+    monkeypatch.setattr(scramble, "_GROUP_ROWS", group_rows)
+    assert np.array_equal(scramble_column(spec, 1, 2, pts.digits[0], range(72), 3), blocks)
+    out = randomize(pts, spec)
+    digits, coords = _per_point(pts, spec)
+    assert [col.tolist() for col in out.digits] == [[list(y) for y in rows] for rows in digits]
+    assert list(out.coords) == coords
+
 def test_nested_prefixes_of_scrambled_digits_past_64_bits():
     # Scrambled digits beyond digit 64 are not zero, so the prefix r of a
     # second nested scramble exceeds 2^64 there.
