@@ -18,7 +18,7 @@ _HOMES = {
     "halton": ("PointSet", "default_precision", "halton_points"),
     "primes": ("MAX_DIMENSION", "PrimeBasis", "first_primes"),
     "rqmc": ("EstimateSummary", "HaarIntegrand", "make_haar", "rqmc_estimate"),
-    "scramble": ("ScrambleSpec", "linear_depth_limit", "randomize", "scramble_column"),
+    "scramble": ("ScrambleSpec", "randomize", "scramble_column"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

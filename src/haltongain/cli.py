@@ -275,8 +275,6 @@ def _cmd_bounds(cfg: RunConfig) -> int:
 def _cmd_variance(cfg: RunConfig) -> int:
     u, k, basis = _subset_args(cfg)
     n, reps = cfg.params["n"], cfg.params["reps"]
-    if reps < 2:
-        raise ValueError(f"--reps must be >= 2 for a sample variance, got {reps}")
     kind = cfg.params["scramble"]
     expected = gains.gain_exact(gains.GainQuery.build(u, k, n, basis))
     f = rqmc.make_haar(u, k, basis)

@@ -112,13 +112,11 @@ class EstimateSummary:
 def _summarize(n: int, means: list[float], sigma2: float) -> EstimateSummary:
     r = len(means)
     grand = math.fsum(means) / r
-    variance = (
-        math.fsum((m - grand) ** 2 for m in means) / (r - 1) if r > 1 else 0.0
-    )
+    variance = math.fsum((m - grand) ** 2 for m in means) / (r - 1)
     mc_variance = sigma2 / n
     gain = n * variance / sigma2
     # Normal-theory dispersion of a variance ratio over r replicates.
-    gain_se = gain * math.sqrt(2.0 / (r - 1)) if r > 1 else 0.0
+    gain_se = gain * math.sqrt(2.0 / (r - 1))
     return EstimateSummary(
         n, r, tuple(means), grand, variance, sigma2, mc_variance, gain, gain_se
     )
@@ -153,8 +151,8 @@ def rqmc_estimate(
     _require_integers(n=n, replicates=replicates, start=start)
     if n < 1 or n > _MAX_COUNT:
         raise ValueError(f"point count must be in 1..2^53, got {n}")
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    if replicates < 2:
+        raise ValueError(f"replicates must be >= 2 for a sample variance, got {replicates}")
     if spec.kind == "none":
         raise ValueError("variance experiments need a randomizing scramble")
     if spec.replicate + replicates > 1 << 64:

@@ -20,11 +20,12 @@ i mod b^s for index i and encodes the prefix (x_1, ..., x_s) bijectively;
 "row" is linear row s at depth s, r = 0; and "tail" is the nested tail of
 point i, r = i.
 
-Two routes draw the same words.  `draw` runs Philox for many streams at
-once in numpy, each 64 x 64 -> 128-bit product split into 32-bit halves;
-every scramble uses it.  `stream` runs one stream on Python ints: it is
-`draw`'s fallback, which redraws the rare stream one of whose words `draw`
-must reject, and the PRF route of the per-point oracles in tests/oracles.py.
+`draw` runs Philox for many streams at once in numpy, each 64 x 64 ->
+128-bit product split into 32-bit halves; every scramble uses it.  A
+scrambled column holds at most default_precision(b) digits, so every prefix
+r is below b^(D-1) < 2^64 and the counter's word r >> 64 is 0.  The scalar
+Philox and one-stream PRF that check `draw` are the oracles `philox` and
+`stream` of tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .halton import PointSet, _point_set, _require_integers
+from .halton import PointSet, _point_set, _require_integers, default_precision
 
 __all__ = [
-    "Kind", "ScrambleSpec", "philox", "philox_array", "counter", "stream", "draw",
-    "linear_depth_limit", "scramble_column", "randomize",
+    "Kind", "ScrambleSpec", "philox_array", "counter", "draw", "scramble_column", "randomize",
 ]
 
 Kind = Literal["none", "nested", "linear"]
@@ -79,17 +79,6 @@ class ScrambleSpec:
             raise ValueError("replicate must be in 0..2^64-1")
 
 
-def philox(ctr: Sequence[int], key: Sequence[int]) -> tuple[int, int, int, int]:
-    """Philox4x64-10 of one 4-word counter under a 2-word key, on Python ints."""
-    c0, c1, c2, c3 = ctr
-    k0, k1 = key
-    for _ in range(_ROUNDS):
-        p0, p1 = _MUL[0] * c0, _MUL[1] * c2
-        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK
-        k0, k1 = (k0 + _WEYL[0]) & _MASK, (k1 + _WEYL[1]) & _MASK
-    return c0, c1, c2, c3
-
-
 _HALF, _LOW = np.uint64(32), np.uint64(0xFFFFFFFF)
 _NP_MUL = tuple((np.uint64(m), np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)) for m in _MUL)
 _NP_WEYL = tuple(np.uint64(w) for w in _WEYL)
@@ -104,7 +93,8 @@ def _mulhi(m, x: np.ndarray) -> np.ndarray:
 
 
 def philox_array(ctr, key) -> tuple[np.ndarray, ...]:
-    """`philox` elementwise over uint64 arrays that broadcast together."""
+    """Philox4x64-10 of 4-word counters under 2-word keys, elementwise over
+    uint64 arrays that broadcast together."""
     c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in ctr)
     k0, k1 = (np.asarray(k, dtype=np.uint64) for k in key)
     m0, m1 = _NP_MUL
@@ -127,47 +117,41 @@ def counter(tag: str, coordinate: int, depth: int, r: int, block: int = 0) -> tu
     return block, r & _MASK, r >> 64, coordinate | depth << 24 | _TAGS[tag] << 56
 
 
-def stream(seed: int, replicate: int, tag: str, coordinate: int, depth: int, r: int,
-           bounds: Sequence[int]) -> list[int]:
-    """One draw below each of `bounds` from one stream, on Python ints.
-
-    Each draw reads words in order and keeps word % bound from the first
-    word below the largest multiple of bound that fits in 64 bits.
-    """
-    _, lo, hi, word3 = counter(tag, coordinate, depth, r)
-    words = (w for block in itertools.count()
-             for w in philox((block, lo, hi, word3), (seed, replicate)))
-    return [next(w % b for w in words if w < _SPAN - _SPAN % b) for b in bounds]
-
-
 def draw(seed: int, replicate, tag: str, coordinate: int, depth, r, bounds) -> np.ndarray:
-    """`stream` for many streams at once, in numpy: uint64 draws, one row each.
+    """One draw below each of `bounds` from each of many streams: uint64, one row each.
 
     Row j is stream (tag, coordinate, depth[j], r[j]) under key (seed,
     replicate[j]); `replicate` and `depth` are one int or one per row, and
-    `r` is a uint64 array, or an object array for prefixes past 64 bits.
+    `r` is uint64.  Each draw reads words in order and keeps word % bound
+    from the first word below the largest multiple of bound that fits in 64
+    bits.  All rows read their first words at once; a row with a rejected
+    word among them, which has probability below b/2^64 per word, is redrawn.
     """
-    r = np.asarray(r)
+    r = np.asarray(r, dtype=np.uint64)
     n = len(r)
     depth = np.broadcast_to(np.asarray(depth), (n,))
-    for d, v in ((depth.min(), r.min()), (depth.max(), r.max())):
-        counter(tag, coordinate, int(d), int(v))
+    for d in (depth.min(), depth.max()):
+        counter(tag, coordinate, int(d), 0)
     replicate = np.broadcast_to(np.asarray(replicate, dtype=np.uint64), (n,))
     bounds = np.asarray(bounds, dtype=np.uint64)
     m = len(bounds)
-    lo = (r & _MASK if r.dtype == object else r).astype(np.uint64)
-    hi = (r >> 64 if r.dtype == object else np.zeros(n)).astype(np.uint64)
     word3 = np.uint64(counter(tag, coordinate, 0, 0)[3]) | depth.astype(np.uint64) << np.uint64(24)
     blocks = np.arange(-(-m // 4), dtype=np.uint64)
-    words = philox_array((blocks, lo[:, None], hi[:, None], word3[:, None]),
-                         (seed, replicate[:, None]))
+    words = philox_array((blocks, r[:, None], 0, word3[:, None]), (seed, replicate[:, None]))
     words = np.stack(words, axis=-1).reshape(n, -1)[:, :m]
     top = np.uint64(_SPAN - 1)
+    limits = top - (top % bounds + np.uint64(1)) % bounds  # the largest word each draw keeps
     out = words % bounds
-    for j in np.flatnonzero((words > top - (top % bounds + np.uint64(1)) % bounds).any(axis=1)):
-        out[j] = stream(seed, int(replicate[j]), tag, coordinate, int(depth[j]), int(r[j]),
-                        bounds.tolist())
+    for j in np.flatnonzero((words > limits).any(axis=1)):
+        out[j] = _redraw(seed, replicate[j], r[j], word3[j], bounds, limits)
     return out
+
+
+def _redraw(seed: int, replicate, r, word3, bounds, limits) -> list[int]:
+    """One stream's draws, reading its words block after block in order."""
+    words = (w for block in itertools.count()
+             for w in philox_array((block, r, 0, word3), (seed, replicate)))
+    return [next(w % b for w in words if w <= top) for b, top in zip(bounds, limits)]
 
 
 def _permutations(seed: int, replicate, coordinate: int, base: int, depth, r) -> np.ndarray:
@@ -183,16 +167,6 @@ def _permutations(seed: int, replicate, coordinate: int, base: int, depth, r) ->
         i, j = base - 1 - t, swaps[:, t].astype(np.intp)
         table[rows, i], table[rows, j] = table[rows, j], table[rows, i]
     return table
-
-
-def linear_depth_limit(base: int) -> int:
-    """Deepest linear scramble whose column product is exact in int64.
-
-    Digit s sums at most D products L[s][t]*x_t plus e_s, below
-    D*(b-1)**2 + b <= 2**63 for D up to this limit: 286 at the largest
-    admitted base, p_{10^7} = 179,424,673, whose default depth is 3.
-    """
-    return ((1 << 63) - base) // (base - 1) ** 2
 
 
 def scramble_column(
@@ -216,6 +190,12 @@ def scramble_column(
     x_s) read as an integer, with one `draw` per group of consecutive levels
     of at most _GROUP_ROWS rows in all.  Any subset of levels gives those
     digits of the full scramble.
+
+    The deepest level scrambled is digit default_precision(b): every prefix
+    then fits in uint64, and the linear product, below D*(b-1)**2 + b, is
+    exact in int64.  That holds for every base up to p_{10^7} = 179,424,673
+    (depth 3) and fails from base 1,753,413,058, so a hand-built base whose
+    product could leave int64 is refused at every depth.
     """
     if spec.kind == "none":
         raise ValueError("kind 'none' scrambles no digits")
@@ -229,10 +209,10 @@ def scramble_column(
     reps = np.uint64(spec.replicate) + np.arange(replicates, dtype=np.uint64)
     rows, stored = x.shape
     depth = int(levels.max()) + 1
+    limit = min(default_precision(base), ((1 << 63) - base) // (base - 1) ** 2)
+    if depth > limit:
+        raise ValueError(f"scramble depth {depth} exceeds the limit {limit} for base {base}")
     if spec.kind == "linear":
-        if depth > linear_depth_limit(base):
-            raise ValueError(f"linear scramble depth {depth} exceeds the int64-exact "
-                             f"limit {linear_depth_limit(base)} for base {base}")
         # Draw row (j, t) is matrix row s = levels[t] + 1 of replicate j; it
         # reads its first s + 1 draws: L[s][s] - 1, e_s, L[s][1], ..., L[s][s-1].
         diagonal = np.tile(levels, replicates)
@@ -258,8 +238,7 @@ def scramble_column(
             out[:, :, levels == s] = block.reshape(replicates, len(v), base)[:, which, a, None]
         group.clear()
 
-    # The prefix r = x_1 + x_2 b + ... + x_s b^(s-1) < b^s: uint64 while b^s <= 2^64,
-    # Python ints past that (rqmc levels k >= default_precision(b), hand-built columns).
+    # The prefix r = x_1 + x_2 b + ... + x_s b^(s-1) < b^(depth-1) < 2^64.
     r = np.zeros(rows, dtype=np.uint64)
     for s in range(depth):
         a = x[:, s] if s < stored else 0
@@ -269,10 +248,7 @@ def scramble_column(
                 draw_group()
             group.append((s, nodes, which, a))
         if s + 1 < depth and s < stored:  # digits past the stored ones are 0
-            if base ** (s + 1) <= 1 << 64:
-                r = r + a * np.uint64(base**s)
-            else:
-                r = r.astype(object) + a.astype(object) * base**s
+            r = r + a * np.uint64(base**s)
     draw_group()
     return out
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import settings
 
-from haltongain import GainQuery, PrimeBasis, first_primes
+from haltongain import GainQuery, PrimeBasis, first_primes, scramble
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -57,3 +57,19 @@ def basis4() -> PrimeBasis:
 @pytest.fixture(scope="session")
 def basis5() -> PrimeBasis:
     return first_primes(5)
+
+
+@pytest.fixture
+def redrawn_tags(monkeypatch) -> list[str]:
+    """Reject every word at or above 3 * 2^62, about one in four, and list
+    the tag of each stream `draw` redraws, read from its counter word 3."""
+    monkeypatch.setattr(scramble, "_SPAN", 3 << 62)
+    tags = []
+    redraw = scramble._redraw
+
+    def counted(seed, replicate, r, word3, bounds, limits):
+        tags.append(("perm", "row", "tail")[int(word3) >> 56])
+        return redraw(seed, replicate, r, word3, bounds, limits)
+
+    monkeypatch.setattr(scramble, "_redraw", counted)
+    return tags

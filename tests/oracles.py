@@ -7,24 +7,28 @@ point or one query at a time, so the tests can check each columnar route
 against a slower second one:
 
 * digits, radical inverses and strata of single indices (the `halton` twins);
-* nested and linear scrambles of one point's digits, drawing through the
-  scalar PRF `scramble.stream` (the `scramble_column` twins);
+* Philox4x64-10 on Python ints (`philox`, the twin of `scramble.philox_array`)
+  and one stream of draws through it (`stream`, the twin of `scramble.draw`);
+* nested and linear scrambles of one point's digits, drawing through
+  `stream` (the `scramble_column` twins);
 * the brute-force gain of one query and the attained lower bound n* (the
   `gains` twins).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, MutableMapping, Sequence
 
+from haltongain import scramble
 from haltongain.gains import GainQuery, _bruteforce_prefix, gain_exact
 from haltongain.halton import PointSet, _leading
 from haltongain.primes import PrimeBasis
-from haltongain.scramble import ScrambleSpec, stream
+from haltongain.scramble import _MASK, _MUL, _ROUNDS, _WEYL, ScrambleSpec, counter
 
 
 def digits_of(i: int, base: int, precision: int) -> tuple[int, ...]:
@@ -135,6 +139,32 @@ def stratum_occupancy(
 ) -> dict[tuple[int, ...], int]:
     """Occupancy of level-k boxes for an existing (possibly scrambled) set."""
     return dict(Counter(stratum_index(points, levels)))
+
+
+def philox(ctr: Sequence[int], key: Sequence[int]) -> tuple[int, int, int, int]:
+    """Philox4x64-10 of one 4-word counter under a 2-word key, on Python ints."""
+    c0, c1, c2, c3 = ctr
+    k0, k1 = key
+    for _ in range(_ROUNDS):
+        p0, p1 = _MUL[0] * c0, _MUL[1] * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK
+        k0, k1 = (k0 + _WEYL[0]) & _MASK, (k1 + _WEYL[1]) & _MASK
+    return c0, c1, c2, c3
+
+
+def stream(seed: int, replicate: int, tag: str, coordinate: int, depth: int, r: int,
+           bounds: Sequence[int]) -> list[int]:
+    """One draw below each of `bounds` from one stream, on Python ints.
+
+    Each draw reads words in order and keeps word % bound from the first
+    word below the largest multiple of bound that fits in 64 bits.  The
+    span is read from `scramble._SPAN` at each call, the rule `draw` uses.
+    """
+    _, lo, hi, word3 = counter(tag, coordinate, depth, r)
+    span = scramble._SPAN
+    words = (w for block in itertools.count()
+             for w in philox((block, lo, hi, word3), (seed, replicate)))
+    return [next(w % b for w in words if w < span - span % b) for b in bounds]
 
 
 @dataclass(frozen=True)

@@ -196,7 +196,19 @@ def test_variance_needs_two_replicates(capsys):
     # one replicate has no sample variance, so its gain and z-score mean nothing
     assert main(["variance", "--u", "1,2", "--k", "0,0", "--n", "2", "--reps", "1"]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and "--reps must be >= 2" in err
+    assert out == "" and "replicates must be >= 2" in err
+
+
+def test_variance_past_the_digit_limit_refused(capsys):
+    # k = 64 scrambles digit 65 of base 2, past default_precision(2) = 64; the
+    # gain there is exactly 1 and is still computed.
+    for kind in ("nested", "linear"):
+        assert main(["variance", "--u", "1", "--k", "64", "--n", "5", "--reps", "2",
+                     "--scramble", kind]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "limit 64 for base 2" in err
+    code, out = run(capsys, "gain", "--u", "1", "--k", "70", "--n", "5")
+    assert code == 0 and out.splitlines()[1] == "5,1,1,1"
 
 
 def test_oracle_check_cli(capsys):

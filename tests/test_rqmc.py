@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from haltongain import rqmc, scramble
+from haltongain import rqmc
 from haltongain import (
     GainQuery,
     ScrambleSpec,
+    default_precision,
     first_primes,
     gain_exact,
     make_haar,
@@ -161,24 +162,37 @@ def test_start_offset_changes_points(basis2):
 def test_validation(basis2):
     f = make_haar((1,), (0,), basis2)
     with pytest.raises(ValueError):
-        rqmc_estimate(f, basis2, 0, 1, ScrambleSpec("nested"))
+        rqmc_estimate(f, basis2, 0, 2, ScrambleSpec("nested"))
     with pytest.raises(ValueError):
         rqmc_estimate(f, basis2, 1, 0, ScrambleSpec("nested"))
+    with pytest.raises(ValueError, match="replicates must be >= 2"):
+        rqmc_estimate(f, basis2, 2, 1, ScrambleSpec("nested"))  # no sample variance
     with pytest.raises(ValueError):
-        rqmc_estimate(f, basis2, 1, 1, ScrambleSpec("none"))
+        rqmc_estimate(f, basis2, 1, 2, ScrambleSpec("none"))
     with pytest.raises(ValueError):
-        rqmc_estimate(f, basis2, 1 << 54, 1, ScrambleSpec("nested"))
-    last = ScrambleSpec("nested", replicate=(1 << 64) - 1)
-    rqmc_estimate(f, basis2, 1, 1, last)  # the last replicate the key holds
+        rqmc_estimate(f, basis2, 1 << 54, 2, ScrambleSpec("nested"))
+    # the last two replicates the key holds
+    rqmc_estimate(f, basis2, 1, 2, ScrambleSpec("nested", replicate=(1 << 64) - 2))
     with pytest.raises(ValueError, match="2\\^64"):
-        rqmc_estimate(f, basis2, 1, 2, last)
+        rqmc_estimate(f, basis2, 1, 2, ScrambleSpec("nested", replicate=(1 << 64) - 1))
     with pytest.raises(ValueError, match="64-bit point indices"):
-        rqmc_estimate(f, basis2, 1, 1, ScrambleSpec("nested"), start=-1)
+        rqmc_estimate(f, basis2, 1, 2, ScrambleSpec("nested"), start=-1)
     rqmc_estimate(f, basis2, 2, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)  # the last index
     with pytest.raises(ValueError, match="start must be an integer"):
         rqmc_estimate(f, basis2, 3, 2, ScrambleSpec("nested"), start=0.5)
     with pytest.raises(ValueError, match="64-bit point indices"):
         rqmc_estimate(f, basis2, 3, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)
+
+
+@pytest.mark.parametrize("kind", ["nested", "linear"])
+def test_level_past_the_digit_limit_refused(kind, basis2):
+    # At k = default_precision(b), b^k >= 2^64 exceeds every count, so the
+    # gain is 1; scrambling digit k + 1 is refused, naming the limit.
+    for c, b in enumerate(basis2.bases, start=1):
+        limit = default_precision(b)
+        f = make_haar((c,), (limit,), basis2)
+        with pytest.raises(ValueError, match=f"limit {limit} for base {b}"):
+            rqmc_estimate(f, basis2, 5, 2, ScrambleSpec(kind))
 
 
 def _oracle_means(f, n, replicates, spec, start=0):
@@ -224,8 +238,8 @@ NON_DYADIC = [
         ((2, 3), (1, 0), 23, 100, NON_DYADIC),
         ((1, 2, 3), (2, 1, 0), 45, 7, [[Fraction(1, 3), Fraction(-1, 3)], *NON_DYADIC]),
         ((1, 2), (63, 40), 4, 5, None),  # prefixes below 2^63 and 3^40, just inside 64 bits
-        ((1,), (70,), 5, 3, None),  # k >= default_precision(2): nested prefixes past 2^64
-        ((1, 3), (66, 30), 4, 2**64 - 9, None),  # the same at the last 64-bit indices
+        ((1,), (63,), 5, 3, None),  # k + 1 = default_precision(2), the deepest level
+        ((1, 3), (63, 27), 4, 2**64 - 9, None),  # the same in bases 2 and 5, last indices
     ],
 )
 def test_level_path_matches_per_point_oracle(kind, u, k, n, start, tables):
@@ -245,25 +259,15 @@ def test_make_haar_pairs_levels_and_tables_with_u_as_given(basis3):
         make_haar((3, 1, 3), (0, 0, 0), basis3)
 
 
-def test_rejected_words_fall_back_to_the_scalar_route(monkeypatch):
-    # Reject every word at or above 3 * 2^62, about one in four, so that
-    # batched Fisher-Yates and linear-row words are rejected; blocks of
-    # a few replicates make several blocks per estimate.
-    monkeypatch.setattr(scramble, "_SPAN", 3 << 62)
+def test_rejected_words_are_redrawn(monkeypatch, redrawn_tags):
+    # Batched Fisher-Yates and linear-row words are rejected and their rows
+    # redrawn; blocks of a few replicates make several blocks per estimate.
     monkeypatch.setattr(rqmc, "_BLOCK_CELLS", 64)
-    tags = []
-    scalar = scramble.stream
-
-    def counted(*args):
-        tags.append(args[2])
-        return scalar(*args)
-
-    monkeypatch.setattr(scramble, "stream", counted)
     basis = first_primes(3)
     f = make_haar((1, 2, 3), (2, 1, 0), basis, tables=[[Fraction(1, 3), Fraction(-1, 3)],
                                                       *NON_DYADIC])
     got = {kind: rqmc_estimate(f, basis, 23, 12, ScrambleSpec(kind, seed=9, replicate=3),
                                start=4).means for kind in ("nested", "linear")}
-    assert {"perm", "row"} <= set(tags)  # each batched kind fell back at least once
+    assert set(redrawn_tags) == {"perm", "row"}  # each kind redrew at least one row
     for kind, means in got.items():
         assert means == _oracle_means(f, 23, 12, ScrambleSpec(kind, seed=9, replicate=3), 4)

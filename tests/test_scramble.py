@@ -14,24 +14,15 @@ from hypothesis import strategies as st
 from haltongain import (
     MAX_DIMENSION,
     PointSet,
-    PrimeBasis,
     ScrambleSpec,
     default_precision,
     first_primes,
     halton_points,
-    linear_depth_limit,
     randomize,
     scramble_column,
 )
 from haltongain import scramble
-from haltongain.scramble import (
-    _permutations,
-    counter,
-    draw,
-    philox,
-    philox_array,
-    stream,
-)
+from haltongain.scramble import _permutations, counter, draw, philox_array
 
 from oracles import (
     LinearScramble,
@@ -40,7 +31,9 @@ from oracles import (
     linear_scramble_digits,
     nested_scramble_digits,
     permutation_node,
+    philox,
     stratum_occupancy,
+    stream,
 )
 
 P_FLOOR = 1e-6  # chi-square tests reject only on overwhelming evidence
@@ -112,16 +105,20 @@ def test_stream_key_encoding_cannot_collide():
 
 
 def test_counter_bounds_on_both_routes():
-    wide = np.array([(1 << 64) - 1, 1 << 64, (1 << 128) - 1, 7], dtype=object)
+    # `draw` takes 64-bit nodes, every field at its end; the oracle's counter
+    # keeps the 128-bit node word, whose high half `draw` leaves 0.
+    wide = np.array([(1 << 64) - 1, 1 << 63, 0, 7], dtype=np.uint64)
     got = draw(5, 6, "perm", (1 << 24) - 1, (1 << 32) - 1, wide, [3, 2])
-    assert got.tolist() == [stream(5, 6, "perm", (1 << 24) - 1, (1 << 32) - 1, r, [3, 2])
+    assert got.tolist() == [stream(5, 6, "perm", (1 << 24) - 1, (1 << 32) - 1, int(r), [3, 2])
                             for r in wide]
     spec = ScrambleSpec("nested", seed=5, replicate=(1 << 64) - 1)
     assert sorted(permutation_node(spec, 1, 3, 0, (1 << 128) - 1)) == [0, 1, 2]
     with pytest.raises(ValueError, match="128 bits"):
         permutation_node(spec, 1, 3, 0, 1 << 128)
     with pytest.raises(ValueError, match="128 bits"):
-        draw(5, 6, "perm", 1, 0, np.array([1, 1 << 128], dtype=object), [3, 2])
+        counter("perm", 1, 0, 1 << 128)
+    with pytest.raises(ValueError, match="24 bits"):
+        permutation_node(spec, 1 << 24, 3, 0, 0)
     with pytest.raises(ValueError, match="32 bits"):
         permutation_node(spec, 1, 3, 1 << 32, 0)
     with pytest.raises(ValueError, match="32 bits"):
@@ -134,11 +131,11 @@ def test_counter_bounds_on_both_routes():
 def test_prefed_head_draws_as_full_key(split):
     # A stream's key start, now the Philox key (seed, replicate) it shares
     # with its batch, does not change its draws: seven streams drawn in two
-    # batches split at `split` draw what one batch and the scalar route draw.
-    rs = np.array([1 << 70, 3, 0, 1 << 64, 300, 3, 2], dtype=object)
+    # batches split at `split` draw what one batch and the oracle draw.
+    rs = np.array([(1 << 64) - 1, 3, 0, 1 << 63, 300, 3, 2], dtype=np.uint64)
     reps = np.array([9, 9, 0, 1, (1 << 64) - 1, 8, 9], dtype=np.uint64)
     bounds = [1 << 40] * 6 + list(range(7, 1, -1))
-    want = [stream(20261018, int(v), "perm", 3, 2, r, bounds) for v, r in zip(reps, rs)]
+    want = [stream(20261018, int(v), "perm", 3, 2, int(r), bounds) for v, r in zip(reps, rs)]
     assert draw(20261018, reps, "perm", 3, 2, rs, bounds).tolist() == want
     parts = [draw(20261018, reps[sl], "perm", 3, 2, rs[sl], bounds).tolist()
              for sl in (slice(None, split), slice(split, None)) if rs[sl].size]
@@ -341,7 +338,8 @@ def test_scramble_level_is_digit_of_full_scramble(kind, base, level):
         (2, 4, [0, 3]),
         (3, 3, [2, 1]),
         (5, 2, [1]),
-        (2, 70, [3, 64, 69]),  # nested prefixes past 2^64
+        (2, 64, [3, 62, 63]),  # at the depth limit: prefixes up to 2^63 - 1
+        (3, 41, [0, 39, 40]),  # and up to 3^40 - 1, the closest to 2^64
     ],
 )
 def test_scramble_column_levels_and_replicate_blocks(kind, base, depth, levels):
@@ -451,16 +449,17 @@ def _per_point(points, spec):
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
 @pytest.mark.parametrize(
-    "start, count, depths",
+    "start, count",
     [
-        pytest.param(0, 60, {}, id="0-60-None-None"),
-        pytest.param((1 << 64) - 50, 50, {},  # ends at the last 64-bit index
+        pytest.param(0, 60, id="0-60-None-None"),
+        pytest.param((1 << 64) - 50, 50,  # ends at the last 64-bit index
                      id="18446744073709551566-50-None-out_prec2"),
-        pytest.param(1000, 40, {1: 72}, id="1000-40-in_prec3-out_prec3"),  # prefixes past 64 bits
+        pytest.param(1000, 40, id="1000-40-in_prec3-out_prec3"),
+        pytest.param(3**40 - 20, 40, id="base-3-prefixes-near-3^40"),
     ],
 )
-def test_randomize_matches_per_point_oracles(kind, basis5, start, count, depths):
-    pts = _padded(halton_points(basis5, start, count), depths)
+def test_randomize_matches_per_point_oracles(kind, basis5, start, count):
+    pts = halton_points(basis5, start, count)
     spec = ScrambleSpec(kind, seed=20261018, replicate=5)
     out = randomize(pts, spec)
     digits, coords = _per_point(pts, spec)
@@ -473,65 +472,79 @@ def test_randomize_matches_per_point_oracles(kind, basis5, start, count, depths)
 def test_nested_level_groups_draw_the_same_digits(group_rows, basis5, monkeypatch):
     # At the default budget each column here is one group.  Smaller budgets
     # close groups between levels, between replicate blocks, and across the
-    # 72-digit column's prefixes past 64 bits.
-    pts = _padded(halton_points(basis5, 1000, 40), {1: 72})
+    # 64-digit column's prefixes of the last 64-bit indices.
+    pts = halton_points(basis5, (1 << 64) - 40, 40)
     spec = ScrambleSpec("nested", seed=20261018, replicate=5)
-    blocks = scramble_column(spec, 1, 2, pts.digits[0], range(72), 3)
+    blocks = scramble_column(spec, 1, 2, pts.digits[0], range(64), 3)
     monkeypatch.setattr(scramble, "_GROUP_ROWS", group_rows)
-    assert np.array_equal(scramble_column(spec, 1, 2, pts.digits[0], range(72), 3), blocks)
+    assert np.array_equal(scramble_column(spec, 1, 2, pts.digits[0], range(64), 3), blocks)
     out = randomize(pts, spec)
     digits, coords = _per_point(pts, spec)
     assert [col.tolist() for col in out.digits] == [[list(y) for y in rows] for rows in digits]
     assert list(out.coords) == coords
 
-def test_nested_prefixes_of_scrambled_digits_past_64_bits():
-    # Scrambled digits beyond digit 64 are not zero, so the prefix r of a
-    # second nested scramble exceeds 2^64 there.
-    pts = _padded(halton_points(PrimeBasis(1, (2,)), 5, 30), {1: 72})
+
+def test_nested_prefixes_of_scrambled_digits():
+    # Scrambled digits fill every stored digit, so the prefixes r of a second
+    # nested scramble reach the top digit of the deepest one: 2^62 and more
+    # in base 2, 3^39 and more in base 3.
+    pts = halton_points(first_primes(2), 5, 30)
     once = randomize(pts, ScrambleSpec("nested", seed=1))
-    assert once.digits[0][:, 64:].any()
+    assert all(x[:, -2].any() for x in once.digits)
     spec = ScrambleSpec("nested", seed=1, replicate=1)
     digits, coords = _per_point(once, spec)
     out = randomize(once, spec)
-    assert out.digits[0].tolist() == [list(y) for y in digits[0]]
+    assert [x.tolist() for x in out.digits] == [[list(y) for y in rows] for rows in digits]
     assert list(out.coords) == coords
 
 
 def test_linear_depth_limit_at_the_largest_base():
     b = 179_424_673  # p_{10^7}, the largest base first_primes admits
-    limit = linear_depth_limit(b)
-    assert limit == 286
-    assert limit * (b - 1) ** 2 + (b - 1) < 2**63 <= (limit + 1) * (b - 1) ** 2 + (b - 1)
     assert default_precision(b) == 3
+    assert 3 * (b - 1) ** 2 + (b - 1) < 2**63
     # The largest column product at the limit: every input digit is b - 1.
-    col = np.full((2, limit), b - 1, dtype=np.uint64)
+    col = np.full((2, 3), b - 1, dtype=np.uint64)
     pts = PointSet(0, 2, (b,), (col,), ((0.0,), (0.0,)))
     spec = ScrambleSpec("linear", seed=3)
     digits, coords = _per_point(pts, spec)
     out = randomize(pts, spec)
     assert out.digits[0].tolist() == [list(y) for y in digits[0]]
-    deeper = _padded(pts, {1: limit + 1})
-    with pytest.raises(ValueError, match="int64"):
-        randomize(deeper, spec)
+    with pytest.raises(ValueError, match="limit 3 for base 179424673"):
+        randomize(_padded(pts, {1: 4}), spec)
+    # From base 1,753,413,058 the product at the default depth could leave
+    # int64, so such a hand-built base is refused at any depth.
+    first = 1_753_413_058
+    assert default_precision(first) == 3 and 3 * (first - 1) ** 2 + first > 2**63
+    huge = (1 << 40) + 15
+    col = np.full((2, 1), huge - 1, dtype=np.uint64)
+    for kind in ("nested", "linear"):
+        with pytest.raises(ValueError, match=f"limit 0 for base {huge}"):
+            randomize(PointSet(0, 2, (huge,), (col,), ((0.0,), (0.0,))), ScrambleSpec(kind))
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
-def test_rejected_words_fall_back_to_the_scalar_route(kind, basis5, monkeypatch):
-    # Reject every word at or above 3 * 2^62, about one in four, so that
-    # batched Fisher-Yates, linear-row and tail words are rejected.
-    monkeypatch.setattr(scramble, "_SPAN", 3 << 62)
-    tags = []
-    scalar = scramble.stream
+def test_depth_past_default_precision_refused(kind, basis3):
+    # One digit deeper than default_precision(b) in any column is refused,
+    # naming the limit; the default depth itself scrambles.
+    pts = halton_points(basis3, 7, 5)
+    spec = ScrambleSpec(kind, seed=2)
+    for column, b in enumerate(basis3.bases, start=1):
+        limit = default_precision(b)
+        with pytest.raises(ValueError, match=f"limit {limit} for base {b}"):
+            randomize(_padded(pts, {column: limit + 1}), spec)
+        with pytest.raises(ValueError, match=f"limit {limit} for base {b}"):
+            scramble_column(spec, column, b, pts.digits[column - 1], [limit])
+    randomize(pts, spec)
 
-    def counted(*args):
-        tags.append(args[2])
-        return scalar(*args)
 
-    monkeypatch.setattr(scramble, "stream", counted)
+@pytest.mark.parametrize("kind", ["nested", "linear"])
+def test_rejected_words_are_redrawn(kind, basis5, redrawn_tags):
+    # Batched Fisher-Yates, linear-row and tail words are rejected, and the
+    # rows that hold them are redrawn to the oracles' draws.
     pts = halton_points(basis5, 37, 40)
     spec = ScrambleSpec(kind, seed=20261018, replicate=5)
     out = randomize(pts, spec)
-    assert set(tags) == ({"perm", "tail"} if kind == "nested" else {"row"})
+    assert set(redrawn_tags) == ({"perm", "tail"} if kind == "nested" else {"row"})
     digits, coords = _per_point(pts, spec)
     assert [col.tolist() for col in out.digits] == [[list(y) for y in rows] for rows in digits]
     assert list(out.coords) == coords
