@@ -27,10 +27,12 @@ from typing import Any, Sequence
 # call.  A value the user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import numpy as np
+
 from . import gains, rqmc
 from .halton import halton_points
 from .primes import PrimeBasis, first_primes
-from .scramble import ScrambleSpec, randomize
+from .scramble import _HALF, _LOW, ScrambleSpec, _mulhi, randomize
 
 __all__ = ["RunConfig", "dispatch", "main"]
 
@@ -85,6 +87,82 @@ def _emit_json(cfg: RunConfig, body: dict[str, Any]) -> None:
 
 def _f17(x: float) -> str:
     return format(x, ".17g")
+
+
+_U = np.uint64
+_POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
+
+
+def _kept(e: int, zeros: int) -> list[bool]:
+    """Which of a field's 22 slots %.17g writes, at decimal exponent e when
+    the 17 digits end in `zeros` zeros.
+
+    Slots 0..20 hold 3 zeros and the 17 digits with a point after digit
+    slot 3 + e, and slot 21 the separator.  The field runs from slot
+    3 + min(e, 0), so e < 0 gives "0." and -e - 1 zeros, through the last
+    nonzero digit or the digit before the point, whichever is later; the
+    point is written only when a digit follows it.
+    """
+    first, point = 3 + min(e, 0), 4 + e
+    last = 20 - zeros if 20 - zeros > point else point - 1
+    return [False] * first + [True] * (last + 1 - first) + [False] * (20 - last) + [True]
+
+
+# Row 17 * (e + 3) + zeros of _KEEP, and row e + 3 of _BEFORE_POINT (the
+# slots left of the point), for e in -3..15 and zeros in 0..16.
+_KEEP = np.array([_kept(e, zeros) for e in range(-3, 16) for zeros in range(17)], dtype=bool)
+_BEFORE_POINT = np.array([[c < 4 + e for c in range(20)] for e in range(-3, 16)])
+
+
+def _digits17(m: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """round-half-even(m * 10^(16-e) / 2^s) for m < 2^53 and 0 <= s <= 62, exactly."""
+    p = _POW10[16 - e]
+    hi, lo = _mulhi((p, p >> _HALF, p & _LOW), m), p * m  # the 128-bit product
+    q = hi << (_U(63) - s) << _U(1) | lo >> s
+    rem2, half2 = (lo & ((_U(1) << s) - _U(1))) << _U(1), _U(1) << s
+    return q + ((rem2 > half2) | ((rem2 == half2) & (q & _U(1) == _U(1)))).astype(np.uint64)
+
+
+def _g17_lines(columns: Sequence[np.ndarray]) -> str:
+    """CSV lines of the columns, every value written as '%.17g' % x writes it.
+
+    Values must lie in [1e-3, 2^53), where %.17g is fixed-point.  The 17
+    significant digits of x = m / 2^s (m < 2^53) at decimal exponent E are
+    q = round-half-even(m * 10^(16-E) / 2^s); trailing zeros after the point,
+    and then a bare point, are dropped.
+    """
+    x = np.stack(columns, axis=1).astype(np.float64)
+    if not np.all((x >= 1e-3) & (x < 2.0**53)):
+        raise ValueError("the %.17g writer takes values in [1e-3, 2^53)")
+    width = x.shape[1]
+    x = x.reshape(-1)
+    bits = x.view(np.uint64)
+    m = bits & _U((1 << 52) - 1) | _U(1 << 52)
+    s = _U(1075) - (bits >> _U(52))
+    # log10 can miss by one next to a power of ten; q's length shows it
+    e = np.clip(np.floor(np.log10(x)), -3, 15).astype(np.int64)
+    q = _digits17(m, s, e)
+    miss = (q >= _POW10[17]).astype(np.int64) - (q < _POW10[16])
+    fix = np.flatnonzero(miss)
+    e[fix] += miss[fix]
+    q[fix] = _digits17(m[fix], s[fix], e[fix])
+
+    digits = np.zeros((20, len(x)), dtype=np.uint8)  # 3 zeros, then q's digits
+    for j in range(19, 2, -1):
+        rest = q // _U(10)
+        digits[j] = q - rest * _U(10)
+        q = rest
+    zeros = np.argmax(digits[19:2:-1] != 0, axis=0)  # q > 0
+    digits = digits.T + np.uint8(ord("0"))
+    chars = np.empty((len(x), 22), dtype=np.uint8)
+    chars[:, 21] = ord(",")
+    chars[width - 1 :: width, 21] = ord("\n")  # after the last field of a row
+    # Slots after the point hold digit c - 1, the ones before it digit c.
+    chars[:, 1:21] = digits
+    lead = chars[:, :20]
+    lead += _BEFORE_POINT.take(e + 3, axis=0) * (digits - lead)  # uint8 wraps back
+    chars[np.arange(len(x)), e + 4] = ord(".")
+    return chars[_KEEP.take((e + 3) * 17 + zeros, axis=0)].tobytes().decode("ascii")
 
 
 def _rat(x: Fraction) -> dict[str, Any]:
@@ -262,13 +340,12 @@ def _cmd_gamma(cfg: RunConfig) -> int:
 
 
 def _cmd_bounds(cfg: RunConfig) -> int:
-    rows = gains.bounds_table(cfg.params["d_max"])
-    first = next(rows)  # runs the table's argument checks before any output
+    blocks = gains.bounds_table(cfg.params["d_max"])
+    first = next(blocks)  # runs the table's argument checks before any output
     with _open_out(cfg.out) as fh:
         fh.write("d,lower,upper,guide\n")
-        fh.writelines(
-            "%d,%.17g,%.17g,%.17g\n" % row for row in itertools.chain((first,), rows)
-        )
+        for block in itertools.chain((first,), blocks):
+            fh.write(_g17_lines(block))  # d, below 2^53, writes as "%d" does
     return 0
 
 

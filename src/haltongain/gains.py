@@ -441,50 +441,65 @@ def global_bounds_exact(d: int) -> tuple[Fraction, Fraction]:
     return lower, upper
 
 
-class _Kahan:
-    """Compensated running sum; keeps 1e6-term log sums near full precision."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
+_BOUNDS_BLOCK = 1 << 14  # rows per bounds_table block
+_LIMB = 40  # bits per limb of an exact log sum
 
 
-def bounds_table(d_max: int) -> Iterator[tuple[int, float, float, float]]:
-    """Rows (d, lower, upper, guide) for d = 1..d_max.
+def _prefix_sums(terms: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Correctly rounded sums of `total` plus each prefix of `terms`.
 
-    guide = 1.5 + ln(d/2) is the line of the paper's abstract.  It
-    majorizes the sharper bound B(d) = Gamma*_6 * prod_{j=7..d} b_j/(b_j-1)
-    on Gamma_d, where Gamma*_6 = 1548299/637056 is the exact worst gain
-    over every subset of 1..6 (see the lemma in upper_bound_u_exact), by at
-    least 0.146 (at d = 30) over 6..10^6.  The upper column, the
-    leave-one-out bound, runs above the guide over that whole range: by
-    0.008 at d = 6 and by up to 0.294 at d = 2146.  Products run as
-    compensated log sums, one prime per row, so the full table to 10^6
-    streams in a few seconds.
+    Every term lies in [2^-28, 1), so it is a multiple of 2^-80 and splits
+    exactly into two 40-bit limbs, hi * 2^-40 + lo * 2^-80.  The limbs'
+    int64 cumulative sums are exact; with L's carry moved into H, both
+    H * 2^-40 and L * 2^-80 are exact doubles, and their one IEEE addition
+    rounds the exact sum.  `total`, the int64 limbs (H, L) of the sums so
+    far, is advanced in place to the last prefix.
+    """
+    scaled = np.ldexp(terms, _LIMB)
+    hi = np.floor(scaled)
+    h = total[0] + np.cumsum(hi.astype(np.int64))
+    lo = total[1] + np.cumsum(np.ldexp(scaled - hi, _LIMB).astype(np.int64))
+    h += lo >> _LIMB
+    lo &= (1 << _LIMB) - 1
+    total[:] = h[-1], lo[-1]
+    return np.ldexp(h.astype(np.float64), -_LIMB) + np.ldexp(lo.astype(np.float64), -2 * _LIMB)
+
+
+def _each(fn, x: np.ndarray) -> np.ndarray:
+    """fn of every element, by Python's math library (numpy's can differ in the last bit)."""
+    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=len(x))
+
+
+def bounds_table(d_max: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Blocks (d, lower, upper, guide) of the rows d = 1..d_max, in order.
+
+    Each block holds up to 2^14 rows as four arrays: d (int64) and the
+    three float64 columns.  guide = 1.5 + ln(d/2) is the line of the
+    paper's abstract.  It majorizes the sharper bound B(d) = Gamma*_6 *
+    prod_{j=7..d} b_j/(b_j-1) on Gamma_d, where Gamma*_6 = 1548299/637056
+    is the exact worst gain over every subset of 1..6 (see the lemma in
+    upper_bound_u_exact), by at least 0.146 (at d = 30) over 6..10^6.  The
+    upper column, the leave-one-out bound, runs above the guide over that
+    whole range: by 0.008 at d = 6 and by up to 0.294 at d = 2146.
+
+    The products are exp of log sums, and each log sum is the correctly
+    rounded sum of its terms (see _prefix_sums): the terms log1p(1/b) and
+    -log1p(-1/b) are at least 2^-28 for every base up to p_{10^7}.
     """
     _require_integers(d_max=d_max)
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
-    basis = first_primes(d_max)
-    lo = _Kahan()
-    hi = _Kahan()
-    for d in range(1, d_max + 1):
-        b = basis.bases[d - 1]
-        lo.add(math.log1p(1.0 / b))
-        hi.add(-math.log1p(-1.0 / b))
-        guide = 1.5 + math.log(d / 2.0)
-        if d == 1:
-            yield 1, 1.0, 1.0, guide
-        else:
-            yield d, 0.75 * math.exp(lo.total), 0.5 * math.exp(hi.total), guide
+    bases = first_primes(d_max).bases
+    lower_total = np.zeros(2, dtype=np.int64)
+    upper_total = np.zeros(2, dtype=np.int64)
+    for start in range(0, d_max, _BOUNDS_BLOCK):
+        b = np.array(bases[start : start + _BOUNDS_BLOCK], dtype=np.float64)
+        d = np.arange(start + 1, start + 1 + len(b), dtype=np.int64)
+        lower = 0.75 * _each(math.exp, _prefix_sums(_each(math.log1p, 1.0 / b), lower_total))
+        upper = 0.5 * _each(math.exp, _prefix_sums(-_each(math.log1p, -1.0 / b), upper_total))
+        if start == 0:
+            lower[0] = upper[0] = 1.0
+        yield d, lower, upper, 1.5 + _each(math.log, d / 2.0)
 
 
 def oracle_check(

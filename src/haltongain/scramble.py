@@ -129,16 +129,17 @@ def draw(seed: int, replicate, tag: str, coordinate: int, depth, r, bounds) -> n
     """
     r = np.asarray(r, dtype=np.uint64)
     n = len(r)
-    depth = np.broadcast_to(np.asarray(depth), (n,))
-    for d in (depth.min(), depth.max()):
+    depth = np.asarray(depth)
+    for d in (depth.min(initial=0), depth.max(initial=0)):  # depth 0 is valid
         counter(tag, coordinate, int(d), 0)
+    depth = np.broadcast_to(depth, (n,))
     replicate = np.broadcast_to(np.asarray(replicate, dtype=np.uint64), (n,))
     bounds = np.asarray(bounds, dtype=np.uint64)
     m = len(bounds)
     word3 = np.uint64(counter(tag, coordinate, 0, 0)[3]) | depth.astype(np.uint64) << np.uint64(24)
     blocks = np.arange(-(-m // 4), dtype=np.uint64)
     words = philox_array((blocks, r[:, None], 0, word3[:, None]), (seed, replicate[:, None]))
-    words = np.stack(words, axis=-1).reshape(n, -1)[:, :m]
+    words = np.stack(words, axis=-1).reshape(n, 4 * len(blocks))[:, :m]
     top = np.uint64(_SPAN - 1)
     limits = top - (top % bounds + np.uint64(1)) % bounds  # the largest word each draw keeps
     out = words % bounds

@@ -12,7 +12,9 @@ against a slower second one:
 * nested and linear scrambles of one point's digits, drawing through
   `stream` (the `scramble_column` twins);
 * the brute-force gain of one query and the attained lower bound n* (the
-  `gains` twins).
+  `gains` twins);
+* the bound rows one d at a time, with compensated (Kahan) log sums
+  (`bounds_rows`, the twin of `gains.bounds_table`).
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, MutableMapping, Sequence
+from typing import Iterable, Iterator, MutableMapping, Sequence
 
 from haltongain import scramble
 from haltongain.gains import GainQuery, _bruteforce_prefix, gain_exact
 from haltongain.halton import PointSet, _leading
-from haltongain.primes import PrimeBasis
+from haltongain.primes import PrimeBasis, first_primes
 from haltongain.scramble import _MASK, _MUL, _ROUNDS, _WEYL, ScrambleSpec, counter
 
 
@@ -323,3 +325,36 @@ def lower_bound_n_star(
             f"expected {value}"
         )
     return n_star, value
+
+
+class Kahan:
+    """Compensated running sum; keeps 1e6-term log sums near full precision."""
+
+    __slots__ = ("total", "_c")
+
+    def __init__(self) -> None:
+        self.total = 0.0
+        self._c = 0.0
+
+    def add(self, x: float) -> None:
+        y = x - self._c
+        t = self.total + y
+        self._c = (t - self.total) - y
+        self.total = t
+
+
+def bounds_rows(d_max: int) -> Iterator[tuple[int, float, float, float]]:
+    """Rows (d, lower, upper, guide) of `gains.bounds_table`, one d at a time.
+
+    The log sums run as Kahan sums, one prime per row.
+    """
+    lo = Kahan()
+    hi = Kahan()
+    for d, b in enumerate(first_primes(d_max).bases, start=1):
+        lo.add(math.log1p(1.0 / b))
+        hi.add(-math.log1p(-1.0 / b))
+        guide = 1.5 + math.log(d / 2.0)
+        if d == 1:
+            yield 1, 1.0, 1.0, guide
+        else:
+            yield d, 0.75 * math.exp(lo.total), 0.5 * math.exp(hi.total), guide

@@ -4,15 +4,18 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from haltongain import GainQuery, bounds_table, first_primes, gain_exact
-from haltongain.cli import main
+from haltongain.cli import _g17_lines, main
 
 # sha256 of outputs built from exact integer digits with one correctly
 # rounded division per coordinate, or (variance) from IEEE products summed
@@ -364,14 +367,53 @@ def test_coordinate_listed_twice_refused(capsys):
 
 
 def test_bounds_rows_match_csv_writer(capsys):
-    code, out = run(capsys, "bounds", "--d-max", "5000", "--format", "csv")
+    # 40,000 rows span three blocks of bounds_table.
+    code, out = run(capsys, "bounds", "--d-max", "40000", "--format", "csv")
     want = io.StringIO()
     w = csv.writer(want, lineterminator="\n")
     w.writerow(["d", "lower", "upper", "guide"])
-    for d, *values in bounds_table(5000):
-        w.writerow([d, *(format(x, ".17g") for x in values)])
+    for block in bounds_table(40000):
+        for d, *values in zip(*(col.tolist() for col in block)):
+            w.writerow([d, *(format(x, ".17g") for x in values)])
     assert code == 0
-    assert out == want.getvalue()
+    # line lists, so a failure reports the first bad line without diffing 3 MB
+    assert out.splitlines(keepends=True) == want.getvalue().splitlines(keepends=True)
+
+
+def _g17(values) -> list[str]:
+    """The writer's fields for one column of values."""
+    return _g17_lines([np.asarray(values, dtype=np.float64)]).split("\n")[:-1]
+
+
+def test_g17_writer_matches_percent_format():
+    rng = np.random.default_rng(20261019)
+    top = 2.0**53
+    # log-uniform over the domain, and uniform over its bit patterns
+    spread = 10.0 ** rng.uniform(-3, math.log10(top), 100_000)
+    lo, hi = (int(np.float64(v).view(np.uint64)) for v in (1e-3, top))
+    bits = rng.integers(lo, hi, 100_000, dtype=np.uint64).view(np.float64)
+    # exact half-way cases, 18 significant digits ending in 5, with the
+    # 17th digit even (kept) and odd (rounded up): 1 + 2^-17 and so on
+    ties = [10.0**e + k * 2.0 ** (e - 17) for e in range(16) for k in (1, 3)]
+    ties += [0.5 + 2.0**-18, 0.5 + 3 * 2.0**-18]
+    # powers of ten and their neighbours, where floor(log10(x)) can miss
+    tens = np.array([10.0**k for k in range(-3, 16)])
+    edges = np.concatenate([tens, np.nextafter(tens, 0)[1:], np.nextafter(tens, top),
+                            [9.9999999999999982, 1.0, top - 1, 2.0**52 + 0.5]])
+    for values in (spread, bits, ties, edges):
+        assert _g17(values) == ["%.17g" % v for v in np.asarray(values).tolist()]
+    for t in ties:
+        digits = format(Decimal(t), "f").replace(".", "").lstrip("0")
+        assert len(digits) == 18 and digits[-1] == "5"
+    # the d = 1 row of bounds, all four columns
+    row = [np.array([v]) for v in (1, 1.0, 1.0, 1.5 + math.log(0.5))]
+    assert _g17_lines(row) == "1,1,1,0.80685281944005471\n"
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), 2.0**53, 9.99e-4])
+def test_g17_writer_refuses_values_outside_its_domain(bad):
+    with pytest.raises(ValueError, match=r"\[1e-3, 2\^53\)"):
+        _g17_lines([np.array([1.0, bad])])
 
 
 def test_help_exits_zero(capsys):

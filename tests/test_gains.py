@@ -25,7 +25,7 @@ from haltongain import (
     upper_bound_u_exact,
 )
 
-from oracles import gain_bruteforce, lower_bound_n_star, residue_match
+from oracles import bounds_rows, gain_bruteforce, lower_bound_n_star, residue_match
 
 D2_LEVELS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -595,8 +595,13 @@ def test_global_bounds_exact_values():
         global_bounds_exact(2.5)
 
 
+def table_rows(d_max: int) -> list[tuple]:
+    """bounds_table's blocks joined into rows (d, lower, upper, guide)."""
+    return list(zip(*(np.concatenate(col).tolist() for col in zip(*bounds_table(d_max)))))
+
+
 def test_bounds_table_rows():
-    rows = list(bounds_table(100))
+    rows = table_rows(100)
     assert [r[0] for r in rows] == list(range(1, 101))
     assert rows[0][1] == rows[0][2] == 1.0
     for d, lower, upper, guide in rows:
@@ -612,17 +617,65 @@ def test_bounds_table_rows():
         list(bounds_table(2.5))
 
 
+def test_bounds_table_blocks():
+    # Full blocks of 2^14 rows, then the rest; d counts on across them.
+    blocks = list(bounds_table(2 * gains._BOUNDS_BLOCK + 5))
+    assert [len(b[0]) for b in blocks] == [gains._BOUNDS_BLOCK] * 2 + [5]
+    for block in blocks:
+        assert len({len(col) for col in block}) == 1
+        assert block[0].dtype == np.int64
+        assert all(col.dtype == np.float64 for col in block[1:])
+    assert np.array_equal(np.concatenate([b[0] for b in blocks]),
+                          np.arange(1, 2 * gains._BOUNDS_BLOCK + 6))
+
+
 def test_bounds_table_matches_correctly_rounded_log_sums():
-    # Each compensated running total equals math.fsum of its prefix, so the
-    # rows are exp of the correctly rounded log sums; a plain running sum
-    # already misses at d = 3.
+    # Each log sum equals math.fsum of its prefix, so the rows are exp of
+    # the correctly rounded log sums; a plain running sum already misses at
+    # d = 3.
     checked = (2, 3, 7, 30, 1000, 2146, 5000, 20000)
-    rows = list(bounds_table(checked[-1]))
+    rows = table_rows(checked[-1])
     bases = first_primes(checked[-1]).bases
     for d in checked:
         lower = 0.75 * math.exp(math.fsum(math.log1p(1.0 / b) for b in bases[:d]))
         upper = 0.5 * math.exp(math.fsum(-math.log1p(-1.0 / b) for b in bases[:d]))
         assert rows[d - 1][:3] == (d, lower, upper)
+
+
+def test_bounds_table_matches_kahan_oracle():
+    # Every row to 2*10^5, across 12 block boundaries and their carried
+    # limbs, equals the one-row-at-a-time Kahan oracle.
+    d_max = 200_000
+    got = [np.concatenate(col) for col in zip(*bounds_table(d_max))]
+    want = np.array(list(bounds_rows(d_max)))
+    assert np.array_equal(got[0], np.arange(1, d_max + 1))
+    for col in (1, 2, 3):
+        assert np.array_equal(got[col], want[:, col])
+
+
+def test_prefix_sums_are_correctly_rounded():
+    # Terms k * 2^-80 at the bottom of [2^-28, 1) have full 40-bit low
+    # limbs, so a low-limb sum left without its carry passes 2^53 after
+    # about 2^14 terms and loses bits on its way to float, while the sums
+    # stay small enough for that loss to show on some prefix.  Fed in
+    # blocks, as bounds_table does, every prefix is the exact sum correctly
+    # rounded.
+    k = np.random.default_rng(4).integers(1 << 52, 1 << 53, 1 << 17, dtype=np.int64)
+    total = np.zeros(2, dtype=np.int64)
+    got = np.concatenate([gains._prefix_sums(np.ldexp(block.astype(np.float64), -80), total)
+                          for block in np.split(k, 8)])
+    exact = itertools.accumulate(k.tolist())
+    assert got.tolist() == [math.ldexp(float(s), -80) for s in exact]
+
+
+def test_log_terms_split_into_exact_limbs():
+    # The smallest terms come from the largest base, p_{10^7} = 179,424,673,
+    # and the largest from base 2.  All lie in [2^-28, 1), so every term up
+    # to MAX_DIMENSION is a multiple of 2^-80 below 1: two exact 40-bit limbs.
+    for b in (2, 179_424_673):
+        for t in (math.log1p(1.0 / b), -math.log1p(-1.0 / b)):
+            assert 2.0**-28 <= t < 1.0
+            assert math.ldexp(t, 80).is_integer()
 
 
 # ------------------------------------------------------------------ containers

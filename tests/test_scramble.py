@@ -356,6 +356,14 @@ def test_scramble_column_levels_and_replicate_blocks(kind, base, depth, levels):
         scramble_column(ScrambleSpec("none"), 2, base, x, levels)
 
 
+@pytest.mark.parametrize("kind", ["nested", "linear"])
+@pytest.mark.parametrize("replicates", [1, 3])
+def test_scramble_column_of_zero_rows(kind, replicates):
+    x = np.zeros((0, 4), dtype=np.uint64)
+    out = scramble_column(ScrambleSpec(kind), 1, 3, x, [0, 1], replicates)
+    assert out.shape == (replicates, 0, 2) and out.dtype == np.uint64
+
+
 def test_linear_scramble_bijective_on_prefixes():
     spec = ScrambleSpec("linear", seed=8)
     L = draw_linear_scramble(spec, 1, 2, 3)
