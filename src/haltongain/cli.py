@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -64,7 +65,7 @@ class RunConfig:
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(",") if p != "")
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
 
@@ -83,10 +84,6 @@ def _emit_json(cfg: RunConfig, body: dict[str, Any]) -> None:
     doc.update(body)
     with _open_out(cfg.out) as fh:
         fh.write(json.dumps(doc) + "\n")
-
-
-def _f17(x: float) -> str:
-    return format(x, ".17g")
 
 
 _U = np.uint64
@@ -165,8 +162,10 @@ def _g17_lines(columns: Sequence[np.ndarray]) -> str:
     return chars[_KEEP.take((e + 3) * 17 + zeros, axis=0)].tobytes().decode("ascii")
 
 
-def _rat(x: Fraction) -> dict[str, Any]:
-    return {"num": x.numerator, "den": x.denominator, "float": float(x)}
+def _rat(name: str, x: Fraction) -> dict[str, Any]:
+    """The fields name, name_num, name_den and name_float of an exact value."""
+    return {name: f"{x.numerator}/{x.denominator}", name + "_num": x.numerator,
+            name + "_den": x.denominator, name + "_float": float(x)}
 
 
 def _build_parser() -> _Parser:
@@ -257,7 +256,7 @@ def _cmd_points(cfg: RunConfig) -> int:
         _emit_json(
             cfg,
             {"start": start, "n": n,
-             "points": [[_f17(x) for x in row] for row in points.coords]},
+             "points": [[format(x, ".17g") for x in row] for row in points.coords]},
         )
         return 0
     with _open_out(cfg.out) as fh:
@@ -282,8 +281,7 @@ def _cmd_gain(cfg: RunConfig) -> int:
     q = gains.GainQuery.build(u, k, cfg.params["n"], basis)
     g = gains.gain_exact(q)
     if cfg.fmt == "json":
-        _emit_json(cfg, {"gain": f"{g.numerator}/{g.denominator}", **{
-            "gain_" + k: v for k, v in _rat(g).items()}})
+        _emit_json(cfg, _rat("gain", g))
         return 0
     with _open_out(cfg.out) as fh:
         fh.write("n,gain_num,gain_den,gain_float\n")
@@ -322,15 +320,11 @@ def _cmd_gain_curve(cfg: RunConfig) -> int:
 def _cmd_gamma(cfg: RunConfig) -> int:
     d = cfg.params["d"]
     summary = gains.gamma_max(d, n_cap=cfg.params["n_cap"])
-    g = summary.gamma
     _emit_json(
         cfg,
         {
             "d": d,
-            "gamma": f"{g.numerator}/{g.denominator}",
-            "gamma_num": g.numerator,
-            "gamma_den": g.denominator,
-            "gamma_float": float(g),
+            **_rat("gamma", summary.gamma),
             "argmax_n": summary.argmax_n,
             "lower_bound": float(summary.lower),
             "upper_bound": float(summary.upper),
@@ -443,17 +437,14 @@ def _cmd_figure(cfg: RunConfig) -> int:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     basis = first_primes(3)
+    levels_below = range((n_max - 1).bit_length())  # 2^k < n_max bounds every level
     curves = []
     subsets = (u for size in (1, 2, 3) for u in itertools.combinations((1, 2, 3), size))
-    for u in subsets:
-        bases = tuple(basis.base(j) for j in u)
-        for levels in gains._level_vectors(bases, n_max - 1):
-            prod = 1
-            for b, k in zip(bases, levels):
-                prod *= b**k
-            # the curve only starts once a full level cell fits below n
-            curves.append((u, levels, prod))
-    curves.sort(key=lambda c: (len(c[0]), c[0], c[1]))
+    for u in subsets:  # by |u|, then u, then levels: the rows' order
+        for levels in itertools.product(levels_below, repeat=len(u)):
+            cell = math.prod(basis.base(j) ** k for j, k in zip(u, levels))
+            if cell < n_max:  # the curve only starts once a full level cell fits below n
+                curves.append((u, levels, cell))
     return _curve_rows(cfg, basis, curves, n_max, by_n=True)
 
 
@@ -491,7 +482,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     except BrokenPipeError:
         return 0
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"haltongain: error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

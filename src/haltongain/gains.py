@@ -94,8 +94,8 @@ class GainQuery:
     u is a sorted tuple of 1-based coordinates; `levels` and `bases` are
     aligned with it.  `build` is the validated constructor: u and its
     levels go through `pair_levels`, so levels follow u in the order given.
-    It also precomputes the extreme moduli m_under = prod b^k and
-    m_over = prod b^(k+1).
+    It also precomputes what every evaluator reads: the extreme moduli
+    m_under = prod b^k and m_over = prod b^(k+1), and denom = prod (b - 1).
     """
 
     u: tuple[int, ...]
@@ -104,6 +104,7 @@ class GainQuery:
     bases: tuple[int, ...]
     m_under: int
     m_over: int
+    denom: int
 
     @classmethod
     def build(
@@ -129,29 +130,25 @@ class GainQuery:
             raise OverflowError(
                 "query moduli exceed 128-bit range; lower the levels or |u|"
             )
-        return cls(u, levels, n, bases, m_under, m_over)
+        return cls(u, levels, n, bases, m_under, m_over, math.prod(b - 1 for b in bases))
 
 
 def _terms(
-    bases: Sequence[int], levels: Sequence[int], limit: int | None = None
+    bases: Sequence[int], levels: Sequence[int], limit: int
 ) -> list[tuple[int, int]]:
-    """(H_v, m_v) for every subset v of the positions, in bitmask order.
+    """(H_v, m_v) of the subsets v with m_v < limit, in bitmask order.
 
-    With a limit, only the terms with m_v < limit are listed, plus one
-    folded term (denom - sum of their H, limit).  That is exact for every
-    n <= limit: a term with m >= n contributes H * C(m, n) = H * n, the H_v
-    sum to denom = prod(b_j - 1) over all v, and m_v only grows as v does,
-    so a pruned partial term has no descendant below the limit.
+    That list gives T(n) exactly for every n <= limit: a term with m >= n
+    adds H floor(n'/m) = 0 to T(n) for every n' < n.  The pair sum's other
+    part, n * denom, comes from GainQuery.denom, not from the terms.  m_v
+    only grows as v does, so a pruned partial term has no descendant below
+    the limit, and the 2^|u| terms of a large u are never all built.
     """
     out = [(1, 1)]
     for b, k in zip(bases, levels):
         low = b**k
         out = [(-h, m * low) for h, m in out] + [(h * b, m * low * b) for h, m in out]
-        if limit is not None:
-            out = [(h, m) for h, m in out if m < limit]
-    if limit is not None:
-        denom = math.prod(b - 1 for b in bases)
-        out.append((denom - sum(h for h, _ in out), limit))
+        out = [(h, m) for h, m in out if m < limit]
     return out
 
 
@@ -170,7 +167,7 @@ def _prefix_at(terms: list[tuple[int, int]], n: int) -> tuple[int, int]:
 
 def gain_exact(q: GainQuery) -> Fraction:
     """G_{u,k}(n) by the closed form, as an exact reduced rational."""
-    den = q.n * math.prod(b - 1 for b in q.bases)
+    den = q.n * q.denom
     total = den + 2 * _prefix_at(_terms(q.bases, q.levels, q.n), q.n)[1]
     if total < 0:
         raise RuntimeError("negative gain sum; closed-form evaluation is broken")
@@ -266,12 +263,11 @@ def _gain_curve_arrays(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     template = GainQuery.build(u, levels, 1, basis)
     terms = _terms(template.bases, template.levels, n_max)
-    denom = math.prod(b - 1 for b in template.bases)
     t = _pair_prefix(terms, 0, n_max)
     n = np.arange(1, n_max + 1, dtype=np.int64)
-    if n_max * (denom + len(terms) * n_max) >= 1 << 63:
+    if n_max * (template.denom + len(terms) * n_max) >= 1 << 63:
         n, t = n.astype(object), t.astype(object)
-    den = n * denom
+    den = n * template.denom
     num = den + 2 * t
     g = np.gcd(num, den)
     return num // g, den // g
@@ -286,23 +282,6 @@ def gain_curve(
     """[G_{u,k}(1), ..., G_{u,k}(n_max)], exact."""
     num, den = _gain_curve_arrays(u, levels, basis, n_max)
     return [Fraction(a, b) for a, b in zip(num.tolist(), den.tolist())]
-
-
-def _level_vectors(bases: Sequence[int], cap: int) -> Iterator[tuple[int, ...]]:
-    """All k >= 0 (componentwise) with prod bases[t]**k[t] <= cap."""
-
-    def rec(t: int, prod: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if t == len(bases):
-            yield prefix
-            return
-        p = prod
-        k = 0
-        while p <= cap:
-            yield from rec(t + 1, p, prefix + (k,))
-            p *= bases[t]
-            k += 1
-
-    yield from rec(0, 1, ())
 
 
 @dataclass(frozen=True)
@@ -346,9 +325,7 @@ def gamma_max(d: int, n_cap: int | None = None) -> GainSummary:
     if n_hi * n_hi << (d - 1) >= 1 << 63:
         raise ValueError("exact int64 scan needs 2^(d-1) n^2 < 2^63; lower n_cap")
     gamma, argmax = _scan_gamma(
-        _terms(template.bases, template.levels, n_hi),
-        math.prod(b - 1 for b in template.bases),
-        n_hi,
+        _terms(template.bases, template.levels, n_hi), template.denom, n_hi
     )
     lower, upper = global_bounds_exact(d)
     return GainSummary(d, gamma, argmax, lower, upper)
@@ -424,7 +401,8 @@ def global_bounds_exact(d: int) -> tuple[Fraction, Fraction]:
     """Eq-style sandwich for the worst gain over all subsets of 1..d.
 
     (3/4) prod (b_j+1)/b_j <= Gamma_d <= (1/2) prod b_j/(b_j-1) for d >= 2;
-    both collapse to 1 at d = 1.  Exact rationals, so meant for modest d.
+    both collapse to 1 at d = 1.  As b_1 = 2, the upper side is the lemma's
+    upper_bound_u_exact(1..d).  Exact rationals, so meant for modest d.
     """
     _require_integers(d=d)
     if d < 1:
@@ -433,12 +411,11 @@ def global_bounds_exact(d: int) -> tuple[Fraction, Fraction]:
         raise ValueError("exact bounds capped at d <= 10000; use bounds_table")
     if d == 1:
         return Fraction(1), Fraction(1)
+    basis = first_primes(d)
     lower = Fraction(3, 4)
-    upper = Fraction(1, 2)
-    for b in first_primes(d).bases:
+    for b in basis.bases:
         lower *= Fraction(b + 1, b)
-        upper *= Fraction(b, b - 1)
-    return lower, upper
+    return lower, upper_bound_u_exact(range(1, d + 1), basis)
 
 
 _BOUNDS_BLOCK = 1 << 14  # rows per bounds_table block
@@ -529,12 +506,11 @@ def oracle_check(
             q = GainQuery.build(u, levels, n_max, basis)
             closed = _pair_prefix(_terms(q.bases, q.levels, n_max), 0, n_max)
             brute = _bruteforce_prefix(q.bases, q.levels, n_max)
-            denom = math.prod(b - 1 for b in q.bases)
             for i in np.flatnonzero(closed != brute):
                 n = int(i) + 1
                 mismatches.append((
                     u, levels, n,
-                    Fraction(n * denom + 2 * int(closed[i]), n * denom),
-                    Fraction(n * denom + 2 * int(brute[i]), n * denom),
+                    Fraction(n * q.denom + 2 * int(closed[i]), n * q.denom),
+                    Fraction(n * q.denom + 2 * int(brute[i]), n * q.denom),
                 ))
     return mismatches

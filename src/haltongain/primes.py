@@ -55,8 +55,6 @@ def _extend_cache(count: int) -> None:
                 break
             start = max(p * p, ((lo + p - 1) // p) * p)
             flags[start - lo :: p] = False
-        if lo <= 1:
-            flags[: 2 - lo] = False
         found.extend((np.flatnonzero(flags) + lo).tolist())
         lo = hi
     if len(found) < count:

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import haltongain.gains as gains
 from haltongain import GainQuery, bounds_table, first_primes, gain_exact
 from haltongain.cli import _g17_lines, main
 
@@ -84,6 +85,14 @@ def test_out_file(tmp_path, capsys):
     code, out = run(capsys, "primes", "--d", "2", "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text().splitlines()[1] == "1,2"
+
+
+def test_unwritable_out_refused(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    assert main(["primes", "--d", "3", "--out", str(target)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("haltongain: error: ") and "No such file or directory" in err
 
 
 def test_points_plain(capsys):
@@ -220,6 +229,31 @@ def test_oracle_check_cli(capsys):
     assert "agree" in out
 
 
+def test_oracle_check_reports_disagreements(capsys, monkeypatch):
+    # A brute force one pair too high at n = 5 of u = 1: the CLI lists the
+    # disagreement with both gains, counts it and exits 2.
+    brute = gains._bruteforce_prefix
+
+    def off_at_five(bases, levels, n_max):
+        t = brute(bases, levels, n_max)
+        t[4] += 1
+        return t
+
+    monkeypatch.setattr(gains, "_bruteforce_prefix", off_at_five)
+    code, out = run(capsys, "oracle-check", "--d", "1", "--n-max", "6", "--k-max", "0")
+    assert code == 2
+    assert out == "MISMATCH u=(1,) k=(0,) n=5: closed form 1/5, brute 3/5\n1 disagreements\n"
+
+
+def test_internal_check_failure_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(gains, "_prefix_at", lambda terms, n: (0, -n))
+    assert main(["gain", "--u", "1", "--k", "0", "--n", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("haltongain: internal check failed: negative gain sum; "
+                   "closed-form evaluation is broken\n")
+
+
 @pytest.mark.parametrize("tail", [("--n-max", "0"), ("--d", "2", "--k-max", "-1")])
 def test_oracle_check_refuses_empty_grid(capsys, tail):
     # a grid that compares nothing must not report agreement
@@ -280,6 +314,31 @@ def test_figure_one_small(capsys):
     code, out = run(capsys, "figure", "1", "--d-max", "4")
     assert code == 0
     assert len(out.splitlines()) == 5
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("gain", "--u", "1,,2", "--k", "0,0", "--n", "5"),
+         "--u expects comma-separated integers, got '1,,2'"),
+        (("gain", "--u", "1", "--k", "0,", "--n", "5"),
+         "--k expects comma-separated integers, got '0,'"),
+        (("gain", "--u", "1,x", "--k", "0,0", "--n", "5"),
+         "--u expects comma-separated integers, got '1,x'"),
+        (("primes", "--d", "2", "--seed", "-1"), "--seed must fit in 64 bits"),
+        (("primes", "--d", "2", "--seed", str(1 << 64)), "--seed must fit in 64 bits"),
+        (("gain-curve", "--u", "1", "--k", "0", "--n-max", "0"), "n_max must be >= 1, got 0"),
+        (("oracle-check", "--d", "7"), "oracle grid supported for 1 <= d <= 6"),
+        (("points", "--d", "2", "--start", str((1 << 64) - 1), "--n", "2"),
+         "index range exceeds 64-bit point indices"),
+    ],
+    ids=["u-empty-entry", "k-trailing-comma", "u-not-integer", "seed-negative",
+         "seed-2^64", "n-max-0", "oracle-d-7", "points-past-2^64"],
+)
+def test_bad_argument_refused(capsys, argv, message):
+    assert main(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"haltongain: error: {message}\n"
 
 
 def test_exit_codes(capsys):

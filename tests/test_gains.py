@@ -128,7 +128,7 @@ def test_subset_terms_structure(basis3):
         tuple(j for t, j in enumerate(q.u) if bits >> t & 1)
         for bits in range(1 << len(q.u))
     ]
-    terms = dict(zip(bitmask_order, gains._terms(q.bases, q.levels)))
+    terms = dict(zip(bitmask_order, gains._terms(q.bases, q.levels, q.m_over + 1)))
     assert terms == {
         (): (1, 2),
         (1,): (-2, 4),
@@ -231,7 +231,7 @@ def test_curve_routes_agree(basis4, data):
 
 
 def test_curve_routes_agree_folded_25_dimensions():
-    # u = 1..25 keeps only the terms with m_v < 40 and folds the rest.
+    # u = 1..25 keeps only the terms with m_v < 40; the rest add 0 below it.
     basis = first_primes(25)
     u = tuple(range(1, 26))
     curve = gain_curve(u, (0,) * 25, basis, 40)
@@ -552,8 +552,8 @@ def test_gamma_scan_keeps_smallest_argmax(monkeypatch):
 
 
 def test_pruned_terms_match_bruteforce_at_25_dimensions():
-    # 2^25 terms in full; only the m_v < n ones are listed, the rest fold
-    # into one.  Brute force over index pairs shares none of that.
+    # 2^25 terms in full; only the m_v < n ones are listed, the rest add 0
+    # to T(n).  Brute force over index pairs shares none of that.
     basis = first_primes(25)
     u = tuple(range(1, 26))
     brute = [
@@ -745,9 +745,12 @@ def test_query_validation(basis3):
         GainQuery.build((1, 2, 1), (0, 0, 0), 5, basis3)
     with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
         GainQuery.build((1,), (0,), 2.5, basis3)
+    with pytest.raises(ValueError, match="capped at \\|u\\| <= 30"):
+        GainQuery.build(range(1, 32), (0,) * 31, 5, first_primes(31))
     with pytest.raises(ValueError, match="n_max must be an integer, got 3.5"):
         gain_curve((1,), (0,), basis3, 3.5)
     q = GainQuery.build((2, 1), (0, 1), 5, basis3)
     assert q.u == (1, 2)
     assert q.levels == (1, 0)  # each level stays with its coordinate
     assert (q.m_under, q.m_over) == (2, 12)  # 2^1 * 3^0, 2^2 * 3^1
+    assert q.denom == 2  # (2 - 1) * (3 - 1)

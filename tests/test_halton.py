@@ -100,6 +100,8 @@ def test_default_precision_covers_64_bit_indices():
         p = default_precision(b)
         assert b**p >= 2**64
         assert b ** (p - 1) < 2**64
+    with pytest.raises(ValueError, match="base must be >= 2, got 1"):
+        default_precision(1)
 
 
 def test_first_points(basis3):

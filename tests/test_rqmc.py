@@ -78,6 +78,8 @@ def test_make_haar_validation(basis3):
         make_haar((1,), (0,), basis3, tables=[[0, 0]])
     with pytest.raises(ValueError):
         make_haar((1,), (0,), basis3, tables=[[1, -1, 0]])  # wrong length
+    with pytest.raises(ValueError, match="one table per subset member"):
+        make_haar((1, 2), (0, 0), basis3, tables=[[1, -1]])
 
 
 def test_evaluate_reads_the_level_digit(basis3):

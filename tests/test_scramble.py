@@ -215,6 +215,10 @@ def test_spec_validation():
     for kind in ("nested", "linear"):
         with pytest.raises(ValueError, match="replicates must be >= 1"):
             scramble_column(ScrambleSpec(kind), 1, 2, x, range(3), replicates=0)
+        last = ScrambleSpec(kind, replicate=(1 << 64) - 2)  # replicates 2^64 - 2, 2^64 - 1
+        scramble_column(last, 1, 2, x, range(3), replicates=2)
+        with pytest.raises(ValueError, match="past 2\\^64 - 1"):
+            scramble_column(last, 1, 2, x, range(3), replicates=3)
         for levels in ([], [0, -1], [0.5]):  # no level equals 0.5: nothing would be drawn
             with pytest.raises(ValueError, match="one or more digit levels >= 0"):
                 scramble_column(ScrambleSpec(kind), 1, 2, x, levels)
