@@ -63,10 +63,25 @@ class RunConfig:
         return body
 
 
+def _int(text: str) -> int:
+    """An integer in ASCII decimal digits with an optional sign.
+
+    int() also takes underscores, surrounding spaces and non-ASCII digits,
+    so '1_0' would read as 10 and a full-width zero as 0.
+    """
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past int()'s limit on digits
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
+        return tuple(_int(p) for p in text.split(","))
+    except argparse.ArgumentTypeError:
         raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
 
 
@@ -111,6 +126,19 @@ _KEEP = np.array([_kept(e, zeros) for e in range(-3, 16) for zeros in range(17)]
 _BEFORE_POINT = np.array([[c < 4 + e for c in range(20)] for e in range(-3, 16)])
 
 
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For g in 0..9999: "%04d" % g as one native word of four ASCII bytes,
+    and how many zeros end those four digits (4 for g = 0)."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # row j: 10^(3-j)
+    words = np.ascontiguousarray((digits + np.uint8(ord("0"))).T).view(np.uint32).ravel()
+    zero = digits == 0
+    zeros = zero[3] * (1 + zero[2] * (1 + zero[1] * (1 + zero[0].astype(np.uint8))))
+    return words, zeros
+
+
+_QUADS, _QUAD_ZEROS = _quad_tables()
+
+
 def _digits17(m: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
     """round-half-even(m * 10^(16-e) / 2^s) for m < 2^53 and 0 <= s <= 62, exactly."""
     p = _POW10[16 - e]
@@ -144,13 +172,21 @@ def _g17_lines(columns: Sequence[np.ndarray]) -> str:
     e[fix] += miss[fix]
     q[fix] = _digits17(m[fix], s[fix], e[fix])
 
-    digits = np.zeros((20, len(x)), dtype=np.uint8)  # 3 zeros, then q's digits
-    for j in range(19, 2, -1):
-        rest = q // _U(10)
-        digits[j] = q - rest * _U(10)
-        q = rest
-    zeros = np.argmax(digits[19:2:-1] != 0, axis=0)  # q > 0
-    digits = digits.T + np.uint8(ord("0"))
+    # q's 17 digits in groups of 1 + 4 + 4 + 4 + 4, each written as one
+    # table word; the group splits run on 32-bit halves of q
+    high = q // _U(10**8)
+    low = (q - high * _U(10**8)).astype(np.uint32)
+    high = high.astype(np.uint32)
+    top = high // np.uint32(10**8)
+    groups = (top, *np.divmod(high - top * np.uint32(10**8), np.uint32(10**4)),
+              *np.divmod(low, np.uint32(10**4)))
+    words = np.empty((len(x), 5), dtype=np.uint32)
+    for j, group in enumerate(groups):
+        words[:, j] = _QUADS.take(group)
+    digits = words.view(np.uint8)  # 3 zeros, then q's digits
+    zeros = _QUAD_ZEROS.take(groups[1])  # q >= 10^16, so top is not 0
+    for group in groups[2:]:
+        zeros = _QUAD_ZEROS.take(group) + (group == 0) * zeros
     chars = np.empty((len(x), 22), dtype=np.uint8)
     chars[:, 21] = ord(",")
     chars[width - 1 :: width, 21] = ord("\n")  # after the last field of a row
@@ -174,61 +210,61 @@ def _build_parser() -> _Parser:
 
     def common(p: _Parser, formats: tuple[str, ...]) -> None:
         # The formats the command writes; the first is its default.
-        p.add_argument("--seed", type=int, default=0, help="PRF seed (default 0)")
+        p.add_argument("--seed", type=_int, default=0, help="PRF seed (default 0)")
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("primes", help="first d prime bases")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int, required=True)
     common(p, ("csv", "json"))
 
     p = sub.add_parser("points", help="consecutive (optionally scrambled) points")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--start", type=int, default=0)
+    p.add_argument("--d", type=_int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--start", type=_int, default=0)
     p.add_argument("--scramble", choices=("none", "nested", "linear"), default="none")
-    p.add_argument("--replicate", type=int, default=0)
+    p.add_argument("--replicate", type=_int, default=0)
     common(p, ("csv", "json"))
 
     p = sub.add_parser("gain", help="one exact gain value")
     p.add_argument("--u", required=True, help="coordinate subset, e.g. 1,2")
     p.add_argument("--k", required=True, help="levels aligned with --u, e.g. 0,0")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     common(p, ("csv", "json"))
 
     p = sub.add_parser("gain-curve", help="gain as a function of n")
     p.add_argument("--u", required=True)
     p.add_argument("--k", required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_int, required=True)
     common(p, ("csv", "json"))
 
     p = sub.add_parser("gamma", help="worst gain over all n for u = 1..d")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n-cap", type=int, default=None)
+    p.add_argument("--d", type=_int, required=True)
+    p.add_argument("--n-cap", type=_int, default=None)
     common(p, ("json",))
 
     p = sub.add_parser("bounds", help="dimension sandwich table")
-    p.add_argument("--d-max", type=int, required=True)
+    p.add_argument("--d-max", type=_int, required=True)
     common(p, ("csv",))
 
     p = sub.add_parser("variance", help="replicated variance experiment")
     p.add_argument("--u", required=True)
     p.add_argument("--k", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--reps", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--reps", type=_int, required=True)
     p.add_argument("--scramble", choices=("nested", "linear"), default="nested")
     common(p, ("json",))
 
     p = sub.add_parser("oracle-check", help="closed form vs brute force grid")
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--n-max", type=int, default=90)
-    p.add_argument("--k-max", type=int, default=1)
+    p.add_argument("--d", type=_int, default=3)
+    p.add_argument("--n-max", type=_int, default=90)
+    p.add_argument("--k-max", type=_int, default=1)
     common(p, ("text",))
 
     p = sub.add_parser("figure", help="data behind the stock figures")
     p.add_argument("which", choices=("1", "2", "3"))
-    p.add_argument("--d-max", type=int, default=1_000_000, help="figure 1 range")
-    p.add_argument("--n-max", type=int, default=1000, help="figure 3 range")
+    p.add_argument("--d-max", type=_int, default=1_000_000, help="figure 1 range")
+    p.add_argument("--n-max", type=_int, default=1000, help="figure 3 range")
     common(p, ("csv",))
 
     return parser

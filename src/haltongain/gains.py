@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .halton import _require_integers
-from .primes import PrimeBasis, first_primes
+from .primes import PrimeBasis, _prime_array, first_primes
 
 __all__ = [
     "GainQuery",
@@ -418,7 +418,7 @@ def global_bounds_exact(d: int) -> tuple[Fraction, Fraction]:
     return lower, upper_bound_u_exact(range(1, d + 1), basis)
 
 
-_BOUNDS_BLOCK = 1 << 14  # rows per bounds_table block
+_BOUNDS_BLOCK = 1 << 11  # rows per bounds_table block
 _LIMB = 40  # bits per limb of an exact log sum
 
 
@@ -450,8 +450,10 @@ def _each(fn, x: np.ndarray) -> np.ndarray:
 def bounds_table(d_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     """Blocks (d, lower, upper, guide) of the rows d = 1..d_max, in order.
 
-    Each block holds up to 2^14 rows as four arrays: d (int64) and the
-    three float64 columns.  guide = 1.5 + ln(d/2) is the line of the
+    Each block holds up to 2^11 rows as four arrays: d (int64) and the
+    three float64 columns; blocks this small keep one block's temporaries,
+    and the CLI writer's, reused from block to block rather than returned
+    to the system and faulted back in.  guide = 1.5 + ln(d/2) is the line of the
     paper's abstract.  It majorizes the sharper bound B(d) = Gamma*_6 *
     prod_{j=7..d} b_j/(b_j-1) on Gamma_d, where Gamma*_6 = 1548299/637056
     is the exact worst gain over every subset of 1..6 (see the lemma in
@@ -466,11 +468,11 @@ def bounds_table(d_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     _require_integers(d_max=d_max)
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
-    bases = first_primes(d_max).bases
+    bases = _prime_array(d_max)
     lower_total = np.zeros(2, dtype=np.int64)
     upper_total = np.zeros(2, dtype=np.int64)
     for start in range(0, d_max, _BOUNDS_BLOCK):
-        b = np.array(bases[start : start + _BOUNDS_BLOCK], dtype=np.float64)
+        b = bases[start : start + _BOUNDS_BLOCK].astype(np.float64)
         d = np.arange(start + 1, start + 1 + len(b), dtype=np.int64)
         lower = 0.75 * _each(math.exp, _prefix_sums(_each(math.log1p, 1.0 / b), lower_total))
         upper = 0.5 * _each(math.exp, _prefix_sums(-_each(math.log1p, -1.0 / b), upper_total))

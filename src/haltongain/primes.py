@@ -18,7 +18,9 @@ MAX_DIMENSION = 10_000_000
 
 _SEGMENT = 1 << 20
 
-# Grows monotonically; never shrinks, never mutated in place by callers.
+# The primes sieved so far as one read-only int64 array, and as Python ints
+# once first_primes has needed them.  Each only grows, by rebinding.
+_sieved = np.empty(0, dtype=np.int64)
 _cache: list[int] = []
 
 
@@ -41,13 +43,14 @@ def _small_sieve(limit: int) -> np.ndarray:
 
 
 def _extend_cache(count: int) -> None:
-    if len(_cache) >= count:
+    global _sieved
+    if len(_sieved) >= count:
         return
     limit = _sieve_limit(count)
     base = _small_sieve(math.isqrt(limit) + 1)
-    found: list[int] = []
-    lo = 2
-    while lo <= limit and len(found) < count:
+    found: list[np.ndarray] = []  # each segment's primes
+    total, lo = 0, 2
+    while lo <= limit and total < count:
         hi = min(lo + _SEGMENT, limit + 1)
         flags = np.ones(hi - lo, dtype=bool)
         for p in base.tolist():
@@ -55,13 +58,24 @@ def _extend_cache(count: int) -> None:
                 break
             start = max(p * p, ((lo + p - 1) // p) * p)
             flags[start - lo :: p] = False
-        found.extend((np.flatnonzero(flags) + lo).tolist())
+        found.append(np.flatnonzero(flags) + lo)
+        total += len(found[-1])
         lo = hi
-    if len(found) < count:
+    if total < count:
         # The analytic bound cannot fail for count >= 6, but stay defensive.
         raise RuntimeError(f"sieve bound too small for {count} primes")
-    _cache.clear()
-    _cache.extend(found)
+    _sieved = np.concatenate(found).astype(np.int64, copy=False)
+    _sieved.flags.writeable = False
+
+
+def _prime_array(d: int) -> np.ndarray:
+    """The first d primes as a read-only int64 array, sieved once per process."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if d > MAX_DIMENSION:
+        raise ValueError(f"dimension {d} exceeds supported cap {MAX_DIMENSION}")
+    _extend_cache(d)
+    return _sieved[:d]
 
 
 @dataclass(frozen=True)
@@ -92,9 +106,8 @@ class PrimeBasis:
 
 def first_primes(d: int) -> PrimeBasis:
     """Basis of the first d primes.  Sieved once per process, then cached."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if d > MAX_DIMENSION:
-        raise ValueError(f"dimension {d} exceeds supported cap {MAX_DIMENSION}")
-    _extend_cache(d)
+    global _cache
+    _prime_array(d)
+    if len(_cache) < d:
+        _cache = _sieved.tolist()
     return PrimeBasis(d, tuple(_cache[:d]))

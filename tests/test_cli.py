@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import haltongain.cli as cli
 import haltongain.gains as gains
 from haltongain import GainQuery, bounds_table, first_primes, gain_exact
 from haltongain.cli import _g17_lines, main
@@ -58,6 +59,9 @@ PINNED = {
         "63b718c0735d469b1bea6c08ab27de45af71457093a8f03cac1b05c1bfa0788b",
     ("gain", "--u", "1,2,3", "--k", "0,1,0", "--n", "100000"):
         "0cbf3a4402a4206f6c8e4e8f0d315f0c863097a4a74ae5d0926d8de0cc593ec2",
+    # one row past the first block of 2^11 rows; the hash of the 2^14-row blocks
+    ("bounds", "--d-max", "2049"):
+        "ba4b45c5a49f3f5dd2ccf10460362396be1fc1eba3f6ceb6fccc8e509e846a28",
 }
 
 
@@ -331,14 +335,47 @@ def test_figure_one_small(capsys):
         (("oracle-check", "--d", "7"), "oracle grid supported for 1 <= d <= 6"),
         (("points", "--d", "2", "--start", str((1 << 64) - 1), "--n", "2"),
          "index range exceeds 64-bit point indices"),
+        # int() would read these as 10 and 0
+        (("gain", "--u", "1_0", "--k", "0", "--n", "5"),
+         "--u expects comma-separated integers, got '1_0'"),
+        (("gain", "--u", "1", "--k", "\uff10", "--n", "5"),
+         "--k expects comma-separated integers, got '\uff10'"),
     ],
     ids=["u-empty-entry", "k-trailing-comma", "u-not-integer", "seed-negative",
-         "seed-2^64", "n-max-0", "oracle-d-7", "points-past-2^64"],
+         "seed-2^64", "n-max-0", "oracle-d-7", "points-past-2^64", "u-underscore",
+         "k-full-width"],
 )
 def test_bad_argument_refused(capsys, argv, message):
     assert main(list(argv)) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == f"haltongain: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("primes", "--d", "1_0"),
+         "haltongain primes: error: argument --d: invalid int value: '1_0'"),
+        (("gain", "--u", "1", "--k", "0", "--n", "\uff15"),
+         "haltongain gain: error: argument --n: invalid int value: '\uff15'"),
+        (("bounds", "--d-max", " 7"),
+         "haltongain bounds: error: argument --d-max: invalid int value: ' 7'"),
+    ],
+    ids=["d-underscore", "n-full-width", "d-max-space"],
+)
+def test_bad_integer_option_refused(capsys, argv, line):
+    # Integer options refuse what int() takes beyond [+-]?[0-9]+; argparse
+    # prints the subcommand's usage before the error line.
+    assert main(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: haltongain {argv[0]} ")
+    assert err.endswith(f"\n{line}\n")
+
+
+def test_integer_options_take_a_sign():
+    assert main(["primes", "--d", "+3", "--format", "json"]) == 0
+    assert main(["gain", "--u", "+2", "--k", "-0", "--n", "+5"]) == 0
 
 
 def test_exit_codes(capsys):
@@ -373,7 +410,7 @@ def test_format_outside_declared_set_refused(capsys, argv, refused):
     list(PINNED),
     ids=["linear", "plain", "nested", "plain-last-index", "nested-last-index",
          "figure3", "figure3-400", "figure2", "gain-curve", "gain-curve-json",
-         "variance-nested", "variance-linear", "primes-1000", "gain"],
+         "variance-nested", "variance-linear", "primes-1000", "gain", "bounds-block-edge"],
 )
 def test_output_bytes_pinned(capsys, argv):
     code, out = run(capsys, *argv)
@@ -426,7 +463,7 @@ def test_coordinate_listed_twice_refused(capsys):
 
 
 def test_bounds_rows_match_csv_writer(capsys):
-    # 40,000 rows span three blocks of bounds_table.
+    # 40,000 rows span 20 blocks of bounds_table.
     code, out = run(capsys, "bounds", "--d-max", "40000", "--format", "csv")
     want = io.StringIO()
     w = csv.writer(want, lineterminator="\n")
@@ -467,6 +504,45 @@ def test_g17_writer_matches_percent_format():
     # the d = 1 row of bounds, all four columns
     row = [np.array([v]) for v in (1, 1.0, 1.0, 1.5 + math.log(0.5))]
     assert _g17_lines(row) == "1,1,1,0.80685281944005471\n"
+
+
+def _trailing_zeros(x: float) -> int:
+    """How many zeros end the 17 significant digits of x."""
+    digits = ("%.16e" % x).split("e")[0].replace(".", "")
+    return len(digits) - len(digits.rstrip("0"))
+
+
+def test_g17_writer_trailing_zeros_cross_every_group():
+    # q's last 16 digits are four table groups, so a run of trailing zeros
+    # can end inside or at the edge of any of them: halves and integers
+    # whose 17 digits end in each count of zeros from 0 (1 for integers,
+    # which stay below 2^53) to 16.
+    values = []
+    for zeros in range(17):
+        half = int("1234567891234567"[: 16 - zeros] or "0") + 0.5
+        values.append(half)
+        assert _trailing_zeros(half) == zeros
+        if zeros:
+            integer = int("1234567891234567"[: 17 - zeros])
+            values += [integer, integer * 2.0**-9]
+            assert _trailing_zeros(integer) == zeros
+    values += [1.5, 1.25, 1234.5, 2.0**52 + 0.5]
+    values += [2.0**k for k in range(-9, 53)]
+    assert {_trailing_zeros(v) for v in values} == set(range(17))
+    assert _g17(values) == ["%.17g" % v for v in values]
+
+
+def test_g17_writer_integers_match_percent_d():
+    # the d column: every integer 1..2^20, in blocks as bounds writes them
+    for start in range(1, 1 << 20, 1 << 16):
+        d = np.arange(start, start + (1 << 16), dtype=np.int64)
+        assert _g17(d) == ["%d" % i for i in d.tolist()]
+
+
+def test_g17_writer_tables_match_python_formatting():
+    quads = [b"%04d" % g for g in range(10_000)]
+    assert cli._QUADS.tobytes() == b"".join(quads)
+    assert cli._QUAD_ZEROS.tolist() == [4 - len(q.rstrip(b"0")) for q in quads]
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), 2.0**53, 9.99e-4])

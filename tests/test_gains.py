@@ -618,7 +618,7 @@ def test_bounds_table_rows():
 
 
 def test_bounds_table_blocks():
-    # Full blocks of 2^14 rows, then the rest; d counts on across them.
+    # Full blocks of _BOUNDS_BLOCK rows, then the rest; d counts on across them.
     blocks = list(bounds_table(2 * gains._BOUNDS_BLOCK + 5))
     assert [len(b[0]) for b in blocks] == [gains._BOUNDS_BLOCK] * 2 + [5]
     for block in blocks:
@@ -643,7 +643,7 @@ def test_bounds_table_matches_correctly_rounded_log_sums():
 
 
 def test_bounds_table_matches_kahan_oracle():
-    # Every row to 2*10^5, across 12 block boundaries and their carried
+    # Every row to 2*10^5, across 97 block boundaries and their carried
     # limbs, equals the one-row-at-a-time Kahan oracle.
     d_max = 200_000
     got = [np.concatenate(col) for col in zip(*bounds_table(d_max))]

@@ -1,10 +1,12 @@
 """Prime basis generation against independent oracles."""
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import haltongain.primes as primes
 from haltongain import PrimeBasis, first_primes
 
 
@@ -79,3 +81,17 @@ def test_cache_order_independent():
     small = first_primes(7).bases
     assert big[:7] == small
     assert first_primes(2000).bases == big
+
+
+def test_cache_grows_across_a_segment_boundary(monkeypatch):
+    # From an empty cache: one segment, then a sieve past the first
+    # segment's 2^20 numbers (82,025 primes), then the small size again.
+    monkeypatch.setattr(primes, "_sieved", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(primes, "_cache", [])
+    small = first_primes(1000).bases
+    large = first_primes(100_000).bases
+    assert len(primes._sieved) >= 100_000 > 82_025
+    assert large[82_024:82_026] == (1_048_573, 1_048_583)
+    assert large[:1000] == small == first_primes(1000).bases
+    assert large == tuple(primes._prime_array(100_000).tolist())
+    assert list(large[:1000]) == _trial_division(1000)
