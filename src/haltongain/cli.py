@@ -6,8 +6,17 @@ and the stock figures.  Tabular output is CSV with a header row and LF line
 endings; structured output is a single JSON object carrying a config echo,
 so identical invocations produce identical bytes.
 
-Exit codes: 0 on success, 1 on bad arguments, 2 when an internal
-consistency check fails (for example the two gain routes disagreeing).
+Each subcommand's handler takes the config echo (command, seed, then the
+parsed options in argparse order) and the format, runs its argument checks,
+and returns its output: a dict for a JSON body, or a lazy iterable of text
+that is written as it is produced.  Only then does `dispatch` open --out
+and write {"config": echo, **body} or the text, so a refused argument
+leaves no file.
+
+Exit codes: 0 on success; 1 on bad arguments, an unwritable --out
+included; 2 when an internal consistency check fails: oracle-check's
+handler returns 2 with its mismatch report, and a RuntimeError from the
+library (for example the two gain routes disagreeing) exits 2.
 """
 
 from __future__ import annotations
@@ -19,9 +28,8 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 # Set before numpy loads, which the next imports do: numpy's bundled OpenBLAS
 # starts a pool of worker threads as it loads, and no command makes a BLAS
@@ -35,7 +43,7 @@ from .halton import halton_points
 from .primes import PrimeBasis, first_primes
 from .scramble import _HALF, _LOW, ScrambleSpec, _mulhi, randomize
 
-__all__ = ["RunConfig", "dispatch", "main"]
+__all__ = ["dispatch", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,22 +53,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run depends on; echoed into output for exact replay."""
-
-    command: str
-    seed: int = 0
-    fmt: str = "csv"
-    out: str | None = None
-    params: dict[str, Any] = field(default_factory=dict)
-
-    def echo(self) -> dict[str, Any]:
-        body: dict[str, Any] = {"command": self.command, "seed": self.seed}
-        body.update(self.params)
-        return body
 
 
 def _int(text: str) -> int:
@@ -92,13 +84,6 @@ def _open_out(path: str | None):
     else:
         with open(path, "w", newline="") as fh:
             yield fh
-
-
-def _emit_json(cfg: RunConfig, body: dict[str, Any]) -> None:
-    doc = {"config": cfg.echo()}
-    doc.update(body)
-    with _open_out(cfg.out) as fh:
-        fh.write(json.dumps(doc) + "\n")
 
 
 _U = np.uint64
@@ -270,59 +255,48 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_primes(cfg: RunConfig) -> int:
-    basis = first_primes(cfg.params["d"])
-    if cfg.fmt == "json":
-        _emit_json(cfg, {"d": basis.dimension, "primes": list(basis.bases)})
-        return 0
-    with _open_out(cfg.out) as fh:
-        fh.write("j,prime\n")
-        fh.writelines("%d,%d\n" % row for row in enumerate(basis.bases, start=1))
-    return 0
+def _cmd_primes(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str]:
+    basis = first_primes(echo["d"])
+    if fmt == "json":
+        return {"d": basis.dimension, "primes": list(basis.bases)}
+    rows = ("%d,%d\n" % row for row in enumerate(basis.bases, start=1))
+    return itertools.chain(["j,prime\n"], rows)
 
 
-def _cmd_points(cfg: RunConfig) -> int:
-    d, n, start = cfg.params["d"], cfg.params["n"], cfg.params["start"]
-    kind, replicate = cfg.params["scramble"], cfg.params["replicate"]
+def _cmd_points(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str]:
+    d, n, start = echo["d"], echo["n"], echo["start"]
+    kind, replicate = echo["scramble"], echo["replicate"]
     basis = first_primes(d)
     points = halton_points(basis, start, n)
     if kind != "none":
-        points = randomize(points, ScrambleSpec(kind, cfg.seed, replicate))
-    if cfg.fmt == "json":
-        _emit_json(
-            cfg,
-            {"start": start, "n": n,
-             "points": [[format(x, ".17g") for x in row] for row in points.coords]},
-        )
-        return 0
-    with _open_out(cfg.out) as fh:
-        if kind != "none":
-            # randomized runs carry their key in the header for replay
-            fh.write("# config: " + json.dumps(cfg.echo()) + "\n")
-        fh.write(",".join(["i"] + [f"x{j}" for j in range(1, d + 1)]) + "\n")
-        fmt = "%d" + ",%.17g" * d + "\n"
-        fh.writelines(fmt % (start + p, *row) for p, row in enumerate(points.coords))
-    return 0
+        points = randomize(points, ScrambleSpec(kind, echo["seed"], replicate))
+    if fmt == "json":
+        return {"start": start, "n": n,
+                "points": [[format(x, ".17g") for x in row] for row in points.coords]}
+    head = []
+    if kind != "none":
+        # randomized runs carry their key in the header for replay
+        head.append("# config: " + json.dumps(echo) + "\n")
+    head.append(",".join(["i"] + [f"x{j}" for j in range(1, d + 1)]) + "\n")
+    line = "%d" + ",%.17g" * d + "\n"
+    return itertools.chain(head, (line % (start + p, *row) for p, row in enumerate(points.coords)))
 
 
-def _subset_args(cfg: RunConfig) -> tuple[tuple[int, ...], tuple[int, ...], PrimeBasis]:
+def _subset_args(echo: dict[str, Any]) -> tuple[tuple[int, ...], tuple[int, ...], PrimeBasis]:
     """--u, --k and the first max(u) primes; the library checks the subset."""
-    u = _parse_ints(cfg.params["u"], "--u")
-    k = _parse_ints(cfg.params["k"], "--k")
+    u = _parse_ints(echo["u"], "--u")
+    k = _parse_ints(echo["k"], "--k")
     return u, k, first_primes(max((1, *u)))
 
 
-def _cmd_gain(cfg: RunConfig) -> int:
-    u, k, basis = _subset_args(cfg)
-    q = gains.GainQuery.build(u, k, cfg.params["n"], basis)
+def _cmd_gain(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str]:
+    u, k, basis = _subset_args(echo)
+    q = gains.GainQuery.build(u, k, echo["n"], basis)
     g = gains.gain_exact(q)
-    if cfg.fmt == "json":
-        _emit_json(cfg, _rat("gain", g))
-        return 0
-    with _open_out(cfg.out) as fh:
-        fh.write("n,gain_num,gain_den,gain_float\n")
-        fh.write("%d,%d,%d,%.17g\n" % (q.n, g.numerator, g.denominator, float(g)))
-    return 0
+    if fmt == "json":
+        return _rat("gain", g)
+    return ["n,gain_num,gain_den,gain_float\n",
+            "%d,%d,%d,%.17g\n" % (q.n, g.numerator, g.denominator, float(g))]
 
 
 def _gain_columns(u, levels, basis, n_max) -> tuple[list, list, list]:
@@ -336,93 +310,74 @@ def _gain_columns(u, levels, basis, n_max) -> tuple[list, list, list]:
     return nums, dens, [a / b for a, b in zip(nums, dens)]
 
 
-def _cmd_gain_curve(cfg: RunConfig) -> int:
-    u, k, basis = _subset_args(cfg)
-    n_max = cfg.params["n_max"]
+def _cmd_gain_curve(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str]:
+    u, k, basis = _subset_args(echo)
+    n_max = echo["n_max"]
     rows = zip(range(1, n_max + 1), *_gain_columns(u, k, basis, n_max))
-    if cfg.fmt == "json":
-        _emit_json(
-            cfg,
-            {"gains": [
-                {"n": n, "num": a, "den": b, "float": f} for n, a, b, f in rows]},
-        )
-        return 0
-    with _open_out(cfg.out) as fh:
-        fh.write("n,gain_num,gain_den,gain_float\n")
-        fh.writelines("%d,%d,%d,%.17g\n" % row for row in rows)
-    return 0
+    if fmt == "json":
+        return {"gains": [
+            {"n": n, "num": a, "den": b, "float": f} for n, a, b, f in rows]}
+    lines = ("%d,%d,%d,%.17g\n" % row for row in rows)
+    return itertools.chain(["n,gain_num,gain_den,gain_float\n"], lines)
 
 
-def _cmd_gamma(cfg: RunConfig) -> int:
-    d = cfg.params["d"]
-    summary = gains.gamma_max(d, n_cap=cfg.params["n_cap"])
-    _emit_json(
-        cfg,
-        {
-            "d": d,
-            **_rat("gamma", summary.gamma),
-            "argmax_n": summary.argmax_n,
-            "lower_bound": float(summary.lower),
-            "upper_bound": float(summary.upper),
-        },
-    )
-    return 0
+def _cmd_gamma(echo: dict[str, Any], fmt: str) -> dict[str, Any]:
+    d = echo["d"]
+    summary = gains.gamma_max(d, n_cap=echo["n_cap"])
+    return {
+        "d": d,
+        **_rat("gamma", summary.gamma),
+        "argmax_n": summary.argmax_n,
+        "lower_bound": float(summary.lower),
+        "upper_bound": float(summary.upper),
+    }
 
 
-def _cmd_bounds(cfg: RunConfig) -> int:
-    blocks = gains.bounds_table(cfg.params["d_max"])
-    first = next(blocks)  # runs the table's argument checks before any output
-    with _open_out(cfg.out) as fh:
-        fh.write("d,lower,upper,guide\n")
-        for block in itertools.chain((first,), blocks):
-            fh.write(_g17_lines(block))  # d, below 2^53, writes as "%d" does
-    return 0
+def _cmd_bounds(echo: dict[str, Any], fmt: str) -> Iterable[str]:
+    blocks = gains.bounds_table(echo["d_max"])
+    first = next(blocks)  # runs the table's argument checks before --out opens
+    # d, below 2^53, writes as "%d" does
+    lines = map(_g17_lines, itertools.chain((first,), blocks))
+    return itertools.chain(["d,lower,upper,guide\n"], lines)
 
 
-def _cmd_variance(cfg: RunConfig) -> int:
-    u, k, basis = _subset_args(cfg)
-    n, reps = cfg.params["n"], cfg.params["reps"]
-    kind = cfg.params["scramble"]
+def _cmd_variance(echo: dict[str, Any], fmt: str) -> dict[str, Any]:
+    u, k, basis = _subset_args(echo)
+    n, reps = echo["n"], echo["reps"]
+    kind = echo["scramble"]
     expected = gains.gain_exact(gains.GainQuery.build(u, k, n, basis))
     f = rqmc.make_haar(u, k, basis)
-    summary = rqmc.rqmc_estimate(f, basis, n, reps, ScrambleSpec(kind, cfg.seed))
+    summary = rqmc.rqmc_estimate(f, basis, n, reps, ScrambleSpec(kind, echo["seed"]))
     if summary.gain_se > 0:
         z = (summary.empirical_gain - float(expected)) / summary.gain_se
     else:
         z = 0.0
-    _emit_json(
-        cfg,
-        {
-            "n": n,
-            "R": reps,
-            "mean": summary.mean,
-            "var": summary.variance,
-            "sigma2": summary.sigma2,
-            "empirical_gain": summary.empirical_gain,
-            "expected_gain_num": expected.numerator,
-            "expected_gain_den": expected.denominator,
-            "z_score": z,
-        },
-    )
-    return 0
+    return {
+        "n": n,
+        "R": reps,
+        "mean": summary.mean,
+        "var": summary.variance,
+        "sigma2": summary.sigma2,
+        "empirical_gain": summary.empirical_gain,
+        "expected_gain_num": expected.numerator,
+        "expected_gain_den": expected.denominator,
+        "z_score": z,
+    }
 
 
-def _cmd_oracle_check(cfg: RunConfig) -> int:
-    d, n_max, k_max = cfg.params["d"], cfg.params["n_max"], cfg.params["k_max"]
+def _cmd_oracle_check(echo: dict[str, Any], fmt: str) -> list[str] | tuple[list[str], int]:
+    d, n_max, k_max = echo["d"], echo["n_max"], echo["k_max"]
     mismatches = gains.oracle_check(d, n_max, k_max)
-    with _open_out(cfg.out) as fh:
-        if mismatches:
-            for u, k, n, a, b in mismatches:
-                fh.write(
-                    f"MISMATCH u={u} k={k} n={n}: closed form {a}, brute {b}\n"
-                )
-            fh.write(f"{len(mismatches)} disagreements\n")
-            return 2
-        fh.write(
-            f"closed form and brute force agree for d={d}, "
-            f"levels <= {k_max}, n <= {n_max}\n"
-        )
-    return 0
+    if mismatches:
+        lines = [
+            f"MISMATCH u={u} k={k} n={n}: closed form {a}, brute {b}\n"
+            for u, k, n, a, b in mismatches
+        ]
+        return lines + [f"{len(mismatches)} disagreements\n"], 2
+    return [
+        f"closed form and brute force agree for d={d}, "
+        f"levels <= {k_max}, n <= {n_max}\n"
+    ]
 
 
 _FIG2_LEVELS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -434,7 +389,7 @@ def _csv_field(values) -> str:
     return f'"{text}"' if "," in text else text
 
 
-def _curve_rows(cfg: RunConfig, basis, curves, n_max: int, by_n: bool) -> int:
+def _curve_rows(basis, curves, n_max: int, by_n: bool) -> Iterable[str]:
     """CSV rows of each (u, levels, start) curve at start < n <= n_max.
 
     Curve by curve, or, with by_n, count by count with the curves in the
@@ -450,26 +405,22 @@ def _curve_rows(cfg: RunConfig, basis, curves, n_max: int, by_n: bool) -> int:
         order = ((n, c) for n in counts for c in cols)
     else:
         order = ((n, c) for c in cols for n in counts)
-    with _open_out(cfg.out) as fh:
-        fh.write("u,k,n,gain_num,gain_den,gain_float\n")
-        fh.writelines(
-            "%s%d,%d,%d,%.17g\n" % (head, n, nums[n - 1], dens[n - 1], floats[n - 1])
-            for n, (head, start, nums, dens, floats) in order
-            if start < n
-        )
-    return 0
+    rows = (
+        "%s%d,%d,%d,%.17g\n" % (head, n, nums[n - 1], dens[n - 1], floats[n - 1])
+        for n, (head, start, nums, dens, floats) in order
+        if start < n
+    )
+    return itertools.chain(["u,k,n,gain_num,gain_den,gain_float\n"], rows)
 
 
-def _cmd_figure(cfg: RunConfig) -> int:
-    which = cfg.params["which"]
+def _cmd_figure(echo: dict[str, Any], fmt: str) -> Iterable[str]:
+    which = echo["which"]
     if which == "1":
-        sub = RunConfig("bounds", cfg.seed, "csv", cfg.out,
-                        {"d_max": cfg.params["d_max"]})
-        return _cmd_bounds(sub)
+        return _cmd_bounds(echo, fmt)
     if which == "2":
         curves = [((1, 2), levels, 0) for levels in _FIG2_LEVELS]
-        return _curve_rows(cfg, first_primes(2), curves, 36, by_n=False)
-    n_max = cfg.params["n_max"]
+        return _curve_rows(first_primes(2), curves, 36, by_n=False)
+    n_max = echo["n_max"]
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     basis = first_primes(3)
@@ -481,7 +432,7 @@ def _cmd_figure(cfg: RunConfig) -> int:
             cell = math.prod(basis.base(j) ** k for j, k in zip(u, levels))
             if cell < n_max:  # the curve only starts once a full level cell fits below n
                 curves.append((u, levels, cell))
-    return _curve_rows(cfg, basis, curves, n_max, by_n=True)
+    return _curve_rows(basis, curves, n_max, by_n=True)
 
 
 _HANDLERS = {
@@ -498,7 +449,7 @@ _HANDLERS = {
 
 
 def dispatch(argv: Sequence[str] | None = None) -> int:
-    """Parse argv and run one subcommand; returns the exit code."""
+    """Parse argv, run one subcommand and write its output; returns the exit code."""
     args = _build_parser().parse_args(argv)
     opts = vars(args)
     command = opts.pop("command")
@@ -507,8 +458,15 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     out = opts.pop("out")
     if seed < 0 or seed >= 1 << 64:
         raise ValueError("--seed must fit in 64 bits")
-    cfg = RunConfig(command, seed, fmt, out, opts)
-    return _HANDLERS[command](cfg)
+    echo = {"command": command, "seed": seed, **opts}
+    body = _HANDLERS[command](echo, fmt)
+    body, code = body if isinstance(body, tuple) else (body, 0)
+    with _open_out(out) as fh:
+        if isinstance(body, dict):
+            fh.write(json.dumps({"config": echo, **body}) + "\n")
+        else:
+            fh.writelines(body)
+    return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:

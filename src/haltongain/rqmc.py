@@ -153,8 +153,6 @@ def rqmc_estimate(
         raise ValueError(f"point count must be in 1..2^53, got {n}")
     if replicates < 2:
         raise ValueError(f"replicates must be >= 2 for a sample variance, got {replicates}")
-    if spec.kind == "none":
-        raise ValueError("variance experiments need a randomizing scramble")
     if spec.replicate + replicates > 1 << 64:
         raise ValueError("replicates past 2^64 - 1 do not fit the Philox key")
     if start < 0 or start + n > MAX_INDEX:

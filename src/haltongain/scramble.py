@@ -42,9 +42,9 @@ __all__ = [
     "Kind", "ScrambleSpec", "philox_array", "counter", "draw", "scramble_column", "randomize",
 ]
 
-Kind = Literal["none", "nested", "linear"]
+Kind = Literal["nested", "linear"]
 
-_KINDS = ("none", "nested", "linear")
+_KINDS = ("nested", "linear")
 _TAGS = {"perm": 0, "row": 1, "tail": 2}
 _MASK = (1 << 64) - 1
 _SPAN = 1 << 64  # a draw below `bound` takes the first word below _SPAN - _SPAN % bound
@@ -198,8 +198,6 @@ def scramble_column(
     (depth 3) and fails from base 1,753,413,058, so a hand-built base whose
     product could leave int64 is refused at every depth.
     """
-    if spec.kind == "none":
-        raise ValueError("kind 'none' scrambles no digits")
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     levels = np.asarray(levels)
@@ -255,7 +253,7 @@ def scramble_column(
 
 
 def randomize(points: PointSet, spec: ScrambleSpec) -> PointSet:
-    """Scramble every digit column of every point; kind "none" is identity.
+    """Scramble every digit column of every point.
 
     Each column is scrambled to the depth it holds, D digits.  Nested
     realization adds one uniform tail draw per (point, coordinate) at the
@@ -264,8 +262,6 @@ def randomize(points: PointSet, spec: ScrambleSpec) -> PointSet:
     by b**-D has exactly that law.  Linear tails are zero, matching the zero
     input digits beyond the stored ones.
     """
-    if spec.kind == "none":
-        return points
     indices = np.uint64(points.start) + np.arange(points.count, dtype=np.uint64)
     digits, tails = [], []
     for column, (base, x) in enumerate(zip(points.bases, points.digits), start=1):

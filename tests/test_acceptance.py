@@ -31,12 +31,13 @@ the line by up to 0.294 (at d = 2146).  See the bounds discussion in the
 README and the gains.bounds_table docstring.
 """
 
-import csv
 import itertools
 import math
 import random
 import time
 from fractions import Fraction
+
+import numpy as np
 
 from haltongain import (
     GainQuery,
@@ -204,21 +205,17 @@ def test_criterion_6_bounds_at_scale(capfd, tmp_path):
         problems.append(f"exit code {code}")
     if elapsed > 60.0:
         problems.append(f"took {elapsed:.1f}s, budget 60s")
-    rows = []
-    with open(target) as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            rows.append((int(row[0]), float(row[1]), float(row[2]), float(row[3])))
+    rows = np.loadtxt(target, delimiter=",", skiprows=1, ndmin=2)
     if len(rows) != 1_000_000:
         problems.append(f"{len(rows)} rows")
-    d2 = rows[1]
+    dims = rows[:, 0].astype(np.int64)
+    lower, upper, guide = rows[:, 1], rows[:, 2], rows[:, 3]
+    d2 = (int(dims[1]), float(lower[1]), float(upper[1]), float(guide[1]))
     if abs(d2[1] - 1.5) > 1e-12 or abs(d2[2] - 1.5) > 1e-12:
         problems.append(f"d=2 row {d2}")
-    for a, b in zip(rows, rows[1:]):
-        if b[1] < a[1] or b[2] < a[2]:
-            problems.append(f"columns not monotone at d={b[0]}")
-            break
+    falls = np.flatnonzero((lower[1:] < lower[:-1]) | (upper[1:] < upper[:-1]))
+    if falls.size:
+        problems.append(f"columns not monotone at d={dims[falls[0] + 1]}")
     # The abstract's line 1.5 + ln(d/2), checked against the bound
     # B(d) = Gamma*_6 * upper(d)/upper(6) = Gamma*_6 * prod_{j=7..d} p/(p-1).
     # Gamma*_6 is the exact worst gain over all 63 subsets u of 1..6, one
@@ -234,28 +231,30 @@ def test_criterion_6_bounds_at_scale(capfd, tmp_path):
     )
     if star != gamma_max(6).gamma:
         problems.append(f"subset sweep Gamma*_6 = {star} differs from gamma_max(6)")
-    up6 = rows[5][2]
+    up6 = float(upper[5])
     if not math.isclose(up6, float(global_bounds_exact(6)[1]), rel_tol=1e-12):
         problems.append(f"d=6 upper {up6} is not 1001/384")
     star_f = float(star)
-    margins = [(d, g - star_f * (up / up6)) for d, _, up, g in rows[5:]]
-    viol = [m for m in margins if m[1] < 0]
-    if viol:
-        worst = min(viol, key=lambda v: v[1])
+    d, up, g = dims[5:], upper[5:], guide[5:]
+    margins = g - star_f * (up / up6)
+    viol = np.flatnonzero(margins < 0)
+    if viol.size:
+        worst = viol[np.argmin(margins[viol])]  # the first of equal minima, as min() takes
         problems.append(
             f"B(d) > 1.5 + ln(d/2) at {len(viol)} of 999995 dimensions "
-            f"(worst d={worst[0]}, excess {-worst[1]:.4f})"
+            f"(worst d={d[worst]}, excess {-margins[worst]:.4f})"
         )
-    closest = min(margins, key=lambda v: v[1])
-    excess = max((up - g, d) for d, _, up, g in rows[5:])
+    closest = np.argmin(margins)
+    above = up - g
+    top = np.flatnonzero(above == above.max())[-1]  # max() over (up - g, d): the last d on a tie
     _verdict(
         capfd, 6, not problems,
         "; ".join(problems) if problems
         else f"10^6 rows, d=2 exact, monotone; B(d) with Gamma*_6 = "
              f"{star.numerator}/{star.denominator} (63 subsets) stays under "
-             f"1.5 + ln(d/2), closest at d={closest[0]} by {closest[1]:.4f}; "
-             f"upper runs above the line by up to {excess[0]:.4f} "
-             f"(d={excess[1]}) [{elapsed:.1f}s]",
+             f"1.5 + ln(d/2), closest at d={d[closest]} by {margins[closest]:.4f}; "
+             f"upper runs above the line by up to {above[top]:.4f} "
+             f"(d={d[top]}) [{elapsed:.1f}s]",
     )
 
 

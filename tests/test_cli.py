@@ -62,6 +62,19 @@ PINNED = {
     # one row past the first block of 2^11 rows; the hash of the 2^14-row blocks
     ("bounds", "--d-max", "2049"):
         "ba4b45c5a49f3f5dd2ccf10460362396be1fc1eba3f6ceb6fccc8e509e846a28",
+    ("gamma", "--d", "5"):
+        "661fabba00968cbfbbe69ce787dbe99b1d69a1af0b66c66c5eb28244fbba4cd7",
+    ("gain", "--u", "1,2", "--k", "0,1", "--n", "7", "--format", "json"):
+        "57bfd04bcc500dc1f3e5d12c2072697ad14e00bb3a894bcf4b31bf56533526c6",
+    ("primes", "--d", "5", "--format", "json"):
+        "a552b3006adc1cedede95def0efe635385e9e0c75792239ae5a37516b9064b0e",
+    # a scrambled CSV, whose first line is the "# config:" echo
+    ("points", "--d", "3", "--n", "20", "--scramble", "linear", "--seed", "7"):
+        "046c68bc0330e4d004871f3e06658a92c6bf80a4847331db5128b57a99a80505",
+    ("oracle-check", "--d", "2", "--n-max", "30"):
+        "f2491719e73478508eeef8346f2266b500f961593b434883927b954925a6223d",
+    ("figure", "1", "--d-max", "50"):
+        "c0f9fe4e7c5a71548f187d6ce0cca9185d85cccfa3625d88ddd69e8b59a5be52",
 }
 
 
@@ -410,7 +423,8 @@ def test_format_outside_declared_set_refused(capsys, argv, refused):
     list(PINNED),
     ids=["linear", "plain", "nested", "plain-last-index", "nested-last-index",
          "figure3", "figure3-400", "figure2", "gain-curve", "gain-curve-json",
-         "variance-nested", "variance-linear", "primes-1000", "gain", "bounds-block-edge"],
+         "variance-nested", "variance-linear", "primes-1000", "gain", "bounds-block-edge",
+         "gamma", "gain-json", "primes-json", "linear-csv", "oracle-check", "figure1"],
 )
 def test_output_bytes_pinned(capsys, argv):
     code, out = run(capsys, *argv)

@@ -170,8 +170,6 @@ def test_validation(basis2):
     with pytest.raises(ValueError, match="replicates must be >= 2"):
         rqmc_estimate(f, basis2, 2, 1, ScrambleSpec("nested"))  # no sample variance
     with pytest.raises(ValueError):
-        rqmc_estimate(f, basis2, 1, 2, ScrambleSpec("none"))
-    with pytest.raises(ValueError):
         rqmc_estimate(f, basis2, 1 << 54, 2, ScrambleSpec("nested"))
     # the last two replicates the key holds
     rqmc_estimate(f, basis2, 1, 2, ScrambleSpec("nested", replicate=(1 << 64) - 2))

@@ -209,8 +209,8 @@ def test_spec_validation():
         ScrambleSpec("nested", seed=1.5)  # would draw the streams of seed 1
     with pytest.raises(ValueError, match="replicate must be an integer"):
         ScrambleSpec("nested", replicate=2.7)
-    with pytest.raises(ValueError):
-        scramble_column(ScrambleSpec("none"), 1, 2, np.zeros((1, 3), np.uint64), range(3))
+    with pytest.raises(ValueError, match="kind must be one of"):
+        ScrambleSpec("none")  # the CLI's --scramble none skips randomize
     x = np.zeros((1, 3), np.uint64)
     for kind in ("nested", "linear"):
         with pytest.raises(ValueError, match="replicates must be >= 1"):
@@ -331,8 +331,6 @@ def test_scramble_level_is_digit_of_full_scramble(kind, base, level):
     both = scramble_column(ScrambleSpec(kind, seed=31, replicate=1), 2, base, column[some],
                            [level], 2)
     assert both[1, :, 0].tolist() == [want[r] for r in some]  # block 1 is replicate 2
-    with pytest.raises(ValueError):
-        scramble_column(ScrambleSpec("none"), 2, base, column, [level])
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
@@ -356,8 +354,6 @@ def test_scramble_column_levels_and_replicate_blocks(kind, base, depth, levels):
     for j in range(3):  # block j is replicate 1 + j
         one = scramble_column(ScrambleSpec(kind, seed=31, replicate=1 + j), 2, base, x, levels)
         assert np.array_equal(blocks[j], one[0])
-    with pytest.raises(ValueError):
-        scramble_column(ScrambleSpec("none"), 2, base, x, levels)
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
@@ -376,11 +372,6 @@ def test_linear_scramble_bijective_on_prefixes():
         for i in range(8)
     }
     assert len(outs) == 8
-
-
-def test_randomize_none_is_identity(basis3):
-    pts = halton_points(basis3, 0, 5)
-    assert randomize(pts, ScrambleSpec("none")) is pts
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
