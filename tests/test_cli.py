@@ -75,6 +75,15 @@ PINNED = {
         "f2491719e73478508eeef8346f2266b500f961593b434883927b954925a6223d",
     ("figure", "1", "--d-max", "50"):
         "c0f9fe4e7c5a71548f187d6ce0cca9185d85cccfa3625d88ddd69e8b59a5be52",
+    ("gamma", "--d", "7"):
+        "35736dcfa5cc50f5eba8e54227b1391d47f7f30eb7baa7460623eb13bbcc0533",
+    ("gamma", "--d", "8"):
+        "b5170f1bf1d473fd48f585102e70a2ff49ae88a5a9de2f7e1cafaadd15befab3",
+    # caps between half a cycle and a full one: P = 30030 and 9699690
+    ("gamma", "--d", "6", "--n-cap", "20000"):
+        "6813c302bbe2c82fa67b9f9538fbcb32989816ea4c9390f9938f738d41d5bbf4",
+    ("gamma", "--d", "8", "--n-cap", "5000000"):
+        "e753e667915e3085effc08e40df6abb09225339e80d60d8b2816999fce5a2a98",
 }
 
 
@@ -424,7 +433,8 @@ def test_format_outside_declared_set_refused(capsys, argv, refused):
     ids=["linear", "plain", "nested", "plain-last-index", "nested-last-index",
          "figure3", "figure3-400", "figure2", "gain-curve", "gain-curve-json",
          "variance-nested", "variance-linear", "primes-1000", "gain", "bounds-block-edge",
-         "gamma", "gain-json", "primes-json", "linear-csv", "oracle-check", "figure1"],
+         "gamma", "gain-json", "primes-json", "linear-csv", "oracle-check", "figure1",
+         "gamma-7", "gamma-8", "gamma-6-capped", "gamma-8-capped"],
 )
 def test_output_bytes_pinned(capsys, argv):
     code, out = run(capsys, *argv)
