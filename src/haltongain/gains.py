@@ -54,7 +54,6 @@ _MODULUS_BITS = 127  # queries whose moduli would not fit a signed 128-bit int f
 _MAX_SUBSET = 30
 _MAX_BRUTEFORCE_N = 10_000
 _PAIR_BLOCK = 1 << 18  # index pairs per brute-force block
-_FULL_SEARCH_DIM = 8
 
 
 def pair_levels(
@@ -298,30 +297,29 @@ class GainSummary:
 def gamma_max(d: int, n_cap: int | None = None) -> GainSummary:
     """Worst gain over all n for u = 1..d at levels 0, with its argmax.
 
-    The search range 1..prod b_j suffices: beyond one full cycle the gain is
-    a strictly shrunk copy of the first cycle, and only levels 0 matter for
-    the supremum.  Every n up to the cycle (or n_cap) is scanned exactly in
-    int64 by _scan_gamma; the reported value and the smallest argmax are
-    exact.  At level 0 |H_v| = m_v, so the scanned partial sums obey
-    |T(n)| < 2^(d-1) n^2; searches with 2^(d-1) n_hi^2 >= 2^63 raise
-    ValueError before any work is done.
+    Levels 0 reach the supremum (see upper_bound_u_exact), and half a cycle
+    holds the smallest argmax.  Write P = prod b_j and r_v = n mod m_v.
+    Then C(m_v, n) = (n^2 + r_v (m_v - r_v)) / m_v, and the H_v / m_v = +-1
+    sum to 0, so the pair sum is sum_v +-r_v (m_v - r_v).  Every m_v
+    divides P, and r (m - r) is symmetric under r -> m - r, so
+    n G(n) = (P - n) G(P - n) and the pair sum has period P.  Hence
+    G(P - n) < G(n) for n < P/2 where G(n) > 0, G only shrinks past the
+    cycle, and the smallest argmax, where G >= G(1) = 1, is at most P/2.
+    Every n up to min(n_cap, P // 2) is scanned exactly in int64 by
+    _scan_gamma.  As |H_v| = m_v, |T(n)| < 2^(d-1) n^2; searches with
+    2^(d-1) n_hi^2 >= 2^63, so d >= 10 without an n_cap, raise ValueError
+    before any term is built.
     """
     _require_integers(d=d)
     if d > _MAX_SUBSET:  # refused before the first d primes are sieved
         raise ValueError(f"search capped at d <= {_MAX_SUBSET}")
     template = GainQuery.build(range(1, d + 1), (0,) * d, 1, first_primes(d))
-    cycle = template.m_over
+    n_hi = template.m_over // 2
     if n_cap is not None:
         _require_integers(n_cap=n_cap)
         if n_cap < 1:
             raise ValueError(f"n_cap must be >= 1, got {n_cap}")
-        n_hi = min(n_cap, cycle)
-    else:
-        if d > _FULL_SEARCH_DIM:
-            raise ValueError(
-                f"full search defaults to d <= {_FULL_SEARCH_DIM}; pass n_cap"
-            )
-        n_hi = cycle
+        n_hi = min(n_cap, n_hi)
     if n_hi * n_hi << (d - 1) >= 1 << 63:
         raise ValueError("exact int64 scan needs 2^(d-1) n^2 < 2^63; lower n_cap")
     gamma, argmax = _scan_gamma(

@@ -18,10 +18,9 @@ MAX_DIMENSION = 10_000_000
 
 _SEGMENT = 1 << 20
 
-# The primes sieved so far as one read-only int64 array, and as Python ints
-# once first_primes has needed them.  Each only grows, by rebinding.
+# The primes sieved so far, as one read-only int64 array.  It only grows, by
+# rebinding.
 _sieved = np.empty(0, dtype=np.int64)
-_cache: list[int] = []
 
 
 def _sieve_limit(count: int) -> int:
@@ -106,8 +105,4 @@ class PrimeBasis:
 
 def first_primes(d: int) -> PrimeBasis:
     """Basis of the first d primes.  Sieved once per process, then cached."""
-    global _cache
-    _prime_array(d)
-    if len(_cache) < d:
-        _cache = _sieved.tolist()
-    return PrimeBasis(d, tuple(_cache[:d]))
+    return PrimeBasis(d, tuple(_prime_array(d).tolist()))

@@ -403,7 +403,7 @@ def test_integer_options_take_a_sign():
 def test_exit_codes(capsys):
     assert main(["gain", "--u", "", "--k", "0", "--n", "1"]) == 1
     assert main(["gain", "--u", "1", "--k", "0,0", "--n", "1"]) == 1
-    assert main(["gamma", "--d", "9"]) == 1
+    assert main(["gamma", "--d", "10"]) == 1
     assert main(["nonsense"]) == 1
     assert main([]) == 1
     assert main(["gain", "--u", "1", "--k", "200", "--n", "1"]) == 1

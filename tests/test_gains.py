@@ -477,7 +477,7 @@ def test_gamma_scan_matches_curve_oracle(monkeypatch):
 
 
 def test_gamma_max_frozen_seven_screened():
-    # One full cycle of 510510 counts, all inside the first scan chunk.
+    # Half a cycle, 255255 counts, all inside the first scan chunk.
     seven = gamma_max(7)
     assert seven.gamma == Fraction(4210265, 1633632)
     assert seven.argmax_n == 187187
@@ -485,11 +485,35 @@ def test_gamma_max_frozen_seven_screened():
 
 
 def test_gamma_max_frozen_eight():
-    # One full cycle of 9699690 counts spans 19 scan chunks.
+    # Half a cycle, 4849845 counts, spans 10 scan chunks.
     eight = gamma_max(8)
     assert eight.gamma == Fraction(109986683, 40432392)
     assert eight.argmax_n == 3556553
     assert eight.lower <= eight.gamma <= eight.upper
+
+
+def test_gamma_max_frozen_nine():
+    # Half a cycle, 111546435 counts: 2^8 * n^2 stays below 2^63.
+    nine = gamma_max(9)
+    assert nine.gamma == Fraction(35298810970925, 12438944534016)
+    assert nine.argmax_n == 81800719
+    assert nine.lower <= nine.gamma <= nine.upper
+
+
+@pytest.mark.parametrize(
+    "u, levels",
+    [((1, 2, 3, 4), (0, 0, 0, 0)), ((1, 2, 3), (1, 0, 2)), ((2, 4), (1, 1))],
+)
+def test_gain_reflection_identity(u, levels):
+    # Every m_v divides P = m_over, so n G(n) = (P - n) G(P - n): the
+    # lemma behind gamma_max's half-cycle scan, at P = 210, 1500 and 441.
+    basis = first_primes(4)
+    p = GainQuery.build(u, levels, 1, basis).m_over
+    curve = [None, *gain_curve(u, levels, basis, p)]  # curve[n] = G(n)
+    for n in range(1, p):
+        assert n * curve[n] == (p - n) * curve[p - n], n
+        if 2 * n < p and curve[n] > 0:
+            assert curve[n] > curve[p - n], n
 
 
 def test_gamma_max_capped_high_dimension():
@@ -515,8 +539,6 @@ def test_gamma_max_guards(monkeypatch):
     with pytest.raises(ValueError):
         gamma_max(0)
     with pytest.raises(ValueError):
-        gamma_max(9)  # needs an explicit n_cap
-    with pytest.raises(ValueError):
         gamma_max(31)
     with pytest.raises(ValueError):
         gamma_max(9, n_cap=0)
@@ -527,8 +549,9 @@ def test_gamma_max_guards(monkeypatch):
     capped = gamma_max(2, n_cap=2)
     assert capped.gamma == Fraction(3, 2)
     # The int64 scan needs 2^(d-1) n^2 < 2^63.  2^19 * (10^7)^2 exceeds it
-    # and is refused before the 2^20 terms are built; 2^19 * (2^22)^2 is
-    # 2^63 exactly.
+    # and is refused before the 2^20 terms are built, as is d = 10 without
+    # an n_cap (half its cycle is 3234846615); 2^19 * (2^22)^2 is 2^63
+    # exactly.
     class Reached(Exception):
         pass
 
@@ -536,6 +559,8 @@ def test_gamma_max_guards(monkeypatch):
         raise Reached
 
     monkeypatch.setattr(gains, "_terms", reached)
+    with pytest.raises(ValueError, match="2\\^63"):
+        gamma_max(10)
     for n_cap in (10**7, 1 << 22):
         with pytest.raises(ValueError, match="2\\^63"):
             gamma_max(20, n_cap=n_cap)

@@ -87,7 +87,6 @@ def test_cache_grows_across_a_segment_boundary(monkeypatch):
     # From an empty cache: one segment, then a sieve past the first
     # segment's 2^20 numbers (82,025 primes), then the small size again.
     monkeypatch.setattr(primes, "_sieved", np.empty(0, dtype=np.int64))
-    monkeypatch.setattr(primes, "_cache", [])
     small = first_primes(1000).bases
     large = first_primes(100_000).bases
     assert len(primes._sieved) >= 100_000 > 82_025
