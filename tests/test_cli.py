@@ -84,6 +84,16 @@ PINNED = {
         "6813c302bbe2c82fa67b9f9538fbcb32989816ea4c9390f9938f738d41d5bbf4",
     ("gamma", "--d", "8", "--n-cap", "5000000"):
         "e753e667915e3085effc08e40df6abb09225339e80d60d8b2816999fce5a2a98",
+    # the benchmark's plain command
+    ("points", "--d", "8", "--n", "3000", "--format", "json"):
+        "1c83f5d460fbdd9680a5dc00df9b9146c8db77b8fef54196e75d30f9f5379506",
+    # start 3^40 - 20: base-3 indices cross 3^40, so their prefixes gain a digit
+    ("points", "--d", "5", "--n", "40", "--start", "12157665459056928781",
+     "--scramble", "linear", "--seed", "7", "--format", "json"):
+        "514af3739da26f0b76c0744853047aed385992c6ee00ed2fee9e68c55aa2143f",
+    ("points", "--d", "5", "--n", "40", "--start", "12157665459056928781",
+     "--scramble", "nested", "--seed", "7", "--format", "json"):
+        "0dbc04180e11f51642e104b11eaaea3ab5f2b7767de2ce7ea68ba6f904baeed7",
 }
 
 
@@ -434,7 +444,8 @@ def test_format_outside_declared_set_refused(capsys, argv, refused):
          "figure3", "figure3-400", "figure2", "gain-curve", "gain-curve-json",
          "variance-nested", "variance-linear", "primes-1000", "gain", "bounds-block-edge",
          "gamma", "gain-json", "primes-json", "linear-csv", "oracle-check", "figure1",
-         "gamma-7", "gamma-8", "gamma-6-capped", "gamma-8-capped"],
+         "gamma-7", "gamma-8", "gamma-6-capped", "gamma-8-capped", "plain-json",
+         "linear-near-3^40", "nested-near-3^40"],
 )
 def test_output_bytes_pinned(capsys, argv):
     code, out = run(capsys, *argv)
