@@ -272,14 +272,15 @@ def _cmd_points(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str
         points = randomize(points, ScrambleSpec(kind, echo["seed"], replicate))
     if fmt == "json":
         return {"start": start, "n": n,
-                "points": [[format(x, ".17g") for x in row] for row in points.coords]}
+                "points": [[format(x, ".17g") for x in row] for row in points.coords.tolist()]}
     head = []
     if kind != "none":
         # randomized runs carry their key in the header for replay
         head.append("# config: " + json.dumps(echo) + "\n")
     head.append(",".join(["i"] + [f"x{j}" for j in range(1, d + 1)]) + "\n")
     line = "%d" + ",%.17g" * d + "\n"
-    return itertools.chain(head, (line % (start + p, *row) for p, row in enumerate(points.coords)))
+    rows = enumerate(points.coords.tolist(), start)
+    return itertools.chain(head, (line % (i, *row) for i, row in rows))
 
 
 def _subset_args(echo: dict[str, Any]) -> tuple[tuple[int, ...], tuple[int, ...], PrimeBasis]:

@@ -3,7 +3,7 @@
 The i-th point's coordinate j is the base-b_j radical inverse of i: write
 i = sum_l a_l * b^(l-1) and reflect the digits about the radix point,
 x = sum_l a_l * b^(-l).  A point set holds each coordinate as one integer
-digit array, and floats are a derived view.
+digit array, as deep as its largest index needs, and floats as one array.
 """
 
 from __future__ import annotations
@@ -44,18 +44,18 @@ def default_precision(base: int) -> int:
 class PointSet:
     """Consecutive Halton points as digit columns and realized floats.
 
-    `digits[c]` is column c+1, a uint64 array of shape (count, D_c) whose
-    entry [p, l-1] is digit l (weight b**-l) of point `start + p`;
-    `coords[p][c]` is the matching float in [0,1).  `bases[c]` is that
-    column's base: a scrambled set has no PrimeBasis of its own, so the
-    base travels with the column.
+    `digits[c]` is column c+1, a uint64 array of shape (count, L_c) whose
+    entry [p, l-1] is digit l (weight b**-l) of point `start + p`; digits
+    past L_c are 0.  `coords[p, c]` is the matching float in [0,1), in one
+    read-only float64 array.  `bases[c]` is that column's base: a scrambled
+    set has no PrimeBasis of its own, so the base travels with the column.
     """
 
     start: int
     count: int
     bases: tuple[int, ...]
     digits: tuple[np.ndarray, ...]
-    coords: tuple[tuple[float, ...], ...]
+    coords: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -84,56 +84,52 @@ def _leading(digits: np.ndarray, base: int, k: int) -> np.ndarray:
     return value
 
 
-def _float_column(digits: np.ndarray, base: int, tails: list[float] | None) -> list[float]:
-    """Float view of one digit column, plus `tails` in units of b**-D.
+def _float_column(digits: np.ndarray, base: int, tails: np.ndarray | None) -> np.ndarray:
+    """Float view of one digit column of L digits, plus `tails` in units of b**-L.
 
-    Each value is num/b**D correctly rounded, plus the tail, kept below 1.
-    When the digits past the first L are all zero, num/b**D = num_L/b**L,
-    and with b**L <= 2**53 both are exact doubles, so one float64 division
-    is correctly rounded.  Otherwise the exact numerator is a Python int,
-    whose division Python rounds correctly.
+    Each value is num/b**L correctly rounded, plus the tail, kept below 1.
+    With b**L <= 2**53 num and b**L are exact doubles, so one float64
+    division is correctly rounded.  Otherwise the exact numerator is a
+    Python int, whose division Python rounds correctly.
     """
-    depth = digits.shape[1]
-    used = np.flatnonzero(digits.any(axis=0))
-    width = int(used[-1]) + 1 if len(used) else 1
-    if tails is None and base**width <= 1 << 53:
-        return (_leading(digits, base, width).astype(np.float64) / base**width).tolist()
-    den = base**depth
-    x = np.array([num / den for num in _leading(digits, base, depth).tolist()])
+    width = digits.shape[1]
+    den = base**width
+    if tails is None and den <= 1 << 53:
+        return _leading(digits, base, width).astype(np.float64) / den
+    x = np.array([num / den for num in _leading(digits, base, width).tolist()])
     if tails is not None:
-        x += np.array(tails) / float(den)
+        x += tails / float(den)
     x[x >= 1.0] = 1.0 - 2.0**-53
-    return x.tolist()
+    return x
 
 
 def _point_set(start: int, bases: Sequence[int], digits: list, tails: list) -> PointSet:
     """These digit columns and their float view, with `tails[c]` column c's
     nested tails or None."""
-    cols = [_float_column(x, b, t) for b, x, t in zip(bases, digits, tails)]
-    return PointSet(start, len(digits[0]), tuple(bases), tuple(digits), tuple(zip(*cols)))
+    coords = np.stack([_float_column(x, b, t) for b, x, t in zip(bases, digits, tails)], axis=1)
+    coords.flags.writeable = False
+    return PointSet(start, len(digits[0]), tuple(bases), tuple(digits), coords)
 
 
 def _index_digits(start: int, count: int, base: int, depth: int) -> np.ndarray:
-    """Digits 1..depth of indices start..start+count-1, one row each.
+    """Digits 1..L of indices start..start+count-1, one row each, L the
+    digit count of the largest index, at least 1 and at most `depth`.
 
     Every index is below 2**64 <= base**default_precision(base), so that
     depth holds each index exactly; a smaller depth keeps its first digits.
     """
-    out = np.zeros((count, depth), dtype=np.uint64)
+    width = next((w for w in range(1, depth) if start + count - 1 < base**w), depth)
+    out = np.empty((count, width), dtype=np.uint64)
     rem = np.uint64(start) + np.arange(count, dtype=np.uint64)
     b = np.uint64(base)
-    last = start + count - 1
-    for l in range(depth):
-        if not last:  # digits past those of the largest index are all zero
-            break
+    for l in range(width):
         rem, out[:, l] = np.divmod(rem, b)
-        last //= base
     return out
 
 
 def halton_points(basis: PrimeBasis, start: int, count: int) -> PointSet:
     """Points start, ..., start+count-1 of the Halton sequence over `basis`,
-    with default_precision(b) digits per column."""
+    each column as deep as its largest index needs."""
     _require_integers(start=start, count=count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

@@ -26,9 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, MutableMapping, Sequence
 
+import numpy as np
+
 from haltongain import scramble
 from haltongain.gains import GainQuery, _bruteforce_prefix, gain_exact
-from haltongain.halton import PointSet, _leading
+from haltongain.halton import PointSet, _leading, default_precision
 from haltongain.primes import PrimeBasis, first_primes
 from haltongain.scramble import _MASK, _MUL, _ROUNDS, _WEYL, ScrambleSpec, counter
 
@@ -76,7 +78,8 @@ def stratum_index(points: PointSet, levels: Sequence[int]) -> list[tuple[int, ..
     """Which level-k elementary box each point falls in, one tuple per point.
 
     Coordinate j with level k_j contributes floor(b^k_j * x_j), read off the
-    first k_j digits most significant first.  Level 0 contributes 0.
+    first k_j digits most significant first, digits past the stored ones
+    reading as 0.  Level 0 contributes 0.
     """
     if len(levels) != points.dimension:
         raise ValueError("one level per coordinate required")
@@ -84,8 +87,9 @@ def stratum_index(points: PointSet, levels: Sequence[int]) -> list[tuple[int, ..
     for x, b, k in zip(points.digits, points.bases, levels):
         if k < 0:
             raise ValueError(f"level must be >= 0, got {k}")
-        if k > x.shape[1]:
-            raise ValueError(f"level {k} needs more digits than the stored {x.shape[1]}")
+        if k > default_precision(b):
+            raise ValueError(f"level {k} is past default_precision({b}) = {default_precision(b)}")
+        x = np.pad(x, ((0, 0), (0, max(k - x.shape[1], 0))))
         cols.append(_leading(x, b, k).tolist())
     return list(zip(*cols))
 

@@ -86,7 +86,9 @@ def test_column_digits_fraction_and_float():
     pts = halton_points(PrimeBasis(1, (2,)), 5, 1)
     assert pts.digits[0][:, :3].tolist() == [[1, 0, 1]]
     assert _fraction(pts.digits[0][0, :3], 2) == Fraction(5, 8)
-    assert pts.coords == ((0.625,),)
+    assert pts.coords.tolist() == [[0.625]]
+    with pytest.raises(ValueError, match="read-only"):
+        pts.coords[0, 0] = 0.5
 
 
 def test_precision_guard():
@@ -106,8 +108,7 @@ def test_default_precision_covers_64_bit_indices():
 
 def test_first_points(basis3):
     pts = halton_points(basis3, 0, 2)
-    assert pts.coords[0] == (0.0, 0.0, 0.0)
-    assert pts.coords[1] == (0.5, 1 / 3, 0.2)
+    assert pts.coords.tolist() == [[0.0, 0.0, 0.0], [0.5, 1 / 3, 0.2]]
     assert pts.digits[0][1, 0] == 1
     assert pts.dimension == 3
     assert pts.bases == (2, 3, 5)
@@ -155,8 +156,9 @@ def test_stratum_index_validation():
         stratum_index(pts, [1, 2])
     with pytest.raises(ValueError):
         stratum_index(pts, [-1])
-    with pytest.raises(ValueError, match="more digits than the stored 64"):
+    with pytest.raises(ValueError, match=r"65 is past default_precision\(2\) = 64"):
         stratum_index(pts, [65])
+    assert stratum_index(pts, [64]) == [(3 << 62,)]  # x = 0.11 in base 2; the rest reads 0
 
 
 def test_residue_match_is_interval_agreement():
@@ -209,11 +211,29 @@ def test_columns_match_per_point_oracles(basis5, start, count):
     assert pts.bases == (2, 3, 5, 7, 11)
     for c, (b, col) in enumerate(zip(pts.bases, pts.digits)):
         depth = default_precision(b)
-        assert col.shape == (count, depth)
         for p in range(count):
             i = start + p
-            assert tuple(col[p].tolist()) == digits_of(i, b, depth)
+            row = col[p].tolist() + [0] * (depth - col.shape[1])
+            assert tuple(row) == digits_of(i, b, depth)
             want = float(radical_inverse(i, b))
             assert pts.coords[p][c] == (want if want < 1.0 else 1.0 - 2.0**-53)
     if start + count == MAX_INDEX:
-        assert pts.coords[-1][0] == 1.0 - 2.0**-53  # 64 binary ones round to 1
+        assert pts.coords[-1, 0] == 1.0 - 2.0**-53  # 64 binary ones round to 1
+
+
+@pytest.mark.parametrize(
+    "start, count",
+    [(0, 1), (0, 2), (1, 8), (37, 300), (2**53 - 150, 300), (MAX_INDEX - 1, 1)],
+)
+def test_columns_hold_the_largest_index_digits(start, count):
+    # Each column is as deep as the digit count L of start+count-1 in its
+    # base, at least 1: the last 64-bit index needs default_precision(b).
+    pts = halton_points(first_primes(6), start, count)
+    last = start + count - 1
+    for b, col in zip(pts.bases, pts.digits):
+        width = 1
+        while last >= b**width:
+            width += 1
+        assert col.shape == (count, width)
+        if last == MAX_INDEX - 1:
+            assert width == default_precision(b)
