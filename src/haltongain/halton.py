@@ -113,17 +113,14 @@ def _point_set(start: int, bases: Sequence[int], digits: list, tails: list) -> P
 
 def _index_digits(start: int, count: int, base: int, depth: int) -> np.ndarray:
     """Digits 1..L of indices start..start+count-1, one row each, L the
-    digit count of the largest index, at least 1 and at most `depth`.
-
-    Every index is below 2**64 <= base**default_precision(base), so that
-    depth holds each index exactly; a smaller depth keeps its first digits.
-    """
+    digit count of the largest index, at least 1 and at most `depth`: every
+    index is below 2**64 <= base**default_precision(base), exact at that
+    depth, and a smaller depth keeps its first digits."""
     width = next((w for w in range(1, depth) if start + count - 1 < base**w), depth)
     out = np.empty((count, width), dtype=np.uint64)
     rem = np.uint64(start) + np.arange(count, dtype=np.uint64)
-    b = np.uint64(base)
     for l in range(width):
-        rem, out[:, l] = np.divmod(rem, b)
+        rem, out[:, l] = np.divmod(rem, np.uint64(base))
     return out
 
 

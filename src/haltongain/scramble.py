@@ -192,11 +192,11 @@ def scramble_column(
     of at most _GROUP_ROWS rows in all.  Any subset of levels gives those
     digits of the full scramble.
 
-    Neither the deepest level nor `x`'s width may pass default_precision(b)
-    digits: every prefix then fits in uint64, and the linear product, below
-    D*(b-1)**2 + b, is exact in int64.  That holds for every base up to
-    p_{10^7} = 179,424,673 (depth 3) and fails from base 1,753,413,058, so a
-    hand-built base whose product could leave int64 is refused at every depth.
+    The deepest level scrambled is digit default_precision(b): every prefix
+    then fits in uint64, and the linear product, below D*(b-1)**2 + b, is
+    exact in int64.  That holds for every base up to p_{10^7} = 179,424,673
+    (depth 3) and fails from base 1,753,413,058, so a hand-built base whose
+    product could leave int64 is refused at every depth.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
@@ -209,9 +209,8 @@ def scramble_column(
     rows, stored = x.shape
     depth = int(levels.max()) + 1
     limit = min(default_precision(base), ((1 << 63) - base) // (base - 1) ** 2)
-    if max(depth, stored) > limit:
-        raise ValueError(
-            f"scramble depth {max(depth, stored)} exceeds the limit {limit} for base {base}")
+    if depth > limit:
+        raise ValueError(f"scramble depth {depth} exceeds the limit {limit} for base {base}")
     if spec.kind == "linear":
         # Draw row (j, t) is matrix row s = levels[t] + 1 of replicate j; it
         # reads its first s + 1 draws: L[s][s] - 1, e_s, L[s][1], ..., L[s][s-1].
@@ -266,7 +265,11 @@ def randomize(points: PointSet, spec: ScrambleSpec) -> PointSet:
     indices = np.uint64(points.start) + np.arange(points.count, dtype=np.uint64)
     digits, tails = [], []
     for column, (base, x) in enumerate(zip(points.bases, points.digits), start=1):
-        digits.append(scramble_column(spec, column, base, x, range(default_precision(base)))[0])
+        depth = default_precision(base)
+        if x.shape[1] > depth:  # its digits past D would be dropped, not scrambled
+            raise ValueError(f"column of {x.shape[1]} digits exceeds the limit {depth} "
+                             f"for base {base}")
+        digits.append(scramble_column(spec, column, base, x, range(depth))[0])
         tails.append(draw(spec.seed, spec.replicate, "tail", column, 0, indices, [1 << 53])[:, 0]
                      / 2.0**53 if spec.kind == "nested" else None)
     return _point_set(points.start, points.bases, digits, tails)

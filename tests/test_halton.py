@@ -197,6 +197,8 @@ def test_full_window_balance(basis3):
 @pytest.mark.parametrize(
     "start, count",
     [
+        (0, 1),  # one digit in every base
+        (1, 8),
         (0, 40),
         (37, 300),
         (3**33 - 150, 300),  # base 3: 3^33 < 2^53 < 3^34, float path to Python ints
@@ -206,11 +208,19 @@ def test_full_window_balance(basis3):
 )
 def test_columns_match_per_point_oracles(basis5, start, count):
     # Digits against digits_of, floats against the correctly rounded
-    # radical inverse, on a 5-coordinate basis.
+    # radical inverse, on a 5-coordinate basis.  Each column is as deep as
+    # the digit count L of start+count-1 in its base, at least 1; the last
+    # 64-bit index needs default_precision(b).
     pts = halton_points(basis5, start, count)
     assert pts.bases == (2, 3, 5, 7, 11)
     for c, (b, col) in enumerate(zip(pts.bases, pts.digits)):
         depth = default_precision(b)
+        width = 1
+        while start + count - 1 >= b**width:
+            width += 1
+        assert col.shape == (count, width)
+        if start + count == MAX_INDEX:
+            assert width == depth
         for p in range(count):
             i = start + p
             row = col[p].tolist() + [0] * (depth - col.shape[1])
@@ -221,19 +231,3 @@ def test_columns_match_per_point_oracles(basis5, start, count):
         assert pts.coords[-1, 0] == 1.0 - 2.0**-53  # 64 binary ones round to 1
 
 
-@pytest.mark.parametrize(
-    "start, count",
-    [(0, 1), (0, 2), (1, 8), (37, 300), (2**53 - 150, 300), (MAX_INDEX - 1, 1)],
-)
-def test_columns_hold_the_largest_index_digits(start, count):
-    # Each column is as deep as the digit count L of start+count-1 in its
-    # base, at least 1: the last 64-bit index needs default_precision(b).
-    pts = halton_points(first_primes(6), start, count)
-    last = start + count - 1
-    for b, col in zip(pts.bases, pts.digits):
-        width = 1
-        while last >= b**width:
-            width += 1
-        assert col.shape == (count, width)
-        if last == MAX_INDEX - 1:
-            assert width == default_precision(b)

@@ -22,6 +22,7 @@ from haltongain import (
     scramble_column,
 )
 from haltongain import scramble
+from haltongain.halton import _point_set
 from haltongain.scramble import _permutations, counter, draw, philox_array
 
 from oracles import (
@@ -145,18 +146,25 @@ def test_prefed_head_draws_as_full_key(split):
 @pytest.mark.parametrize(
     "kind, tag", [("nested", None), ("linear", None), ("nested", "tail")]
 )
-def test_replicate_head_is_the_key_start(kind, tag):
+def test_replicate_head_is_the_key_start(kind, tag, monkeypatch):
     # Every stream a spec draws is keyed (seed, replicate), under its kind's tag.
     spec = ScrambleSpec(kind, seed=1 << 40, replicate=123456)
     key = (spec.seed, spec.replicate)
+    tails = []  # the nested tails randomize hands to the float view
+    monkeypatch.setattr(scramble, "_point_set", lambda *a: tails.append(a[3]) or _point_set(*a))
     for c, depth, r in ((4, 5, 300), (1, 0, 0), (2, 255, 1 << 70)):
         if tag == "tail":  # the tail of point i, with i < 2^64
             i = min(r, (1 << 64) - 1)
-            pts = PointSet(i, 1, (3,), (np.zeros((1, 1), dtype=np.uint64),), np.zeros((1, 1)))
-            got = randomize(pts, ScrambleSpec(kind, *key)).coords[0, 0]
+            one = (np.zeros((1, 1), dtype=np.uint64),)
+            got = randomize(PointSet(i, 1, (3,), one, np.zeros((1, 1))), ScrambleSpec(kind, *key))
             tail = stream(*key, "tail", 1, 0, i, [1 << 53])[0] / 2**53
+            assert tails.pop()[0].tolist() == [tail]
             y = nested_scramble_digits((0,), 3, 1, spec, default_precision(3))
-            assert got == _realized(y, 3, tail)
+            assert got.digits[0].tolist() == [list(y)]
+            assert got.coords[0, 0] == _realized(y, 3, tail)
+            # At D digits the tail mostly falls below the float's last bit; at
+            # one digit it moves the float by tail/3.
+            assert _point_set(i, (3,), one, [np.array([tail])]).coords[0, 0] == tail / 3
         elif kind == "nested":
             swaps = stream(*key, "perm", c, depth, r, range(7, 1, -1))
             assert permutation_node(spec, c, 7, depth, r) == _fisher_yates(swaps)
@@ -535,10 +543,16 @@ def test_depth_past_default_precision_refused(kind, basis3):
     spec = ScrambleSpec(kind, seed=2)
     for column, b in enumerate(basis3.bases, start=1):
         limit = default_precision(b)
-        with pytest.raises(ValueError, match=f"limit {limit} for base {b}"):
-            randomize(_padded(pts, {column: limit + 1}), spec)
-        with pytest.raises(ValueError, match=f"limit {limit} for base {b}"):
+        wide = _padded(pts, {column: limit + 1})
+        with pytest.raises(ValueError, match=f"column of {limit + 1} digits exceeds the limit "
+                                             f"{limit} for base {b}"):
+            randomize(wide, spec)
+        with pytest.raises(ValueError, match=f"depth {limit + 1} exceeds the limit {limit} "
+                                             f"for base {b}"):
             scramble_column(spec, column, b, pts.digits[column - 1], [limit])
+        # scramble_column reads only the digits of the levels it is asked for.
+        assert np.array_equal(scramble_column(spec, column, b, wide.digits[column - 1], [0]),
+                              scramble_column(spec, column, b, pts.digits[column - 1], [0]))
     randomize(pts, spec)
 
 
