@@ -279,7 +279,8 @@ def _cmd_points(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str
         head.append("# config: " + json.dumps(echo) + "\n")
     head.append(",".join(["i"] + [f"x{j}" for j in range(1, d + 1)]) + "\n")
     line = "%d" + ",%.17g" * d + "\n"
-    rows = enumerate(points.coords.tolist(), start)
+    blocks = np.split(points.coords, range(1 << 12, n, 1 << 12))  # keeps coords only, not digits
+    rows = enumerate(itertools.chain.from_iterable(map(np.ndarray.tolist, blocks)), start)
     return itertools.chain(head, (line % (i, *row) for i, row in rows))
 
 

@@ -50,8 +50,7 @@ __all__ = [
     "oracle_check",
 ]
 
-_MODULUS_BITS = 127  # queries whose moduli would not fit a signed 128-bit int fail
-_MAX_SUBSET = 30
+_MODULUS_BITS = 127  # bounds the moduli of the levels a caller passes in
 _MAX_BRUTEFORCE_N = 10_000
 _PAIR_BLOCK = 1 << 18  # index pairs per brute-force block
 
@@ -117,14 +116,8 @@ class GainQuery:
         _require_integers(n=n)
         if n < 1:
             raise ValueError(f"point count must be >= 1, got {n}")
-        # the closed form sums 2^|u| terms
-        if len(u) > _MAX_SUBSET:
-            raise ValueError(f"subset enumeration capped at |u| <= {_MAX_SUBSET}")
-        m_under = 1
-        m_over = 1
-        for b, k in zip(bases, levels):
-            m_under *= b**k
-            m_over *= b ** (k + 1)
+        m_under = math.prod(b**k for b, k in zip(bases, levels))
+        m_over = m_under * math.prod(bases)
         if m_over >= 1 << _MODULUS_BITS:
             raise OverflowError(
                 "query moduli exceed 128-bit range; lower the levels or |u|"
@@ -306,27 +299,26 @@ def gamma_max(d: int, n_cap: int | None = None) -> GainSummary:
     G(P - n) < G(n) for n < P/2 where G(n) > 0, G only shrinks past the
     cycle, and the smallest argmax, where G >= G(1) = 1, is at most P/2.
     Every n up to min(n_cap, P // 2) is scanned exactly in int64 by
-    _scan_gamma.  As |H_v| = m_v, |T(n)| < 2^(d-1) n^2; searches with
-    2^(d-1) n_hi^2 >= 2^63, so d >= 10 without an n_cap, raise ValueError
-    before any term is built.
+    _scan_gamma.  As |H_v| = m_v, |T(n)| < 2^(d-1) n^2: the one size limit
+    refuses 2^(d-1) n_hi^2 >= 2^63 before any term is built, d >= 64 before
+    any prime is sieved.  So d <= 9 runs in full; d <= 63 needs an n_cap.
     """
     _require_integers(d=d)
-    if d > _MAX_SUBSET:  # refused before the first d primes are sieved
-        raise ValueError(f"search capped at d <= {_MAX_SUBSET}")
-    template = GainQuery.build(range(1, d + 1), (0,) * d, 1, first_primes(d))
-    n_hi = template.m_over // 2
+    too_wide = "exact int64 scan needs 2^(d-1) n^2 < 2^63; lower n_cap"
+    if d >= 64:  # past the bound at n = 1, refused before any prime is sieved
+        raise ValueError(too_wide)
+    bases = _prime_array(d).tolist()  # refuses d < 1
+    n_hi = math.prod(bases) // 2
     if n_cap is not None:
         _require_integers(n_cap=n_cap)
         if n_cap < 1:
             raise ValueError(f"n_cap must be >= 1, got {n_cap}")
         n_hi = min(n_cap, n_hi)
     if n_hi * n_hi << (d - 1) >= 1 << 63:
-        raise ValueError("exact int64 scan needs 2^(d-1) n^2 < 2^63; lower n_cap")
-    gamma, argmax = _scan_gamma(
-        _terms(template.bases, template.levels, n_hi), template.denom, n_hi
-    )
-    lower, upper = global_bounds_exact(d)
-    return GainSummary(d, gamma, argmax, lower, upper)
+        raise ValueError(too_wide)
+    denom = math.prod(b - 1 for b in bases)
+    gamma, argmax = _scan_gamma(_terms(bases, (0,) * d, n_hi), denom, n_hi)
+    return GainSummary(d, gamma, argmax, *global_bounds_exact(d))
 
 
 _CHUNK = 1 << 19
@@ -451,17 +443,23 @@ def bounds_table(d_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     Each block holds up to 2^11 rows as four arrays: d (int64) and the
     three float64 columns; blocks this small keep one block's temporaries,
     and the CLI writer's, reused from block to block rather than returned
-    to the system and faulted back in.  guide = 1.5 + ln(d/2) is the line of the
-    paper's abstract.  It majorizes the sharper bound B(d) = Gamma*_6 *
-    prod_{j=7..d} b_j/(b_j-1) on Gamma_d, where Gamma*_6 = 1548299/637056
-    is the exact worst gain over every subset of 1..6 (see the lemma in
-    upper_bound_u_exact), by at least 0.146 (at d = 30) over 6..10^6.  The
-    upper column, the leave-one-out bound, runs above the guide over that
-    whole range: by 0.008 at d = 6 and by up to 0.294 at d = 2146.
+    to the system and faulted back in.  The products are exp of log sums,
+    each the correctly rounded sum of its terms (see _prefix_sums): the
+    terms log1p(1/b) and -log1p(-1/b) are >= 2^-28 for bases to p_{10^7}.
 
-    The products are exp of log sums, and each log sum is the correctly
-    rounded sum of its terms (see _prefix_sums): the terms log1p(1/b) and
-    -log1p(-1/b) are at least 2^-28 for every base up to p_{10^7}.
+    guide = 1.5 + ln(d/2) is the line of the paper's abstract.  Over
+    6..10^6 it exceeds the sharper bound B(d) = Gamma*_6 prod_{j=7..d}
+    b_j/(b_j-1) on Gamma_d, with Gamma*_6 = 1548299/637056 the exact worst
+    gain over every subset of 1..6 (see the lemma in upper_bound_u_exact),
+    by at least 0.146 (at d = 30), while the upper column, the leave-one-out
+    bound, runs above it by 0.008 at d = 6 and up to 0.294 at d = 2146.
+    Past 10^6, write B(d) = c prod_{p <= p_d} p/(p-1), c < 0.4662.  Rosser
+    and Schoenfeld (1962) give p_d < x = d (ln d + ln ln d), their (3.13),
+    and prod_{p <= x} p/(p-1) < e^gamma y (1 + 1/(2 y^2)), y = ln x >= ln 286,
+    their (3.30).  So B(d) < U(d) = c e^gamma (y + 1/(2y)), and the line
+    exceeds U by 0.80 at d = 10^6.  Beyond, dU/dd <= c e^gamma (1 + (1 +
+    1/ln d)/(ln d + ln ln d))/d < 0.885/d, a factor that falls with d, under
+    the line's slope 1/d: the gap widens, and B(d) < the line for all d >= 6.
     """
     _require_integers(d_max=d_max)
     if d_max < 1:

@@ -1,11 +1,12 @@
-"""The package acceptance gate: eight criteria, one printed verdict each.
+"""The package acceptance gate: eight criteria and criterion 6's extension
+past 10^6, one printed verdict each.
 
 Every test prints exactly one line of the form
 
     criterion N: PASS|FAIL - detail
 
 to the real terminal (bypassing capture) and then asserts, so a plain
-pytest run shows all eight verdicts regardless of capture settings.
+pytest run shows all nine verdicts regardless of capture settings.
 
 Statistical criteria (7) run under one fixed seed and tolerances sized at
 or above four standard errors, so a false failure needs a several-sigma
@@ -27,8 +28,11 @@ here.  B(d) majorizes Gamma_d by the lemma in the upper_bound_u_exact
 docstring, and it stays under the line by at least 0.146 (at d = 30).
 The table's upper column, the leave-one-out bound (1/2) prod p/(p-1),
 cannot meet the line: it is 1001/384 > 1.5 + ln 3 at d = 6 and runs above
-the line by up to 0.294 (at d = 2146).  See the bounds discussion in the
-README and the gains.bounds_table docstring.
+the line by up to 0.294 (at d = 2146).  Its extension shows, in exact
+rationals from two prime bounds of Rosser and Schoenfeld, that B(d) stays
+under the line for every d >= 10^6, so the line holds for every d >= 6.
+See the bounds discussion in the README and the gains.bounds_table
+docstring.
 """
 
 import itertools
@@ -62,7 +66,7 @@ SEED = 20270107
 D2_LEVELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _verdict(capfd, num: int, ok: bool, detail: str) -> None:
+def _verdict(capfd, num: int | str, ok: bool, detail: str) -> None:
     with capfd.disabled():
         print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}", flush=True)
     assert ok, f"criterion {num}: {detail}"
@@ -255,6 +259,61 @@ def test_criterion_6_bounds_at_scale(capfd, tmp_path):
              f"1.5 + ln(d/2), closest at d={d[closest]} by {margins[closest]:.4f}; "
              f"upper runs above the line by up to {above[top]:.4f} "
              f"(d={d[top]}) [{elapsed:.1f}s]",
+    )
+
+
+_GRID = 1 << 64
+# e^gamma = 1.78107241799019798523..., rounded up
+EXP_GAMMA_HI = Fraction(17810724179901980, 10**16)
+
+
+def _ln_bounds(z) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= ln z <= hi for z >= 1, rounded outward to 2^-64.
+
+    z = 2^k m with 1 <= m < 2, and ln y = 2 sum_i t^(2i+1)/(2i+1) with
+    t = (y-1)/(y+1) <= 1/3 for y = 2 and y = m.  Every term is >= 0, and
+    the 20-term sum falls short of ln y by under 2 t^41/(41 (1 - t^2)),
+    less than 2^-64, so lo plus (k+1) 2^-64 is above ln z.
+    """
+    z = Fraction(z)
+    k = int(z).bit_length() - 1
+    lo = Fraction(0)
+    for y, times in ((Fraction(2), k), (z / 2**k, 1)):
+        t = (y - 1) / (y + 1)
+        lo += times * 2 * sum(t ** (2 * i + 1) / (2 * i + 1) for i in range(20))
+    hi = lo + Fraction(k + 1, _GRID)
+    return Fraction(math.floor(lo * _GRID), _GRID), Fraction(math.ceil(hi * _GRID), _GRID)
+
+
+def test_criterion_6_line_past_its_range(capfd):
+    # Criterion 6 checks B(d) < 1.5 + ln(d/2) on 6..10^6; this gives every
+    # d >= 10^6 (see gains.bounds_table).  B(d) = c prod_{p <= p_d} p/(p-1)
+    # with c = Gamma*_6 prod_{p <= 13} (p-1)/p.  By Rosser and Schoenfeld
+    # (Illinois J. Math. 6, 1962), (3.13) p_d < x = d (ln d + ln ln d) and
+    # (3.30) prod_{p <= x} p/(p-1) < e^gamma ln x (1 + 1/(2 ln^2 x)) for
+    # x >= 286, so B(d) < U(d) = c e^gamma (y + 1/(2y)), y = ln x.  Every
+    # step below rounds outward, in exact rationals.
+    t0 = time.perf_counter()
+    assert abs(EXP_GAMMA_HI - Fraction(math.exp(np.euler_gamma))) < Fraction(1, 10**15)
+    star = gamma_max(6).gamma
+    c = star * math.prod(Fraction(p - 1, p) for p in first_primes(6).bases)
+    d = 10**6
+    ln_d = _ln_bounds(d)
+    ln_ln_d = (_ln_bounds(ln_d[0])[0], _ln_bounds(ln_d[1])[1])
+    y = _ln_bounds(d * (ln_d[1] + ln_ln_d[1]))[1]  # y + 1/(2y) grows with y
+    bound = c * EXP_GAMMA_HI * (y + 1 / (2 * y))
+    line = Fraction(3, 2) + _ln_bounds(Fraction(d, 2))[0]
+    # d U/dd <= c e^gamma (1 + (1 + 1/ln d)/(ln d + ln ln d)) / d, and the
+    # factor only falls as d grows, while the line grows as 1/d.
+    slope = c * EXP_GAMMA_HI * (1 + (1 + 1 / ln_d[0]) / (ln_d[0] + ln_ln_d[0]))
+    elapsed = time.perf_counter() - t0
+    margin = line - bound
+    _verdict(
+        capfd, "6 past 10^6", margin > 0 and slope < 1 and elapsed < 2.0,
+        f"at d = 10^6, 1.5 + ln(d/2) >= {float(line):.4f} exceeds the Rosser-"
+        f"Schoenfeld bound on B(d), <= {float(bound):.4f}, by {float(margin):.4f}; "
+        f"the bound's slope is at most {float(slope):.4f} of the line's for "
+        f"every d >= 10^6 [{elapsed:.2f}s]",
     )
 
 

@@ -219,6 +219,22 @@ def test_gamma_json(capsys):
     assert data["lower_bound"] == data["upper_bound"] == 1.5
 
 
+def test_gamma_int64_bound_is_the_only_limit(capsys):
+    # Moduli past 2^127 no longer stop a capped search; the int64 scan
+    # bound refuses d = 31 in full and every d >= 64.  (d = 10^7 is checked
+    # in test_gains, where a regression fails fast instead of sieving.)
+    code, out = run(capsys, "gamma", "--d", "30", "--n-cap", "10")
+    data = json.loads(out)
+    assert (code, data["d"], data["argmax_n"]) == (0, 30, 2)
+    message = "haltongain: error: exact int64 scan needs 2^(d-1) n^2 < 2^63; lower n_cap\n"
+    for argv in (("--d", "31"), ("--d", "64", "--n-cap", "1")):
+        assert main(["gamma", *argv]) == 1
+        assert capsys.readouterr() == ("", message)
+    u = ",".join(map(str, range(1, 32)))
+    assert main(["gain", "--u", u, "--k", ",".join("0" * 31), "--n", "5"]) == 1
+    assert "query moduli exceed 128-bit range" in capsys.readouterr().err
+
+
 def test_bounds_csv(capsys):
     code, out = run(capsys, "bounds", "--d-max", "6")
     lines = out.splitlines()

@@ -24,6 +24,7 @@ from haltongain import (
     oracle_check,
     upper_bound_u_exact,
 )
+from haltongain.primes import _prime_array
 
 from oracles import bounds_rows, gain_bruteforce, lower_bound_n_star, residue_match
 
@@ -591,6 +592,35 @@ def test_pruned_terms_match_bruteforce_at_25_dimensions():
     assert (summary.gamma, summary.argmax_n) == (top, brute.index(top) + 1)
 
 
+@pytest.mark.parametrize("d", [26, 30])
+def test_gamma_max_past_the_modulus_range(d):
+    # prod b_j of u = 1..d passes 2^127, so no GainQuery of u can be built;
+    # the int64 scan bound alone admits n <= 10.  The oracle is the brute
+    # force's pair sum, read directly from the bases.
+    bases = first_primes(d).bases
+    t = gains._bruteforce_prefix(bases, (0,) * d, 10)
+    denom = math.prod(b - 1 for b in bases)
+    brute = [Fraction(n * denom + 2 * int(t[n - 1]), n * denom) for n in range(1, 11)]
+    summary = gamma_max(d, n_cap=10)
+    top = max(brute)
+    assert (summary.gamma, summary.argmax_n) == (top, brute.index(top) + 1)
+
+
+def test_gamma_max_int64_bound_is_the_only_limit(monkeypatch):
+    # 2^62 * 1^2 < 2^63: d = 63 scans n = 1.  At d = 64 the bound fails at
+    # n = 1 already, so it and d = 10^7 are refused before any sieve.
+    top = gamma_max(63, n_cap=1)
+    assert (top.gamma, top.argmax_n) == (1, 1)
+
+    def sieved(d):
+        raise AssertionError(f"sieved {d} primes")
+
+    monkeypatch.setattr(gains, "_prime_array", sieved)
+    for d, n_cap in ((64, 1), (10**7, None)):
+        with pytest.raises(ValueError, match="2\\^\\(d-1\\) n\\^2 < 2\\^63"):
+            gamma_max(d, n_cap=n_cap)
+
+
 def test_pruned_terms_memory_at_20_dimensions():
     # The full 2^20 term list of u = 1..20 alone takes about 190 MB.
     basis = first_primes(20)
@@ -676,6 +706,28 @@ def test_bounds_table_matches_kahan_oracle():
     assert np.array_equal(got[0], np.arange(1, d_max + 1))
     for col in (1, 2, 3):
         assert np.array_equal(got[col], want[:, col])
+
+
+def test_rosser_schoenfeld_recall():
+    # The two prime bounds behind the abstract's line for every d (see
+    # bounds_table), as recalled from Rosser and Schoenfeld (1962), hold at
+    # every sieved point to 10^6 primes: (3.13) p_d < d (ln d + ln ln d)
+    # for d >= 6, and (3.30) prod_{p <= x} p/(p-1) < e^gamma ln x
+    # (1 + 1/(2 ln^2 x)) for x >= 286.  Between primes the product stays
+    # and the right side grows, so x = 286 and x at each prime p >= 286 are
+    # the tightest points.  Below 286 (3.30) fails, last at x = 283, which
+    # matches its stated range.  A check of the recall, not a proof.
+    p = _prime_array(10**6).astype(np.float64)
+    d = np.arange(6, 10**6 + 1, dtype=np.float64)
+    assert np.all(p[5:] < d * (np.log(d) + np.log(np.log(d))))
+    product = np.exp(np.cumsum(-np.log1p(-1.0 / p)))
+    x = np.concatenate(([286.0], p[p > 286]))
+    held = np.concatenate((product[p < 286][-1:], product[p > 286]))
+    ln_x = np.log(x)
+    assert np.all(held < np.exp(np.euler_gamma) * ln_x * (1 + 0.5 / ln_x**2))
+    ln_p = np.log(p)
+    fails = p[product >= np.exp(np.euler_gamma) * ln_p * (1 + 0.5 / ln_p**2)]
+    assert fails.max() == 283
 
 
 def test_prefix_sums_are_correctly_rounded():
@@ -770,7 +822,9 @@ def test_query_validation(basis3):
         GainQuery.build((1, 2, 1), (0, 0, 0), 5, basis3)
     with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
         GainQuery.build((1,), (0,), 2.5, basis3)
-    with pytest.raises(ValueError, match="capped at \\|u\\| <= 30"):
+    # Any 31 distinct primes multiply past 2^127: the modulus check refuses
+    # every |u| >= 31.
+    with pytest.raises(OverflowError, match="query moduli exceed 128-bit range"):
         GainQuery.build(range(1, 32), (0,) * 31, 5, first_primes(31))
     with pytest.raises(ValueError, match="n_max must be an integer, got 3.5"):
         gain_curve((1,), (0,), basis3, 3.5)
