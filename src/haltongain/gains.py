@@ -22,6 +22,8 @@ the worst-gain scan re-checks with it, and it seeds _pair_prefix, the
 evaluator every gain curve, the scan and the oracle grid share, which gives
 T over a whole range of n as two int64 cumulative sums.  The brute force
 shares none of it: it sums the defining pair kernel over index pairs.
+The one size rule is _terms' budget of _MAX_TERMS terms with m_v < n;
+_pair_prefix's K n^2 < 2^64 and gamma_max's 2^(d-1) n^2 < 2^63 are int64 rules.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ __all__ = [
     "oracle_check",
 ]
 
-_MODULUS_BITS = 127  # bounds the moduli of the levels a caller passes in
+_MAX_TERMS = 1 << 18  # terms (H_v, m_v) with m_v < n one query may keep
 _MAX_BRUTEFORCE_N = 10_000
 _PAIR_BLOCK = 1 << 18  # index pairs per brute-force block
 
@@ -92,37 +94,25 @@ class GainQuery:
     u is a sorted tuple of 1-based coordinates; `levels` and `bases` are
     aligned with it.  `build` is the validated constructor: u and its
     levels go through `pair_levels`, so levels follow u in the order given.
-    It also precomputes what every evaluator reads: the extreme moduli
-    m_under = prod b^k and m_over = prod b^(k+1), and denom = prod (b - 1).
+    It also precomputes denom = prod (b - 1).  No size is refused here:
+    _terms' budget admits a query when it is evaluated.
     """
 
     u: tuple[int, ...]
     levels: tuple[int, ...]
     n: int
     bases: tuple[int, ...]
-    m_under: int
-    m_over: int
     denom: int
 
     @classmethod
     def build(
-        cls,
-        u: Iterable[int],
-        levels: Sequence[int],
-        n: int,
-        basis: PrimeBasis,
+        cls, u: Iterable[int], levels: Sequence[int], n: int, basis: PrimeBasis
     ) -> "GainQuery":
         u, levels, bases = pair_levels(u, levels, basis)
         _require_integers(n=n)
         if n < 1:
             raise ValueError(f"point count must be >= 1, got {n}")
-        m_under = math.prod(b**k for b, k in zip(bases, levels))
-        m_over = m_under * math.prod(bases)
-        if m_over >= 1 << _MODULUS_BITS:
-            raise OverflowError(
-                "query moduli exceed 128-bit range; lower the levels or |u|"
-            )
-        return cls(u, levels, n, bases, m_under, m_over, math.prod(b - 1 for b in bases))
+        return cls(u, levels, n, bases, math.prod(b - 1 for b in bases))
 
 
 def _terms(
@@ -134,13 +124,22 @@ def _terms(
     adds H floor(n'/m) = 0 to T(n) for every n' < n.  The pair sum's other
     part, n * denom, comes from GainQuery.denom, not from the terms.  m_v
     only grows as v does, so a pruned partial term has no descendant below
-    the limit, and the 2^|u| terms of a large u are never all built.
+    the limit.  Each coordinate's survivors are counted before they are
+    built, and more than _MAX_TERMS is refused: the one size rule of every
+    gain evaluator.
     """
-    out = [(1, 1)]
+    out, bits = [(1, 1)], int(limit).bit_length()
     for b, k in zip(bases, levels):
+        if k >= bits:  # b^k >= 2^k > limit: no term survives, and b^k is not formed
+            return []
         low = b**k
-        out = [(-h, m * low) for h, m in out] + [(h * b, m * low * b) for h, m in out]
-        out = [(h, m) for h, m in out if m < limit]
+        top = (limit - 1) // low  # m * low < limit iff m <= top
+        high = top // b  # m * low * b < limit iff m <= high
+        if sum((m <= top) + (m <= high) for _, m in out) > _MAX_TERMS:
+            raise ValueError(f"more than {_MAX_TERMS} gain terms with m_v < n = {limit} "
+                             f"for |u| = {len(bases)}; lower n or |u|")
+        out = [(-h, m * low) for h, m in out if m <= top] + [
+            (h * b, m * low * b) for h, m in out if m <= high]
     return out
 
 
@@ -239,10 +238,7 @@ def _bruteforce_prefix(
 
 
 def _gain_curve_arrays(
-    u: Iterable[int],
-    levels: Sequence[int],
-    basis: PrimeBasis,
-    n_max: int,
+    u: Iterable[int], levels: Sequence[int], basis: PrimeBasis, n_max: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """G_{u,k}(1..n_max) as reduced (numerator, denominator) arrays.
 
@@ -253,13 +249,14 @@ def _gain_curve_arrays(
     _require_integers(n_max=n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    template = GainQuery.build(u, levels, 1, basis)
-    terms = _terms(template.bases, template.levels, n_max)
+    _, levels, bases = pair_levels(u, levels, basis)
+    denom = math.prod(b - 1 for b in bases)
+    terms = _terms(bases, levels, n_max)
     t = _pair_prefix(terms, 0, n_max)
     n = np.arange(1, n_max + 1, dtype=np.int64)
-    if n_max * (template.denom + len(terms) * n_max) >= 1 << 63:
+    if n_max * (denom + len(terms) * n_max) >= 1 << 63:
         n, t = n.astype(object), t.astype(object)
-    den = n * template.denom
+    den = n * denom
     num = den + 2 * t
     g = np.gcd(num, den)
     return num // g, den // g
@@ -501,14 +498,15 @@ def oracle_check(
     subsets = (v for size in coords for v in itertools.combinations(coords, size))
     for u in subsets:
         for levels in itertools.product(range(k_max + 1), repeat=len(u)):
-            q = GainQuery.build(u, levels, n_max, basis)
-            closed = _pair_prefix(_terms(q.bases, q.levels, n_max), 0, n_max)
-            brute = _bruteforce_prefix(q.bases, q.levels, n_max)
+            bases = pair_levels(u, levels, basis)[2]
+            denom = math.prod(b - 1 for b in bases)
+            closed = _pair_prefix(_terms(bases, levels, n_max), 0, n_max)
+            brute = _bruteforce_prefix(bases, levels, n_max)
             for i in np.flatnonzero(closed != brute):
                 n = int(i) + 1
                 mismatches.append((
                     u, levels, n,
-                    Fraction(n * q.denom + 2 * int(closed[i]), n * q.denom),
-                    Fraction(n * q.denom + 2 * int(brute[i]), n * q.denom),
+                    Fraction(n * denom + 2 * int(closed[i]), n * denom),
+                    Fraction(n * denom + 2 * int(brute[i]), n * denom),
                 ))
     return mismatches

@@ -161,7 +161,7 @@ def rqmc_estimate(
     # residue i mod b^(k+1) in the window, and for point p the row p mod min(n, b^(k+1)).
     rows, positions = [], []
     for b, k in zip(f.bases, f.levels):
-        size = min(n, b ** (k + 1))
+        size = min(n, b ** min(k + 1, int(n).bit_length()))  # b^bits(n) > n: no huge power
         rows.append(_index_digits(start, size, b, k + 1))
         positions.append(np.arange(n) % size)
     values = [np.array([float(x) for x in table]) for table in f.tables]

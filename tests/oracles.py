@@ -11,8 +11,8 @@ against a slower second one:
   and one stream of draws through it (`stream`, the twin of `scramble.draw`);
 * nested and linear scrambles of one point's digits, drawing through
   `stream` (the `scramble_column` twins);
-* the brute-force gain of one query and the attained lower bound n* (the
-  `gains` twins);
+* the brute-force gain of one query, its extreme moduli and the attained
+  lower bound n* (the `gains` twins);
 * the bound rows one d at a time, with compensated (Kahan) log sums
   (`bounds_rows`, the twin of `gains.bounds_table`).
 """
@@ -299,6 +299,12 @@ def gain_bruteforce(q: GainQuery) -> Fraction:
     t = int(_bruteforce_prefix(q.bases, q.levels, q.n)[-1])
     total = q.n * math.prod(b - 1 for b in q.bases)
     return Fraction(total + 2 * t, total)
+
+
+def moduli(q: GainQuery) -> tuple[int, int]:
+    """(prod b^k, prod b^(k+1)) of a query: its smallest and largest modulus."""
+    under = math.prod(b**k for b, k in zip(q.bases, q.levels))
+    return under, under * math.prod(q.bases)
 
 
 def lower_bound_n_star(

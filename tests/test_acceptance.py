@@ -60,7 +60,7 @@ from haltongain import (
 )
 from haltongain.cli import main
 
-from oracles import lower_bound_n_star, stratum_counts, stratum_index, stratum_occupancy
+from oracles import lower_bound_n_star, moduli, stratum_counts, stratum_index, stratum_occupancy
 
 SEED = 20270107
 D2_LEVELS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -112,14 +112,15 @@ def test_criterion_3_recurrence_suite(capfd, queries, basis4):
     bad = 0
     for t, q in enumerate(queries):
         value = gain_exact(q)
-        if q.n < q.m_under and value != 1:
+        m_under, m_over = moduli(q)
+        if q.n < m_under and value != 1:
             bad += 1
         for r in (1, 2):
-            full = GainQuery.build(q.u, q.levels, r * q.m_over, basis4)
+            full = GainQuery.build(q.u, q.levels, r * m_over, basis4)
             if gain_exact(full) != 0:
                 bad += 1
-        rem = q.n % q.m_over
-        if q.n > q.m_over and rem:
+        rem = q.n % m_over
+        if q.n > m_over and rem:
             head = GainQuery.build(q.u, q.levels, rem, basis4)
             if value != Fraction(rem, q.n) * gain_exact(head):
                 bad += 1
@@ -129,7 +130,7 @@ def test_criterion_3_recurrence_suite(capfd, queries, basis4):
         moved = GainQuery.build(q.u, bumped, q.n * q.bases[pos], basis4)
         if gain_exact(moved) != value:
             bad += 1
-        shifted = GainQuery.build(q.u, q.levels, q.n * q.m_under, basis4)
+        shifted = GainQuery.build(q.u, q.levels, q.n * m_under, basis4)
         flat = GainQuery.build(q.u, (0,) * len(q.levels), q.n, basis4)
         if gain_exact(shifted) != gain_exact(flat):
             bad += 1

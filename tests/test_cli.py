@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -220,9 +221,9 @@ def test_gamma_json(capsys):
 
 
 def test_gamma_int64_bound_is_the_only_limit(capsys):
-    # Moduli past 2^127 no longer stop a capped search; the int64 scan
-    # bound refuses d = 31 in full and every d >= 64.  (d = 10^7 is checked
-    # in test_gains, where a regression fails fast instead of sieving.)
+    # Moduli past 2^127 stop no search; the int64 scan bound refuses d = 31
+    # in full and every d >= 64.  (d = 10^7 is checked in test_gains, where
+    # a regression fails fast instead of sieving.)
     code, out = run(capsys, "gamma", "--d", "30", "--n-cap", "10")
     data = json.loads(out)
     assert (code, data["d"], data["argmax_n"]) == (0, 30, 2)
@@ -230,9 +231,61 @@ def test_gamma_int64_bound_is_the_only_limit(capsys):
     for argv in (("--d", "31"), ("--d", "64", "--n-cap", "1")):
         assert main(["gamma", *argv]) == 1
         assert capsys.readouterr() == ("", message)
+    # nor does |u| = 31 stop a gain: its terms m = 1, 2, 3 below n = 5 give
+    # T(5) = 4
     u = ",".join(map(str, range(1, 32)))
-    assert main(["gain", "--u", u, "--k", ",".join("0" * 31), "--n", "5"]) == 1
-    assert "query moduli exceed 128-bit range" in capsys.readouterr().err
+    code, out = run(capsys, "gain", "--u", u, "--k", ",".join("0" * 31), "--n", "5")
+    denom = math.prod(b - 1 for b in first_primes(31).bases)
+    g = Fraction(5 * denom + 8, 5 * denom)
+    assert (code, out.splitlines()[1]) == (0, f"5,{g.numerator},{g.denominator},1")
+
+
+@pytest.mark.parametrize("d", [26, 30])
+def test_gain_past_the_modulus_range_matches_bruteforce(capsys, d):
+    # prod b_j of u = 1..d passes 2^127; at n <= 10 only the terms m_v < 10
+    # are kept.  The oracle is the brute force's pair sum, read directly
+    # from the bases.
+    bases = first_primes(d).bases
+    t = gains._bruteforce_prefix(bases, (0,) * d, 10)
+    denom = math.prod(b - 1 for b in bases)
+    brute = [Fraction(n * denom + 2 * int(t[n - 1]), n * denom) for n in range(1, 11)]
+    u, k = ",".join(map(str, range(1, d + 1))), ",".join("0" * d)
+    code, out = run(capsys, "gain-curve", "--u", u, "--k", k, "--n-max", "10")
+    assert code == 0
+    assert [Fraction(int(r.split(",")[1]), int(r.split(",")[2]))
+            for r in out.splitlines()[1:]] == brute
+    for n in (1, 7, 10):
+        code, out = run(capsys, "gain", "--u", u, "--k", k, "--n", str(n))
+        _, num, den, _ = out.splitlines()[1].split(",")
+        assert (code, Fraction(int(num), int(den))) == (0, brute[n - 1])
+
+
+def test_gain_term_budget_refusal(capsys):
+    # All 2^25 moduli of u = 1..25 lie below 10^38: refused by the term
+    # budget, before the terms past it are built.
+    n = 10**38
+    t0 = time.perf_counter()
+    code = main(["gain", "--u", ",".join(map(str, range(1, 26))),
+                 "--k", ",".join("0" * 25), "--n", str(n)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert capsys.readouterr() == ("", (
+        f"haltongain: error: more than 262144 gain terms with m_v < n = {n} "
+        "for |u| = 25; lower n or |u|\n"))
+
+
+def test_huge_level_forms_no_power(capsys):
+    # b^(k+1) with k = 10^9 takes seconds and hundreds of MB to form.  The
+    # gain is 1 below the cell; variance meets scramble_column's depth limit.
+    t0 = time.perf_counter()
+    code, out = run(capsys, "gain", "--u", "1", "--k", "1000000000", "--n", "5")
+    assert (code, out.splitlines()[1]) == (0, "5,1,1,1")
+    assert main(["variance", "--u", "1", "--k", "1000000000", "--n", "5",
+                 "--reps", "2"]) == 1
+    assert capsys.readouterr() == ("", (
+        "haltongain: error: scramble depth 1000000001 exceeds the limit 64 "
+        "for base 2\n"))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_bounds_csv(capsys):
@@ -432,8 +485,10 @@ def test_exit_codes(capsys):
     assert main(["gamma", "--d", "10"]) == 1
     assert main(["nonsense"]) == 1
     assert main([]) == 1
-    assert main(["gain", "--u", "1", "--k", "200", "--n", "1"]) == 1
     capsys.readouterr()
+    # 2^200 is past n = 1: no term is kept, and the gain is 1
+    code, out = run(capsys, "gain", "--u", "1", "--k", "200", "--n", "1")
+    assert (code, out.splitlines()[1]) == (0, "1,1,1,1")
 
 
 @pytest.mark.parametrize(

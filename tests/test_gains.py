@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -26,14 +28,14 @@ from haltongain import (
 )
 from haltongain.primes import _prime_array
 
-from oracles import bounds_rows, gain_bruteforce, lower_bound_n_star, residue_match
+from oracles import bounds_rows, gain_bruteforce, lower_bound_n_star, moduli, residue_match
 
 D2_LEVELS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def _cycle_max(u, levels, basis) -> Fraction:
-    template = GainQuery.build(u, levels, 1, basis)
-    return max(gain_curve(u, levels, basis, template.m_over))
+    m_over = moduli(GainQuery.build(u, levels, 1, basis))[1]
+    return max(gain_curve(u, levels, basis, m_over))
 
 
 def closed_form_curve(u, levels, basis, n_max) -> list[Fraction]:
@@ -129,7 +131,7 @@ def test_subset_terms_structure(basis3):
         tuple(j for t, j in enumerate(q.u) if bits >> t & 1)
         for bits in range(1 << len(q.u))
     ]
-    terms = dict(zip(bitmask_order, gains._terms(q.bases, q.levels, q.m_over + 1)))
+    terms = dict(zip(bitmask_order, gains._terms(q.bases, q.levels, moduli(q)[1] + 1)))
     assert terms == {
         (): (1, 2),
         (1,): (-2, 4),
@@ -260,26 +262,27 @@ def test_prefix_sum_overflow_bound(basis2):
 
 def test_gain_one_below_small_modulus(queries, basis4):
     for q in queries:
-        if q.n < q.m_under:
+        if q.n < moduli(q)[0]:
             assert gain_exact(q) == 1
     # The boundary count itself still gives 1.
     for u, levels in [((1, 2), (1, 1)), ((2, 3), (2, 0)), ((1, 2, 3), (1, 0, 2))]:
         q = GainQuery.build(u, levels, 1, basis4)
-        boundary = GainQuery.build(u, levels, q.m_under, basis4)
+        boundary = GainQuery.build(u, levels, moduli(q)[0], basis4)
         assert gain_exact(boundary) == 1
 
 
 def test_gain_zero_on_full_cycles(queries, basis4):
     for q in queries[:120]:
         for r in (1, 2):
-            at = GainQuery.build(q.u, q.levels, r * q.m_over, basis4)
+            at = GainQuery.build(q.u, q.levels, r * moduli(q)[1], basis4)
             assert gain_exact(at) == 0
 
 
 def test_tail_cycle_scaling(queries, basis4):
     for q in queries:
-        rem = q.n % q.m_over
-        if q.n <= q.m_over or rem == 0:
+        m_over = moduli(q)[1]
+        rem = q.n % m_over
+        if q.n <= m_over or rem == 0:
             continue
         head = GainQuery.build(q.u, q.levels, rem, basis4)
         assert gain_exact(q) == Fraction(rem, q.n) * gain_exact(head)
@@ -297,12 +300,13 @@ def test_level_bump_invariance(queries, basis4):
 def _residue_form(q) -> Fraction:
     """G = sum_v s_v r_v (m_v - r_v) / (n prod(b_j - 1) m_under), where
     s_v = (-1)^(|u|-|v|), m_v = m_under prod_{j in v} b_j and r_v = n mod m_v."""
+    m_under = moduli(q)[0]
     total = 0
     for v in itertools.product((0, 1), repeat=len(q.bases)):
-        m = q.m_under * math.prod(b for b, bit in zip(q.bases, v) if bit)
+        m = m_under * math.prod(b for b, bit in zip(q.bases, v) if bit)
         r = q.n % m
         total += (-1) ** (len(v) - sum(v)) * r * (m - r)
-    return Fraction(total, q.n * math.prod(b - 1 for b in q.bases) * q.m_under)
+    return Fraction(total, q.n * math.prod(b - 1 for b in q.bases) * m_under)
 
 
 def test_gain_exact_matches_residue_form(queries):
@@ -323,7 +327,7 @@ def test_gain_exact_matches_residue_form(queries):
 
 def test_level_shift_identity(queries, basis4):
     for q in queries[:200]:
-        shifted = GainQuery.build(q.u, q.levels, q.n * q.m_under, basis4)
+        shifted = GainQuery.build(q.u, q.levels, q.n * moduli(q)[0], basis4)
         flat = GainQuery.build(q.u, (0,) * len(q.levels), q.n, basis4)
         assert gain_exact(shifted) == gain_exact(flat)
 
@@ -509,7 +513,7 @@ def test_gain_reflection_identity(u, levels):
     # Every m_v divides P = m_over, so n G(n) = (P - n) G(P - n): the
     # lemma behind gamma_max's half-cycle scan, at P = 210, 1500 and 441.
     basis = first_primes(4)
-    p = GainQuery.build(u, levels, 1, basis).m_over
+    p = moduli(GainQuery.build(u, levels, 1, basis))[1]
     curve = [None, *gain_curve(u, levels, basis, p)]  # curve[n] = G(n)
     for n in range(1, p):
         assert n * curve[n] == (p - n) * curve[p - n], n
@@ -594,16 +598,19 @@ def test_pruned_terms_match_bruteforce_at_25_dimensions():
 
 @pytest.mark.parametrize("d", [26, 30])
 def test_gamma_max_past_the_modulus_range(d):
-    # prod b_j of u = 1..d passes 2^127, so no GainQuery of u can be built;
-    # the int64 scan bound alone admits n <= 10.  The oracle is the brute
-    # force's pair sum, read directly from the bases.
-    bases = first_primes(d).bases
-    t = gains._bruteforce_prefix(bases, (0,) * d, 10)
-    denom = math.prod(b - 1 for b in bases)
+    # prod b_j of u = 1..d passes 2^127; the int64 scan bound alone admits
+    # n <= 10.  The oracle is the brute force's pair sum, read directly
+    # from the bases.
+    basis = first_primes(d)
+    t = gains._bruteforce_prefix(basis.bases, (0,) * d, 10)
+    denom = math.prod(b - 1 for b in basis.bases)
     brute = [Fraction(n * denom + 2 * int(t[n - 1]), n * denom) for n in range(1, 11)]
     summary = gamma_max(d, n_cap=10)
     top = max(brute)
     assert (summary.gamma, summary.argmax_n) == (top, brute.index(top) + 1)
+    u = range(1, d + 1)
+    assert gain_curve(u, (0,) * d, basis, 10) == brute
+    assert [gain_exact(GainQuery.build(u, (0,) * d, n, basis)) for n in range(1, 11)] == brute
 
 
 def test_gamma_max_int64_bound_is_the_only_limit(monkeypatch):
@@ -619,6 +626,80 @@ def test_gamma_max_int64_bound_is_the_only_limit(monkeypatch):
     for d, n_cap in ((64, 1), (10**7, None)):
         with pytest.raises(ValueError, match="2\\^\\(d-1\\) n\\^2 < 2\\^63"):
             gamma_max(d, n_cap=n_cap)
+
+
+def _budget_message(n: int, size: int, budget: int = 1 << 18) -> str:
+    return f"more than {budget} gain terms with m_v < n = {n} for |u| = {size}; lower n or |u|"
+
+
+def test_term_budget_refuses_fast():
+    # Every one of the 2^25 moduli of u = 1..25 lies below 10^38.  Past
+    # 2^18 kept terms the count refuses, before a longer list is built.
+    q = GainQuery.build(range(1, 26), (0,) * 25, 10**38, first_primes(25))
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        gain_exact(q)
+    assert time.perf_counter() - t0 < 1.0
+    assert str(refused.value) == _budget_message(10**38, 25)
+
+
+def test_term_budget_memory(monkeypatch):
+    # With a budget of 2^10, the refusal holds at most 2^10 terms: the
+    # survivors are counted before the next list is built.
+    monkeypatch.setattr(gains, "_MAX_TERMS", 1 << 10)
+    q = GainQuery.build(range(1, 26), (0,) * 25, 10**38, first_primes(25))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(_budget_message(10**38, 25, 1 << 10))):
+            gain_exact(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_term_budget_is_the_one_size_rule(monkeypatch):
+    # u = 1..3 keeps all 8 of its terms below n = 40, and u = 1..4 keeps
+    # 12: a budget admits exactly as many terms as it names, and every
+    # evaluator meets the same refusal past it.
+    basis = first_primes(4)
+    q = GainQuery.build((1, 2, 3), (0, 0, 0), 40, basis)
+    want, top = gain_exact(q), gamma_max(4, n_cap=40)
+    curve = gain_curve((1, 2, 3), (0, 0, 0), basis, 40)
+    monkeypatch.setattr(gains, "_MAX_TERMS", 8)
+    assert gain_exact(q) == want
+    assert gain_curve((1, 2, 3), (0, 0, 0), basis, 40) == curve
+    assert oracle_check(3, n_max=40, k_max=0) == []
+    monkeypatch.setattr(gains, "_MAX_TERMS", 12)
+    assert gamma_max(4, n_cap=40) == top
+    monkeypatch.setattr(gains, "_MAX_TERMS", 7)
+    refused = re.escape(_budget_message(40, 3, 7))
+    for evaluate in (
+        lambda: gain_exact(q),
+        lambda: gain_curve((1, 2, 3), (0, 0, 0), basis, 40),
+        lambda: oracle_check(3, n_max=40, k_max=0),
+    ):
+        with pytest.raises(ValueError, match=refused):
+            evaluate()
+    monkeypatch.setattr(gains, "_MAX_TERMS", 11)
+    with pytest.raises(ValueError, match=re.escape(_budget_message(40, 4, 11))):
+        gamma_max(4, n_cap=40)
+
+
+def test_huge_level_forms_no_power(basis2):
+    # 2^(10^9) takes seconds and hundreds of MB to form.  A level at or past
+    # the bit length of n empties the terms at once, and every count below
+    # the cell gives G = 1.
+    t0 = time.perf_counter()
+    assert gain_exact(GainQuery.build((1,), (10**9,), 5, basis2)) == 1
+    assert gains._terms((3, 2), (0, 10**9), 5) == []
+    assert time.perf_counter() - t0 < 1.0
+    # Around that level, the kept terms are the full list's below the limit.
+    for b in (2, 3):
+        for k in range(8):
+            full = [(-1, b**k), (b, b ** (k + 1))]
+            for limit in range(1, 300):
+                assert gains._terms((b,), (k,), limit) == [t for t in full if t[1] < limit]
 
 
 def test_pruned_terms_memory_at_20_dimensions():
@@ -816,20 +897,19 @@ def test_query_validation(basis3):
         GainQuery.build((4,), (0,), 5, basis3)
     with pytest.raises(ValueError):
         GainQuery.build((1,), (0,), 0, basis3)
-    with pytest.raises(OverflowError):
-        GainQuery.build((1,), (200,), 5, basis3)
     with pytest.raises(ValueError, match="coordinate 1 listed more than once"):
         GainQuery.build((1, 2, 1), (0, 0, 0), 5, basis3)
     with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
         GainQuery.build((1,), (0,), 2.5, basis3)
-    # Any 31 distinct primes multiply past 2^127: the modulus check refuses
-    # every |u| >= 31.
-    with pytest.raises(OverflowError, match="query moduli exceed 128-bit range"):
-        GainQuery.build(range(1, 32), (0,) * 31, 5, first_primes(31))
+    # No size is refused at build: moduli past 2^127 and |u| = 31 build,
+    # and each evaluates (see test_term_budget_is_the_one_size_rule).
+    assert gain_exact(GainQuery.build((1,), (200,), 5, basis3)) == 1
+    wide = GainQuery.build(range(1, 32), (0,) * 31, 5, first_primes(31))
+    assert gain_exact(wide) == gain_bruteforce(wide)
     with pytest.raises(ValueError, match="n_max must be an integer, got 3.5"):
         gain_curve((1,), (0,), basis3, 3.5)
     q = GainQuery.build((2, 1), (0, 1), 5, basis3)
     assert q.u == (1, 2)
     assert q.levels == (1, 0)  # each level stays with its coordinate
-    assert (q.m_under, q.m_over) == (2, 12)  # 2^1 * 3^0, 2^2 * 3^1
+    assert moduli(q) == (2, 12)  # 2^1 * 3^0, 2^2 * 3^1
     assert q.denom == 2  # (2 - 1) * (3 - 1)
