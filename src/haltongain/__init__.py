@@ -13,8 +13,8 @@ no numpy: the CLI sets its BLAS thread default before numpy loads.
 import importlib
 
 _HOMES = {
-    "gains": ("GainQuery", "GainSummary", "bounds_table", "gain_curve", "gain_exact",
-              "gamma_max", "global_bounds_exact", "oracle_check", "upper_bound_u_exact"),
+    "gains": ("GainSummary", "bounds_table", "gain_curve", "gain_exact", "gamma_max",
+              "global_bounds_exact", "oracle_check", "upper_bound_u_exact"),
     "halton": ("PointSet", "default_precision", "halton_points"),
     "primes": ("MAX_DIMENSION", "PrimeBasis", "first_primes"),
     "rqmc": ("EstimateSummary", "HaarIntegrand", "make_haar", "rqmc_estimate"),

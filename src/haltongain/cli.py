@@ -293,12 +293,11 @@ def _subset_args(echo: dict[str, Any]) -> tuple[tuple[int, ...], tuple[int, ...]
 
 def _cmd_gain(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str]:
     u, k, basis = _subset_args(echo)
-    q = gains.GainQuery.build(u, k, echo["n"], basis)
-    g = gains.gain_exact(q)
+    g = gains.gain_exact(u, k, basis, echo["n"])
     if fmt == "json":
         return _rat("gain", g)
     return ["n,gain_num,gain_den,gain_float\n",
-            "%d,%d,%d,%.17g\n" % (q.n, g.numerator, g.denominator, float(g))]
+            "%d,%d,%d,%.17g\n" % (echo["n"], g.numerator, g.denominator, float(g))]
 
 
 def _gain_columns(u, levels, basis, n_max) -> tuple[list, list, list]:
@@ -347,9 +346,9 @@ def _cmd_variance(echo: dict[str, Any], fmt: str) -> dict[str, Any]:
     u, k, basis = _subset_args(echo)
     n, reps = echo["n"], echo["reps"]
     kind = echo["scramble"]
-    expected = gains.gain_exact(gains.GainQuery.build(u, k, n, basis))
+    expected = gains.gain_exact(u, k, basis, n)
     f = rqmc.make_haar(u, k, basis)
-    summary = rqmc.rqmc_estimate(f, basis, n, reps, ScrambleSpec(kind, echo["seed"]))
+    summary = rqmc.rqmc_estimate(f, n, reps, ScrambleSpec(kind, echo["seed"]))
     if summary.gain_se > 0:
         z = (summary.empirical_gain - float(expected)) / summary.gain_se
     else:
@@ -478,7 +477,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     except BrokenPipeError:
         return 0
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"haltongain: error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

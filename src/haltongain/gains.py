@@ -40,7 +40,6 @@ from .halton import _require_integers
 from .primes import PrimeBasis, _prime_array, first_primes
 
 __all__ = [
-    "GainQuery",
     "pair_levels",
     "GainSummary",
     "gain_exact",
@@ -87,34 +86,6 @@ def pair_levels(
     return u, tuple(k for _, k in pairs), tuple(basis.base(j) for j in u)
 
 
-@dataclass(frozen=True)
-class GainQuery:
-    """One gain evaluation point: subset u, levels k, count n.
-
-    u is a sorted tuple of 1-based coordinates; `levels` and `bases` are
-    aligned with it.  `build` is the validated constructor: u and its
-    levels go through `pair_levels`, so levels follow u in the order given.
-    It also precomputes denom = prod (b - 1).  No size is refused here:
-    _terms' budget admits a query when it is evaluated.
-    """
-
-    u: tuple[int, ...]
-    levels: tuple[int, ...]
-    n: int
-    bases: tuple[int, ...]
-    denom: int
-
-    @classmethod
-    def build(
-        cls, u: Iterable[int], levels: Sequence[int], n: int, basis: PrimeBasis
-    ) -> "GainQuery":
-        u, levels, bases = pair_levels(u, levels, basis)
-        _require_integers(n=n)
-        if n < 1:
-            raise ValueError(f"point count must be >= 1, got {n}")
-        return cls(u, levels, n, bases, math.prod(b - 1 for b in bases))
-
-
 def _terms(
     bases: Sequence[int], levels: Sequence[int], limit: int
 ) -> list[tuple[int, int]]:
@@ -122,11 +93,10 @@ def _terms(
 
     That list gives T(n) exactly for every n <= limit: a term with m >= n
     adds H floor(n'/m) = 0 to T(n) for every n' < n.  The pair sum's other
-    part, n * denom, comes from GainQuery.denom, not from the terms.  m_v
-    only grows as v does, so a pruned partial term has no descendant below
-    the limit.  Each coordinate's survivors are counted before they are
-    built, and more than _MAX_TERMS is refused: the one size rule of every
-    gain evaluator.
+    part, n * prod (b - 1), is no term.  m_v only grows as v does, so a
+    pruned partial term has no descendant below the limit.  Each
+    coordinate's survivors are counted before they are built, and more
+    than _MAX_TERMS is refused: the one size rule of every gain evaluator.
     """
     out, bits = [(1, 1)], int(limit).bit_length()
     for b, k in zip(bases, levels):
@@ -156,10 +126,20 @@ def _prefix_at(terms: list[tuple[int, int]], n: int) -> tuple[int, int]:
     return f, t
 
 
-def gain_exact(q: GainQuery) -> Fraction:
-    """G_{u,k}(n) by the closed form, as an exact reduced rational."""
-    den = q.n * q.denom
-    total = den + 2 * _prefix_at(_terms(q.bases, q.levels, q.n), q.n)[1]
+def gain_exact(
+    u: Iterable[int], levels: Sequence[int], basis: PrimeBasis, n: int
+) -> Fraction:
+    """G_{u,k}(n) by the closed form, as an exact reduced rational.
+
+    Levels follow u in the order given (`pair_levels`), and n >= 1; the
+    only size rule is _terms' budget.
+    """
+    _, levels, bases = pair_levels(u, levels, basis)
+    _require_integers(n=n)
+    if n < 1:
+        raise ValueError(f"point count must be >= 1, got {n}")
+    den = n * math.prod(b - 1 for b in bases)
+    total = den + 2 * _prefix_at(_terms(bases, levels, n), n)[1]
     if total < 0:
         raise RuntimeError("negative gain sum; closed-form evaluation is broken")
     return Fraction(total, den)

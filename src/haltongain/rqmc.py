@@ -130,13 +130,12 @@ def _blocks(replicates: int, cells: int) -> list[tuple[int, int]]:
 
 def rqmc_estimate(
     f: HaarIntegrand,
-    basis: PrimeBasis,
     n: int,
     replicates: int,
     spec: ScrambleSpec,
     start: int = 0,
 ) -> EstimateSummary:
-    """Replicate means of f over n scrambled Halton points.
+    """Replicate means of f over n scrambled Halton points, in f's bases.
 
     Replicate r reuses `spec` with its replicate field set to
     spec.replicate + r, so a fixed (seed, spec) reproduces the summary bit

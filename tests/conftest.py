@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import settings
 
-from haltongain import GainQuery, PrimeBasis, first_primes, scramble
+from haltongain import PrimeBasis, first_primes, scramble
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -14,28 +14,29 @@ QUERY_SEED = 20260822
 QUERY_COUNT = 500
 
 
-def sample_queries(
-    count: int = QUERY_COUNT, seed: int = QUERY_SEED
-) -> list[GainQuery]:
-    """Random (u, k, n) queries with d <= 4, levels <= 2, n <= 5000.
+Query = tuple[tuple[int, ...], tuple[int, ...], int]
+
+
+def sample_queries(count: int = QUERY_COUNT, seed: int = QUERY_SEED) -> list[Query]:
+    """Random (u, levels, n) queries over the first 4 primes, levels <= 2,
+    n <= 5000; u is sorted and `levels` aligned with it.
 
     One fixed seed, so every module that consumes these sees the same
     sample and failures reproduce exactly.
     """
     rng = random.Random(seed)
-    basis = first_primes(4)
     out = []
     for _ in range(count):
         size = rng.randint(1, 4)
-        u = sorted(rng.sample(range(1, 5), size))
+        u = tuple(sorted(rng.sample(range(1, 5), size)))
         levels = tuple(rng.randint(0, 2) for _ in u)
         n = rng.randint(1, 5000)
-        out.append(GainQuery.build(u, levels, n, basis))
+        out.append((u, levels, n))
     return out
 
 
 @pytest.fixture(scope="session")
-def queries() -> list[GainQuery]:
+def queries() -> list[Query]:
     return sample_queries()
 
 

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, MutableMapping, Sequence
 import numpy as np
 
 from haltongain import scramble
-from haltongain.gains import GainQuery, _bruteforce_prefix, gain_exact
+from haltongain.gains import _bruteforce_prefix, gain_exact, pair_levels
 from haltongain.halton import PointSet, _leading, default_precision
 from haltongain.primes import PrimeBasis, first_primes
 from haltongain.scramble import _MASK, _MUL, _ROUNDS, _WEYL, ScrambleSpec, counter
@@ -291,20 +291,24 @@ def linear_scramble_digits(
     return tuple(out)
 
 
-def gain_bruteforce(q: GainQuery) -> Fraction:
+def gain_bruteforce(
+    u: Iterable[int], levels: Sequence[int], basis: PrimeBasis, n: int
+) -> Fraction:
     """G_{u,k}(n) by the defining double sum over index pairs.
 
     The last entry of _bruteforce_prefix.  Quadratic in n, so n is capped.
     """
-    t = int(_bruteforce_prefix(q.bases, q.levels, q.n)[-1])
-    total = q.n * math.prod(b - 1 for b in q.bases)
+    _, levels, bases = pair_levels(u, levels, basis)
+    t = int(_bruteforce_prefix(bases, levels, n)[-1])
+    total = n * math.prod(b - 1 for b in bases)
     return Fraction(total + 2 * t, total)
 
 
-def moduli(q: GainQuery) -> tuple[int, int]:
-    """(prod b^k, prod b^(k+1)) of a query: its smallest and largest modulus."""
-    under = math.prod(b**k for b, k in zip(q.bases, q.levels))
-    return under, under * math.prod(q.bases)
+def moduli(bases: Sequence[int], levels: Sequence[int]) -> tuple[int, int]:
+    """(prod b^k, prod b^(k+1)) of aligned bases and levels: a query's
+    smallest and largest modulus."""
+    under = math.prod(b**k for b, k in zip(bases, levels))
+    return under, under * math.prod(bases)
 
 
 def lower_bound_n_star(
@@ -328,7 +332,7 @@ def lower_bound_n_star(
     for b in others:
         n_star *= b
         value *= Fraction(b + 1, b)
-    check = gain_exact(GainQuery.build(u, (0,) * len(u), n_star, basis))
+    check = gain_exact(u, (0,) * len(u), basis, n_star)
     if check != value:
         raise RuntimeError(
             f"attained-bound identity failed: gain({n_star}) = {check}, "

@@ -44,7 +44,6 @@ from fractions import Fraction
 import numpy as np
 
 from haltongain import (
-    GainQuery,
     ScrambleSpec,
     first_primes,
     gain_curve,
@@ -110,29 +109,26 @@ def test_criterion_2_oracle_equivalence(capfd):
 def test_criterion_3_recurrence_suite(capfd, queries, basis4):
     t0 = time.perf_counter()
     bad = 0
-    for t, q in enumerate(queries):
-        value = gain_exact(q)
-        m_under, m_over = moduli(q)
-        if q.n < m_under and value != 1:
+    for t, (u, levels, n) in enumerate(queries):
+        value = gain_exact(u, levels, basis4, n)
+        bases = [basis4.base(j) for j in u]
+        m_under, m_over = moduli(bases, levels)
+        if n < m_under and value != 1:
             bad += 1
         for r in (1, 2):
-            full = GainQuery.build(q.u, q.levels, r * m_over, basis4)
-            if gain_exact(full) != 0:
+            if gain_exact(u, levels, basis4, r * m_over) != 0:
                 bad += 1
-        rem = q.n % m_over
-        if q.n > m_over and rem:
-            head = GainQuery.build(q.u, q.levels, rem, basis4)
-            if value != Fraction(rem, q.n) * gain_exact(head):
+        rem = n % m_over
+        if n > m_over and rem:
+            if value != Fraction(rem, n) * gain_exact(u, levels, basis4, rem):
                 bad += 1
-        pos = t % len(q.levels)
-        bumped = list(q.levels)
+        pos = t % len(levels)
+        bumped = list(levels)
         bumped[pos] += 1
-        moved = GainQuery.build(q.u, bumped, q.n * q.bases[pos], basis4)
-        if gain_exact(moved) != value:
+        if gain_exact(u, bumped, basis4, n * bases[pos]) != value:
             bad += 1
-        shifted = GainQuery.build(q.u, q.levels, q.n * m_under, basis4)
-        flat = GainQuery.build(q.u, (0,) * len(q.levels), q.n, basis4)
-        if gain_exact(shifted) != gain_exact(flat):
+        shifted = gain_exact(u, levels, basis4, n * m_under)
+        if shifted != gain_exact(u, (0,) * len(levels), basis4, n):
             bad += 1
     elapsed = time.perf_counter() - t0
     ok = bad == 0 and elapsed < 60.0
@@ -173,8 +169,8 @@ def test_criterion_4_worst_case_search(capfd):
 def test_criterion_5_bound_consistency(capfd, queries, basis4):
     t0 = time.perf_counter()
     bad = 0
-    for q in queries:
-        if gain_exact(q) > upper_bound_u_exact(q.u, basis4):
+    for u, levels, n in queries:
+        if gain_exact(u, levels, basis4, n) > upper_bound_u_exact(u, basis4):
             bad += 1
     basis5 = first_primes(5)
     checked = 0
@@ -326,15 +322,15 @@ def test_criterion_7_variance_law(capfd, basis2):
     gains = {}
     for kind in ("nested", "linear"):
         spec = ScrambleSpec(kind, seed=SEED)
-        two = rqmc_estimate(f, basis2, 2, reps, spec)
+        two = rqmc_estimate(f, 2, reps, spec)
         gains[kind, 2] = two.empirical_gain
         if abs(two.empirical_gain - 1.5) > 0.05:
             problems.append(f"{kind} n=2 gain {two.empirical_gain:.4f}")
-        six = rqmc_estimate(f, basis2, 6, reps, spec)
+        six = rqmc_estimate(f, 6, reps, spec)
         worst = max(abs(m) for m in six.means)
         if worst > 1e-12:
             problems.append(f"{kind} n=6 replicate mean off zero by {worst:.2e}")
-        single = rqmc_estimate(f, basis2, 1, reps, spec)
+        single = rqmc_estimate(f, 1, reps, spec)
         gains[kind, 1] = single.empirical_gain
         if abs(single.empirical_gain - 1.0) > 0.05:
             problems.append(f"{kind} n=1 gain {single.empirical_gain:.4f}")

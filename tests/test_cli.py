@@ -17,7 +17,7 @@ import pytest
 
 import haltongain.cli as cli
 import haltongain.gains as gains
-from haltongain import GainQuery, bounds_table, first_primes, gain_exact
+from haltongain import bounds_table, first_primes, gain_exact
 from haltongain.cli import _g17_lines, main
 
 # sha256 of outputs built from exact integer digits with one correctly
@@ -188,7 +188,7 @@ def test_gain_curve_matches_library(capsys):
     basis = first_primes(2)
     for row in lines[1:]:
         n, num, den, _ = row.split(",")
-        want = gain_exact(GainQuery.build((1, 2), (1, 0), int(n), basis))
+        want = gain_exact((1, 2), (1, 0), basis, int(n))
         assert Fraction(int(num), int(den)) == want
 
 
@@ -207,7 +207,7 @@ def test_gain_curve_floats_match_fractions(capsys, d):
     basis = first_primes(d)
     for n, num, den, flt in rows:
         g = Fraction(int(num), int(den))
-        assert g == gain_exact(GainQuery.build(range(1, d + 1), (0,) * d, int(n), basis))
+        assert g == gain_exact(range(1, d + 1), (0,) * d, basis, int(n))
         assert flt == format(float(g), ".17g")
     assert (max(int(r[2]) for r in rows) >= 1 << 53) == (d > 13)
 
@@ -286,6 +286,21 @@ def test_huge_level_forms_no_power(capsys):
         "haltongain: error: scramble depth 1000000001 exceeds the limit 64 "
         "for base 2\n"))
     assert time.perf_counter() - t0 < 1.0
+
+
+
+@pytest.mark.parametrize("argv", [
+    ("variance", "--u", "1", "--k", "0", "--n", str(1 << 53), "--reps", "2"),
+    ("points", "--d", "1", "--n", str(10**15)),
+], ids=["variance", "points"])
+def test_failed_allocation_is_reported(capsys, argv):
+    # 64 and 355 PiB exceed any address space, so numpy refuses them at once:
+    # one error line and exit 1, not a traceback.
+    assert main(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("haltongain: error: Unable to allocate")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_bounds_csv(capsys):
@@ -409,7 +424,7 @@ def test_figure_three_rows(capsys):
         for j, kj in zip(u, k):
             prod *= basis.base(j) ** kj
         assert prod < n <= 10  # rows appear once a full level cell fits
-        want = gain_exact(GainQuery.build(u, k, n, basis))
+        want = gain_exact(u, k, basis, n)
         assert Fraction(int(parts[3]), int(parts[4])) == want
         seen += 1
     assert seen > 50

@@ -1,8 +1,9 @@
 """Export lists: every public name resolves, the package re-exports only
-names its modules declare public, its 22 names are pinned, and the per-point
-oracles of tests/oracles.py stay out of it."""
+names its modules declare public, its 21 names and the entry points' call
+forms are pinned, and the per-point oracles of tests/oracles.py stay out of it."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -36,7 +37,7 @@ def test_package_imports_are_declared_public():
 
 
 PUBLIC = sorted([
-    "GainQuery", "GainSummary", "bounds_table", "gain_curve", "gain_exact",
+    "GainSummary", "bounds_table", "gain_curve", "gain_exact",
     "gamma_max", "global_bounds_exact", "oracle_check", "upper_bound_u_exact",
     "PointSet", "default_precision", "halton_points",
     "MAX_DIMENSION", "PrimeBasis", "first_primes",
@@ -54,8 +55,20 @@ ORACLES = [
 
 
 def test_package_surface_is_pinned():
-    assert len(PUBLIC) == 22
+    assert len(PUBLIC) == 21
     assert sorted(haltongain.__all__) == PUBLIC
+
+
+def _parameters(fn) -> list[str]:
+    return list(inspect.signature(fn).parameters)
+
+
+def test_entry_points_take_one_call_form():
+    # A subset, its levels and the bases come first, in that order, wherever
+    # all three are read; an integrand already carries its bases.
+    for fn in (haltongain.gain_exact, haltongain.gain_curve, haltongain.make_haar):
+        assert _parameters(fn)[:3] == ["u", "levels", "basis"], fn.__name__
+    assert _parameters(haltongain.rqmc_estimate) == ["f", "n", "replicates", "spec", "start"]
 
 
 def test_oracles_are_not_in_the_package():

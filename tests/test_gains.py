@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import haltongain.gains as gains
 from haltongain import (
-    GainQuery,
     bounds_table,
     first_primes,
     gain_curve,
@@ -26,6 +25,7 @@ from haltongain import (
     oracle_check,
     upper_bound_u_exact,
 )
+from haltongain.gains import pair_levels
 from haltongain.primes import _prime_array
 
 from oracles import bounds_rows, gain_bruteforce, lower_bound_n_star, moduli, residue_match
@@ -33,8 +33,13 @@ from oracles import bounds_rows, gain_bruteforce, lower_bound_n_star, moduli, re
 D2_LEVELS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def _bases(u, basis) -> list[int]:
+    """The base of each coordinate of u, in u's order."""
+    return [basis.base(j) for j in u]
+
+
 def _cycle_max(u, levels, basis) -> Fraction:
-    m_over = moduli(GainQuery.build(u, levels, 1, basis))[1]
+    m_over = moduli(_bases(u, basis), levels)[1]
     return max(gain_curve(u, levels, basis, m_over))
 
 
@@ -44,9 +49,9 @@ def closed_form_curve(u, levels, basis, n_max) -> list[Fraction]:
     gain_curve and the worst-gain scan share one prefix-sum evaluator, whose
     cumulative sums this per-n route skips, so it is the scan's oracle.
     """
-    template = GainQuery.build(u, levels, 1, basis)
-    terms = gains._terms(template.bases, template.levels, n_max)
-    denom = math.prod(b - 1 for b in template.bases)
+    _, levels, bases = pair_levels(u, levels, basis)
+    terms = gains._terms(bases, levels, n_max)
+    denom = math.prod(b - 1 for b in bases)
     return [
         Fraction(n * denom + 2 * gains._prefix_at(terms, n)[1], n * denom)
         for n in range(1, n_max + 1)
@@ -55,9 +60,9 @@ def closed_form_curve(u, levels, basis, n_max) -> list[Fraction]:
 
 def brute_curve(u, levels, basis, n_max) -> list[Fraction]:
     """[G(1), ..., G(n_max)] from one brute-force pass over index pairs."""
-    template = GainQuery.build(u, levels, 1, basis)
-    denom = math.prod(b - 1 for b in template.bases)
-    t = gains._bruteforce_prefix(template.bases, template.levels, n_max)
+    _, levels, bases = pair_levels(u, levels, basis)
+    denom = math.prod(b - 1 for b in bases)
+    t = gains._bruteforce_prefix(bases, levels, n_max)
     return [
         Fraction(n * denom + 2 * int(x), n * denom) for n, x in enumerate(t, start=1)
     ]
@@ -92,12 +97,10 @@ def test_pair_count_closed_form(m, n):
 
 
 def test_reference_values(basis3):
-    assert gain_exact(GainQuery.build((1, 2), (0, 0), 2, basis3)) == Fraction(3, 2)
-    assert gain_exact(
-        GainQuery.build((1, 2, 3), (0, 0, 0), 2, basis3)
-    ) == Fraction(7, 8)
-    assert gain_exact(GainQuery.build((1,), (1,), 4, basis3)) == 0
-    assert gain_exact(GainQuery.build((1, 2), (1, 1), 36, basis3)) == 0
+    assert gain_exact((1, 2), (0, 0), basis3, 2) == Fraction(3, 2)
+    assert gain_exact((1, 2, 3), (0, 0, 0), basis3, 2) == Fraction(7, 8)
+    assert gain_exact((1,), (1,), basis3, 4) == 0
+    assert gain_exact((1, 2), (1, 1), basis3, 36) == 0
 
 
 def test_single_coordinate_law(basis3):
@@ -105,14 +108,14 @@ def test_single_coordinate_law(basis3):
     for j in (1, 2, 3):
         b = basis3.base(j)
         for n in range(1, b + 1):
-            got = gain_exact(GainQuery.build((j,), (0,), n, basis3))
+            got = gain_exact((j,), (0,), basis3, n)
             assert got == Fraction(b - n, b - 1)
 
 
 def test_curve_matches_pointwise(basis3):
     curve = gain_curve((1, 2), (0, 1), basis3, 40)
     for n in range(1, 41):
-        assert curve[n - 1] == gain_exact(GainQuery.build((1, 2), (0, 1), n, basis3))
+        assert curve[n - 1] == gain_exact((1, 2), (0, 1), basis3, n)
 
 
 def test_d2_curves_peak_then_never_reattain(basis2):
@@ -126,12 +129,12 @@ def test_d2_curves_peak_then_never_reattain(basis2):
 
 
 def test_subset_terms_structure(basis3):
-    q = GainQuery.build((1, 2), (1, 0), 6, basis3)
+    u, levels, bases = pair_levels((1, 2), (1, 0), basis3)
     bitmask_order = [
-        tuple(j for t, j in enumerate(q.u) if bits >> t & 1)
-        for bits in range(1 << len(q.u))
+        tuple(j for t, j in enumerate(u) if bits >> t & 1)
+        for bits in range(1 << len(u))
     ]
-    terms = dict(zip(bitmask_order, gains._terms(q.bases, q.levels, moduli(q)[1] + 1)))
+    terms = dict(zip(bitmask_order, gains._terms(bases, levels, moduli(bases, levels)[1] + 1)))
     assert terms == {
         (): (1, 2),
         (1,): (-2, 4),
@@ -147,8 +150,7 @@ def test_exact_equals_bruteforce_small_grid(basis2):
     for u in [(1,), (2,), (1, 2)]:
         for levels in [(0,) * len(u), (1,) * len(u)]:
             for n in range(1, 37):
-                q = GainQuery.build(u, levels, n, basis2)
-                assert gain_exact(q) == gain_bruteforce(q)
+                assert gain_exact(u, levels, basis2, n) == gain_bruteforce(u, levels, basis2, n)
 
 
 @given(st.data())
@@ -162,15 +164,14 @@ def test_exact_equals_bruteforce_random(basis3, data):
         data.draw(st.integers(min_value=0, max_value=2)) for _ in u
     )
     n = data.draw(st.integers(min_value=1, max_value=50))
-    q = GainQuery.build(u, levels, n, basis3)
-    value = gain_exact(q)
-    assert value == gain_bruteforce(q)
+    value = gain_exact(u, levels, basis3, n)
+    assert value == gain_bruteforce(u, levels, basis3, n)
     assert value >= 0
 
 
 def test_bruteforce_count_guard(basis2):
     with pytest.raises(ValueError):
-        gain_bruteforce(GainQuery.build((1,), (0,), 10_001, basis2))
+        gain_bruteforce((1,), (0,), basis2, 10_001)
 
 
 def test_pair_weights_match_residue_match(basis4):
@@ -180,15 +181,15 @@ def test_pair_weights_match_residue_match(basis4):
     for u, levels in [((1,), (0,)), ((2,), (1,)), ((1, 2), (1, 0)),
                       ((1, 3), (0, 2)), ((1, 2, 3), (1, 1, 0)),
                       ((1, 2, 3, 4), (0, 0, 0, 0)), ((1, 4), (3, 1))]:
-        q = GainQuery.build(u, levels, 1, basis4)
+        bases = _bases(u, basis4)
         for n in (1, 2, 7, 30):
-            got = gains._pair_weights(q.bases, q.levels, np.arange(n), n)
+            got = gains._pair_weights(bases, levels, np.arange(n), n)
             for i in range(n):
                 for i2 in range(n):
                     want = 0
                     if i2 < i:
                         want = 1
-                        for b, k in zip(q.bases, q.levels):
+                        for b, k in zip(bases, levels):
                             want *= (b * residue_match(i, i2, b, k + 1)
                                      - residue_match(i, i2, b, k))
                     assert got[i, i2] == want, (u, levels, n, i, i2)
@@ -197,9 +198,8 @@ def test_pair_weights_match_residue_match(basis4):
 def test_bruteforce_huge_modulus(basis2):
     # 2^71 and 2^70 exceed every index difference below 5, so each pair
     # weighs 0 and the gain is 1; neither modulus is cast to int64.
-    q = GainQuery.build((1,), (70,), 5, basis2)
-    assert gain_bruteforce(q) == gain_exact(q) == 1
-    assert gains._bruteforce_prefix(q.bases, q.levels, 5).tolist() == [0] * 5
+    assert gain_bruteforce((1,), (70,), basis2, 5) == gain_exact((1,), (70,), basis2, 5) == 1
+    assert gains._bruteforce_prefix((2,), (70,), 5).tolist() == [0] * 5
 
 
 def test_oracle_check_clean():
@@ -261,59 +261,59 @@ def test_prefix_sum_overflow_bound(basis2):
 
 
 def test_gain_one_below_small_modulus(queries, basis4):
-    for q in queries:
-        if q.n < moduli(q)[0]:
-            assert gain_exact(q) == 1
+    for u, levels, n in queries:
+        if n < moduli(_bases(u, basis4), levels)[0]:
+            assert gain_exact(u, levels, basis4, n) == 1
     # The boundary count itself still gives 1.
     for u, levels in [((1, 2), (1, 1)), ((2, 3), (2, 0)), ((1, 2, 3), (1, 0, 2))]:
-        q = GainQuery.build(u, levels, 1, basis4)
-        boundary = GainQuery.build(u, levels, moduli(q)[0], basis4)
-        assert gain_exact(boundary) == 1
+        boundary = moduli(_bases(u, basis4), levels)[0]
+        assert gain_exact(u, levels, basis4, boundary) == 1
 
 
 def test_gain_zero_on_full_cycles(queries, basis4):
-    for q in queries[:120]:
+    for u, levels, _ in queries[:120]:
+        m_over = moduli(_bases(u, basis4), levels)[1]
         for r in (1, 2):
-            at = GainQuery.build(q.u, q.levels, r * moduli(q)[1], basis4)
-            assert gain_exact(at) == 0
+            assert gain_exact(u, levels, basis4, r * m_over) == 0
 
 
 def test_tail_cycle_scaling(queries, basis4):
-    for q in queries:
-        m_over = moduli(q)[1]
-        rem = q.n % m_over
-        if q.n <= m_over or rem == 0:
+    for u, levels, n in queries:
+        m_over = moduli(_bases(u, basis4), levels)[1]
+        rem = n % m_over
+        if n <= m_over or rem == 0:
             continue
-        head = GainQuery.build(q.u, q.levels, rem, basis4)
-        assert gain_exact(q) == Fraction(rem, q.n) * gain_exact(head)
+        head = gain_exact(u, levels, basis4, rem)
+        assert gain_exact(u, levels, basis4, n) == Fraction(rem, n) * head
 
 
 def test_level_bump_invariance(queries, basis4):
-    for t, q in enumerate(queries[:200]):
-        pos = t % len(q.levels)
-        bumped = list(q.levels)
+    for t, (u, levels, n) in enumerate(queries[:200]):
+        pos = t % len(levels)
+        bumped = list(levels)
         bumped[pos] += 1
-        at = GainQuery.build(q.u, bumped, q.n * q.bases[pos], basis4)
-        assert gain_exact(at) == gain_exact(q)
+        at = gain_exact(u, bumped, basis4, n * basis4.base(u[pos]))
+        assert at == gain_exact(u, levels, basis4, n)
 
 
-def _residue_form(q) -> Fraction:
+def _residue_form(u, levels, basis, n) -> Fraction:
     """G = sum_v s_v r_v (m_v - r_v) / (n prod(b_j - 1) m_under), where
     s_v = (-1)^(|u|-|v|), m_v = m_under prod_{j in v} b_j and r_v = n mod m_v."""
-    m_under = moduli(q)[0]
+    bases = _bases(u, basis)
+    m_under = moduli(bases, levels)[0]
     total = 0
-    for v in itertools.product((0, 1), repeat=len(q.bases)):
-        m = m_under * math.prod(b for b, bit in zip(q.bases, v) if bit)
-        r = q.n % m
+    for v in itertools.product((0, 1), repeat=len(bases)):
+        m = m_under * math.prod(b for b, bit in zip(bases, v) if bit)
+        r = n % m
         total += (-1) ** (len(v) - sum(v)) * r * (m - r)
-    return Fraction(total, q.n * math.prod(b - 1 for b in q.bases) * m_under)
+    return Fraction(total, n * math.prod(b - 1 for b in bases) * m_under)
 
 
-def test_gain_exact_matches_residue_form(queries):
+def test_gain_exact_matches_residue_form(queries, basis4):
     # The sampler stops at n = 5000; the residue form also reaches n far
     # past int64, where no other route evaluates gain_exact.
-    for q in queries:
-        assert gain_exact(q) == _residue_form(q)
+    for u, levels, n in queries:
+        assert gain_exact(u, levels, basis4, n) == _residue_form(u, levels, basis4, n)
     basis = first_primes(6)
     rng = random.Random(20261018)
     counts = (2**64 + 7, 10**30, *(10**40 + s for s in range(-2, 3)))
@@ -321,15 +321,13 @@ def test_gain_exact_matches_residue_form(queries):
         u = rng.sample(range(1, 7), rng.randint(1, 6))
         levels = [rng.randint(0, 3) for _ in u]
         for n in counts:
-            q = GainQuery.build(u, levels, n, basis)
-            assert gain_exact(q) == _residue_form(q)
+            assert gain_exact(u, levels, basis, n) == _residue_form(u, levels, basis, n)
 
 
 def test_level_shift_identity(queries, basis4):
-    for q in queries[:200]:
-        shifted = GainQuery.build(q.u, q.levels, q.n * moduli(q)[0], basis4)
-        flat = GainQuery.build(q.u, (0,) * len(q.levels), q.n, basis4)
-        assert gain_exact(shifted) == gain_exact(flat)
+    for u, levels, n in queries[:200]:
+        shifted = gain_exact(u, levels, basis4, n * moduli(_bases(u, basis4), levels)[0])
+        assert shifted == gain_exact(u, (0,) * len(levels), basis4, n)
 
 
 # ------------------------------------------------------------------ the search
@@ -383,7 +381,7 @@ def test_subset_bound_lemma():
         bound = worst[a] * math.prod(
             Fraction(basis.base(j), basis.base(j) - 1) for j in u if j > 3
         )
-        assert gain_exact(GainQuery.build(u, levels, n, basis)) <= bound
+        assert gain_exact(u, levels, basis, n) <= bound
         checked += 1
     # A = 1..6 inside u = 1..7 bounds the frozen Gamma_7 by
     # Gamma*_6 * 17/16, a margin of about 0.005 only.
@@ -423,7 +421,7 @@ def _worst_gain_at(d: int, n: int) -> Fraction:
         bases = [basis.base(j) for j in u]
         for levels in itertools.product(range(n.bit_length()), repeat=len(u)):
             if math.prod(b**k for b, k in zip(bases, levels)) <= n:
-                best = max(best, gain_exact(GainQuery.build(u, levels, n, basis)))
+                best = max(best, gain_exact(u, levels, basis, n))
     return best
 
 
@@ -513,7 +511,7 @@ def test_gain_reflection_identity(u, levels):
     # Every m_v divides P = m_over, so n G(n) = (P - n) G(P - n): the
     # lemma behind gamma_max's half-cycle scan, at P = 210, 1500 and 441.
     basis = first_primes(4)
-    p = moduli(GainQuery.build(u, levels, 1, basis))[1]
+    p = moduli(_bases(u, basis), levels)[1]
     curve = [None, *gain_curve(u, levels, basis, p)]  # curve[n] = G(n)
     for n in range(1, p):
         assert n * curve[n] == (p - n) * curve[p - n], n
@@ -527,11 +525,11 @@ def test_gamma_max_capped_high_dimension():
     basis = first_primes(16)
     u = tuple(range(1, 17))
     summary = gamma_max(16, n_cap=250)
-    at = gain_exact(GainQuery.build(u, (0,) * 16, summary.argmax_n, basis))
+    at = gain_exact(u, (0,) * 16, basis, summary.argmax_n)
     assert summary.gamma == at
     rng = random.Random(20260822)
     for n in rng.sample(range(1, 251), 16):
-        assert summary.gamma >= gain_exact(GainQuery.build(u, (0,) * 16, n, basis))
+        assert summary.gamma >= gain_exact(u, (0,) * 16, basis, n)
     # Against the per-n closed form on every count below the cap.
     basis = first_primes(12)
     curve = closed_form_curve(range(1, 13), (0,) * 12, basis, 600)
@@ -586,10 +584,8 @@ def test_pruned_terms_match_bruteforce_at_25_dimensions():
     # to T(n).  Brute force over index pairs shares none of that.
     basis = first_primes(25)
     u = tuple(range(1, 26))
-    brute = [
-        gain_bruteforce(GainQuery.build(u, (0,) * 25, n, basis)) for n in range(1, 11)
-    ]
-    exact = [gain_exact(GainQuery.build(u, (0,) * 25, n, basis)) for n in range(1, 11)]
+    brute = [gain_bruteforce(u, (0,) * 25, basis, n) for n in range(1, 11)]
+    exact = [gain_exact(u, (0,) * 25, basis, n) for n in range(1, 11)]
     assert exact == brute == gain_curve(u, (0,) * 25, basis, 10)
     summary = gamma_max(25, n_cap=10)
     top = max(brute)
@@ -610,7 +606,7 @@ def test_gamma_max_past_the_modulus_range(d):
     assert (summary.gamma, summary.argmax_n) == (top, brute.index(top) + 1)
     u = range(1, d + 1)
     assert gain_curve(u, (0,) * d, basis, 10) == brute
-    assert [gain_exact(GainQuery.build(u, (0,) * d, n, basis)) for n in range(1, 11)] == brute
+    assert [gain_exact(u, (0,) * d, basis, n) for n in range(1, 11)] == brute
 
 
 def test_gamma_max_int64_bound_is_the_only_limit(monkeypatch):
@@ -635,10 +631,10 @@ def _budget_message(n: int, size: int, budget: int = 1 << 18) -> str:
 def test_term_budget_refuses_fast():
     # Every one of the 2^25 moduli of u = 1..25 lies below 10^38.  Past
     # 2^18 kept terms the count refuses, before a longer list is built.
-    q = GainQuery.build(range(1, 26), (0,) * 25, 10**38, first_primes(25))
+    basis = first_primes(25)
     t0 = time.perf_counter()
     with pytest.raises(ValueError) as refused:
-        gain_exact(q)
+        gain_exact(range(1, 26), (0,) * 25, basis, 10**38)
     assert time.perf_counter() - t0 < 1.0
     assert str(refused.value) == _budget_message(10**38, 25)
 
@@ -647,11 +643,11 @@ def test_term_budget_memory(monkeypatch):
     # With a budget of 2^10, the refusal holds at most 2^10 terms: the
     # survivors are counted before the next list is built.
     monkeypatch.setattr(gains, "_MAX_TERMS", 1 << 10)
-    q = GainQuery.build(range(1, 26), (0,) * 25, 10**38, first_primes(25))
+    basis = first_primes(25)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=re.escape(_budget_message(10**38, 25, 1 << 10))):
-            gain_exact(q)
+            gain_exact(range(1, 26), (0,) * 25, basis, 10**38)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -663,11 +659,10 @@ def test_term_budget_is_the_one_size_rule(monkeypatch):
     # 12: a budget admits exactly as many terms as it names, and every
     # evaluator meets the same refusal past it.
     basis = first_primes(4)
-    q = GainQuery.build((1, 2, 3), (0, 0, 0), 40, basis)
-    want, top = gain_exact(q), gamma_max(4, n_cap=40)
+    want, top = gain_exact((1, 2, 3), (0, 0, 0), basis, 40), gamma_max(4, n_cap=40)
     curve = gain_curve((1, 2, 3), (0, 0, 0), basis, 40)
     monkeypatch.setattr(gains, "_MAX_TERMS", 8)
-    assert gain_exact(q) == want
+    assert gain_exact((1, 2, 3), (0, 0, 0), basis, 40) == want
     assert gain_curve((1, 2, 3), (0, 0, 0), basis, 40) == curve
     assert oracle_check(3, n_max=40, k_max=0) == []
     monkeypatch.setattr(gains, "_MAX_TERMS", 12)
@@ -675,7 +670,7 @@ def test_term_budget_is_the_one_size_rule(monkeypatch):
     monkeypatch.setattr(gains, "_MAX_TERMS", 7)
     refused = re.escape(_budget_message(40, 3, 7))
     for evaluate in (
-        lambda: gain_exact(q),
+        lambda: gain_exact((1, 2, 3), (0, 0, 0), basis, 40),
         lambda: gain_curve((1, 2, 3), (0, 0, 0), basis, 40),
         lambda: oracle_check(3, n_max=40, k_max=0),
     ):
@@ -691,7 +686,7 @@ def test_huge_level_forms_no_power(basis2):
     # the bit length of n empties the terms at once, and every count below
     # the cell gives G = 1.
     t0 = time.perf_counter()
-    assert gain_exact(GainQuery.build((1,), (10**9,), 5, basis2)) == 1
+    assert gain_exact((1,), (10**9,), basis2, 5) == 1
     assert gains._terms((3, 2), (0, 10**9), 5) == []
     assert time.perf_counter() - t0 < 1.0
     # Around that level, the kept terms are the full list's below the limit.
@@ -708,7 +703,7 @@ def test_pruned_terms_memory_at_20_dimensions():
     u = tuple(range(1, 21))
     tracemalloc.start()
     try:
-        gain_exact(GainQuery.build(u, (0,) * 20, 1000, basis))
+        gain_exact(u, (0,) * 20, basis, 1000)
         gamma_max(20, n_cap=1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -861,7 +856,7 @@ REFUSED_SUBSETS = [
 ]
 
 SUBSET_ENTRY_POINTS = {
-    "GainQuery.build": lambda u, k, basis: GainQuery.build(u, k, 5, basis),
+    "gain_exact": lambda u, k, basis: gain_exact(u, k, basis, 5),
     "gain_curve": lambda u, k, basis: gain_curve(u, k, basis, 5),
     "make_haar": make_haar,
     "upper_bound_u_exact": lambda u, k, basis: upper_bound_u_exact(u, basis),
@@ -886,30 +881,29 @@ def test_one_refusal_across_entry_points(entry, u, levels, message):
 
 def test_query_validation(basis3):
     with pytest.raises(ValueError):
-        GainQuery.build((), (), 5, basis3)
+        gain_exact((), (), basis3, 5)
     with pytest.raises(ValueError):
-        GainQuery.build((1,), (0, 0), 5, basis3)
+        gain_exact((1,), (0, 0), basis3, 5)
     with pytest.raises(ValueError, match="levels must be >= 0, got -1"):
-        GainQuery.build((1,), (-1,), 5, basis3)
+        gain_exact((1,), (-1,), basis3, 5)
     with pytest.raises(ValueError, match="level must be an integer, got 0.5"):
-        GainQuery.build((1,), (0.5,), 5, basis3)
+        gain_exact((1,), (0.5,), basis3, 5)
     with pytest.raises(ValueError):
-        GainQuery.build((4,), (0,), 5, basis3)
-    with pytest.raises(ValueError):
-        GainQuery.build((1,), (0,), 0, basis3)
+        gain_exact((4,), (0,), basis3, 5)
+    with pytest.raises(ValueError, match="point count must be >= 1, got 0"):
+        gain_exact((1,), (0,), basis3, 0)
     with pytest.raises(ValueError, match="coordinate 1 listed more than once"):
-        GainQuery.build((1, 2, 1), (0, 0, 0), 5, basis3)
+        gain_exact((1, 2, 1), (0, 0, 0), basis3, 5)
     with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
-        GainQuery.build((1,), (0,), 2.5, basis3)
-    # No size is refused at build: moduli past 2^127 and |u| = 31 build,
-    # and each evaluates (see test_term_budget_is_the_one_size_rule).
-    assert gain_exact(GainQuery.build((1,), (200,), 5, basis3)) == 1
-    wide = GainQuery.build(range(1, 32), (0,) * 31, 5, first_primes(31))
-    assert gain_exact(wide) == gain_bruteforce(wide)
+        gain_exact((1,), (0,), basis3, 2.5)
+    # No size is refused up front: moduli past 2^127 and |u| = 31 evaluate
+    # (see test_term_budget_is_the_one_size_rule).
+    assert gain_exact((1,), (200,), basis3, 5) == 1
+    wide = (range(1, 32), (0,) * 31, first_primes(31), 5)
+    assert gain_exact(*wide) == gain_bruteforce(*wide)
     with pytest.raises(ValueError, match="n_max must be an integer, got 3.5"):
         gain_curve((1,), (0,), basis3, 3.5)
-    q = GainQuery.build((2, 1), (0, 1), 5, basis3)
-    assert q.u == (1, 2)
-    assert q.levels == (1, 0)  # each level stays with its coordinate
-    assert moduli(q) == (2, 12)  # 2^1 * 3^0, 2^2 * 3^1
-    assert q.denom == 2  # (2 - 1) * (3 - 1)
+    u, levels, bases = pair_levels((2, 1), (0, 1), basis3)
+    assert (u, levels, bases) == ((1, 2), (1, 0), (2, 3))  # each level stays with its coordinate
+    assert moduli(bases, levels) == (2, 12)  # 2^1 * 3^0, 2^2 * 3^1
+    assert gain_exact((2, 1), (0, 1), basis3, 5) == gain_exact((1, 2), (1, 0), basis3, 5)

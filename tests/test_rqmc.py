@@ -8,7 +8,6 @@ import pytest
 
 from haltongain import rqmc
 from haltongain import (
-    GainQuery,
     ScrambleSpec,
     default_precision,
     first_primes,
@@ -100,10 +99,10 @@ def test_evaluate_full_point_rows(basis3):
 def test_replicate_window_contract(basis2):
     f = make_haar((1, 2), (0, 0), basis2)
     spec = ScrambleSpec("nested", seed=40)
-    a = rqmc_estimate(f, basis2, 4, 3, spec)
-    b = rqmc_estimate(f, basis2, 4, 2, ScrambleSpec("nested", seed=40, replicate=1))
+    a = rqmc_estimate(f, 4, 3, spec)
+    b = rqmc_estimate(f, 4, 2, ScrambleSpec("nested", seed=40, replicate=1))
     assert a.means[1:] == b.means
-    again = rqmc_estimate(f, basis2, 4, 3, spec)
+    again = rqmc_estimate(f, 4, 3, spec)
     assert a == again
 
 
@@ -111,7 +110,7 @@ def test_zero_gain_counts_give_exactly_zero_means(basis2):
     # n = 6 is one full cycle for (u, k) = ({1, 2}, (0, 0)).
     f = make_haar((1, 2), (0, 0), basis2)
     for kind in ("nested", "linear"):
-        out = rqmc_estimate(f, basis2, 6, 20, ScrambleSpec(kind, seed=3))
+        out = rqmc_estimate(f, 6, 20, ScrambleSpec(kind, seed=3))
         assert out.means == (0.0,) * 20
         assert out.variance == 0.0
         assert out.empirical_gain == 0.0
@@ -120,9 +119,9 @@ def test_zero_gain_counts_give_exactly_zero_means(basis2):
 def test_gain_law_nested_and_linear(basis2):
     f = make_haar((1, 2), (0, 0), basis2)
     reps = 4000
-    want = float(gain_exact(GainQuery.build((1, 2), (0, 0), 2, basis2)))
+    want = float(gain_exact((1, 2), (0, 0), basis2, 2))
     for kind in ("nested", "linear"):
-        out = rqmc_estimate(f, basis2, 2, reps, ScrambleSpec(kind, seed=71))
+        out = rqmc_estimate(f, 2, reps, ScrambleSpec(kind, seed=71))
         band = 4 * want * math.sqrt(2.0 / (reps - 1))
         assert abs(out.empirical_gain - want) < band
         assert out.n == 2 and out.replicates == reps
@@ -134,13 +133,13 @@ def test_single_point_matches_monte_carlo(basis2):
     f = make_haar((1, 2), (0, 0), basis2)
     reps = 4000
     band = 4 * math.sqrt(2.0 / (reps - 1))
-    out = rqmc_estimate(f, basis2, 1, reps, ScrambleSpec("nested", seed=72))
+    out = rqmc_estimate(f, 1, reps, ScrambleSpec("nested", seed=72))
     assert abs(out.empirical_gain - 1.0) < band
 
 
 def test_summary_arithmetic(basis2):
     f = make_haar((1,), (0,), basis2)
-    out = rqmc_estimate(f, basis2, 3, 5, ScrambleSpec("nested", seed=1))
+    out = rqmc_estimate(f, 3, 5, ScrambleSpec("nested", seed=1))
     grand = sum(out.means) / 5
     var = sum((m - grand) ** 2 for m in out.means) / 4
     assert math.isclose(out.mean, grand, rel_tol=1e-15, abs_tol=1e-15)
@@ -156,32 +155,32 @@ def test_summary_arithmetic(basis2):
 def test_start_offset_changes_points(basis2):
     f = make_haar((1, 2), (0, 0), basis2)
     spec = ScrambleSpec("nested", seed=2)
-    a = rqmc_estimate(f, basis2, 3, 2, spec)
-    b = rqmc_estimate(f, basis2, 3, 2, spec, start=5)
+    a = rqmc_estimate(f, 3, 2, spec)
+    b = rqmc_estimate(f, 3, 2, spec, start=5)
     assert a.means != b.means
 
 
 def test_validation(basis2):
     f = make_haar((1,), (0,), basis2)
     with pytest.raises(ValueError):
-        rqmc_estimate(f, basis2, 0, 2, ScrambleSpec("nested"))
+        rqmc_estimate(f, 0, 2, ScrambleSpec("nested"))
     with pytest.raises(ValueError):
-        rqmc_estimate(f, basis2, 1, 0, ScrambleSpec("nested"))
+        rqmc_estimate(f, 1, 0, ScrambleSpec("nested"))
     with pytest.raises(ValueError, match="replicates must be >= 2"):
-        rqmc_estimate(f, basis2, 2, 1, ScrambleSpec("nested"))  # no sample variance
+        rqmc_estimate(f, 2, 1, ScrambleSpec("nested"))  # no sample variance
     with pytest.raises(ValueError):
-        rqmc_estimate(f, basis2, 1 << 54, 2, ScrambleSpec("nested"))
+        rqmc_estimate(f, 1 << 54, 2, ScrambleSpec("nested"))
     # the last two replicates the key holds
-    rqmc_estimate(f, basis2, 1, 2, ScrambleSpec("nested", replicate=(1 << 64) - 2))
+    rqmc_estimate(f, 1, 2, ScrambleSpec("nested", replicate=(1 << 64) - 2))
     with pytest.raises(ValueError, match="2\\^64"):
-        rqmc_estimate(f, basis2, 1, 2, ScrambleSpec("nested", replicate=(1 << 64) - 1))
+        rqmc_estimate(f, 1, 2, ScrambleSpec("nested", replicate=(1 << 64) - 1))
     with pytest.raises(ValueError, match="64-bit point indices"):
-        rqmc_estimate(f, basis2, 1, 2, ScrambleSpec("nested"), start=-1)
-    rqmc_estimate(f, basis2, 2, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)  # the last index
+        rqmc_estimate(f, 1, 2, ScrambleSpec("nested"), start=-1)
+    rqmc_estimate(f, 2, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)  # the last index
     with pytest.raises(ValueError, match="start must be an integer"):
-        rqmc_estimate(f, basis2, 3, 2, ScrambleSpec("nested"), start=0.5)
+        rqmc_estimate(f, 3, 2, ScrambleSpec("nested"), start=0.5)
     with pytest.raises(ValueError, match="64-bit point indices"):
-        rqmc_estimate(f, basis2, 3, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)
+        rqmc_estimate(f, 3, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
@@ -192,7 +191,7 @@ def test_level_past_the_digit_limit_refused(kind, basis2):
         limit = default_precision(b)
         f = make_haar((c,), (limit,), basis2)
         with pytest.raises(ValueError, match=f"limit {limit} for base {b}"):
-            rqmc_estimate(f, basis2, 5, 2, ScrambleSpec(kind))
+            rqmc_estimate(f, 5, 2, ScrambleSpec(kind))
 
 
 def _oracle_means(f, n, replicates, spec, start=0):
@@ -246,7 +245,7 @@ def test_level_path_matches_per_point_oracle(kind, u, k, n, start, tables):
     basis = first_primes(3)
     f = make_haar(u, k, basis, tables=tables)
     spec = ScrambleSpec(kind, seed=20261018, replicate=4)
-    got = rqmc_estimate(f, basis, n, 6, spec, start=start).means
+    got = rqmc_estimate(f, n, 6, spec, start=start).means
     assert got == _oracle_means(f, n, 6, spec, start)
 
 
@@ -266,7 +265,7 @@ def test_rejected_words_are_redrawn(monkeypatch, redrawn_tags):
     basis = first_primes(3)
     f = make_haar((1, 2, 3), (2, 1, 0), basis, tables=[[Fraction(1, 3), Fraction(-1, 3)],
                                                       *NON_DYADIC])
-    got = {kind: rqmc_estimate(f, basis, 23, 12, ScrambleSpec(kind, seed=9, replicate=3),
+    got = {kind: rqmc_estimate(f, 23, 12, ScrambleSpec(kind, seed=9, replicate=3),
                                start=4).means for kind in ("nested", "linear")}
     assert set(redrawn_tags) == {"perm", "row"}  # each kind redrew at least one row
     for kind, means in got.items():
