@@ -16,7 +16,7 @@ _HOMES = {
     "gains": ("GainSummary", "bounds_table", "gain_curve", "gain_exact", "gamma_max",
               "global_bounds_exact", "oracle_check", "upper_bound_u_exact"),
     "halton": ("PointSet", "default_precision", "halton_points"),
-    "primes": ("MAX_DIMENSION", "PrimeBasis", "first_primes"),
+    "primes": ("MAX_DIMENSION", "first_primes"),
     "rqmc": ("EstimateSummary", "HaarIntegrand", "make_haar", "rqmc_estimate"),
     "scramble": ("ScrambleSpec", "randomize", "scramble_column"),
 }

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import gains, rqmc
 from .halton import halton_points
-from .primes import PrimeBasis, first_primes
+from .primes import first_primes
 from .scramble import _HALF, _LOW, ScrambleSpec, _mulhi, randomize
 
 __all__ = ["dispatch", "main"]
@@ -256,18 +256,17 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_primes(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str]:
-    basis = first_primes(echo["d"])
+    primes = first_primes(echo["d"])
     if fmt == "json":
-        return {"d": basis.dimension, "primes": list(basis.bases)}
-    rows = ("%d,%d\n" % row for row in enumerate(basis.bases, start=1))
+        return {"d": len(primes), "primes": list(primes)}
+    rows = ("%d,%d\n" % row for row in enumerate(primes, start=1))
     return itertools.chain(["j,prime\n"], rows)
 
 
 def _cmd_points(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str]:
     d, n, start = echo["d"], echo["n"], echo["start"]
     kind, replicate = echo["scramble"], echo["replicate"]
-    basis = first_primes(d)
-    points = halton_points(basis, start, n)
+    points = halton_points(d, start, n)
     if kind != "none":
         points = randomize(points, ScrambleSpec(kind, echo["seed"], replicate))
     if fmt == "json":
@@ -284,37 +283,35 @@ def _cmd_points(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str
     return itertools.chain(head, (line % (i, *row) for i, row in rows))
 
 
-def _subset_args(echo: dict[str, Any]) -> tuple[tuple[int, ...], tuple[int, ...], PrimeBasis]:
-    """--u, --k and the first max(u) primes; the library checks the subset."""
-    u = _parse_ints(echo["u"], "--u")
-    k = _parse_ints(echo["k"], "--k")
-    return u, k, first_primes(max((1, *u)))
+def _subset_args(echo: dict[str, Any]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """--u and --k; the library checks the subset."""
+    return _parse_ints(echo["u"], "--u"), _parse_ints(echo["k"], "--k")
 
 
 def _cmd_gain(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str]:
-    u, k, basis = _subset_args(echo)
-    g = gains.gain_exact(u, k, basis, echo["n"])
+    u, k = _subset_args(echo)
+    g = gains.gain_exact(u, k, echo["n"])
     if fmt == "json":
         return _rat("gain", g)
     return ["n,gain_num,gain_den,gain_float\n",
             "%d,%d,%d,%.17g\n" % (echo["n"], g.numerator, g.denominator, float(g))]
 
 
-def _gain_columns(u, levels, basis, n_max) -> tuple[list, list, list]:
+def _gain_columns(u, levels, n_max) -> tuple[list, list, list]:
     """Numerators, denominators and floats of G_{u,k}(1..n_max).
 
     Each float is the Python-int quotient, which rounds correctly and so
     equals float(Fraction(num, den)).
     """
-    num, den = gains._gain_curve_arrays(u, levels, basis, n_max)
+    num, den = gains._gain_curve_arrays(u, levels, n_max)
     nums, dens = num.tolist(), den.tolist()
     return nums, dens, [a / b for a, b in zip(nums, dens)]
 
 
 def _cmd_gain_curve(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str]:
-    u, k, basis = _subset_args(echo)
+    u, k = _subset_args(echo)
     n_max = echo["n_max"]
-    rows = zip(range(1, n_max + 1), *_gain_columns(u, k, basis, n_max))
+    rows = zip(range(1, n_max + 1), *_gain_columns(u, k, n_max))
     if fmt == "json":
         return {"gains": [
             {"n": n, "num": a, "den": b, "float": f} for n, a, b, f in rows]}
@@ -343,11 +340,11 @@ def _cmd_bounds(echo: dict[str, Any], fmt: str) -> Iterable[str]:
 
 
 def _cmd_variance(echo: dict[str, Any], fmt: str) -> dict[str, Any]:
-    u, k, basis = _subset_args(echo)
+    u, k = _subset_args(echo)
     n, reps = echo["n"], echo["reps"]
     kind = echo["scramble"]
-    expected = gains.gain_exact(u, k, basis, n)
-    f = rqmc.make_haar(u, k, basis)
+    expected = gains.gain_exact(u, k, n)
+    f = rqmc.make_haar(u, k)
     summary = rqmc.rqmc_estimate(f, n, reps, ScrambleSpec(kind, echo["seed"]))
     if summary.gain_se > 0:
         z = (summary.empirical_gain - float(expected)) / summary.gain_se
@@ -390,7 +387,7 @@ def _csv_field(values) -> str:
     return f'"{text}"' if "," in text else text
 
 
-def _curve_rows(basis, curves, n_max: int, by_n: bool) -> Iterable[str]:
+def _curve_rows(curves, n_max: int, by_n: bool) -> Iterable[str]:
     """CSV rows of each (u, levels, start) curve at start < n <= n_max.
 
     Curve by curve, or, with by_n, count by count with the curves in the
@@ -398,7 +395,7 @@ def _curve_rows(basis, curves, n_max: int, by_n: bool) -> Iterable[str]:
     """
     cols = [
         (_csv_field(u) + "," + _csv_field(k) + ",", start,
-         *_gain_columns(u, k, basis, n_max))
+         *_gain_columns(u, k, n_max))
         for u, k, start in curves
     ]
     counts = range(1, n_max + 1)
@@ -420,20 +417,20 @@ def _cmd_figure(echo: dict[str, Any], fmt: str) -> Iterable[str]:
         return _cmd_bounds(echo, fmt)
     if which == "2":
         curves = [((1, 2), levels, 0) for levels in _FIG2_LEVELS]
-        return _curve_rows(first_primes(2), curves, 36, by_n=False)
+        return _curve_rows(curves, 36, by_n=False)
     n_max = echo["n_max"]
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    basis = first_primes(3)
+    bases = first_primes(3)
     levels_below = range((n_max - 1).bit_length())  # 2^k < n_max bounds every level
     curves = []
     subsets = (u for size in (1, 2, 3) for u in itertools.combinations((1, 2, 3), size))
     for u in subsets:  # by |u|, then u, then levels: the rows' order
         for levels in itertools.product(levels_below, repeat=len(u)):
-            cell = math.prod(basis.base(j) ** k for j, k in zip(u, levels))
+            cell = math.prod(bases[j - 1] ** k for j, k in zip(u, levels))
             if cell < n_max:  # the curve only starts once a full level cell fits below n
                 curves.append((u, levels, cell))
-    return _curve_rows(basis, curves, n_max, by_n=True)
+    return _curve_rows(curves, n_max, by_n=True)
 
 
 _HANDLERS = {

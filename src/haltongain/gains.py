@@ -36,8 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .halton import _require_integers
-from .primes import PrimeBasis, _prime_array, first_primes
+from .primes import MAX_DIMENSION, _prime_array, _require_integers, first_primes
 
 __all__ = [
     "pair_levels",
@@ -57,15 +56,17 @@ _PAIR_BLOCK = 1 << 18  # index pairs per brute-force block
 
 
 def pair_levels(
-    u: Iterable[int], levels: Sequence[int], basis: PrimeBasis
+    u: Iterable[int], levels: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """u sorted, with its levels and bases aligned: the one subset check.
 
-    A coordinate subset is a tuple of 1-based ints.  `levels` holds one
-    level per member of u in the order u lists them, so a permuted u pairs
-    exactly as its sorted form.  Refused: an empty u, a level count other
-    than |u|, a coordinate or level that is not an integer, a negative
-    level, a coordinate listed twice, and one outside 1..d of the basis.
+    A coordinate subset is a tuple of 1-based ints; coordinate j has base
+    p_j, returned as a Python int.  `levels` holds one level per member of
+    u in the order u lists them, so a permuted u pairs exactly as its
+    sorted form.  Refused: an empty u, a level count other than |u|, a
+    coordinate or level that is not an integer, a negative level, a
+    coordinate listed twice, and one outside 1..MAX_DIMENSION, before any
+    prime is sieved.
     """
     coords, levels = tuple(u), tuple(levels)
     if not coords:
@@ -83,7 +84,11 @@ def pair_levels(
         if a == b:
             raise ValueError(f"coordinate {a} listed more than once in u")
     u = tuple(j for j, _ in pairs)
-    return u, tuple(k for _, k in pairs), tuple(basis.base(j) for j in u)
+    for j in (u[0], u[-1]):  # the smallest coordinate, then the largest
+        if not 1 <= j <= MAX_DIMENSION:
+            raise ValueError(f"coordinate {j} outside 1..{MAX_DIMENSION}")
+    primes = _prime_array(u[-1])
+    return u, tuple(k for _, k in pairs), tuple(int(primes[j - 1]) for j in u)
 
 
 def _terms(
@@ -126,15 +131,13 @@ def _prefix_at(terms: list[tuple[int, int]], n: int) -> tuple[int, int]:
     return f, t
 
 
-def gain_exact(
-    u: Iterable[int], levels: Sequence[int], basis: PrimeBasis, n: int
-) -> Fraction:
+def gain_exact(u: Iterable[int], levels: Sequence[int], n: int) -> Fraction:
     """G_{u,k}(n) by the closed form, as an exact reduced rational.
 
     Levels follow u in the order given (`pair_levels`), and n >= 1; the
     only size rule is _terms' budget.
     """
-    _, levels, bases = pair_levels(u, levels, basis)
+    _, levels, bases = pair_levels(u, levels)
     _require_integers(n=n)
     if n < 1:
         raise ValueError(f"point count must be >= 1, got {n}")
@@ -218,7 +221,7 @@ def _bruteforce_prefix(
 
 
 def _gain_curve_arrays(
-    u: Iterable[int], levels: Sequence[int], basis: PrimeBasis, n_max: int
+    u: Iterable[int], levels: Sequence[int], n_max: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """G_{u,k}(1..n_max) as reduced (numerator, denominator) arrays.
 
@@ -229,7 +232,7 @@ def _gain_curve_arrays(
     _require_integers(n_max=n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _, levels, bases = pair_levels(u, levels, basis)
+    _, levels, bases = pair_levels(u, levels)
     denom = math.prod(b - 1 for b in bases)
     terms = _terms(bases, levels, n_max)
     t = _pair_prefix(terms, 0, n_max)
@@ -242,14 +245,9 @@ def _gain_curve_arrays(
     return num // g, den // g
 
 
-def gain_curve(
-    u: Iterable[int],
-    levels: Sequence[int],
-    basis: PrimeBasis,
-    n_max: int,
-) -> list[Fraction]:
+def gain_curve(u: Iterable[int], levels: Sequence[int], n_max: int) -> list[Fraction]:
     """[G_{u,k}(1), ..., G_{u,k}(n_max)], exact."""
-    num, den = _gain_curve_arrays(u, levels, basis, n_max)
+    num, den = _gain_curve_arrays(u, levels, n_max)
     return [Fraction(a, b) for a, b in zip(num.tolist(), den.tolist())]
 
 
@@ -330,7 +328,7 @@ def _scan_gamma(
     return best, best_n
 
 
-def upper_bound_u_exact(u: Iterable[int], basis: PrimeBasis) -> Fraction:
+def upper_bound_u_exact(u: Iterable[int]) -> Fraction:
     """sup_n G_{u,k}(n) <= prod_{j in u, j != j_min} b_j/(b_j - 1), exactly.
 
     This leave-one-out bound is the case A = {j_min} of a lemma: for every
@@ -360,7 +358,7 @@ def upper_bound_u_exact(u: Iterable[int], basis: PrimeBasis) -> Fraction:
     an n-weighted average of level-0 gains, each at most Gamma_A.
     """
     u = tuple(u)
-    bases = pair_levels(u, (0,) * len(u), basis)[2]  # b_{j_min} comes first
+    bases = pair_levels(u, (0,) * len(u))[2]  # b_{j_min} comes first
     return math.prod((Fraction(b, b - 1) for b in bases[1:]), start=Fraction(1))
 
 
@@ -378,11 +376,10 @@ def global_bounds_exact(d: int) -> tuple[Fraction, Fraction]:
         raise ValueError("exact bounds capped at d <= 10000; use bounds_table")
     if d == 1:
         return Fraction(1), Fraction(1)
-    basis = first_primes(d)
     lower = Fraction(3, 4)
-    for b in basis.bases:
+    for b in first_primes(d):
         lower *= Fraction(b + 1, b)
-    return lower, upper_bound_u_exact(range(1, d + 1), basis)
+    return lower, upper_bound_u_exact(range(1, d + 1))
 
 
 _BOUNDS_BLOCK = 1 << 11  # rows per bounds_table block
@@ -472,13 +469,12 @@ def oracle_check(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    basis = first_primes(d)
     mismatches = []
     coords = range(1, d + 1)
     subsets = (v for size in coords for v in itertools.combinations(coords, size))
     for u in subsets:
         for levels in itertools.product(range(k_max + 1), repeat=len(u)):
-            bases = pair_levels(u, levels, basis)[2]
+            bases = pair_levels(u, levels)[2]
             denom = math.prod(b - 1 for b in bases)
             closed = _pair_prefix(_terms(bases, levels, n_max), 0, n_max)
             brute = _bruteforce_prefix(bases, levels, n_max)

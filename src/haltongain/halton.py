@@ -8,25 +8,17 @@ digit array, as deep as its largest index needs, and floats as one array.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .primes import PrimeBasis
+from .primes import _require_integers, first_primes
 
 __all__ = ["MAX_INDEX", "PointSet", "default_precision", "halton_points"]
 
 # Point indices are 64-bit; the digit precision is chosen to match.
 MAX_INDEX = 1 << 64
-
-
-def _require_integers(**values) -> None:
-    """Refuse any value that is not an integer: numpy would truncate 1.5 to 1."""
-    for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def default_precision(base: int) -> int:
@@ -47,8 +39,8 @@ class PointSet:
     `digits[c]` is column c+1, a uint64 array of shape (count, L_c) whose
     entry [p, l-1] is digit l (weight b**-l) of point `start + p`; digits
     past L_c are 0.  `coords[p, c]` is the matching float in [0,1), in one
-    read-only float64 array.  `bases[c]` is that column's base: a scrambled
-    set has no PrimeBasis of its own, so the base travels with the column.
+    read-only float64 array.  `bases[c]` is that column's base, the prime
+    p_{c+1}, as a Python int; a scrambled set keeps the bases of its source.
     """
 
     start: int
@@ -124,9 +116,10 @@ def _index_digits(start: int, count: int, base: int, depth: int) -> np.ndarray:
     return out
 
 
-def halton_points(basis: PrimeBasis, start: int, count: int) -> PointSet:
-    """Points start, ..., start+count-1 of the Halton sequence over `basis`,
-    each column as deep as its largest index needs."""
+def halton_points(d: int, start: int, count: int) -> PointSet:
+    """Points start, ..., start+count-1 of the d-dimensional Halton sequence,
+    coordinate j in base p_j, each column as deep as its largest index needs."""
+    bases = first_primes(d)
     _require_integers(start=start, count=count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -134,5 +127,5 @@ def halton_points(basis: PrimeBasis, start: int, count: int) -> PointSet:
         raise ValueError(f"start must be >= 0, got {start}")
     if start + count > MAX_INDEX:
         raise ValueError("index range exceeds 64-bit point indices")
-    digits = [_index_digits(start, count, b, default_precision(b)) for b in basis.bases]
-    return _point_set(start, basis.bases, digits, [None] * len(digits))
+    digits = [_index_digits(start, count, b, default_precision(b)) for b in bases]
+    return _point_set(start, bases, digits, [None] * len(digits))

@@ -8,11 +8,11 @@ the lifetime of the process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
 
 import numpy as np
 
-__all__ = ["MAX_DIMENSION", "PrimeBasis", "first_primes"]
+__all__ = ["MAX_DIMENSION", "first_primes"]
 
 MAX_DIMENSION = 10_000_000
 
@@ -21,6 +21,13 @@ _SEGMENT = 1 << 20
 # The primes sieved so far, as one read-only int64 array.  It only grows, by
 # rebinding.
 _sieved = np.empty(0, dtype=np.int64)
+
+
+def _require_integers(**values) -> None:
+    """Refuse any value that is not an integer: numpy would truncate 1.5 to 1."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _sieve_limit(count: int) -> int:
@@ -77,32 +84,11 @@ def _prime_array(d: int) -> np.ndarray:
     return _sieved[:d]
 
 
-@dataclass(frozen=True)
-class PrimeBasis:
-    """The first d primes, in increasing order, as Halton bases.
+def first_primes(d: int) -> tuple[int, ...]:
+    """The first d primes as Python ints: entry j - 1 is coordinate j's base.
 
-    ``bases[0]`` is the base of coordinate 1.  Use :meth:`base` for the
-    1-based coordinate indexing used throughout this package.
+    Sieved once per process, then cached.  Exact arithmetic takes these
+    ints; a product over the int64 array of `_prime_array` can wrap.
     """
-
-    dimension: int
-    bases: tuple[int, ...] = field(repr=False)
-
-    def base(self, j: int) -> int:
-        """Base of coordinate j (1-based)."""
-        if not 1 <= j <= self.dimension:
-            raise ValueError(f"coordinate {j} outside 1..{self.dimension}")
-        return self.bases[j - 1]
-
-    def __len__(self) -> int:
-        return self.dimension
-
-    def __repr__(self) -> str:  # avoid dumping a million bases
-        head = ", ".join(str(b) for b in self.bases[:6])
-        tail = ", ..." if self.dimension > 6 else ""
-        return f"PrimeBasis(dimension={self.dimension}, bases=({head}{tail}))"
-
-
-def first_primes(d: int) -> PrimeBasis:
-    """Basis of the first d primes.  Sieved once per process, then cached."""
-    return PrimeBasis(d, tuple(_prime_array(d).tolist()))
+    _require_integers(d=d)
+    return tuple(_prime_array(d).tolist())

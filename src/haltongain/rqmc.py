@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .gains import pair_levels
-from .halton import MAX_INDEX, _index_digits, _require_integers
-from .primes import PrimeBasis
+from .halton import MAX_INDEX, _index_digits
+from .primes import _require_integers
 from .scramble import ScrambleSpec, scramble_column
 
 __all__ = [
@@ -59,7 +59,6 @@ class HaarIntegrand:
 def make_haar(
     u: Sequence[int],
     levels: Sequence[int],
-    basis: PrimeBasis,
     tables: Sequence[Sequence[int | Fraction]] | None = None,
 ) -> HaarIntegrand:
     """Build an integrand; default table per coordinate is b*[c = b-1] - 1.
@@ -70,7 +69,7 @@ def make_haar(
     identically zero.
     """
     coords = tuple(u)
-    u, levels, bases = pair_levels(coords, levels, basis)
+    u, levels, bases = pair_levels(coords, levels)
     if tables is None:
         tables = [[-1] * (b - 1) + [b - 1] for b in bases]
     elif len(tables) != len(coords):

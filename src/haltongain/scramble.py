@@ -36,7 +36,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .halton import PointSet, _point_set, _require_integers, default_precision
+from .halton import PointSet, _point_set, default_precision
+from .primes import _require_integers
 
 __all__ = [
     "Kind", "ScrambleSpec", "philox_array", "counter", "draw", "scramble_column", "randomize",

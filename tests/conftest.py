@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import settings
 
-from haltongain import PrimeBasis, first_primes, scramble
+from haltongain import first_primes, scramble
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -41,23 +41,18 @@ def queries() -> list[Query]:
 
 
 @pytest.fixture(scope="session")
-def basis2() -> PrimeBasis:
+def basis2() -> tuple[int, ...]:
     return first_primes(2)
 
 
 @pytest.fixture(scope="session")
-def basis3() -> PrimeBasis:
+def basis3() -> tuple[int, ...]:
     return first_primes(3)
 
 
 @pytest.fixture(scope="session")
-def basis4() -> PrimeBasis:
+def basis4() -> tuple[int, ...]:
     return first_primes(4)
-
-
-@pytest.fixture(scope="session")
-def basis5() -> PrimeBasis:
-    return first_primes(5)
 
 
 @pytest.fixture

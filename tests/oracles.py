@@ -31,7 +31,7 @@ import numpy as np
 from haltongain import scramble
 from haltongain.gains import _bruteforce_prefix, gain_exact, pair_levels
 from haltongain.halton import PointSet, _leading, default_precision
-from haltongain.primes import PrimeBasis, first_primes
+from haltongain.primes import first_primes
 from haltongain.scramble import _MASK, _MUL, _ROUNDS, _WEYL, ScrambleSpec, counter
 
 
@@ -118,21 +118,22 @@ def _stratum_of_index(i: int, bases: Sequence[int], levels: Sequence[int]) -> tu
 
 
 def stratum_counts(
-    basis: PrimeBasis,
+    d: int,
     start: int,
     batch: int,
     levels: Sequence[int],
 ) -> dict[tuple[int, ...], int]:
-    """Occupancy of every level-k box over one batch of consecutive indices.
+    """Occupancy of every level-k box over one batch of consecutive indices
+    of the d-dimensional Halton sequence.
 
     Works on index arithmetic alone (the first k_j digits of point i depend
     only on i mod b_j^k_j), so no floats are involved.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    if len(levels) != basis.dimension:
+    if len(levels) != d:
         raise ValueError("one level per coordinate required")
-    bases = [basis.base(j) for j in range(1, basis.dimension + 1)]
+    bases = first_primes(d)
     counts: dict[tuple[int, ...], int] = {}
     for i in range(start, start + batch):
         key = _stratum_of_index(i, bases, levels)
@@ -292,13 +293,13 @@ def linear_scramble_digits(
 
 
 def gain_bruteforce(
-    u: Iterable[int], levels: Sequence[int], basis: PrimeBasis, n: int
+    u: Iterable[int], levels: Sequence[int], n: int
 ) -> Fraction:
     """G_{u,k}(n) by the defining double sum over index pairs.
 
     The last entry of _bruteforce_prefix.  Quadratic in n, so n is capped.
     """
-    _, levels, bases = pair_levels(u, levels, basis)
+    _, levels, bases = pair_levels(u, levels)
     t = int(_bruteforce_prefix(bases, levels, n)[-1])
     total = n * math.prod(b - 1 for b in bases)
     return Fraction(total + 2 * t, total)
@@ -313,7 +314,6 @@ def moduli(bases: Sequence[int], levels: Sequence[int]) -> tuple[int, int]:
 
 def lower_bound_n_star(
     u: Iterable[int],
-    basis: PrimeBasis,
     j_star: int,
 ) -> tuple[int, Fraction]:
     """The count n* at which the worst gain over u is provably attained.
@@ -326,13 +326,14 @@ def lower_bound_n_star(
     u = tuple(u)
     if j_star not in u or j_star not in (1, 2):
         raise ValueError("j_star must be a member of u with coordinate 1 or 2")
-    others = [basis.base(j) for j in u if j != j_star]
+    primes = first_primes(max(u))
+    others = [primes[j - 1] for j in u if j != j_star]
     n_star = 1
     value = Fraction(1)
     for b in others:
         n_star *= b
         value *= Fraction(b + 1, b)
-    check = gain_exact(u, (0,) * len(u), basis, n_star)
+    check = gain_exact(u, (0,) * len(u), n_star)
     if check != value:
         raise RuntimeError(
             f"attained-bound identity failed: gain({n_star}) = {check}, "
@@ -364,7 +365,7 @@ def bounds_rows(d_max: int) -> Iterator[tuple[int, float, float, float]]:
     """
     lo = Kahan()
     hi = Kahan()
-    for d, b in enumerate(first_primes(d_max).bases, start=1):
+    for d, b in enumerate(first_primes(d_max), start=1):
         lo.add(math.log1p(1.0 / b))
         hi.add(-math.log1p(-1.0 / b))
         guide = 1.5 + math.log(d / 2.0)

@@ -80,9 +80,8 @@ def test_criterion_1_reference_values(capfd):
         out = capfd.readouterr().out
         if code != 0 or out.splitlines()[1:] != [row]:
             problems.append(f"gain({u}, {k}, 2) printed {out!r}")
-    basis = first_primes(2)
     for levels in D2_LEVELS:
-        if gain_curve((1, 2), levels, basis, 36)[35] != 0:
+        if gain_curve((1, 2), levels, 36)[35] != 0:
             problems.append(f"curve k={levels} not 0 at n=36")
     elapsed = time.perf_counter() - t0
     if elapsed >= 1.0:
@@ -110,25 +109,25 @@ def test_criterion_3_recurrence_suite(capfd, queries, basis4):
     t0 = time.perf_counter()
     bad = 0
     for t, (u, levels, n) in enumerate(queries):
-        value = gain_exact(u, levels, basis4, n)
-        bases = [basis4.base(j) for j in u]
+        value = gain_exact(u, levels, n)
+        bases = [basis4[j - 1] for j in u]
         m_under, m_over = moduli(bases, levels)
         if n < m_under and value != 1:
             bad += 1
         for r in (1, 2):
-            if gain_exact(u, levels, basis4, r * m_over) != 0:
+            if gain_exact(u, levels, r * m_over) != 0:
                 bad += 1
         rem = n % m_over
         if n > m_over and rem:
-            if value != Fraction(rem, n) * gain_exact(u, levels, basis4, rem):
+            if value != Fraction(rem, n) * gain_exact(u, levels, rem):
                 bad += 1
         pos = t % len(levels)
         bumped = list(levels)
         bumped[pos] += 1
-        if gain_exact(u, bumped, basis4, n * bases[pos]) != value:
+        if gain_exact(u, bumped, n * bases[pos]) != value:
             bad += 1
-        shifted = gain_exact(u, levels, basis4, n * m_under)
-        if shifted != gain_exact(u, (0,) * len(levels), basis4, n):
+        shifted = gain_exact(u, levels, n * m_under)
+        if shifted != gain_exact(u, (0,) * len(levels), n):
             bad += 1
     elapsed = time.perf_counter() - t0
     ok = bad == 0 and elapsed < 60.0
@@ -166,13 +165,13 @@ def test_criterion_4_worst_case_search(capfd):
     )
 
 
-def test_criterion_5_bound_consistency(capfd, queries, basis4):
+def test_criterion_5_bound_consistency(capfd, queries):
     t0 = time.perf_counter()
     bad = 0
     for u, levels, n in queries:
-        if gain_exact(u, levels, basis4, n) > upper_bound_u_exact(u, basis4):
+        if gain_exact(u, levels, n) > upper_bound_u_exact(u):
             bad += 1
-    basis5 = first_primes(5)
+    primes5 = first_primes(5)
     checked = 0
     for bits in range(1, 32):
         u = tuple(j for j in range(1, 6) if bits >> (j - 1) & 1)
@@ -180,10 +179,10 @@ def test_criterion_5_bound_consistency(capfd, queries, basis4):
         if not stars:
             continue
         for j_star in stars:
-            others = [basis5.base(j) for j in u if j != j_star]
+            others = [primes5[j - 1] for j in u if j != j_star]
             n_star = math.prod(others)
             want = math.prod(Fraction(b + 1, b) for b in others)
-            if lower_bound_n_star(u, basis5, j_star) != (n_star, want):
+            if lower_bound_n_star(u, j_star) != (n_star, want):
                 bad += 1
             checked += 1
     elapsed = time.perf_counter() - t0
@@ -223,10 +222,10 @@ def test_criterion_6_bounds_at_scale(capfd, tmp_path):
     # full cycle each.  B(d) >= Gamma_d by the lemma in upper_bound_u_exact
     # with A = u & 1..6; subsets of 7..d take the leave-one-out bound,
     # below B(d) since Gamma*_6 * 17/16 > 1.
-    basis6 = first_primes(6)
+    primes6 = first_primes(6)
     star = max(
-        max(gain_curve(u, (0,) * len(u), basis6,
-                       math.prod(basis6.base(j) for j in u)))
+        max(gain_curve(u, (0,) * len(u),
+                       math.prod(primes6[j - 1] for j in u)))
         for size in range(1, 7)
         for u in itertools.combinations(range(1, 7), size)
     )
@@ -293,7 +292,7 @@ def test_criterion_6_line_past_its_range(capfd):
     t0 = time.perf_counter()
     assert abs(EXP_GAMMA_HI - Fraction(math.exp(np.euler_gamma))) < Fraction(1, 10**15)
     star = gamma_max(6).gamma
-    c = star * math.prod(Fraction(p - 1, p) for p in first_primes(6).bases)
+    c = star * math.prod(Fraction(p - 1, p) for p in first_primes(6))
     d = 10**6
     ln_d = _ln_bounds(d)
     ln_ln_d = (_ln_bounds(ln_d[0])[0], _ln_bounds(ln_d[1])[1])
@@ -314,10 +313,10 @@ def test_criterion_6_line_past_its_range(capfd):
     )
 
 
-def test_criterion_7_variance_law(capfd, basis2):
+def test_criterion_7_variance_law(capfd):
     t0 = time.perf_counter()
     reps = 100_000
-    f = make_haar((1, 2), (0, 0), basis2)
+    f = make_haar((1, 2), (0, 0))
     problems = []
     gains = {}
     for kind in ("nested", "linear"):
@@ -349,20 +348,20 @@ def test_criterion_7_variance_law(capfd, basis2):
     )
 
 
-def test_criterion_8_strata_balance(capfd, basis3):
+def test_criterion_8_strata_balance(capfd):
     t0 = time.perf_counter()
     rng = random.Random(SEED)
     problems = []
     for _ in range(20):
         start = rng.randrange(3_000_000)
-        pts = halton_points(basis3, start, 450)
+        pts = halton_points(3, start, 450)
         scrambled = {
             kind: randomize(pts, ScrambleSpec(kind, SEED))
             for kind in ("nested", "linear")
         }
         for levels, window in (((1, 2, 2), 450), ((1, 1, 1), 30)):
             boxes = window
-            direct = stratum_counts(basis3, start, window, levels)
+            direct = stratum_counts(3, start, window, levels)
             if len(direct) != boxes or set(direct.values()) != {1}:
                 problems.append(f"index tally start={start} levels={levels}")
             occ = stratum_occupancy(pts, levels) if window == 450 else None

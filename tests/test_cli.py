@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -185,10 +186,9 @@ def test_gain_curve_matches_library(capsys):
     assert code == 0
     assert lines[0] == "n,gain_num,gain_den,gain_float"
     assert len(lines) == 13
-    basis = first_primes(2)
     for row in lines[1:]:
         n, num, den, _ = row.split(",")
-        want = gain_exact((1, 2), (1, 0), basis, int(n))
+        want = gain_exact((1, 2), (1, 0), int(n))
         assert Fraction(int(num), int(den)) == want
 
 
@@ -204,10 +204,9 @@ def test_gain_curve_floats_match_fractions(capsys, d):
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert len(rows) == 60
-    basis = first_primes(d)
     for n, num, den, flt in rows:
         g = Fraction(int(num), int(den))
-        assert g == gain_exact(range(1, d + 1), (0,) * d, basis, int(n))
+        assert g == gain_exact(range(1, d + 1), (0,) * d, int(n))
         assert flt == format(float(g), ".17g")
     assert (max(int(r[2]) for r in rows) >= 1 << 53) == (d > 13)
 
@@ -235,7 +234,7 @@ def test_gamma_int64_bound_is_the_only_limit(capsys):
     # T(5) = 4
     u = ",".join(map(str, range(1, 32)))
     code, out = run(capsys, "gain", "--u", u, "--k", ",".join("0" * 31), "--n", "5")
-    denom = math.prod(b - 1 for b in first_primes(31).bases)
+    denom = math.prod(b - 1 for b in first_primes(31))
     g = Fraction(5 * denom + 8, 5 * denom)
     assert (code, out.splitlines()[1]) == (0, f"5,{g.numerator},{g.denominator},1")
 
@@ -245,7 +244,7 @@ def test_gain_past_the_modulus_range_matches_bruteforce(capsys, d):
     # prod b_j of u = 1..d passes 2^127; at n <= 10 only the terms m_v < 10
     # are kept.  The oracle is the brute force's pair sum, read directly
     # from the bases.
-    bases = first_primes(d).bases
+    bases = first_primes(d)
     t = gains._bruteforce_prefix(bases, (0,) * d, 10)
     denom = math.prod(b - 1 for b in bases)
     brute = [Fraction(n * denom + 2 * int(t[n - 1]), n * denom) for n in range(1, 11)]
@@ -414,7 +413,7 @@ def test_figure_three_rows(capsys):
     code, out = run(capsys, "figure", "3", "--n-max", "10")
     lines = out.splitlines()
     assert code == 0
-    basis = first_primes(3)
+    bases = first_primes(3)
     seen = 0
     for parts in csv.reader(lines[1:]):
         u = tuple(int(t) for t in parts[0].split(","))
@@ -422,9 +421,9 @@ def test_figure_three_rows(capsys):
         n = int(parts[2])
         prod = 1
         for j, kj in zip(u, k):
-            prod *= basis.base(j) ** kj
+            prod *= bases[j - 1] ** kj
         assert prod < n <= 10  # rows appear once a full level cell fits
-        want = gain_exact(u, k, basis, n)
+        want = gain_exact(u, k, n)
         assert Fraction(int(parts[3]), int(parts[4])) == want
         seen += 1
     assert seen > 50
@@ -569,10 +568,29 @@ def test_levels_follow_u_as_given(capsys, command, tail):
 
 
 def test_coordinate_outside_basis_refused(capsys):
-    # --u builds the first max(u) primes, floored at 1, and the library's
-    # subset check names the coordinate.
-    assert main(["gain", "--u=0", "--k=0", "--n", "5"]) == 1
-    assert "coordinate 0 outside 1..1" in capsys.readouterr().err
+    # The library's subset check names the coordinate and the one range,
+    # 1..MAX_DIMENSION, before any prime is sieved.
+    for coordinate in ("0", "10000001"):
+        assert main(["gain", f"--u={coordinate}", "--k=0", "--n", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"haltongain: error: coordinate {coordinate} outside 1..10000000\n"
+
+
+def test_large_coordinate_builds_no_prime_tuple(capsys):
+    # Coordinate 10^6 reads its one base from the sieve's int64 array; a
+    # tuple of the first 10^6 primes as Python ints would take about 36 MB.
+    first_primes(1_000_000)  # sieved before tracing starts
+    tracemalloc.start()
+    try:
+        code, out = run(capsys, "gain", "--u", "1000000", "--k", "0", "--n", "7")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    g = gain_exact((1_000_000,), (0,), 7)
+    assert g == Fraction(15_485_863 - 7, 15_485_863 - 1)  # (b - n)/(b - 1), b = p_(10^6)
+    assert out.splitlines()[1] == "7,%d,%d,%.17g" % (g.numerator, g.denominator, float(g))
+    assert peak < 4 << 20, peak
 
 
 def test_coordinate_listed_twice_refused(capsys):

@@ -1,6 +1,7 @@
 """Export lists: every public name resolves, the package re-exports only
-names its modules declare public, its 21 names and the entry points' call
-forms are pinned, and the per-point oracles of tests/oracles.py stay out of it."""
+names its modules declare public, its 20 names and the entry points' call
+forms are pinned, only Python ints reach exact arithmetic, and the per-point
+oracles of tests/oracles.py stay out of it."""
 
 import importlib
 import inspect
@@ -40,7 +41,7 @@ PUBLIC = sorted([
     "GainSummary", "bounds_table", "gain_curve", "gain_exact",
     "gamma_max", "global_bounds_exact", "oracle_check", "upper_bound_u_exact",
     "PointSet", "default_precision", "halton_points",
-    "MAX_DIMENSION", "PrimeBasis", "first_primes",
+    "MAX_DIMENSION", "first_primes",
     "EstimateSummary", "HaarIntegrand", "make_haar", "rqmc_estimate",
     "ScrambleSpec", "randomize", "scramble_column",
 ])
@@ -55,7 +56,7 @@ ORACLES = [
 
 
 def test_package_surface_is_pinned():
-    assert len(PUBLIC) == 21
+    assert len(PUBLIC) == 20
     assert sorted(haltongain.__all__) == PUBLIC
 
 
@@ -64,11 +65,37 @@ def _parameters(fn) -> list[str]:
 
 
 def test_entry_points_take_one_call_form():
-    # A subset, its levels and the bases come first, in that order, wherever
-    # all three are read; an integrand already carries its bases.
-    for fn in (haltongain.gain_exact, haltongain.gain_curve, haltongain.make_haar):
-        assert _parameters(fn)[:3] == ["u", "levels", "basis"], fn.__name__
+    # A subset and its levels come first, in that order, wherever both are
+    # read; the coordinates name their primes, and an integrand carries its
+    # bases.
+    assert _parameters(haltongain.gain_exact) == ["u", "levels", "n"]
+    assert _parameters(haltongain.gain_curve) == ["u", "levels", "n_max"]
+    assert _parameters(haltongain.make_haar) == ["u", "levels", "tables"]
+    assert _parameters(haltongain.upper_bound_u_exact) == ["u"]
+    assert _parameters(haltongain.halton_points) == ["d", "start", "count"]
     assert _parameters(haltongain.rqmc_estimate) == ["f", "n", "replicates", "spec", "start"]
+
+
+def test_bases_are_python_ints():
+    # Exact arithmetic reads bases as Python ints: a product of np.int64
+    # wraps past 2^63.  No public function or class takes a `basis`.
+    points = haltongain.halton_points(3, 0, 2)
+    scrambled = haltongain.randomize(points, haltongain.ScrambleSpec("nested", 1))
+    for bases in (
+        haltongain.first_primes(30),
+        haltongain.gains.pair_levels((30, 1), (0, 0))[2],
+        points.bases,
+        scrambled.bases,
+        haltongain.make_haar((1, 30), (0, 0)).bases,
+    ):
+        assert type(bases) is tuple
+        assert {type(b) for b in bases} == {int}
+    takes_basis = []
+    for name in MODULES:
+        module = importlib.import_module(f"haltongain.{name}")
+        entries = [getattr(module, entry) for entry in module.__all__]
+        takes_basis += [fn for fn in entries if callable(fn) and "basis" in _parameters(fn)]
+    assert takes_basis == []
 
 
 def test_oracles_are_not_in_the_package():

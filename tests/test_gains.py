@@ -33,23 +33,24 @@ from oracles import bounds_rows, gain_bruteforce, lower_bound_n_star, moduli, re
 D2_LEVELS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-def _bases(u, basis) -> list[int]:
+def _bases(u) -> list[int]:
     """The base of each coordinate of u, in u's order."""
-    return [basis.base(j) for j in u]
+    primes = first_primes(max(u))
+    return [primes[j - 1] for j in u]
 
 
-def _cycle_max(u, levels, basis) -> Fraction:
-    m_over = moduli(_bases(u, basis), levels)[1]
-    return max(gain_curve(u, levels, basis, m_over))
+def _cycle_max(u, levels) -> Fraction:
+    m_over = moduli(_bases(u), levels)[1]
+    return max(gain_curve(u, levels, m_over))
 
 
-def closed_form_curve(u, levels, basis, n_max) -> list[Fraction]:
+def closed_form_curve(u, levels, n_max) -> list[Fraction]:
     """[G(1), ..., G(n_max)] by the closed form _prefix_at, one n at a time.
 
     gain_curve and the worst-gain scan share one prefix-sum evaluator, whose
     cumulative sums this per-n route skips, so it is the scan's oracle.
     """
-    _, levels, bases = pair_levels(u, levels, basis)
+    _, levels, bases = pair_levels(u, levels)
     terms = gains._terms(bases, levels, n_max)
     denom = math.prod(b - 1 for b in bases)
     return [
@@ -58,9 +59,9 @@ def closed_form_curve(u, levels, basis, n_max) -> list[Fraction]:
     ]
 
 
-def brute_curve(u, levels, basis, n_max) -> list[Fraction]:
+def brute_curve(u, levels, n_max) -> list[Fraction]:
     """[G(1), ..., G(n_max)] from one brute-force pass over index pairs."""
-    _, levels, bases = pair_levels(u, levels, basis)
+    _, levels, bases = pair_levels(u, levels)
     denom = math.prod(b - 1 for b in bases)
     t = gains._bruteforce_prefix(bases, levels, n_max)
     return [
@@ -96,40 +97,40 @@ def test_pair_count_closed_form(m, n):
 # ------------------------------------------------------------ reference gains
 
 
-def test_reference_values(basis3):
-    assert gain_exact((1, 2), (0, 0), basis3, 2) == Fraction(3, 2)
-    assert gain_exact((1, 2, 3), (0, 0, 0), basis3, 2) == Fraction(7, 8)
-    assert gain_exact((1,), (1,), basis3, 4) == 0
-    assert gain_exact((1, 2), (1, 1), basis3, 36) == 0
+def test_reference_values():
+    assert gain_exact((1, 2), (0, 0), 2) == Fraction(3, 2)
+    assert gain_exact((1, 2, 3), (0, 0, 0), 2) == Fraction(7, 8)
+    assert gain_exact((1,), (1,), 4) == 0
+    assert gain_exact((1, 2), (1, 1), 36) == 0
 
 
 def test_single_coordinate_law(basis3):
     # For one coordinate at level 0 the curve is (b - n)/(b - 1) up to n = b.
     for j in (1, 2, 3):
-        b = basis3.base(j)
+        b = basis3[j - 1]
         for n in range(1, b + 1):
-            got = gain_exact((j,), (0,), basis3, n)
+            got = gain_exact((j,), (0,), n)
             assert got == Fraction(b - n, b - 1)
 
 
-def test_curve_matches_pointwise(basis3):
-    curve = gain_curve((1, 2), (0, 1), basis3, 40)
+def test_curve_matches_pointwise():
+    curve = gain_curve((1, 2), (0, 1), 40)
     for n in range(1, 41):
-        assert curve[n - 1] == gain_exact((1, 2), (0, 1), basis3, n)
+        assert curve[n - 1] == gain_exact((1, 2), (0, 1), n)
 
 
-def test_d2_curves_peak_then_never_reattain(basis2):
+def test_d2_curves_peak_then_never_reattain():
     for levels in D2_LEVELS:
         m_under = 2 ** levels[0] * 3 ** levels[1]
-        curve = gain_curve((1, 2), levels, basis2, 12 * m_under)
+        curve = gain_curve((1, 2), levels, 12 * m_under)
         peak = max(curve)
         assert peak == Fraction(3, 2)
         assert curve.index(peak) + 1 == 2 * m_under
         assert all(g < peak for g in curve[2 * m_under :])
 
 
-def test_subset_terms_structure(basis3):
-    u, levels, bases = pair_levels((1, 2), (1, 0), basis3)
+def test_subset_terms_structure():
+    u, levels, bases = pair_levels((1, 2), (1, 0))
     bitmask_order = [
         tuple(j for t, j in enumerate(u) if bits >> t & 1)
         for bits in range(1 << len(u))
@@ -146,16 +147,16 @@ def test_subset_terms_structure(basis3):
 # ---------------------------------------------------------- oracle equivalence
 
 
-def test_exact_equals_bruteforce_small_grid(basis2):
+def test_exact_equals_bruteforce_small_grid():
     for u in [(1,), (2,), (1, 2)]:
         for levels in [(0,) * len(u), (1,) * len(u)]:
             for n in range(1, 37):
-                assert gain_exact(u, levels, basis2, n) == gain_bruteforce(u, levels, basis2, n)
+                assert gain_exact(u, levels, n) == gain_bruteforce(u, levels, n)
 
 
 @given(st.data())
 @settings(max_examples=60)
-def test_exact_equals_bruteforce_random(basis3, data):
+def test_exact_equals_bruteforce_random(data):
     size = data.draw(st.integers(min_value=1, max_value=3))
     u = tuple(sorted(data.draw(
         st.sets(st.integers(min_value=1, max_value=3), min_size=size, max_size=size)
@@ -164,24 +165,24 @@ def test_exact_equals_bruteforce_random(basis3, data):
         data.draw(st.integers(min_value=0, max_value=2)) for _ in u
     )
     n = data.draw(st.integers(min_value=1, max_value=50))
-    value = gain_exact(u, levels, basis3, n)
-    assert value == gain_bruteforce(u, levels, basis3, n)
+    value = gain_exact(u, levels, n)
+    assert value == gain_bruteforce(u, levels, n)
     assert value >= 0
 
 
-def test_bruteforce_count_guard(basis2):
+def test_bruteforce_count_guard():
     with pytest.raises(ValueError):
-        gain_bruteforce((1,), (0,), basis2, 10_001)
+        gain_bruteforce((1,), (0,), 10_001)
 
 
-def test_pair_weights_match_residue_match(basis4):
+def test_pair_weights_match_residue_match():
     # The vectorized kernel against the per-pair definition, every pair
     # below n: w(i, i2) = prod_j (b [i == i2 mod b^(k+1)] - [i == i2 mod b^k])
     # for i2 < i, and 0 on and above the diagonal.
     for u, levels in [((1,), (0,)), ((2,), (1,)), ((1, 2), (1, 0)),
                       ((1, 3), (0, 2)), ((1, 2, 3), (1, 1, 0)),
                       ((1, 2, 3, 4), (0, 0, 0, 0)), ((1, 4), (3, 1))]:
-        bases = _bases(u, basis4)
+        bases = _bases(u)
         for n in (1, 2, 7, 30):
             got = gains._pair_weights(bases, levels, np.arange(n), n)
             for i in range(n):
@@ -195,10 +196,10 @@ def test_pair_weights_match_residue_match(basis4):
                     assert got[i, i2] == want, (u, levels, n, i, i2)
 
 
-def test_bruteforce_huge_modulus(basis2):
+def test_bruteforce_huge_modulus():
     # 2^71 and 2^70 exceed every index difference below 5, so each pair
     # weighs 0 and the gain is 1; neither modulus is cast to int64.
-    assert gain_bruteforce((1,), (70,), basis2, 5) == gain_exact((1,), (70,), basis2, 5) == 1
+    assert gain_bruteforce((1,), (70,), 5) == gain_exact((1,), (70,), 5) == 1
     assert gains._bruteforce_prefix((2,), (70,), 5).tolist() == [0] * 5
 
 
@@ -220,7 +221,7 @@ def test_oracle_check_refuses_empty_grid():
 
 @given(st.data())
 @settings(max_examples=60)
-def test_curve_routes_agree(basis4, data):
+def test_curve_routes_agree(data):
     # The shared prefix-sum evaluator, the per-n closed form and one
     # brute-force pass over index pairs give the same curve.
     u = tuple(sorted(data.draw(
@@ -228,21 +229,20 @@ def test_curve_routes_agree(basis4, data):
     )))
     levels = tuple(data.draw(st.integers(min_value=0, max_value=2)) for _ in u)
     n_max = data.draw(st.integers(min_value=1, max_value=60))
-    curve = gain_curve(u, levels, basis4, n_max)
-    assert curve == closed_form_curve(u, levels, basis4, n_max)
-    assert curve == brute_curve(u, levels, basis4, n_max)
+    curve = gain_curve(u, levels, n_max)
+    assert curve == closed_form_curve(u, levels, n_max)
+    assert curve == brute_curve(u, levels, n_max)
 
 
 def test_curve_routes_agree_folded_25_dimensions():
     # u = 1..25 keeps only the terms with m_v < 40; the rest add 0 below it.
-    basis = first_primes(25)
     u = tuple(range(1, 26))
-    curve = gain_curve(u, (0,) * 25, basis, 40)
-    assert curve == closed_form_curve(u, (0,) * 25, basis, 40)
-    assert curve == brute_curve(u, (0,) * 25, basis, 40)
+    curve = gain_curve(u, (0,) * 25, 40)
+    assert curve == closed_form_curve(u, (0,) * 25, 40)
+    assert curve == brute_curve(u, (0,) * 25, 40)
 
 
-def test_prefix_sum_overflow_bound(basis2):
+def test_prefix_sum_overflow_bound():
     # K terms with |H| <= m below n give |T(n)| < K n^2 / 2, so the int64
     # prefix sums are admitted exactly while K n^2 < 2^64.  Four terms
     # (1, 1) give F(n') = 4 n' and T(n) = 2 n (n - 1): the last admitted
@@ -254,37 +254,37 @@ def test_prefix_sum_overflow_bound(basis2):
         gains._pair_prefix([(1, 1)] * 4, top - 3, top + 1)
     # u = (1,) keeps the terms m = 1 and m = 2: refused before any array.
     with pytest.raises(ValueError, match="K n\\^2 < 2\\^64"):
-        gain_curve((1,), (0,), basis2, 1 << 40)
+        gain_curve((1,), (0,), 1 << 40)
 
 
 # ----------------------------------------------------------- curve recurrences
 
 
-def test_gain_one_below_small_modulus(queries, basis4):
+def test_gain_one_below_small_modulus(queries):
     for u, levels, n in queries:
-        if n < moduli(_bases(u, basis4), levels)[0]:
-            assert gain_exact(u, levels, basis4, n) == 1
+        if n < moduli(_bases(u), levels)[0]:
+            assert gain_exact(u, levels, n) == 1
     # The boundary count itself still gives 1.
     for u, levels in [((1, 2), (1, 1)), ((2, 3), (2, 0)), ((1, 2, 3), (1, 0, 2))]:
-        boundary = moduli(_bases(u, basis4), levels)[0]
-        assert gain_exact(u, levels, basis4, boundary) == 1
+        boundary = moduli(_bases(u), levels)[0]
+        assert gain_exact(u, levels, boundary) == 1
 
 
-def test_gain_zero_on_full_cycles(queries, basis4):
+def test_gain_zero_on_full_cycles(queries):
     for u, levels, _ in queries[:120]:
-        m_over = moduli(_bases(u, basis4), levels)[1]
+        m_over = moduli(_bases(u), levels)[1]
         for r in (1, 2):
-            assert gain_exact(u, levels, basis4, r * m_over) == 0
+            assert gain_exact(u, levels, r * m_over) == 0
 
 
-def test_tail_cycle_scaling(queries, basis4):
+def test_tail_cycle_scaling(queries):
     for u, levels, n in queries:
-        m_over = moduli(_bases(u, basis4), levels)[1]
+        m_over = moduli(_bases(u), levels)[1]
         rem = n % m_over
         if n <= m_over or rem == 0:
             continue
-        head = gain_exact(u, levels, basis4, rem)
-        assert gain_exact(u, levels, basis4, n) == Fraction(rem, n) * head
+        head = gain_exact(u, levels, rem)
+        assert gain_exact(u, levels, n) == Fraction(rem, n) * head
 
 
 def test_level_bump_invariance(queries, basis4):
@@ -292,14 +292,14 @@ def test_level_bump_invariance(queries, basis4):
         pos = t % len(levels)
         bumped = list(levels)
         bumped[pos] += 1
-        at = gain_exact(u, bumped, basis4, n * basis4.base(u[pos]))
-        assert at == gain_exact(u, levels, basis4, n)
+        at = gain_exact(u, bumped, n * basis4[u[pos] - 1])
+        assert at == gain_exact(u, levels, n)
 
 
-def _residue_form(u, levels, basis, n) -> Fraction:
+def _residue_form(u, levels, n) -> Fraction:
     """G = sum_v s_v r_v (m_v - r_v) / (n prod(b_j - 1) m_under), where
     s_v = (-1)^(|u|-|v|), m_v = m_under prod_{j in v} b_j and r_v = n mod m_v."""
-    bases = _bases(u, basis)
+    bases = _bases(u)
     m_under = moduli(bases, levels)[0]
     total = 0
     for v in itertools.product((0, 1), repeat=len(bases)):
@@ -309,25 +309,24 @@ def _residue_form(u, levels, basis, n) -> Fraction:
     return Fraction(total, n * math.prod(b - 1 for b in bases) * m_under)
 
 
-def test_gain_exact_matches_residue_form(queries, basis4):
+def test_gain_exact_matches_residue_form(queries):
     # The sampler stops at n = 5000; the residue form also reaches n far
     # past int64, where no other route evaluates gain_exact.
     for u, levels, n in queries:
-        assert gain_exact(u, levels, basis4, n) == _residue_form(u, levels, basis4, n)
-    basis = first_primes(6)
+        assert gain_exact(u, levels, n) == _residue_form(u, levels, n)
     rng = random.Random(20261018)
     counts = (2**64 + 7, 10**30, *(10**40 + s for s in range(-2, 3)))
     for _ in range(300):
         u = rng.sample(range(1, 7), rng.randint(1, 6))
         levels = [rng.randint(0, 3) for _ in u]
         for n in counts:
-            assert gain_exact(u, levels, basis, n) == _residue_form(u, levels, basis, n)
+            assert gain_exact(u, levels, n) == _residue_form(u, levels, n)
 
 
-def test_level_shift_identity(queries, basis4):
+def test_level_shift_identity(queries):
     for u, levels, n in queries[:200]:
-        shifted = gain_exact(u, levels, basis4, n * moduli(_bases(u, basis4), levels)[0])
-        assert shifted == gain_exact(u, (0,) * len(levels), basis4, n)
+        shifted = gain_exact(u, levels, n * moduli(_bases(u), levels)[0])
+        assert shifted == gain_exact(u, (0,) * len(levels), n)
 
 
 # ------------------------------------------------------------------ the search
@@ -338,34 +337,34 @@ def _nonempty_subsets(d: int):
     return [u for size in coords for u in itertools.combinations(coords, size)]
 
 
-def test_level_zero_attains_supremum(basis3):
+def test_level_zero_attains_supremum():
     for u in _nonempty_subsets(3):
-        flat = _cycle_max(u, (0,) * len(u), basis3)
+        flat = _cycle_max(u, (0,) * len(u))
         for levels in itertools.product((0, 1), repeat=len(u)):
-            assert _cycle_max(u, levels, basis3) <= flat
+            assert _cycle_max(u, levels) <= flat
 
 
-def test_supersets_dominate(basis3):
-    tops = {u: _cycle_max(u, (0,) * len(u), basis3) for u in _nonempty_subsets(3)}
+def test_supersets_dominate():
+    tops = {u: _cycle_max(u, (0,) * len(u)) for u in _nonempty_subsets(3)}
     for small, small_top in tops.items():
         for big, big_top in tops.items():
             if set(small) <= set(big):
                 assert small_top <= big_top
 
 
-def test_leave_one_out_upper_bound(basis3):
+def test_leave_one_out_upper_bound():
     for u in [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]:
-        bound = upper_bound_u_exact(u, basis3)
-        assert _cycle_max(u, (0,) * len(u), basis3) <= bound
-    assert upper_bound_u_exact((1, 2), basis3) == Fraction(3, 2)
-    assert upper_bound_u_exact((1, 2, 3), basis3) == Fraction(15, 8)
+        bound = upper_bound_u_exact(u)
+        assert _cycle_max(u, (0,) * len(u)) <= bound
+    assert upper_bound_u_exact((1, 2)) == Fraction(3, 2)
+    assert upper_bound_u_exact((1, 2, 3)) == Fraction(15, 8)
 
 
 def test_subset_bound_lemma():
     # G_{u,k}(n) <= Gamma_A * prod_{j in u - A} b_j/(b_j - 1) for nonempty
     # A inside u (the lemma in the upper_bound_u_exact docstring), here
     # with A = u & {1, 2, 3} on random queries over coordinates 1..6.
-    basis = first_primes(6)
+    bases = first_primes(6)
     rng = random.Random(20260822)
     worst = {}
     checked = 0
@@ -375,13 +374,13 @@ def test_subset_bound_lemma():
         if not a:
             continue
         if a not in worst:
-            worst[a] = _cycle_max(a, (0,) * len(a), basis)
+            worst[a] = _cycle_max(a, (0,) * len(a))
         levels = tuple(rng.randint(0, 1) for _ in u)
         n = rng.randint(1, 3000)
         bound = worst[a] * math.prod(
-            Fraction(basis.base(j), basis.base(j) - 1) for j in u if j > 3
+            Fraction(bases[j - 1], bases[j - 1] - 1) for j in u if j > 3
         )
-        assert gain_exact(u, levels, basis, n) <= bound
+        assert gain_exact(u, levels, n) <= bound
         checked += 1
     # A = 1..6 inside u = 1..7 bounds the frozen Gamma_7 by
     # Gamma*_6 * 17/16, a margin of about 0.005 only.
@@ -390,14 +389,14 @@ def test_subset_bound_lemma():
     assert gamma7 <= gamma6 * Fraction(17, 16) < gamma7 + Fraction(1, 100)
 
 
-def test_attained_bound_values(basis5):
-    assert lower_bound_n_star((1, 2), basis5, 1) == (3, Fraction(4, 3))
-    assert lower_bound_n_star((1, 2), basis5, 2) == (2, Fraction(3, 2))
-    assert lower_bound_n_star((1, 2, 3), basis5, 1) == (15, Fraction(8, 5))
+def test_attained_bound_values():
+    assert lower_bound_n_star((1, 2), 1) == (3, Fraction(4, 3))
+    assert lower_bound_n_star((1, 2), 2) == (2, Fraction(3, 2))
+    assert lower_bound_n_star((1, 2, 3), 1) == (15, Fraction(8, 5))
     with pytest.raises(ValueError):
-        lower_bound_n_star((3, 4), basis5, 3)
+        lower_bound_n_star((3, 4), 3)
     with pytest.raises(ValueError):
-        lower_bound_n_star((1, 2), basis5, 3)
+        lower_bound_n_star((1, 2), 3)
 
 
 def test_gamma_max_small_dimensions():
@@ -415,13 +414,13 @@ def test_gamma_max_small_dimensions():
 def _worst_gain_at(d: int, n: int) -> Fraction:
     """Max of gain_exact at n over nonempty u in 1..d and levels with
     prod b^k <= n, floored at 1: every other level vector gives gain 1."""
-    basis = first_primes(d)
+    primes = first_primes(d)
     best = Fraction(1)
     for u in _nonempty_subsets(d):
-        bases = [basis.base(j) for j in u]
+        bases = [primes[j - 1] for j in u]
         for levels in itertools.product(range(n.bit_length()), repeat=len(u)):
             if math.prod(b**k for b, k in zip(bases, levels)) <= n:
-                best = max(best, gain_exact(u, levels, basis, n))
+                best = max(best, gain_exact(u, levels, n))
     return best
 
 
@@ -451,13 +450,12 @@ def test_curve_arrays_int64_edge():
     # u = 1..16 at level 0 has denom = prod(b - 1) ~ 4.4e18: the pair sums
     # of n <= 2 fit int64, the one at n = 3 does not, so that curve is kept
     # in Python ints.
-    basis = first_primes(16)
     u = tuple(range(1, 17))
     for n_max, dtype in ((2, np.int64), (3, object)):
-        num, den = gains._gain_curve_arrays(u, (0,) * 16, basis, n_max)
+        num, den = gains._gain_curve_arrays(u, (0,) * 16, n_max)
         assert num.dtype == den.dtype == dtype
-        assert gain_curve(u, (0,) * 16, basis, n_max) == closed_form_curve(
-            u, (0,) * 16, basis, n_max
+        assert gain_curve(u, (0,) * 16, n_max) == closed_form_curve(
+            u, (0,) * 16, n_max
         )
 
 
@@ -465,11 +463,11 @@ def test_gamma_scan_matches_curve_oracle(monkeypatch):
     # The per-n closed form over one full cycle is the oracle for the
     # chunked scan; chunks of 7 and 1000 carry F and T across many chunk
     # borders.
-    basis = first_primes(6)
+    bases = first_primes(6)
     oracle = {}
     for d in range(1, 7):
         u = tuple(range(1, d + 1))
-        curve = closed_form_curve(u, (0,) * d, basis, math.prod(basis.bases[:d]))
+        curve = closed_form_curve(u, (0,) * d, math.prod(bases[:d]))
         top = max(curve)
         oracle[d] = (top, curve.index(top) + 1)
     for chunk in (gains._CHUNK, 7, 1000):
@@ -510,9 +508,8 @@ def test_gamma_max_frozen_nine():
 def test_gain_reflection_identity(u, levels):
     # Every m_v divides P = m_over, so n G(n) = (P - n) G(P - n): the
     # lemma behind gamma_max's half-cycle scan, at P = 210, 1500 and 441.
-    basis = first_primes(4)
-    p = moduli(_bases(u, basis), levels)[1]
-    curve = [None, *gain_curve(u, levels, basis, p)]  # curve[n] = G(n)
+    p = moduli(_bases(u), levels)[1]
+    curve = [None, *gain_curve(u, levels, p)]  # curve[n] = G(n)
     for n in range(1, p):
         assert n * curve[n] == (p - n) * curve[p - n], n
         if 2 * n < p and curve[n] > 0:
@@ -522,17 +519,15 @@ def test_gain_reflection_identity(u, levels):
 def test_gamma_max_capped_high_dimension():
     # Moduli of u = 1..16 reach far past 2^63; only those below the cap
     # enter the int64 scan.
-    basis = first_primes(16)
     u = tuple(range(1, 17))
     summary = gamma_max(16, n_cap=250)
-    at = gain_exact(u, (0,) * 16, basis, summary.argmax_n)
+    at = gain_exact(u, (0,) * 16, summary.argmax_n)
     assert summary.gamma == at
     rng = random.Random(20260822)
     for n in rng.sample(range(1, 251), 16):
-        assert summary.gamma >= gain_exact(u, (0,) * 16, basis, n)
+        assert summary.gamma >= gain_exact(u, (0,) * 16, n)
     # Against the per-n closed form on every count below the cap.
-    basis = first_primes(12)
-    curve = closed_form_curve(range(1, 13), (0,) * 12, basis, 600)
+    curve = closed_form_curve(range(1, 13), (0,) * 12, 600)
     top = max(curve)
     summary = gamma_max(12, n_cap=600)
     assert (summary.gamma, summary.argmax_n) == (top, curve.index(top) + 1)
@@ -582,11 +577,10 @@ def test_gamma_scan_keeps_smallest_argmax(monkeypatch):
 def test_pruned_terms_match_bruteforce_at_25_dimensions():
     # 2^25 terms in full; only the m_v < n ones are listed, the rest add 0
     # to T(n).  Brute force over index pairs shares none of that.
-    basis = first_primes(25)
     u = tuple(range(1, 26))
-    brute = [gain_bruteforce(u, (0,) * 25, basis, n) for n in range(1, 11)]
-    exact = [gain_exact(u, (0,) * 25, basis, n) for n in range(1, 11)]
-    assert exact == brute == gain_curve(u, (0,) * 25, basis, 10)
+    brute = [gain_bruteforce(u, (0,) * 25, n) for n in range(1, 11)]
+    exact = [gain_exact(u, (0,) * 25, n) for n in range(1, 11)]
+    assert exact == brute == gain_curve(u, (0,) * 25, 10)
     summary = gamma_max(25, n_cap=10)
     top = max(brute)
     assert (summary.gamma, summary.argmax_n) == (top, brute.index(top) + 1)
@@ -597,16 +591,16 @@ def test_gamma_max_past_the_modulus_range(d):
     # prod b_j of u = 1..d passes 2^127; the int64 scan bound alone admits
     # n <= 10.  The oracle is the brute force's pair sum, read directly
     # from the bases.
-    basis = first_primes(d)
-    t = gains._bruteforce_prefix(basis.bases, (0,) * d, 10)
-    denom = math.prod(b - 1 for b in basis.bases)
+    bases = first_primes(d)
+    t = gains._bruteforce_prefix(bases, (0,) * d, 10)
+    denom = math.prod(b - 1 for b in bases)
     brute = [Fraction(n * denom + 2 * int(t[n - 1]), n * denom) for n in range(1, 11)]
     summary = gamma_max(d, n_cap=10)
     top = max(brute)
     assert (summary.gamma, summary.argmax_n) == (top, brute.index(top) + 1)
     u = range(1, d + 1)
-    assert gain_curve(u, (0,) * d, basis, 10) == brute
-    assert [gain_exact(u, (0,) * d, basis, n) for n in range(1, 11)] == brute
+    assert gain_curve(u, (0,) * d, 10) == brute
+    assert [gain_exact(u, (0,) * d, n) for n in range(1, 11)] == brute
 
 
 def test_gamma_max_int64_bound_is_the_only_limit(monkeypatch):
@@ -631,10 +625,9 @@ def _budget_message(n: int, size: int, budget: int = 1 << 18) -> str:
 def test_term_budget_refuses_fast():
     # Every one of the 2^25 moduli of u = 1..25 lies below 10^38.  Past
     # 2^18 kept terms the count refuses, before a longer list is built.
-    basis = first_primes(25)
     t0 = time.perf_counter()
     with pytest.raises(ValueError) as refused:
-        gain_exact(range(1, 26), (0,) * 25, basis, 10**38)
+        gain_exact(range(1, 26), (0,) * 25, 10**38)
     assert time.perf_counter() - t0 < 1.0
     assert str(refused.value) == _budget_message(10**38, 25)
 
@@ -643,11 +636,10 @@ def test_term_budget_memory(monkeypatch):
     # With a budget of 2^10, the refusal holds at most 2^10 terms: the
     # survivors are counted before the next list is built.
     monkeypatch.setattr(gains, "_MAX_TERMS", 1 << 10)
-    basis = first_primes(25)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=re.escape(_budget_message(10**38, 25, 1 << 10))):
-            gain_exact(range(1, 26), (0,) * 25, basis, 10**38)
+            gain_exact(range(1, 26), (0,) * 25, 10**38)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -658,20 +650,19 @@ def test_term_budget_is_the_one_size_rule(monkeypatch):
     # u = 1..3 keeps all 8 of its terms below n = 40, and u = 1..4 keeps
     # 12: a budget admits exactly as many terms as it names, and every
     # evaluator meets the same refusal past it.
-    basis = first_primes(4)
-    want, top = gain_exact((1, 2, 3), (0, 0, 0), basis, 40), gamma_max(4, n_cap=40)
-    curve = gain_curve((1, 2, 3), (0, 0, 0), basis, 40)
+    want, top = gain_exact((1, 2, 3), (0, 0, 0), 40), gamma_max(4, n_cap=40)
+    curve = gain_curve((1, 2, 3), (0, 0, 0), 40)
     monkeypatch.setattr(gains, "_MAX_TERMS", 8)
-    assert gain_exact((1, 2, 3), (0, 0, 0), basis, 40) == want
-    assert gain_curve((1, 2, 3), (0, 0, 0), basis, 40) == curve
+    assert gain_exact((1, 2, 3), (0, 0, 0), 40) == want
+    assert gain_curve((1, 2, 3), (0, 0, 0), 40) == curve
     assert oracle_check(3, n_max=40, k_max=0) == []
     monkeypatch.setattr(gains, "_MAX_TERMS", 12)
     assert gamma_max(4, n_cap=40) == top
     monkeypatch.setattr(gains, "_MAX_TERMS", 7)
     refused = re.escape(_budget_message(40, 3, 7))
     for evaluate in (
-        lambda: gain_exact((1, 2, 3), (0, 0, 0), basis, 40),
-        lambda: gain_curve((1, 2, 3), (0, 0, 0), basis, 40),
+        lambda: gain_exact((1, 2, 3), (0, 0, 0), 40),
+        lambda: gain_curve((1, 2, 3), (0, 0, 0), 40),
         lambda: oracle_check(3, n_max=40, k_max=0),
     ):
         with pytest.raises(ValueError, match=refused):
@@ -681,12 +672,12 @@ def test_term_budget_is_the_one_size_rule(monkeypatch):
         gamma_max(4, n_cap=40)
 
 
-def test_huge_level_forms_no_power(basis2):
+def test_huge_level_forms_no_power():
     # 2^(10^9) takes seconds and hundreds of MB to form.  A level at or past
     # the bit length of n empties the terms at once, and every count below
     # the cell gives G = 1.
     t0 = time.perf_counter()
-    assert gain_exact((1,), (10**9,), basis2, 5) == 1
+    assert gain_exact((1,), (10**9,), 5) == 1
     assert gains._terms((3, 2), (0, 10**9), 5) == []
     assert time.perf_counter() - t0 < 1.0
     # Around that level, the kept terms are the full list's below the limit.
@@ -699,11 +690,10 @@ def test_huge_level_forms_no_power(basis2):
 
 def test_pruned_terms_memory_at_20_dimensions():
     # The full 2^20 term list of u = 1..20 alone takes about 190 MB.
-    basis = first_primes(20)
     u = tuple(range(1, 21))
     tracemalloc.start()
     try:
-        gain_exact(u, (0,) * 20, basis, 1000)
+        gain_exact(u, (0,) * 20, 1000)
         gamma_max(20, n_cap=1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -766,7 +756,7 @@ def test_bounds_table_matches_correctly_rounded_log_sums():
     # d = 3.
     checked = (2, 3, 7, 30, 1000, 2146, 5000, 20000)
     rows = table_rows(checked[-1])
-    bases = first_primes(checked[-1]).bases
+    bases = first_primes(checked[-1])
     for d in checked:
         lower = 0.75 * math.exp(math.fsum(math.log1p(1.0 / b) for b in bases[:d]))
         upper = 0.5 * math.exp(math.fsum(-math.log1p(-1.0 / b) for b in bases[:d]))
@@ -834,32 +824,36 @@ def test_log_terms_split_into_exact_limbs():
 # ------------------------------------------------------------------ containers
 
 
-def test_coord_subset_basics(basis3):
+def test_coord_subset_basics():
     # A subset is a tuple of 1-based ints, taken in any order but never
     # with a coordinate twice.
-    assert upper_bound_u_exact((3, 1), basis3) == Fraction(5, 4)
+    assert upper_bound_u_exact((3, 1)) == Fraction(5, 4)
     with pytest.raises(ValueError, match="coordinate 3 listed more than once"):
-        upper_bound_u_exact((3, 1, 3), basis3)
+        upper_bound_u_exact((3, 1, 3))
     with pytest.raises(ValueError, match="got 1.5"):
-        upper_bound_u_exact((1.5, 2), first_primes(2))
+        upper_bound_u_exact((1.5, 2))
+    # Coordinate 4 has base 7, whatever else was asked for before.
+    assert gain_curve((4,), (0,), 8) == [gain_bruteforce((4,), (0,), n) for n in range(1, 9)]
+    assert upper_bound_u_exact((4,)) == 1
+    assert make_haar((4,), (0,)).bases == (7,)
 
 
 # Each bad subset, the level-count mismatch included, and the message that
-# pair_levels, the one subset check, gives for it over the first 3 primes.
+# pair_levels, the one subset check, gives for it.
 REFUSED_SUBSETS = [
     ((), (), "u must name at least one coordinate"),
-    ((0,), (0,), "coordinate 0 outside 1..3"),
-    ((4,), (0,), "coordinate 4 outside 1..3"),
+    ((0,), (0,), "coordinate 0 outside 1..10000000"),
+    ((10_000_001,), (0,), "coordinate 10000001 outside 1..10000000"),
     ((1.5,), (0,), "coordinate must be an integer, got 1.5"),
     ((1, 1), (0, 0), "coordinate 1 listed more than once in u"),
     ((1, 2), (0,), "one level per coordinate required, got (0,) for u = (1, 2)"),
 ]
 
 SUBSET_ENTRY_POINTS = {
-    "gain_exact": lambda u, k, basis: gain_exact(u, k, basis, 5),
-    "gain_curve": lambda u, k, basis: gain_curve(u, k, basis, 5),
+    "gain_exact": lambda u, k: gain_exact(u, k, 5),
+    "gain_curve": lambda u, k: gain_curve(u, k, 5),
     "make_haar": make_haar,
-    "upper_bound_u_exact": lambda u, k, basis: upper_bound_u_exact(u, basis),
+    "upper_bound_u_exact": lambda u, k: upper_bound_u_exact(u),
 }
 
 
@@ -875,35 +869,36 @@ SUBSET_ENTRY_POINTS = {
 )
 def test_one_refusal_across_entry_points(entry, u, levels, message):
     with pytest.raises(ValueError) as refused:
-        SUBSET_ENTRY_POINTS[entry](u, levels, first_primes(3))
+        SUBSET_ENTRY_POINTS[entry](u, levels)
     assert str(refused.value) == message
 
 
-def test_query_validation(basis3):
+def test_query_validation():
     with pytest.raises(ValueError):
-        gain_exact((), (), basis3, 5)
+        gain_exact((), (), 5)
     with pytest.raises(ValueError):
-        gain_exact((1,), (0, 0), basis3, 5)
+        gain_exact((1,), (0, 0), 5)
     with pytest.raises(ValueError, match="levels must be >= 0, got -1"):
-        gain_exact((1,), (-1,), basis3, 5)
+        gain_exact((1,), (-1,), 5)
     with pytest.raises(ValueError, match="level must be an integer, got 0.5"):
-        gain_exact((1,), (0.5,), basis3, 5)
-    with pytest.raises(ValueError):
-        gain_exact((4,), (0,), basis3, 5)
+        gain_exact((1,), (0.5,), 5)
+    with pytest.raises(ValueError, match="coordinate 10000001 outside 1..10000000"):
+        gain_exact((10_000_001,), (0,), 5)
+    assert gain_exact((4,), (0,), 5) == gain_bruteforce((4,), (0,), 5) == Fraction(1, 3)
     with pytest.raises(ValueError, match="point count must be >= 1, got 0"):
-        gain_exact((1,), (0,), basis3, 0)
+        gain_exact((1,), (0,), 0)
     with pytest.raises(ValueError, match="coordinate 1 listed more than once"):
-        gain_exact((1, 2, 1), (0, 0, 0), basis3, 5)
+        gain_exact((1, 2, 1), (0, 0, 0), 5)
     with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
-        gain_exact((1,), (0,), basis3, 2.5)
+        gain_exact((1,), (0,), 2.5)
     # No size is refused up front: moduli past 2^127 and |u| = 31 evaluate
     # (see test_term_budget_is_the_one_size_rule).
-    assert gain_exact((1,), (200,), basis3, 5) == 1
-    wide = (range(1, 32), (0,) * 31, first_primes(31), 5)
+    assert gain_exact((1,), (200,), 5) == 1
+    wide = (range(1, 32), (0,) * 31, 5)
     assert gain_exact(*wide) == gain_bruteforce(*wide)
     with pytest.raises(ValueError, match="n_max must be an integer, got 3.5"):
-        gain_curve((1,), (0,), basis3, 3.5)
-    u, levels, bases = pair_levels((2, 1), (0, 1), basis3)
+        gain_curve((1,), (0,), 3.5)
+    u, levels, bases = pair_levels((2, 1), (0, 1))
     assert (u, levels, bases) == ((1, 2), (1, 0), (2, 3))  # each level stays with its coordinate
     assert moduli(bases, levels) == (2, 12)  # 2^1 * 3^0, 2^2 * 3^1
-    assert gain_exact((2, 1), (0, 1), basis3, 5) == gain_exact((1, 2), (1, 0), basis3, 5)
+    assert gain_exact((2, 1), (0, 1), 5) == gain_exact((1, 2), (1, 0), 5)

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haltongain import (
-    PrimeBasis,
-    default_precision,
-    first_primes,
-    halton_points,
-)
+from haltongain import default_precision, halton_points
 from haltongain.halton import MAX_INDEX
 
 from oracles import (
@@ -83,7 +78,7 @@ def test_radical_inverse_digit_reversal(i, base):
 
 
 def test_column_digits_fraction_and_float():
-    pts = halton_points(PrimeBasis(1, (2,)), 5, 1)
+    pts = halton_points(1, 5, 1)
     assert pts.digits[0][:, :3].tolist() == [[1, 0, 1]]
     assert _fraction(pts.digits[0][0, :3], 2) == Fraction(5, 8)
     assert pts.coords.tolist() == [[0.625]]
@@ -106,24 +101,24 @@ def test_default_precision_covers_64_bit_indices():
         default_precision(1)
 
 
-def test_first_points(basis3):
-    pts = halton_points(basis3, 0, 2)
+def test_first_points():
+    pts = halton_points(3, 0, 2)
     assert pts.coords.tolist() == [[0.0, 0.0, 0.0], [0.5, 1 / 3, 0.2]]
     assert pts.digits[0][1, 0] == 1
     assert pts.dimension == 3
     assert pts.bases == (2, 3, 5)
 
 
-def test_point_fractions_match_radical_inverse(basis3):
-    pts = halton_points(basis3, 37, 20)
+def test_point_fractions_match_radical_inverse():
+    pts = halton_points(3, 37, 20)
     for p in range(pts.count):
         i = 37 + p
         for c, col in enumerate(pts.digits):
             assert _fraction(col[p], pts.bases[c]) == radical_inverse(i, pts.bases[c])
 
 
-def test_float_realization_error(basis3):
-    pts = halton_points(basis3, 1000, 50)
+def test_float_realization_error():
+    pts = halton_points(3, 1000, 50)
     for p in range(pts.count):
         for c, col in enumerate(pts.digits):
             x = pts.coords[p][c]
@@ -131,13 +126,13 @@ def test_float_realization_error(basis3):
             assert abs(x - float(_fraction(col[p], pts.bases[c]))) < 2.0**-50
 
 
-def test_point_count_validation(basis3):
+def test_point_count_validation():
     with pytest.raises(ValueError):
-        halton_points(basis3, 0, 0)
+        halton_points(3, 0, 0)
     with pytest.raises(ValueError):
-        halton_points(basis3, -1, 2)
+        halton_points(3, -1, 2)
     with pytest.raises(ValueError, match="start must be an integer"):
-        halton_points(basis3, 1.5, 3)  # numpy would truncate it to points 1..3
+        halton_points(3, 1.5, 3)  # numpy would truncate it to points 1..3
 
 
 @given(
@@ -145,13 +140,13 @@ def test_point_count_validation(basis3):
     st.integers(min_value=0, max_value=4),
 )
 def test_stratum_index_is_scaled_floor(i, k):
-    pts = halton_points(PrimeBasis(1, (3,)), i, 1)
-    [(r,)] = stratum_index(pts, [k])
-    assert r == math.floor(_fraction(pts.digits[0][0, :6], 3) * 3**k)
+    pts = halton_points(2, i, 1)  # column 2 is base 3
+    [(_, r)] = stratum_index(pts, [0, k])
+    assert r == math.floor(_fraction(pts.digits[1][0, :6], 3) * 3**k)
 
 
 def test_stratum_index_validation():
-    pts = halton_points(PrimeBasis(1, (2,)), 3, 1)
+    pts = halton_points(1, 3, 1)
     with pytest.raises(ValueError):
         stratum_index(pts, [1, 2])
     with pytest.raises(ValueError):
@@ -171,25 +166,24 @@ def test_residue_match_is_interval_agreement():
                 assert residue_match(i, i2, 3, r) == same_box
 
 
-def test_stratum_counts_match_occupancy(basis3):
+def test_stratum_counts_match_occupancy():
     levels = (1, 2, 2)
-    counts = stratum_counts(basis3, 117, 300, levels)
-    pts = halton_points(basis3, 117, 300)
+    counts = stratum_counts(3, 117, 300, levels)
+    pts = halton_points(3, 117, 300)
     assert counts == stratum_occupancy(pts, levels)
     assert sum(counts.values()) == 300
 
 
 def test_one_dimensional_window_balance():
-    basis = first_primes(1)
     for start in (0, 3, 11):
-        counts = stratum_counts(basis, start, 8, (3,))
+        counts = stratum_counts(1, start, 8, (3,))
         assert sorted(counts) == [(r,) for r in range(8)]
         assert set(counts.values()) == {1}
 
 
-def test_full_window_balance(basis3):
+def test_full_window_balance():
     # One full cycle of 2 * 9 * 25 indices hits every box exactly once.
-    counts = stratum_counts(basis3, 12345, 450, (1, 2, 2))
+    counts = stratum_counts(3, 12345, 450, (1, 2, 2))
     assert len(counts) == 450
     assert set(counts.values()) == {1}
 
@@ -206,12 +200,12 @@ def test_full_window_balance(basis3):
         (MAX_INDEX - 200, 200),  # ends at the last 64-bit index
     ],
 )
-def test_columns_match_per_point_oracles(basis5, start, count):
+def test_columns_match_per_point_oracles(start, count):
     # Digits against digits_of, floats against the correctly rounded
-    # radical inverse, on a 5-coordinate basis.  Each column is as deep as
+    # radical inverse, over the first 5 primes.  Each column is as deep as
     # the digit count L of start+count-1 in its base, at least 1; the last
     # 64-bit index needs default_precision(b).
-    pts = halton_points(basis5, start, count)
+    pts = halton_points(5, start, count)
     assert pts.bases == (2, 3, 5, 7, 11)
     for c, (b, col) in enumerate(zip(pts.bases, pts.digits)):
         depth = default_precision(b)

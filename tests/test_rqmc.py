@@ -10,7 +10,6 @@ from haltongain import rqmc
 from haltongain import (
     ScrambleSpec,
     default_precision,
-    first_primes,
     gain_exact,
     make_haar,
     rqmc_estimate,
@@ -44,60 +43,60 @@ def evaluate(f, point) -> float:
     return out
 
 
-def test_make_haar_defaults(basis3):
-    f = make_haar((1, 2), (0, 0), basis3)
+def test_make_haar_defaults():
+    f = make_haar((1, 2), (0, 0))
     assert f.bases == (2, 3)
     assert f.tables == ((Fraction(-1), Fraction(1)), (Fraction(-1), Fraction(-1), Fraction(2)))
     assert f.sigma2 == 2  # (b1 - 1) * (b2 - 1)
-    g = make_haar((3,), (1,), basis3)
+    g = make_haar((3,), (1,))
     assert g.sigma2 == 4
 
 
-def test_make_haar_custom_table(basis3):
-    f = make_haar((1,), (0,), basis3, tables=[[1, -1]])
+def test_make_haar_custom_table():
+    f = make_haar((1,), (0,), tables=[[1, -1]])
     assert f.sigma2 == 1
-    f = make_haar((2,), (0,), basis3, tables=[[2, -1, -1]])
+    f = make_haar((2,), (0,), tables=[[2, -1, -1]])
     assert f.sigma2 == 2
 
 
-def test_make_haar_validation(basis3):
+def test_make_haar_validation():
     with pytest.raises(ValueError):
-        make_haar((), (), basis3)
+        make_haar((), ())
     with pytest.raises(ValueError):
-        make_haar((1,), (0, 0), basis3)
+        make_haar((1,), (0, 0))
     with pytest.raises(ValueError, match="levels must be >= 0, got -1"):
-        make_haar((1,), (-1,), basis3)
+        make_haar((1,), (-1,))
     with pytest.raises(ValueError, match="level must be an integer, got 0.5"):
-        make_haar((1,), (0.5,), basis3)
+        make_haar((1,), (0.5,))
     with pytest.raises(ValueError, match="coordinate must be an integer, got 1.0"):
-        make_haar((1.0,), (0,), basis3)
+        make_haar((1.0,), (0,))
     with pytest.raises(ValueError):
-        make_haar((1,), (0,), basis3, tables=[[1, 1]])  # no zero sum
+        make_haar((1,), (0,), tables=[[1, 1]])  # no zero sum
     with pytest.raises(ValueError):
-        make_haar((1,), (0,), basis3, tables=[[0, 0]])
+        make_haar((1,), (0,), tables=[[0, 0]])
     with pytest.raises(ValueError):
-        make_haar((1,), (0,), basis3, tables=[[1, -1, 0]])  # wrong length
+        make_haar((1,), (0,), tables=[[1, -1, 0]])  # wrong length
     with pytest.raises(ValueError, match="one table per subset member"):
-        make_haar((1, 2), (0, 0), basis3, tables=[[1, -1]])
+        make_haar((1, 2), (0, 0), tables=[[1, -1]])
 
 
-def test_evaluate_reads_the_level_digit(basis3):
-    f = make_haar((1,), (1,), basis3)
+def test_evaluate_reads_the_level_digit():
+    f = make_haar((1,), (1,))
     assert evaluate(f, [(0, 1)]) == 1.0
     assert evaluate(f, [(1, 0)]) == -1.0
     with pytest.raises(ValueError):
         evaluate(f, [(1,)])  # needs digit 2
 
 
-def test_evaluate_full_point_rows(basis3):
-    f = make_haar((2,), (0,), basis3)
+def test_evaluate_full_point_rows():
+    f = make_haar((2,), (0,))
     full = [(0,), (2,), (0,)]
     assert evaluate(f, full) == 2.0
     assert evaluate(f, [(2,)]) == 2.0
 
 
-def test_replicate_window_contract(basis2):
-    f = make_haar((1, 2), (0, 0), basis2)
+def test_replicate_window_contract():
+    f = make_haar((1, 2), (0, 0))
     spec = ScrambleSpec("nested", seed=40)
     a = rqmc_estimate(f, 4, 3, spec)
     b = rqmc_estimate(f, 4, 2, ScrambleSpec("nested", seed=40, replicate=1))
@@ -106,9 +105,9 @@ def test_replicate_window_contract(basis2):
     assert a == again
 
 
-def test_zero_gain_counts_give_exactly_zero_means(basis2):
+def test_zero_gain_counts_give_exactly_zero_means():
     # n = 6 is one full cycle for (u, k) = ({1, 2}, (0, 0)).
-    f = make_haar((1, 2), (0, 0), basis2)
+    f = make_haar((1, 2), (0, 0))
     for kind in ("nested", "linear"):
         out = rqmc_estimate(f, 6, 20, ScrambleSpec(kind, seed=3))
         assert out.means == (0.0,) * 20
@@ -116,10 +115,10 @@ def test_zero_gain_counts_give_exactly_zero_means(basis2):
         assert out.empirical_gain == 0.0
 
 
-def test_gain_law_nested_and_linear(basis2):
-    f = make_haar((1, 2), (0, 0), basis2)
+def test_gain_law_nested_and_linear():
+    f = make_haar((1, 2), (0, 0))
     reps = 4000
-    want = float(gain_exact((1, 2), (0, 0), basis2, 2))
+    want = float(gain_exact((1, 2), (0, 0), 2))
     for kind in ("nested", "linear"):
         out = rqmc_estimate(f, 2, reps, ScrambleSpec(kind, seed=71))
         band = 4 * want * math.sqrt(2.0 / (reps - 1))
@@ -129,16 +128,16 @@ def test_gain_law_nested_and_linear(basis2):
         assert out.mc_variance == 1.0
 
 
-def test_single_point_matches_monte_carlo(basis2):
-    f = make_haar((1, 2), (0, 0), basis2)
+def test_single_point_matches_monte_carlo():
+    f = make_haar((1, 2), (0, 0))
     reps = 4000
     band = 4 * math.sqrt(2.0 / (reps - 1))
     out = rqmc_estimate(f, 1, reps, ScrambleSpec("nested", seed=72))
     assert abs(out.empirical_gain - 1.0) < band
 
 
-def test_summary_arithmetic(basis2):
-    f = make_haar((1,), (0,), basis2)
+def test_summary_arithmetic():
+    f = make_haar((1,), (0,))
     out = rqmc_estimate(f, 3, 5, ScrambleSpec("nested", seed=1))
     grand = sum(out.means) / 5
     var = sum((m - grand) ** 2 for m in out.means) / 4
@@ -152,16 +151,16 @@ def test_summary_arithmetic(basis2):
     )
 
 
-def test_start_offset_changes_points(basis2):
-    f = make_haar((1, 2), (0, 0), basis2)
+def test_start_offset_changes_points():
+    f = make_haar((1, 2), (0, 0))
     spec = ScrambleSpec("nested", seed=2)
     a = rqmc_estimate(f, 3, 2, spec)
     b = rqmc_estimate(f, 3, 2, spec, start=5)
     assert a.means != b.means
 
 
-def test_validation(basis2):
-    f = make_haar((1,), (0,), basis2)
+def test_validation():
+    f = make_haar((1,), (0,))
     with pytest.raises(ValueError):
         rqmc_estimate(f, 0, 2, ScrambleSpec("nested"))
     with pytest.raises(ValueError):
@@ -187,9 +186,9 @@ def test_validation(basis2):
 def test_level_past_the_digit_limit_refused(kind, basis2):
     # At k = default_precision(b), b^k >= 2^64 exceeds every count, so the
     # gain is 1; scrambling digit k + 1 is refused, naming the limit.
-    for c, b in enumerate(basis2.bases, start=1):
+    for c, b in enumerate(basis2, start=1):
         limit = default_precision(b)
-        f = make_haar((c,), (limit,), basis2)
+        f = make_haar((c,), (limit,))
         with pytest.raises(ValueError, match=f"limit {limit} for base {b}"):
             rqmc_estimate(f, 5, 2, ScrambleSpec(kind))
 
@@ -242,28 +241,26 @@ NON_DYADIC = [
     ],
 )
 def test_level_path_matches_per_point_oracle(kind, u, k, n, start, tables):
-    basis = first_primes(3)
-    f = make_haar(u, k, basis, tables=tables)
+    f = make_haar(u, k, tables=tables)
     spec = ScrambleSpec(kind, seed=20261018, replicate=4)
     got = rqmc_estimate(f, n, 6, spec, start=start).means
     assert got == _oracle_means(f, n, 6, spec, start)
 
 
-def test_make_haar_pairs_levels_and_tables_with_u_as_given(basis3):
+def test_make_haar_pairs_levels_and_tables_with_u_as_given():
     t1, t3 = [3, -3], NON_DYADIC[1]
-    a = make_haar((3, 1), (2, 0), basis3, tables=[t3, t1])
-    assert a == make_haar((1, 3), (0, 2), basis3, tables=[t1, t3])
+    a = make_haar((3, 1), (2, 0), tables=[t3, t1])
+    assert a == make_haar((1, 3), (0, 2), tables=[t1, t3])
     assert a.levels == (0, 2)
     with pytest.raises(ValueError, match="coordinate 3 listed more than once"):
-        make_haar((3, 1, 3), (0, 0, 0), basis3)
+        make_haar((3, 1, 3), (0, 0, 0))
 
 
 def test_rejected_words_are_redrawn(monkeypatch, redrawn_tags):
     # Batched Fisher-Yates and linear-row words are rejected and their rows
     # redrawn; blocks of a few replicates make several blocks per estimate.
     monkeypatch.setattr(rqmc, "_BLOCK_CELLS", 64)
-    basis = first_primes(3)
-    f = make_haar((1, 2, 3), (2, 1, 0), basis, tables=[[Fraction(1, 3), Fraction(-1, 3)],
+    f = make_haar((1, 2, 3), (2, 1, 0), tables=[[Fraction(1, 3), Fraction(-1, 3)],
                                                       *NON_DYADIC])
     got = {kind: rqmc_estimate(f, 23, 12, ScrambleSpec(kind, seed=9, replicate=3),
                                start=4).means for kind in ("nested", "linear")}

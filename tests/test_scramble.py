@@ -16,7 +16,6 @@ from haltongain import (
     PointSet,
     ScrambleSpec,
     default_precision,
-    first_primes,
     halton_points,
     randomize,
     scramble_column,
@@ -384,8 +383,8 @@ def test_linear_scramble_bijective_on_prefixes():
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
-def test_randomize_shapes_and_values(kind, basis3):
-    pts = halton_points(basis3, 3, 12)
+def test_randomize_shapes_and_values(kind):
+    pts = halton_points(3, 3, 12)
     out = randomize(pts, ScrambleSpec(kind, seed=31))
     assert (out.start, out.count, out.bases) == (pts.start, pts.count, pts.bases)
     for p in range(out.count):
@@ -397,8 +396,8 @@ def test_randomize_shapes_and_values(kind, basis3):
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
-def test_randomize_deterministic(kind, basis3):
-    pts = halton_points(basis3, 0, 6)
+def test_randomize_deterministic(kind):
+    pts = halton_points(3, 0, 6)
     a = randomize(pts, ScrambleSpec(kind, seed=9, replicate=1))
     b = randomize(pts, ScrambleSpec(kind, seed=9, replicate=1))
     assert a.coords.tolist() == b.coords.tolist()
@@ -407,9 +406,9 @@ def test_randomize_deterministic(kind, basis3):
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
-def test_randomize_preserves_stratum_multiset(kind, basis2):
+def test_randomize_preserves_stratum_multiset(kind):
     # Scrambles permute the boxes, so occupancy counts survive as a multiset.
-    pts = halton_points(basis2, 7, 29)
+    pts = halton_points(2, 7, 29)
     levels = (2, 1)
     before = stratum_occupancy(pts, levels)
     after = stratum_occupancy(randomize(pts, ScrambleSpec(kind, seed=5)), levels)
@@ -471,8 +470,8 @@ def _per_point(points, spec):
         pytest.param(3**40 - 20, 40, id="base-3-prefixes-near-3^40"),
     ],
 )
-def test_randomize_matches_per_point_oracles(kind, basis5, start, count):
-    pts = halton_points(basis5, start, count)
+def test_randomize_matches_per_point_oracles(kind, start, count):
+    pts = halton_points(5, start, count)
     spec = ScrambleSpec(kind, seed=20261018, replicate=5)
     out = randomize(pts, spec)
     digits, coords = _per_point(pts, spec)
@@ -482,11 +481,11 @@ def test_randomize_matches_per_point_oracles(kind, basis5, start, count):
 
 
 @pytest.mark.parametrize("group_rows", [1, 100])
-def test_nested_level_groups_draw_the_same_digits(group_rows, basis5, monkeypatch):
+def test_nested_level_groups_draw_the_same_digits(group_rows, monkeypatch):
     # At the default budget each column here is one group.  Smaller budgets
     # close groups between levels, between replicate blocks, and across the
     # 64-digit column's prefixes of the last 64-bit indices.
-    pts = halton_points(basis5, (1 << 64) - 40, 40)
+    pts = halton_points(5, (1 << 64) - 40, 40)
     spec = ScrambleSpec("nested", seed=20261018, replicate=5)
     blocks = scramble_column(spec, 1, 2, pts.digits[0], range(64), 3)
     monkeypatch.setattr(scramble, "_GROUP_ROWS", group_rows)
@@ -501,7 +500,7 @@ def test_nested_prefixes_of_scrambled_digits():
     # Scrambled digits fill every stored digit, so the prefixes r of a second
     # nested scramble reach the top digit of the deepest one: 2^62 and more
     # in base 2, 3^39 and more in base 3.
-    pts = halton_points(first_primes(2), 5, 30)
+    pts = halton_points(2, 5, 30)
     once = randomize(pts, ScrambleSpec("nested", seed=1))
     assert all(x[:, -2].any() for x in once.digits)
     spec = ScrambleSpec("nested", seed=1, replicate=1)
@@ -539,9 +538,9 @@ def test_linear_depth_limit_at_the_largest_base():
 def test_depth_past_default_precision_refused(kind, basis3):
     # One digit deeper than default_precision(b) in any column is refused,
     # naming the limit; the default depth itself scrambles.
-    pts = halton_points(basis3, 7, 5)
+    pts = halton_points(3, 7, 5)
     spec = ScrambleSpec(kind, seed=2)
-    for column, b in enumerate(basis3.bases, start=1):
+    for column, b in enumerate(basis3, start=1):
         limit = default_precision(b)
         wide = _padded(pts, {column: limit + 1})
         with pytest.raises(ValueError, match=f"column of {limit + 1} digits exceeds the limit "
@@ -557,10 +556,10 @@ def test_depth_past_default_precision_refused(kind, basis3):
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
-def test_rejected_words_are_redrawn(kind, basis5, redrawn_tags):
+def test_rejected_words_are_redrawn(kind, redrawn_tags):
     # Batched Fisher-Yates, linear-row and tail words are rejected, and the
     # rows that hold them are redrawn to the oracles' draws.
-    pts = halton_points(basis5, 37, 40)
+    pts = halton_points(5, 37, 40)
     spec = ScrambleSpec(kind, seed=20261018, replicate=5)
     out = randomize(pts, spec)
     assert set(redrawn_tags) == ({"perm", "tail"} if kind == "nested" else {"row"})
