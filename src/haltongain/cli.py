@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
@@ -79,11 +79,18 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
 
 @contextmanager
 def _open_out(path: str | None):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
+    """--out or stdout, where integers of any length are written in full: the
+    interpreter's cap on int-to-str digits, where it has one, is lifted until
+    the output is written, after every argument has been read under it."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
             yield fh
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 _U = np.uint64
@@ -184,8 +191,9 @@ def _g17_lines(columns: Sequence[np.ndarray]) -> str:
 
 
 def _rat(name: str, x: Fraction) -> dict[str, Any]:
-    """The fields name, name_num, name_den and name_float of an exact value."""
-    return {name: f"{x.numerator}/{x.denominator}", name + "_num": x.numerator,
+    """The fields name, name_num, name_den and name_float of an exact value;
+    name holds x itself, which `dispatch` writes as "num/den"."""
+    return {name: x, name + "_num": x.numerator,
             name + "_den": x.denominator, name + "_float": float(x)}
 
 
@@ -293,8 +301,9 @@ def _cmd_gain(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str]:
     g = gains.gain_exact(u, k, echo["n"])
     if fmt == "json":
         return _rat("gain", g)
-    return ["n,gain_num,gain_den,gain_float\n",
-            "%d,%d,%d,%.17g\n" % (echo["n"], g.numerator, g.denominator, float(g))]
+    row = (echo["n"], g.numerator, g.denominator, float(g))
+    lines = ("%d,%d,%d,%.17g\n" % r for r in [row])  # formatted as it is written
+    return itertools.chain(["n,gain_num,gain_den,gain_float\n"], lines)
 
 
 def _gain_columns(u, levels, n_max) -> tuple[list, list, list]:
@@ -322,13 +331,8 @@ def _cmd_gain_curve(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable
 def _cmd_gamma(echo: dict[str, Any], fmt: str) -> dict[str, Any]:
     d = echo["d"]
     summary = gains.gamma_max(d, n_cap=echo["n_cap"])
-    return {
-        "d": d,
-        **_rat("gamma", summary.gamma),
-        "argmax_n": summary.argmax_n,
-        "lower_bound": float(summary.lower),
-        "upper_bound": float(summary.upper),
-    }
+    return {"d": d, **_rat("gamma", summary.gamma), "argmax_n": summary.argmax_n,
+            "lower_bound": float(summary.lower), "upper_bound": float(summary.upper)}
 
 
 def _cmd_bounds(echo: dict[str, Any], fmt: str) -> Iterable[str]:
@@ -346,21 +350,12 @@ def _cmd_variance(echo: dict[str, Any], fmt: str) -> dict[str, Any]:
     expected = gains.gain_exact(u, k, n)
     f = rqmc.make_haar(u, k)
     summary = rqmc.rqmc_estimate(f, n, reps, ScrambleSpec(kind, echo["seed"]))
-    if summary.gain_se > 0:
-        z = (summary.empirical_gain - float(expected)) / summary.gain_se
-    else:
-        z = 0.0
-    return {
-        "n": n,
-        "R": reps,
-        "mean": summary.mean,
-        "var": summary.variance,
-        "sigma2": summary.sigma2,
-        "empirical_gain": summary.empirical_gain,
-        "expected_gain_num": expected.numerator,
-        "expected_gain_den": expected.denominator,
-        "z_score": z,
-    }
+    gap = summary.empirical_gain - float(expected)
+    z = gap / summary.gain_se if summary.gain_se > 0 else 0.0
+    return {"n": n, "R": reps, "mean": summary.mean, "var": summary.variance,
+            "sigma2": summary.sigma2, "empirical_gain": summary.empirical_gain,
+            "expected_gain_num": expected.numerator,
+            "expected_gain_den": expected.denominator, "z_score": z}
 
 
 def _cmd_oracle_check(echo: dict[str, Any], fmt: str) -> list[str] | tuple[list[str], int]:
@@ -461,7 +456,8 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     body, code = body if isinstance(body, tuple) else (body, 0)
     with _open_out(out) as fh:
         if isinstance(body, dict):
-            fh.write(json.dumps({"config": echo, **body}) + "\n")
+            fh.write(json.dumps({"config": echo, **body},
+                                default=lambda x: f"{x.numerator}/{x.denominator}") + "\n")
         else:
             fh.writelines(body)
     return code

@@ -20,10 +20,10 @@ n * denom + 2 T(n), T(n) = sum_{n' < n} sum_v H_v floor(n'/m_v).  One closed
 form, _prefix_at, gives T at a single n in Python ints: gain_exact uses it,
 the worst-gain scan re-checks with it, and it seeds _pair_prefix, the
 evaluator every gain curve, the scan and the oracle grid share, which gives
-T over a whole range of n as two int64 cumulative sums.  The brute force
-shares none of it: it sums the defining pair kernel over index pairs.
-The one size rule is _terms' budget of _MAX_TERMS terms with m_v < n;
-_pair_prefix's K n^2 < 2^64 and gamma_max's 2^(d-1) n^2 < 2^63 are int64 rules.
+T(n) - T(lo) over a range lo < n <= hi as two int64 cumulative sums.  The
+brute force shares none of it: it sums the defining pair kernel over index
+pairs.  There is one size rule, _terms' budget of _MAX_TERMS terms with
+m_v < n, and one int64 rule, _int64_terms' K (hi^2 - lo^2) < 2^64.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ __all__ = [
 _MAX_TERMS = 1 << 18  # terms (H_v, m_v) with m_v < n one query may keep
 _MAX_BRUTEFORCE_N = 10_000
 _PAIR_BLOCK = 1 << 18  # index pairs per brute-force block
+_CHUNK = 1 << 19  # counts per chunk of the worst-gain scan
 
 
 def pair_levels(
@@ -91,9 +92,7 @@ def pair_levels(
     return u, tuple(k for _, k in pairs), tuple(int(primes[j - 1]) for j in u)
 
 
-def _terms(
-    bases: Sequence[int], levels: Sequence[int], limit: int
-) -> list[tuple[int, int]]:
+def _terms(bases: Sequence[int], levels: Sequence[int], limit: int) -> list[tuple[int, int]]:
     """(H_v, m_v) of the subsets v with m_v < limit, in bitmask order.
 
     That list gives T(n) exactly for every n <= limit: a term with m >= n
@@ -148,39 +147,38 @@ def gain_exact(u: Iterable[int], levels: Sequence[int], n: int) -> Fraction:
     return Fraction(total, den)
 
 
-def _pair_prefix(terms: list[tuple[int, int]], lo: int, hi: int) -> np.ndarray:
-    """T(n) for lo < n <= hi as an int64 array, T(n) at index n - lo - 1.
-
-    T(n) = sum_{n' < n} F(n') with F(n') = sum_v H_v floor(n'/m_v), so that
-    sum_v H_v C(m_v, n) = n * sum_v H_v + 2 T(n).  The differences of F are
-    spikes H_v at the multiples of m_v: they are scattered, then two
-    in-place cumulative sums seeded with F(lo) and T(lo) from _prefix_at
-    give T, so ranges share no state.  Only the K terms with m_v < hi
-    reach F below hi.  With levels >= 0, |H_v| <= m_v, so |F(n')| <= K n'
-    and |T(n)| < K n^2 / 2; ranges with K hi^2 >= 2^64 are refused before
-    any array is made.
-    """
+def _int64_terms(terms: list[tuple[int, int]], lo: int, hi: int) -> list[tuple[int, int]]:
+    """The K terms with m_v < hi, which alone reach F below hi, if K (hi^2 - lo^2) < 2^64:
+    as |H_v| <= m_v, |F(n')| <= K n' and |T(n) - T(lo)| < K (hi^2 - lo^2) / 2 on lo < n <= hi."""
     small = [(h, m) for h, m in terms if m < hi]
-    if len(small) * hi * hi >= 1 << 64:
-        raise ValueError(
-            f"exact int64 prefix sums need K n^2 < 2^64; {len(small)} terms "
-            f"below n = {hi} exceed it, lower n_max"
-        )
+    if len(small) * (hi - lo) * (hi + lo) >= 1 << 64:
+        raise ValueError(f"exact int64 prefix sums need K (n^2 - lo^2) < 2^64; "
+                         f"{len(small)} terms over {lo} < n <= {hi} exceed it")
+    return small
+
+
+def _pair_prefix(terms: list[tuple[int, int]], lo: int, hi: int) -> np.ndarray:
+    """T(n) - T(lo) for lo < n <= hi as an int64 array, at index n - lo - 1; T itself from lo = 0.
+
+    T(n) = sum_{n' < n} F(n'), F(n') = sum_v H_v floor(n'/m_v).  The differences
+    of F are spikes H_v at the multiples of m_v: once _int64_terms admits the
+    range they are scattered, and two in-place cumulative sums seeded with
+    F(lo) from _prefix_at give the chunk-local sums.
+    """
+    small = _int64_terms(terms, lo, hi)
     acc = np.zeros(hi - lo, dtype=np.int64)
     for h, m in small:
         first = (lo // m + 1) * m
         if first < hi:
             acc[first - lo :: m] += h
-    acc[0], t_lo = _prefix_at(small, lo)
+    acc[0] = _prefix_at(small, lo)[0]
     np.cumsum(acc, out=acc)  # acc[i] = F(lo + i)
-    acc[0] += t_lo
-    np.cumsum(acc, out=acc)  # acc[i] = T(lo + i + 1)
+    np.cumsum(acc, out=acc)  # acc[i] = T(lo + i + 1) - T(lo)
     return acc
 
 
-def _pair_weights(
-    bases: Sequence[int], levels: Sequence[int], rows: np.ndarray, n: int
-) -> np.ndarray:
+def _pair_weights(bases: Sequence[int], levels: Sequence[int], rows: np.ndarray,
+                  n: int) -> np.ndarray:
     """The defining kernel w(i, i2) for i in rows, 0 <= i2 < n; 0 unless i2 < i.
 
     w(i, i2) = prod_j (b_j [i == i2 mod b_j^(k_j+1)] - [i == i2 mod b_j^k_j]),
@@ -199,9 +197,7 @@ def _pair_weights(
     return w
 
 
-def _bruteforce_prefix(
-    bases: Sequence[int], levels: Sequence[int], n_max: int
-) -> np.ndarray:
+def _bruteforce_prefix(bases: Sequence[int], levels: Sequence[int], n_max: int) -> np.ndarray:
     """T(n) for 1 <= n <= n_max by the defining double sum, T(n) at index n - 1.
 
     T(n) sums w(i, i2) over the pairs i2 < i < n; the diagonal adds
@@ -220,9 +216,8 @@ def _bruteforce_prefix(
     return np.cumsum(f)
 
 
-def _gain_curve_arrays(
-    u: Iterable[int], levels: Sequence[int], n_max: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _gain_curve_arrays(u: Iterable[int], levels: Sequence[int],
+                       n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """G_{u,k}(1..n_max) as reduced (numerator, denominator) arrays.
 
     One _pair_prefix pass gives every pair sum n * denom + 2 T(n).  The
@@ -273,58 +268,62 @@ def gamma_max(d: int, n_cap: int | None = None) -> GainSummary:
     n G(n) = (P - n) G(P - n) and the pair sum has period P.  Hence
     G(P - n) < G(n) for n < P/2 where G(n) > 0, G only shrinks past the
     cycle, and the smallest argmax, where G >= G(1) = 1, is at most P/2.
-    Every n up to min(n_cap, P // 2) is scanned exactly in int64 by
-    _scan_gamma.  As |H_v| = m_v, |T(n)| < 2^(d-1) n^2: the one size limit
-    refuses 2^(d-1) n_hi^2 >= 2^63 before any term is built, d >= 64 before
-    any prime is sieved.  So d <= 9 runs in full; d <= 63 needs an n_cap.
+    Every n up to min(n_cap, P // 2) is scanned exactly by _scan_gamma,
+    under the term budget and its int64 rule: d <= 10 runs in full, d = 11
+    is refused before a chunk is scanned, and larger d need an n_cap.  d is
+    in 1..10000, global_bounds_exact's range, checked before any sieve.
     """
-    _require_integers(d=d)
-    too_wide = "exact int64 scan needs 2^(d-1) n^2 < 2^63; lower n_cap"
-    if d >= 64:  # past the bound at n = 1, refused before any prime is sieved
-        raise ValueError(too_wide)
-    bases = _prime_array(d).tolist()  # refuses d < 1
+    lower, upper = global_bounds_exact(d)
+    bases = first_primes(d)
     n_hi = math.prod(bases) // 2
     if n_cap is not None:
         _require_integers(n_cap=n_cap)
         if n_cap < 1:
             raise ValueError(f"n_cap must be >= 1, got {n_cap}")
         n_hi = min(n_cap, n_hi)
-    if n_hi * n_hi << (d - 1) >= 1 << 63:
-        raise ValueError(too_wide)
     denom = math.prod(b - 1 for b in bases)
     gamma, argmax = _scan_gamma(_terms(bases, (0,) * d, n_hi), denom, n_hi)
-    return GainSummary(d, gamma, argmax, *global_bounds_exact(d))
+    return GainSummary(d, gamma, argmax, lower, upper)
 
 
-_CHUNK = 1 << 19
+def _scan_gamma(terms: list[tuple[int, int]], denom: int, n_hi: int) -> tuple[Fraction, int]:
+    """Exact max of G(n) = 1 + 2 R(n) / denom, R(n) = T(n)/n, on 1..n_hi; smallest argmax.
 
-
-def _scan_gamma(
-    terms: list[tuple[int, int]], denom: int, n_hi: int
-) -> tuple[Fraction, int]:
-    """Exact max of G(n) over 1 <= n <= n_hi, smallest argmax.
-
-    G(n) = 1 + 2 T(n) / (n * denom), with T(n) from _pair_prefix, the
-    evaluator every gain curve shares, one chunk of counts at a time so
-    memory stays flat.  The n whose T(n)/n is near the chunk top in float64
-    are re-checked exactly with _prefix_at.
+    Chunk by chunk, lo < n <= hi: _pair_prefix gives L(n) = T(n) - T(lo),
+    T(lo) is carried as a Python int, and the int64 rule is checked first on
+    the last two chunks, one of them the widest.  Each n with r(n) =
+    (float(T(lo)) + float(L(n)))/n within 1e-12 |top| of its chunk's top is
+    re-checked exactly.  r(n) errs by u (|T(lo)| + |L(n)|)/n (u = 2^-53;
+    nothing below 2^53) plus 2u |R(n)|, so, as |L(n)| <= |T(n)| + |T(lo)| and
+    lo < n, by at most 3u |R(n)| + 2u |R(lo)|.  The band keeps the smallest
+    argmax n*, R* = R(n*) >= R(1) = 0, while its chunk errs below 1e-12 R*/2:
+    in the first chunk, where T(lo) = 0 and errors are relative, always; past
+    it, where G >= 0 and R <= R* bound |R| by M = max(R*, denom/2), whenever
+    5u M does, i.e. Gamma >= 1 + 1/900: in every full scan (Gamma_d >= 3/2 for
+    d >= 2), and in a capped one unless |T| passes 2^53 and G dips below 1 by
+    900 times its rise above it.  So a chunk whose |T(lo)|/n is large next to
+    its top holds no n*, and one without n* only adds exactly checked values.
     """
-    best = Fraction(-1)
-    best_n = 1
+    last = (n_hi - 1) // _CHUNK * _CHUNK
+    for lo in (max(last - _CHUNK, 0), last):
+        _int64_terms(terms, lo, min(lo + _CHUNK, n_hi))
+    best, best_n, t_lo = Fraction(-1), 1, 0
+    ratio = np.empty(min(_CHUNK, n_hi))  # one float buffer for every chunk
     for lo in range(0, n_hi, _CHUNK):
         hi = min(lo + _CHUNK, n_hi)
-        acc = _pair_prefix(terms, lo, hi)  # acc[i] = T(lo + i + 1)
-        ratio = acc / np.arange(lo + 1, hi + 1, dtype=np.float64)
-        top = ratio.max()
-        # float64 rounding moves T/n by ~1e-16 relative; the band is far wider
-        for i in np.flatnonzero(ratio >= top - abs(top) * 1e-12):
+        local = _pair_prefix(terms, lo, hi)  # local[i] = T(lo + i + 1) - T(lo)
+        r = np.add(local, float(t_lo), out=ratio[: hi - lo])
+        r /= np.arange(lo + 1, hi + 1, dtype=np.float64)
+        top = r.max()
+        for i in np.flatnonzero(r >= top - abs(top) * 1e-12):
             n = lo + 1 + int(i)
             t = _prefix_at(terms, n)[1]
-            if int(acc[i]) != t:
+            if t_lo + int(local[i]) != t:
                 raise RuntimeError(f"scan disagrees with the closed form at n = {n}")
             value = Fraction(n * denom + 2 * t, n * denom)
             if value > best:
                 best, best_n = value, n
+        t_lo += int(local[-1])
     return best, best_n
 
 
@@ -439,8 +438,7 @@ def bounds_table(d_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
     bases = _prime_array(d_max)
-    lower_total = np.zeros(2, dtype=np.int64)
-    upper_total = np.zeros(2, dtype=np.int64)
+    lower_total, upper_total = np.zeros((2, 2), dtype=np.int64)  # each log sum's limbs (H, L)
     for start in range(0, d_max, _BOUNDS_BLOCK):
         b = bases[start : start + _BOUNDS_BLOCK].astype(np.float64)
         d = np.arange(start + 1, start + 1 + len(b), dtype=np.int64)

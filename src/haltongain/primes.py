@@ -18,8 +18,7 @@ MAX_DIMENSION = 10_000_000
 
 _SEGMENT = 1 << 20
 
-# The primes sieved so far, as one read-only int64 array.  It only grows, by
-# rebinding.
+# The first primes, as one read-only int64 array.  It only grows, by rebinding.
 _sieved = np.empty(0, dtype=np.int64)
 
 
@@ -54,7 +53,7 @@ def _extend_cache(count: int) -> None:
         return
     limit = _sieve_limit(count)
     base = _small_sieve(math.isqrt(limit) + 1)
-    found: list[np.ndarray] = []  # each segment's primes
+    primes = np.empty(count, dtype=np.int64)  # each segment's primes are written straight in
     total, lo = 0, 2
     while lo <= limit and total < count:
         hi = min(lo + _SEGMENT, limit + 1)
@@ -64,14 +63,15 @@ def _extend_cache(count: int) -> None:
                 break
             start = max(p * p, ((lo + p - 1) // p) * p)
             flags[start - lo :: p] = False
-        found.append(np.flatnonzero(flags) + lo)
-        total += len(found[-1])
+        found = np.flatnonzero(flags)[: count - total]
+        np.add(found, lo, out=primes[total : total + len(found)])
+        total += len(found)
         lo = hi
     if total < count:
         # The analytic bound cannot fail for count >= 6, but stay defensive.
         raise RuntimeError(f"sieve bound too small for {count} primes")
-    _sieved = np.concatenate(found).astype(np.int64, copy=False)
-    _sieved.flags.writeable = False
+    primes.flags.writeable = False
+    _sieved = primes
 
 
 def _prime_array(d: int) -> np.ndarray:

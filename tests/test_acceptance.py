@@ -1,12 +1,12 @@
-"""The package acceptance gate: eight criteria and criterion 6's extension
-past 10^6, one printed verdict each.
+"""The package acceptance gate: eight criteria, criterion 6's extension
+past 10^6 and criterion 7's exact form, one printed verdict each.
 
 Every test prints exactly one line of the form
 
     criterion N: PASS|FAIL - detail
 
 to the real terminal (bypassing capture) and then asserts, so a plain
-pytest run shows all nine verdicts regardless of capture settings.
+pytest run shows all ten verdicts regardless of capture settings.
 
 Statistical criteria (7) run under one fixed seed and tolerances sized at
 or above four standard errors, so a false failure needs a several-sigma
@@ -43,6 +43,8 @@ from fractions import Fraction
 
 import numpy as np
 
+import haltongain.scramble as scramble
+
 from haltongain import (
     ScrambleSpec,
     first_primes,
@@ -58,6 +60,7 @@ from haltongain import (
     upper_bound_u_exact,
 )
 from haltongain.cli import main
+from haltongain.halton import _index_digits
 
 from oracles import lower_bound_n_star, moduli, stratum_counts, stratum_index, stratum_occupancy
 
@@ -344,6 +347,90 @@ def test_criterion_7_variance_law(capfd):
             f"(want 1.5), n=6 means exactly 0, n=1 gains "
             f"{gains['nested', 1]:.3f}/{gains['linear', 1]:.3f} (want 1) "
             f"[{elapsed:.1f}s]"
+        ),
+    )
+
+
+def _enumerating_draw(seed, replicate, tag, coordinate, depth, r, bounds):
+    """`scramble.draw` over every outcome: with q outcomes of `bounds`, the
+    rows of one stream node take outcome replicate % q; of two nodes, the
+    first takes replicate // q, so q^2 replicates give every joint outcome."""
+    outcomes = np.array(list(itertools.product(*map(range, bounds))), dtype=np.uint64)
+    replicate = np.broadcast_to(np.asarray(replicate, dtype=np.uint64), (len(r),))
+    nodes, node = np.unique(np.asarray(r), return_inverse=True)
+    assert len(nodes) <= 2
+    q = np.uint64(len(outcomes))
+    first = replicate // q if len(nodes) == 2 else replicate % q
+    return outcomes[np.where(node.ravel() == 0, first, replicate % q).astype(np.intp)]
+
+
+def _kernel_sums(kind: str, coordinate: int, b: int, k: int) -> tuple[np.ndarray, int]:
+    """(S, R) with S[i, i'] / R = E[eta(y(i)) eta(y(i'))] for the residues i, i'
+    mod b^(k+1), y the scrambled digit k+1 and eta = b [c = b-1] - 1, exactly
+    over every outcome of the draws the scramble reads."""
+    q = b ** (k + 1)
+    x = _index_digits(0, q, b, k + 1)
+    eta = np.array([-1] * (b - 1) + [b - 1], dtype=np.int64)
+    spec = ScrambleSpec(kind)
+    if kind == "linear":  # one stream: diagonal, shift and k matrix entries
+        reps = (b - 1) * b ** (k + 1)
+        e = eta[scramble.scramble_column(spec, coordinate, b, x, [k], reps)[:, :, 0]]
+        return e.T @ e, reps
+    reps = math.factorial(b) ** 2  # a pair of points reads at most two nodes
+    sums = np.empty((q, q), dtype=np.int64)
+    for i, j in itertools.combinations_with_replacement(range(q), 2):
+        e = eta[scramble.scramble_column(spec, coordinate, b, x[[i, j]], [k], reps)[:, :, 0]]
+        sums[i, j] = sums[j, i] = e[:, 0] @ e[:, 1]
+    return sums, reps
+
+
+def test_criterion_7_exact_variance_law(capfd, monkeypatch):
+    # Var(mean) = n^-2 sum_{i,i'} prod_{j in u} E[eta_j(y_j(i)) eta_j(y_j(i'))]:
+    # coordinates read distinct streams, so each factor is exact over the
+    # outcomes of that coordinate's own draws, fed to the code's scramble
+    # maps through `draw`.  Points with distinct nested nodes read distinct
+    # streams; the enumeration gives them every joint outcome.  The law
+    # Var = G sigma^2 / n must hold as a Fraction for every case.
+    t0 = time.perf_counter()
+    monkeypatch.setattr(scramble, "draw", _enumerating_draw)
+    problems = []
+    for b in range(2, 8):  # Fisher-Yates over all b! swap rows: each permutation once
+        fact = math.factorial(b)
+        tables = scramble._permutations(0, np.arange(fact), 1, b, 0, np.zeros(fact, np.uint64))
+        if sorted(map(tuple, tables.tolist())) != list(itertools.permutations(range(b))):
+            problems.append(f"Fisher-Yates is no bijection for b = {b}")
+    bases = first_primes(3)
+    sums = {(kind, j, k): _kernel_sums(kind, j, bases[j - 1], k)
+            for kind in ("nested", "linear") for j in (1, 2, 3) for k in (0, 1)}
+    n_max, cases = 30, 0
+    idx = np.arange(n_max)
+    for kind in ("nested", "linear"):
+        for u in (v for size in (1, 2, 3) for v in itertools.combinations((1, 2, 3), size)):
+            for levels in itertools.product((0, 1), repeat=len(u)):
+                pairs = np.ones((n_max, n_max), dtype=object)
+                reps = 1
+                for j, k in zip(u, levels):
+                    s, r = sums[kind, j, k]
+                    res = idx % len(s)
+                    pairs = pairs * s[np.ix_(res, res)].astype(object)
+                    reps *= r
+                total = pairs.cumsum(axis=0).cumsum(axis=1)  # total[n-1, n-1]: pairs below n
+                sigma2 = make_haar(u, levels).sigma2
+                for n in range(1, n_max + 1):
+                    cases += 1
+                    var = Fraction(int(total[n - 1, n - 1]), reps * n * n)
+                    want = gain_exact(u, levels, n) * sigma2 / n
+                    if var != want:
+                        problems.append(f"{kind} u={u} k={levels} n={n}: Var {var}, law {want}")
+    elapsed = time.perf_counter() - t0
+    if elapsed > 3.0:
+        problems.append(f"took {elapsed:.1f}s, budget 3s")
+    _verdict(
+        capfd, "7 exact", not problems,
+        problems[0] if problems else (
+            f"Var = G sigma^2/n exactly in {cases} cases: u in {{1,2,3}}, k <= 1, "
+            f"n <= {n_max}, nested and linear; Fisher-Yates bijective for b <= 7 "
+            f"[{elapsed:.2f}s]"
         ),
     )
 

@@ -211,6 +211,37 @@ def test_gain_curve_floats_match_fractions(capsys, d):
     assert (max(int(r[2]) for r in rows) >= 1 << 53) == (d > 13)
 
 
+def test_exact_values_of_any_length(capsys):
+    # G at u = 1..1500, n = 5 has terms of over 4300 digits, past Python's
+    # default int-to-str limit: the CSV and JSON outputs write them in full,
+    # the CLI restores the limit after, and an --n that long is still refused.
+    u = range(1, 1501)
+    flags = ["--u", ",".join(map(str, u)), "--k", ",".join("0" * 1500)]
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    outs = [run(capsys, "gain", *flags, "--n", "5", *fmt) for fmt in ((), ("--format", "json"))]
+    outs.append(run(capsys, "gain-curve", *flags, "--n-max", "3"))
+    if cap:
+        assert sys.get_int_max_str_digits() == cap
+        assert main(["gain", "--u", "1", "--k", "0", "--n", "9" * 4301]) == 1
+        assert "invalid int value" in capsys.readouterr().err
+        sys.set_int_max_str_digits(0)
+    try:
+        (code, csv_out), (json_code, json_out), (curve_code, curve_out) = outs
+        assert code == json_code == curve_code == 0
+        g = gain_exact(u, (0,) * 1500, 5)
+        assert len(str(g.denominator)) > 4300
+        assert csv_out.splitlines()[1] == f"5,{g.numerator},{g.denominator},{float(g):.17g}"
+        data = json.loads(json_out)
+        assert data["gain"] == f"{g.numerator}/{g.denominator}"
+        assert (data["gain_num"], data["gain_den"]) == (g.numerator, g.denominator)
+        rows = [line.split(",") for line in curve_out.splitlines()[1:]]
+        curve = gains.gain_curve(u, (0,) * 1500, 3)
+        assert [Fraction(int(a), int(b)) for _, a, b, _ in rows] == curve
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
 def test_gamma_json(capsys):
     code, out = run(capsys, "gamma", "--d", "2")
     data = json.loads(out)
@@ -220,16 +251,21 @@ def test_gamma_json(capsys):
 
 
 def test_gamma_int64_bound_is_the_only_limit(capsys):
-    # Moduli past 2^127 stop no search; the int64 scan bound refuses d = 31
-    # in full and every d >= 64.  (d = 10^7 is checked in test_gains, where
-    # a regression fails fast instead of sieving.)
+    # Moduli past 2^127 stop no search, and d has no bound of its own below
+    # 10000: the term budget refuses d = 31 in full, and d = 64 at n = 1
+    # keeps no term and answers 1.  (d = 10^7 is checked in test_gains,
+    # where a regression fails fast instead of sieving.)
     code, out = run(capsys, "gamma", "--d", "30", "--n-cap", "10")
     data = json.loads(out)
     assert (code, data["d"], data["argmax_n"]) == (0, 30, 2)
-    message = "haltongain: error: exact int64 scan needs 2^(d-1) n^2 < 2^63; lower n_cap\n"
-    for argv in (("--d", "31"), ("--d", "64", "--n-cap", "1")):
-        assert main(["gamma", *argv]) == 1
-        assert capsys.readouterr() == ("", message)
+    n = math.prod(first_primes(31)) // 2
+    message = (f"haltongain: error: more than {1 << 18} gain terms with m_v < n = {n} "
+               f"for |u| = 31; lower n or |u|\n")
+    assert main(["gamma", "--d", "31"]) == 1
+    assert capsys.readouterr() == ("", message)
+    code, out = run(capsys, "gamma", "--d", "64", "--n-cap", "1")
+    data = json.loads(out)
+    assert (code, data["gamma"], data["argmax_n"]) == (0, "1/1", 1)
     # nor does |u| = 31 stop a gain: its terms m = 1, 2, 3 below n = 5 give
     # T(5) = 4
     u = ",".join(map(str, range(1, 32)))
@@ -496,7 +532,7 @@ def test_integer_options_take_a_sign():
 def test_exit_codes(capsys):
     assert main(["gain", "--u", "", "--k", "0", "--n", "1"]) == 1
     assert main(["gain", "--u", "1", "--k", "0,0", "--n", "1"]) == 1
-    assert main(["gamma", "--d", "10"]) == 1
+    assert main(["gamma", "--d", "11"]) == 1
     assert main(["nonsense"]) == 1
     assert main([]) == 1
     capsys.readouterr()

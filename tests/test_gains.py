@@ -243,17 +243,26 @@ def test_curve_routes_agree_folded_25_dimensions():
 
 
 def test_prefix_sum_overflow_bound():
-    # K terms with |H| <= m below n give |T(n)| < K n^2 / 2, so the int64
-    # prefix sums are admitted exactly while K n^2 < 2^64.  Four terms
-    # (1, 1) give F(n') = 4 n' and T(n) = 2 n (n - 1): the last admitted
+    # K terms with |H| <= m below hi give |T(n) - T(lo)| < K (hi^2 - lo^2) / 2
+    # over lo < n <= hi, so the int64 sums are admitted exactly while
+    # K (hi^2 - lo^2) < 2^64.  Four terms (1, 1) give F(n') = 4 n' and
+    # T(n) - T(lo) = 2 (n - lo)(n + lo - 1).  From lo = 0 the last admitted
     # range ends at 2^31 - 1, where T is just below 2^63.
-    top = (1 << 31) - 1
-    got = gains._pair_prefix([(1, 1)] * 4, top - 4, top)
-    assert got.tolist() == [2 * n * (n - 1) for n in range(top - 3, top + 1)]
-    with pytest.raises(ValueError, match="K n\\^2 < 2\\^64"):
-        gains._pair_prefix([(1, 1)] * 4, top - 3, top + 1)
+    four = [(1, 1)] * 4
+    assert gains._int64_terms(four, 0, (1 << 31) - 1) == four
+    refused = "K \\(n\\^2 - lo\\^2\\) < 2\\^64"
+    with pytest.raises(ValueError, match=refused):
+        gains._int64_terms(four, 0, 1 << 31)
+    # Four counts from lo = 2^59 - 3 are the last admitted: their sums reach
+    # 2^63 - 24, while F(lo) alone is 2^61.
+    lo = (1 << 59) - 3
+    got = gains._pair_prefix(four, lo, lo + 4)
+    assert got.tolist() == [2 * (n - lo) * (n + lo - 1) for n in range(lo + 1, lo + 5)]
+    assert got[-1] == (1 << 63) - 24
+    with pytest.raises(ValueError, match=refused):
+        gains._pair_prefix(four, lo + 1, lo + 5)
     # u = (1,) keeps the terms m = 1 and m = 2: refused before any array.
-    with pytest.raises(ValueError, match="K n\\^2 < 2\\^64"):
+    with pytest.raises(ValueError, match=refused):
         gain_curve((1,), (0,), 1 << 40)
 
 
@@ -460,21 +469,22 @@ def test_curve_arrays_int64_edge():
 
 
 def test_gamma_scan_matches_curve_oracle(monkeypatch):
-    # The per-n closed form over one full cycle is the oracle for the
-    # chunked scan; chunks of 7 and 1000 carry F and T across many chunk
-    # borders.
+    # The per-n closed form over one full cycle, or up to a cap, is the
+    # oracle for the chunked scan; chunks of 7 and 1000 carry T(lo) across
+    # many chunk borders, and capped d = 12 and 16 add it to chunk-local
+    # sums of thousands of terms.
     bases = first_primes(6)
     oracle = {}
-    for d in range(1, 7):
+    for d, n_cap in [*((d, None) for d in range(1, 7)), (12, 600), (16, 250)]:
         u = tuple(range(1, d + 1))
-        curve = closed_form_curve(u, (0,) * d, math.prod(bases[:d]))
+        curve = closed_form_curve(u, (0,) * d, n_cap or math.prod(bases[:d]))
         top = max(curve)
-        oracle[d] = (top, curve.index(top) + 1)
+        oracle[d, n_cap] = (top, curve.index(top) + 1)
     for chunk in (gains._CHUNK, 7, 1000):
         monkeypatch.setattr(gains, "_CHUNK", chunk)
-        for d in range(1, 7):
-            summary = gamma_max(d)
-            assert (summary.gamma, summary.argmax_n) == oracle[d], (chunk, d)
+        for (d, n_cap), want in oracle.items():
+            summary = gamma_max(d, n_cap=n_cap)
+            assert (summary.gamma, summary.argmax_n) == want, (chunk, d)
 
 
 def test_gamma_max_frozen_seven_screened():
@@ -546,24 +556,23 @@ def test_gamma_max_guards(monkeypatch):
         gamma_max(2, n_cap=2.5)
     capped = gamma_max(2, n_cap=2)
     assert capped.gamma == Fraction(3, 2)
-    # The int64 scan needs 2^(d-1) n^2 < 2^63.  2^19 * (10^7)^2 exceeds it
-    # and is refused before the 2^20 terms are built, as is d = 10 without
-    # an n_cap (half its cycle is 3234846615); 2^19 * (2^22)^2 is 2^63
-    # exactly.
+    # The scan's int64 rule, K (hi^2 - lo^2) < 2^64 for its widest chunk, is
+    # checked before the first chunk: d = 10 in full (1022 terms, half a
+    # cycle of 3234846615) passes it and d = 11 (2046 terms) does not.
     class Reached(Exception):
         pass
 
     def reached(*args):
         raise Reached
 
-    monkeypatch.setattr(gains, "_terms", reached)
-    with pytest.raises(ValueError, match="2\\^63"):
-        gamma_max(10)
-    for n_cap in (10**7, 1 << 22):
-        with pytest.raises(ValueError, match="2\\^63"):
-            gamma_max(20, n_cap=n_cap)
+    monkeypatch.setattr(gains, "_pair_prefix", reached)
     with pytest.raises(Reached):
-        gamma_max(20, n_cap=(1 << 22) - 1)
+        gamma_max(10)
+    lo = 100280245065 // gains._CHUNK * gains._CHUNK - gains._CHUNK
+    message = (f"exact int64 prefix sums need K (n^2 - lo^2) < 2^64; 2046 terms "
+               f"over {lo} < n <= {lo + gains._CHUNK} exceed it")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gamma_max(11)
 
 
 def test_gamma_scan_keeps_smallest_argmax(monkeypatch):
@@ -572,6 +581,35 @@ def test_gamma_scan_keeps_smallest_argmax(monkeypatch):
     for chunk in (gains._CHUNK, 2):
         monkeypatch.setattr(gains, "_CHUNK", chunk)
         assert gains._scan_gamma([(1, 10)], 1, 5) == (Fraction(1), 1)
+
+
+def test_gamma_ten_window():
+    # Gamma_10 without the 60 s scan of 3234846615 counts: over the chunks
+    # around its argmax, chunk-local sums plus T(lo) are T, and the
+    # window's max is the recorded value, at the recorded n.
+    gamma, argmax = Fraction(176494054854625, 60121565247744), 2372220851
+    bases = first_primes(10)
+    n_hi = math.prod(bases) // 2
+    terms = gains._terms(bases, (0,) * 10, n_hi)
+    denom = math.prod(b - 1 for b in bases)
+    assert gain_exact(range(1, 11), (0,) * 10, argmax) == gamma
+    rng = random.Random(20261020)
+    first = argmax // gains._CHUNK * gains._CHUNK - gains._CHUNK
+    best, best_n = Fraction(0), None
+    for lo in range(first, first + 3 * gains._CHUNK, gains._CHUNK):
+        hi = lo + gains._CHUNK
+        local = gains._pair_prefix(terms, lo, hi)
+        t_lo = gains._prefix_at(terms, lo)[1]
+        for n in [hi, *rng.sample(range(lo + 1, hi), 5)]:
+            assert t_lo + int(local[n - lo - 1]) == gains._prefix_at(terms, n)[1]
+        t = local + t_lo  # T < 2^62 here, so the int64 sum is exact
+        ratio = t / np.arange(lo + 1, hi + 1, dtype=np.float64)
+        for i in np.flatnonzero(ratio >= ratio.max() * (1 - 1e-9)):
+            n = lo + 1 + int(i)
+            value = Fraction(n * denom + 2 * int(t[i]), n * denom)
+            if value > best:
+                best, best_n = value, n
+    assert (best, best_n) == (gamma, argmax)
 
 
 def test_pruned_terms_match_bruteforce_at_25_dimensions():
@@ -604,17 +642,20 @@ def test_gamma_max_past_the_modulus_range(d):
 
 
 def test_gamma_max_int64_bound_is_the_only_limit(monkeypatch):
-    # 2^62 * 1^2 < 2^63: d = 63 scans n = 1.  At d = 64 the bound fails at
-    # n = 1 already, so it and d = 10^7 are refused before any sieve.
-    top = gamma_max(63, n_cap=1)
-    assert (top.gamma, top.argmax_n) == (1, 1)
+    # No bound on d past the term budget and the int64 rule: d = 63 and
+    # d = 64 scan n = 1, which keeps no term.  d takes global_bounds_exact's
+    # range, 1..10000, so d = 10001 and d = 10^7 are refused before any sieve.
+    for d in (63, 64):
+        top = gamma_max(d, n_cap=1)
+        assert (top.gamma, top.argmax_n) == (1, 1)
 
     def sieved(d):
         raise AssertionError(f"sieved {d} primes")
 
     monkeypatch.setattr(gains, "_prime_array", sieved)
-    for d, n_cap in ((64, 1), (10**7, None)):
-        with pytest.raises(ValueError, match="2\\^\\(d-1\\) n\\^2 < 2\\^63"):
+    monkeypatch.setattr(gains, "first_primes", sieved)
+    for d, n_cap in ((10_001, 1), (10**7, None)):
+        with pytest.raises(ValueError, match="capped at d <= 10000"):
             gamma_max(d, n_cap=n_cap)
 
 

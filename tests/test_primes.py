@@ -1,6 +1,8 @@
 """Prime bases against independent oracles."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -105,3 +107,16 @@ def test_cache_grows_across_a_segment_boundary(monkeypatch):
     assert large[:1000] == small == first_primes(1000)
     assert large == tuple(primes._prime_array(100_000).tolist())
     assert list(large[:1000]) == _trial_division(1000)
+
+
+def test_sieve_holds_one_copy():
+    # A fresh process sieves 10^6 primes straight into its one 8 MB array:
+    # it keeps exactly those primes and peaks under 1.5 times their size.
+    code = ("import tracemalloc, haltongain.primes as p; tracemalloc.start(); "
+            "a = p._prime_array(10**6); "
+            "print(len(p._sieved), a.nbytes, tracemalloc.get_traced_memory()[1])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    count, size, peak = map(int, proc.stdout.split())
+    assert (count, size) == (10**6, 8 * 10**6)
+    assert peak < 1.5 * size
