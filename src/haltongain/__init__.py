@@ -17,7 +17,7 @@ _HOMES = {
               "global_bounds_exact", "oracle_check", "upper_bound_u_exact"),
     "halton": ("PointSet", "default_precision", "halton_points"),
     "primes": ("MAX_DIMENSION", "first_primes"),
-    "rqmc": ("EstimateSummary", "HaarIntegrand", "make_haar", "rqmc_estimate"),
+    "rqmc": ("EstimateSummary", "rqmc_estimate"),
     "scramble": ("ScrambleSpec", "randomize", "scramble_column"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

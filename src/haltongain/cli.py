@@ -348,8 +348,7 @@ def _cmd_variance(echo: dict[str, Any], fmt: str) -> dict[str, Any]:
     n, reps = echo["n"], echo["reps"]
     kind = echo["scramble"]
     expected = gains.gain_exact(u, k, n)
-    f = rqmc.make_haar(u, k)
-    summary = rqmc.rqmc_estimate(f, n, reps, ScrambleSpec(kind, echo["seed"]))
+    summary = rqmc.rqmc_estimate(u, k, n, reps, ScrambleSpec(kind, echo["seed"]))
     gap = summary.empirical_gain - float(expected)
     z = gap / summary.gain_se if summary.gain_se > 0 else 0.0
     return {"n": n, "R": reps, "mean": summary.mean, "var": summary.variance,

@@ -1,11 +1,12 @@
 """Randomized-QMC experiments that exhibit the gain law.
 
-A Haar-style integrand at (u, k) reads one digit per coordinate in u:
-f(x) = prod_{j in u} eta_j(digit k_j+1 of x_j), with each per-coordinate
-table eta_j summing to zero over Z_b.  Such an f is mean zero with plain MC
-variance sigma^2/n, and under either digit scramble the variance of the
-replicate mean over n consecutive Halton points equals G_{u,k}(n) times
-that, which is what these estimators measure.
+The Haar-style integrand at (u, k) reads one digit per coordinate in u:
+f(x) = prod_{j in u} eta_j(digit k_j+1 of x_j), with the one fixed table
+eta_j(c) = b_j [c = b_j - 1] - 1, which sums to zero over Z_b.  It is mean
+zero with variance sigma^2 = prod_j (b_j - 1), and under either digit
+scramble the variance of the replicate mean over n consecutive Halton
+points equals G_{u,k}(n) sigma^2/n, which is what these estimators measure.
+The law holds for every zero-sum table, so one table shows it.
 
 Evaluation works on digits, never on float coordinates, so the check is
 exact where the theory says it should be (a complete cycle gives every
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -27,9 +27,7 @@ from .primes import _require_integers
 from .scramble import ScrambleSpec, scramble_column
 
 __all__ = [
-    "HaarIntegrand",
     "EstimateSummary",
-    "make_haar",
     "rqmc_estimate",
 ]
 
@@ -37,60 +35,6 @@ _MAX_COUNT = 1 << 53  # counts stay exactly representable as floats
 # Array cells (points, plus digit rows times base) one block of replicates may
 # fill: about 2^10 replicates at n = 2, one replicate at a time for n >= 2^14.
 _BLOCK_CELLS = 1 << 14
-
-
-@dataclass(frozen=True)
-class HaarIntegrand:
-    """Digit-reading product integrand pinned to one variance component.
-
-    u is a sorted tuple of 1-based coordinates.  `tables[t]` is eta for
-    coordinate u[t] over its base `bases[t]`; `levels[t]` is that
-    coordinate's k.  sigma2 is the exact integrand variance
-    prod_j (1/b_j) sum_c eta_j(c)^2.
-    """
-
-    u: tuple[int, ...]
-    levels: tuple[int, ...]
-    bases: tuple[int, ...]
-    tables: tuple[tuple[Fraction, ...], ...]
-    sigma2: Fraction
-
-
-def make_haar(
-    u: Sequence[int],
-    levels: Sequence[int],
-    tables: Sequence[Sequence[int | Fraction]] | None = None,
-) -> HaarIntegrand:
-    """Build an integrand; default table per coordinate is b*[c = b-1] - 1.
-
-    u and its levels are checked by `pair_levels`; `levels` and `tables`
-    follow u in the order it is given.  Each table
-    must have one entry per digit value, sum to zero, and not be
-    identically zero.
-    """
-    coords = tuple(u)
-    u, levels, bases = pair_levels(coords, levels)
-    if tables is None:
-        tables = [[-1] * (b - 1) + [b - 1] for b in bases]
-    elif len(tables) != len(coords):
-        raise ValueError("one table per subset member required")
-    else:
-        given = dict(zip(coords, tables))
-        tables = [given[j] for j in u]
-    frozen = []
-    sigma2 = Fraction(1)
-    for b, table in zip(bases, tables):
-        row = tuple(Fraction(x) for x in table)
-        if len(row) != b:
-            raise ValueError(f"table needs {b} entries for base {b}")
-        if sum(row) != 0:
-            raise ValueError("table must sum to zero over the digit values")
-        ss = sum(x * x for x in row)
-        if ss == 0:
-            raise ValueError("table must not be identically zero")
-        sigma2 *= Fraction(ss, b)
-        frozen.append(row)
-    return HaarIntegrand(u, levels, bases, tuple(frozen), sigma2)
 
 
 @dataclass(frozen=True)
@@ -123,29 +67,38 @@ def _summarize(n: int, means: list[float], sigma2: float) -> EstimateSummary:
 
 def _blocks(replicates: int, cells: int) -> list[tuple[int, int]]:
     """(first, count) of each block of replicates, `cells` per replicate."""
-    step = max(1, _BLOCK_CELLS // cells)
+    step = max(1, _BLOCK_CELLS // max(cells, 1))
     return [(r0, min(step, replicates - r0)) for r0 in range(0, replicates, step)]
 
 
 def rqmc_estimate(
-    f: HaarIntegrand,
+    u: Sequence[int],
+    levels: Sequence[int],
     n: int,
     replicates: int,
     spec: ScrambleSpec,
     start: int = 0,
 ) -> EstimateSummary:
-    """Replicate means of f over n scrambled Halton points, in f's bases.
+    """Replicate means of the integrand at (u, levels) over n scrambled
+    Halton points, u and its levels checked by `pair_levels`.
 
     Replicate r reuses `spec` with its replicate field set to
     spec.replicate + r, so a fixed (seed, spec) reproduces the summary bit
-    for bit and replicates are independent.  Only the one digit f reads per
-    coordinate is scrambled (`scramble_column` at level k); it depends
-    on a point's index i only through i mod b^(k+1), so the window's first
-    min(n, b^(k+1)) points are scrambled, for a whole block of replicates
-    in one call, and every point looks its value up.  Each replicate's
-    products and correctly rounded `math.fsum` are those of evaluating f at
-    every fully scrambled point, so the means are too, bit for bit.
+    for bit and replicates are independent.  Only the one digit read per
+    coordinate is scrambled (`scramble_column` at level k); it depends on a
+    point's index i only through i mod b^(k+1), so f does through i mod S,
+    S = prod_j b_j^(k_j+1).  Each S consecutive points meet every residue
+    once and add exactly 0, so only the window's first n mod S points, whose
+    residues are those of its last n mod S, are scrambled and summed, for a
+    whole block of replicates at once.  An exponent past n's bit length is
+    capped there, which makes S > n and n mod S = n.  When S <= n <= 2^53
+    every factor is an integer and |f| <= prod_j (b_j - 1) < S, so every
+    product is exact and `math.fsum` rounds the same exact sum as over all
+    n points: the means are those of evaluating f at every fully scrambled
+    point, bit for bit.  Memory is about one block of replicates times
+    (n mod S) + sum_j b_j^(k_j+1) (k_j+1+b_j) cells, whatever n is.
     """
+    u, levels, bases = pair_levels(u, levels)
     _require_integers(n=n, replicates=replicates, start=start)
     if n < 1 or n > _MAX_COUNT:
         raise ValueError(f"point count must be in 1..2^53, got {n}")
@@ -155,21 +108,23 @@ def rqmc_estimate(
         raise ValueError("replicates past 2^64 - 1 do not fit the Philox key")
     if start < 0 or start + n > MAX_INDEX:
         raise ValueError("index range exceeds 64-bit point indices")
-    # Per coordinate: digits 1..k+1 of the window's first min(n, b^(k+1)) indices, one per
-    # residue i mod b^(k+1) in the window, and for point p the row p mod min(n, b^(k+1)).
+    # b^bits(n) > n: no huge power, and a capped exponent leaves n mod S = n.
+    cycles = [b ** min(k + 1, int(n).bit_length()) for b, k in zip(bases, levels)]
+    m = n % math.prod(cycles)
+    # Per coordinate: digits 1..k+1 of the window's first min(m, b^(k+1)) indices, one per
+    # residue i mod b^(k+1) among them, and for point p < m the row p mod min(m, b^(k+1)).
     rows, positions = [], []
-    for b, k in zip(f.bases, f.levels):
-        size = min(n, b ** min(k + 1, int(n).bit_length()))  # b^bits(n) > n: no huge power
+    for b, k, cycle in zip(bases, levels, cycles):
+        size = min(m, cycle)
         rows.append(_index_digits(start, size, b, k + 1))
-        positions.append(np.arange(n) % size)
-    values = [np.array([float(x) for x in table]) for table in f.tables]
-    cells = n + sum(len(x) * b for x, b in zip(rows, f.bases))
+        positions.append(np.arange(m) % size)
+    cells = m + sum(len(x) * b for x, b in zip(rows, bases))
     means = []
     for r0, count in _blocks(replicates, cells):
         rspec = ScrambleSpec(spec.kind, spec.seed, spec.replicate + r0)
         product = 1.0  # then times each coordinate's factor, in u's order
-        for t, (c, b, k) in enumerate(zip(f.u, f.bases, f.levels)):
+        for t, (c, b, k) in enumerate(zip(u, bases, levels)):
             digits = scramble_column(rspec, c, b, rows[t], [k], count)[:, :, 0]
-            product = product * values[t][digits][:, positions[t]]
+            product = product * np.where(digits == b - 1, b - 1.0, -1.0)[:, positions[t]]
         means.extend(math.fsum(row) / n for row in product.tolist())
-    return _summarize(n, means, float(f.sigma2))
+    return _summarize(n, means, float(math.prod(b - 1 for b in bases)))

@@ -325,11 +325,11 @@ def test_huge_level_forms_no_power(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("variance", "--u", "1", "--k", "0", "--n", str(1 << 53), "--reps", "2"),
+    ("variance", "--u", "1", "--k", "60", "--n", str(1 << 53), "--reps", "2"),
     ("points", "--d", "1", "--n", str(10**15)),
 ], ids=["variance", "points"])
 def test_failed_allocation_is_reported(capsys, argv):
-    # 64 and 355 PiB exceed any address space, so numpy refuses them at once:
+    # 3.31 EiB and 355 PiB exceed any address space, so numpy refuses them at once:
     # one error line and exit 1, not a traceback.
     assert main(list(argv)) == 1
     out, err = capsys.readouterr()
@@ -357,6 +357,11 @@ def test_variance_json(capsys):
     assert data["R"] == 50
     assert (data["expected_gain_num"], data["expected_gain_den"]) == (0, 1)
     assert "z_score" in data
+    # n = 2^53 is whole cycles of S = 2, which add exactly 0 and are skipped
+    code, out = run(capsys, "variance", "--u", "1", "--k", "0", "--n", str(1 << 53),
+                    "--reps", "2")
+    assert code == 0
+    assert (json.loads(out)["var"], json.loads(out)["mean"]) == (0.0, 0.0)
 
 
 def test_variance_needs_two_replicates(capsys):

@@ -1,5 +1,5 @@
 """Export lists: every public name resolves, the package re-exports only
-names its modules declare public, its 20 names and the entry points' call
+names its modules declare public, its 18 names and the entry points' call
 forms are pinned, only Python ints reach exact arithmetic, and the per-point
 oracles of tests/oracles.py stay out of it."""
 
@@ -42,7 +42,7 @@ PUBLIC = sorted([
     "gamma_max", "global_bounds_exact", "oracle_check", "upper_bound_u_exact",
     "PointSet", "default_precision", "halton_points",
     "MAX_DIMENSION", "first_primes",
-    "EstimateSummary", "HaarIntegrand", "make_haar", "rqmc_estimate",
+    "EstimateSummary", "rqmc_estimate",
     "ScrambleSpec", "randomize", "scramble_column",
 ])
 
@@ -56,7 +56,7 @@ ORACLES = [
 
 
 def test_package_surface_is_pinned():
-    assert len(PUBLIC) == 20
+    assert len(PUBLIC) == 18
     assert sorted(haltongain.__all__) == PUBLIC
 
 
@@ -66,14 +66,13 @@ def _parameters(fn) -> list[str]:
 
 def test_entry_points_take_one_call_form():
     # A subset and its levels come first, in that order, wherever both are
-    # read; the coordinates name their primes, and an integrand carries its
-    # bases.
+    # read, and the coordinates name their primes.
     assert _parameters(haltongain.gain_exact) == ["u", "levels", "n"]
     assert _parameters(haltongain.gain_curve) == ["u", "levels", "n_max"]
-    assert _parameters(haltongain.make_haar) == ["u", "levels", "tables"]
     assert _parameters(haltongain.upper_bound_u_exact) == ["u"]
     assert _parameters(haltongain.halton_points) == ["d", "start", "count"]
-    assert _parameters(haltongain.rqmc_estimate) == ["f", "n", "replicates", "spec", "start"]
+    assert _parameters(haltongain.rqmc_estimate) == [
+        "u", "levels", "n", "replicates", "spec", "start"]
 
 
 def test_bases_are_python_ints():
@@ -86,7 +85,6 @@ def test_bases_are_python_ints():
         haltongain.gains.pair_levels((30, 1), (0, 0))[2],
         points.bases,
         scrambled.bases,
-        haltongain.make_haar((1, 30), (0, 0)).bases,
     ):
         assert type(bases) is tuple
         assert {type(b) for b in bases} == {int}

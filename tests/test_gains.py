@@ -15,14 +15,15 @@ from hypothesis import strategies as st
 
 import haltongain.gains as gains
 from haltongain import (
+    ScrambleSpec,
     bounds_table,
     first_primes,
     gain_curve,
     gain_exact,
     gamma_max,
     global_bounds_exact,
-    make_haar,
     oracle_check,
+    rqmc_estimate,
     upper_bound_u_exact,
 )
 from haltongain.gains import pair_levels
@@ -876,7 +877,7 @@ def test_coord_subset_basics():
     # Coordinate 4 has base 7, whatever else was asked for before.
     assert gain_curve((4,), (0,), 8) == [gain_bruteforce((4,), (0,), n) for n in range(1, 9)]
     assert upper_bound_u_exact((4,)) == 1
-    assert make_haar((4,), (0,)).bases == (7,)
+    assert rqmc_estimate((4,), (0,), 7, 2, ScrambleSpec("nested")).sigma2 == 6.0  # 7 - 1
 
 
 # Each bad subset, the level-count mismatch included, and the message that
@@ -893,7 +894,7 @@ REFUSED_SUBSETS = [
 SUBSET_ENTRY_POINTS = {
     "gain_exact": lambda u, k: gain_exact(u, k, 5),
     "gain_curve": lambda u, k: gain_curve(u, k, 5),
-    "make_haar": make_haar,
+    "rqmc_estimate": lambda u, k: rqmc_estimate(u, k, 5, 2, ScrambleSpec("nested")),
     "upper_bound_u_exact": lambda u, k: upper_bound_u_exact(u),
 }
 

@@ -2,7 +2,7 @@
 
 import functools
 import math
-from fractions import Fraction
+import tracemalloc
 
 import pytest
 
@@ -10,8 +10,8 @@ from haltongain import rqmc
 from haltongain import (
     ScrambleSpec,
     default_precision,
+    first_primes,
     gain_exact,
-    make_haar,
     rqmc_estimate,
 )
 
@@ -23,104 +23,64 @@ from oracles import (
 )
 
 
-def evaluate(f, point) -> float:
-    """f at one point given per-coordinate digit sequences: the per-point
-    oracle of `rqmc_estimate`.
+def evaluate(u, levels, point) -> float:
+    """The integrand at sorted u and its levels at one point given
+    per-coordinate digit sequences: the per-point oracle of `rqmc_estimate`,
+    prod_j eta_j(digit k_j+1) with eta_j(c) = b_j [c = b_j - 1] - 1.
 
     Coordinate u[t] must sit at position u[t]-1 when the full point is
     passed, or at position t when only the u coordinates are.
     """
-    if len(point) == len(f.u):
+    bases = first_primes(max(u))
+    if len(point) == len(u):
         rows = point
     else:
-        rows = [point[j - 1] for j in f.u]
+        rows = [point[j - 1] for j in u]
     out = 1.0
-    for t, digits in enumerate(rows):
-        k = f.levels[t]
+    for j, k, digits in zip(u, levels, rows):
         if len(digits) < k + 1:
             raise ValueError(f"digit {k + 1} required but only {len(digits)} stored")
-        out *= float(f.tables[t][digits[k]])
+        b = bases[j - 1]
+        out *= float(b * (digits[k] == b - 1) - 1)
     return out
 
 
-def test_make_haar_defaults():
-    f = make_haar((1, 2), (0, 0))
-    assert f.bases == (2, 3)
-    assert f.tables == ((Fraction(-1), Fraction(1)), (Fraction(-1), Fraction(-1), Fraction(2)))
-    assert f.sigma2 == 2  # (b1 - 1) * (b2 - 1)
-    g = make_haar((3,), (1,))
-    assert g.sigma2 == 4
-
-
-def test_make_haar_custom_table():
-    f = make_haar((1,), (0,), tables=[[1, -1]])
-    assert f.sigma2 == 1
-    f = make_haar((2,), (0,), tables=[[2, -1, -1]])
-    assert f.sigma2 == 2
-
-
-def test_make_haar_validation():
-    with pytest.raises(ValueError):
-        make_haar((), ())
-    with pytest.raises(ValueError):
-        make_haar((1,), (0, 0))
-    with pytest.raises(ValueError, match="levels must be >= 0, got -1"):
-        make_haar((1,), (-1,))
-    with pytest.raises(ValueError, match="level must be an integer, got 0.5"):
-        make_haar((1,), (0.5,))
-    with pytest.raises(ValueError, match="coordinate must be an integer, got 1.0"):
-        make_haar((1.0,), (0,))
-    with pytest.raises(ValueError):
-        make_haar((1,), (0,), tables=[[1, 1]])  # no zero sum
-    with pytest.raises(ValueError):
-        make_haar((1,), (0,), tables=[[0, 0]])
-    with pytest.raises(ValueError):
-        make_haar((1,), (0,), tables=[[1, -1, 0]])  # wrong length
-    with pytest.raises(ValueError, match="one table per subset member"):
-        make_haar((1, 2), (0, 0), tables=[[1, -1]])
-
-
 def test_evaluate_reads_the_level_digit():
-    f = make_haar((1,), (1,))
-    assert evaluate(f, [(0, 1)]) == 1.0
-    assert evaluate(f, [(1, 0)]) == -1.0
+    assert evaluate((1,), (1,), [(0, 1)]) == 1.0
+    assert evaluate((1,), (1,), [(1, 0)]) == -1.0
     with pytest.raises(ValueError):
-        evaluate(f, [(1,)])  # needs digit 2
+        evaluate((1,), (1,), [(1,)])  # needs digit 2
 
 
 def test_evaluate_full_point_rows():
-    f = make_haar((2,), (0,))
     full = [(0,), (2,), (0,)]
-    assert evaluate(f, full) == 2.0
-    assert evaluate(f, [(2,)]) == 2.0
+    assert evaluate((2,), (0,), full) == 2.0
+    assert evaluate((2,), (0,), [(2,)]) == 2.0
 
 
 def test_replicate_window_contract():
-    f = make_haar((1, 2), (0, 0))
     spec = ScrambleSpec("nested", seed=40)
-    a = rqmc_estimate(f, 4, 3, spec)
-    b = rqmc_estimate(f, 4, 2, ScrambleSpec("nested", seed=40, replicate=1))
+    a = rqmc_estimate((1, 2), (0, 0), 4, 3, spec)
+    b = rqmc_estimate((1, 2), (0, 0), 4, 2, ScrambleSpec("nested", seed=40, replicate=1))
     assert a.means[1:] == b.means
-    again = rqmc_estimate(f, 4, 3, spec)
+    again = rqmc_estimate((1, 2), (0, 0), 4, 3, spec)
     assert a == again
 
 
 def test_zero_gain_counts_give_exactly_zero_means():
     # n = 6 is one full cycle for (u, k) = ({1, 2}, (0, 0)).
-    f = make_haar((1, 2), (0, 0))
     for kind in ("nested", "linear"):
-        out = rqmc_estimate(f, 6, 20, ScrambleSpec(kind, seed=3))
+        out = rqmc_estimate((1, 2), (0, 0), 6, 20, ScrambleSpec(kind, seed=3))
         assert out.means == (0.0,) * 20
         assert out.variance == 0.0
         assert out.empirical_gain == 0.0
 
 
 def test_gain_law_nested_and_linear():
-    f = make_haar((1, 2), (0, 0))
     reps = 4000
     want = float(gain_exact((1, 2), (0, 0), 2))
     for kind in ("nested", "linear"):
-        out = rqmc_estimate(f, 2, reps, ScrambleSpec(kind, seed=71))
+        out = rqmc_estimate((1, 2), (0, 0), 2, reps, ScrambleSpec(kind, seed=71))
         band = 4 * want * math.sqrt(2.0 / (reps - 1))
         assert abs(out.empirical_gain - want) < band
         assert out.n == 2 and out.replicates == reps
@@ -129,16 +89,14 @@ def test_gain_law_nested_and_linear():
 
 
 def test_single_point_matches_monte_carlo():
-    f = make_haar((1, 2), (0, 0))
     reps = 4000
     band = 4 * math.sqrt(2.0 / (reps - 1))
-    out = rqmc_estimate(f, 1, reps, ScrambleSpec("nested", seed=72))
+    out = rqmc_estimate((1, 2), (0, 0), 1, reps, ScrambleSpec("nested", seed=72))
     assert abs(out.empirical_gain - 1.0) < band
 
 
 def test_summary_arithmetic():
-    f = make_haar((1,), (0,))
-    out = rqmc_estimate(f, 3, 5, ScrambleSpec("nested", seed=1))
+    out = rqmc_estimate((1,), (0,), 3, 5, ScrambleSpec("nested", seed=1))
     grand = sum(out.means) / 5
     var = sum((m - grand) ** 2 for m in out.means) / 4
     assert math.isclose(out.mean, grand, rel_tol=1e-15, abs_tol=1e-15)
@@ -152,34 +110,38 @@ def test_summary_arithmetic():
 
 
 def test_start_offset_changes_points():
-    f = make_haar((1, 2), (0, 0))
     spec = ScrambleSpec("nested", seed=2)
-    a = rqmc_estimate(f, 3, 2, spec)
-    b = rqmc_estimate(f, 3, 2, spec, start=5)
+    a = rqmc_estimate((1, 2), (0, 0), 3, 2, spec)
+    b = rqmc_estimate((1, 2), (0, 0), 3, 2, spec, start=5)
     assert a.means != b.means
 
 
 def test_validation():
-    f = make_haar((1,), (0,))
+    f = ((1,), (0,))
     with pytest.raises(ValueError):
-        rqmc_estimate(f, 0, 2, ScrambleSpec("nested"))
+        rqmc_estimate(*f, 0, 2, ScrambleSpec("nested"))
     with pytest.raises(ValueError):
-        rqmc_estimate(f, 1, 0, ScrambleSpec("nested"))
+        rqmc_estimate(*f, 1, 0, ScrambleSpec("nested"))
     with pytest.raises(ValueError, match="replicates must be >= 2"):
-        rqmc_estimate(f, 2, 1, ScrambleSpec("nested"))  # no sample variance
+        rqmc_estimate(*f, 2, 1, ScrambleSpec("nested"))  # no sample variance
     with pytest.raises(ValueError):
-        rqmc_estimate(f, 1 << 54, 2, ScrambleSpec("nested"))
+        rqmc_estimate(*f, 1 << 54, 2, ScrambleSpec("nested"))
     # the last two replicates the key holds
-    rqmc_estimate(f, 1, 2, ScrambleSpec("nested", replicate=(1 << 64) - 2))
+    rqmc_estimate(*f, 1, 2, ScrambleSpec("nested", replicate=(1 << 64) - 2))
     with pytest.raises(ValueError, match="2\\^64"):
-        rqmc_estimate(f, 1, 2, ScrambleSpec("nested", replicate=(1 << 64) - 1))
+        rqmc_estimate(*f, 1, 2, ScrambleSpec("nested", replicate=(1 << 64) - 1))
     with pytest.raises(ValueError, match="64-bit point indices"):
-        rqmc_estimate(f, 1, 2, ScrambleSpec("nested"), start=-1)
-    rqmc_estimate(f, 2, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)  # the last index
+        rqmc_estimate(*f, 1, 2, ScrambleSpec("nested"), start=-1)
+    rqmc_estimate(*f, 2, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)  # the last index
     with pytest.raises(ValueError, match="start must be an integer"):
-        rqmc_estimate(f, 3, 2, ScrambleSpec("nested"), start=0.5)
+        rqmc_estimate(*f, 3, 2, ScrambleSpec("nested"), start=0.5)
     with pytest.raises(ValueError, match="64-bit point indices"):
-        rqmc_estimate(f, 3, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)
+        rqmc_estimate(*f, 3, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)
+    # u and its levels go through pair_levels, as in every entry point
+    with pytest.raises(ValueError, match="levels must be >= 0, got -1"):
+        rqmc_estimate((1,), (-1,), 3, 2, ScrambleSpec("nested"))
+    with pytest.raises(ValueError, match="level must be an integer, got 0.5"):
+        rqmc_estimate((1,), (0.5,), 3, 2, ScrambleSpec("nested"))
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
@@ -188,18 +150,18 @@ def test_level_past_the_digit_limit_refused(kind, basis2):
     # gain is 1; scrambling digit k + 1 is refused, naming the limit.
     for c, b in enumerate(basis2, start=1):
         limit = default_precision(b)
-        f = make_haar((c,), (limit,))
         with pytest.raises(ValueError, match=f"limit {limit} for base {b}"):
-            rqmc_estimate(f, 5, 2, ScrambleSpec(kind))
+            rqmc_estimate((c,), (limit,), 5, 2, ScrambleSpec(kind))
 
 
-def _oracle_means(f, n, replicates, spec, start=0):
+def _oracle_means(u, levels, n, replicates, spec, start=0):
     """rqmc_estimate's means the slow way: scramble every point in full."""
+    bases = [first_primes(max(u))[j - 1] for j in u]
     means = []
     for r in range(replicates):
         rspec = ScrambleSpec(spec.kind, spec.seed, spec.replicate + r)
         scrambles = []
-        for c, b, k in zip(f.u, f.bases, f.levels):
+        for c, b, k in zip(u, bases, levels):
             if spec.kind == "nested":
                 scrambles.append(functools.partial(
                     nested_scramble_digits, base=b, coordinate=c, spec=rspec, depth=k + 1))
@@ -211,59 +173,75 @@ def _oracle_means(f, n, replicates, spec, start=0):
         for i in range(start, start + n):
             point = [
                 scramble(digits_of(i, b, k + 1 + i.bit_length()))
-                for scramble, b, k in zip(scrambles, f.bases, f.levels)
+                for scramble, b, k in zip(scrambles, bases, levels)
             ]
-            values.append(evaluate(f, point))
+            values.append(evaluate(u, levels, point))
         means.append(math.fsum(values) / n)
     return tuple(means)
 
 
-NON_DYADIC = [
-    [Fraction(1, 3), Fraction(-1, 7), Fraction(-4, 21)],
-    [Fraction(2, 5), Fraction(-1, 3), Fraction(1, 9), Fraction(-8, 45), 0],
-]
-
-
 @pytest.mark.parametrize("kind", ["nested", "linear"])
 @pytest.mark.parametrize(
-    "u, k, n, start, tables",
+    "u, k, n, start, block_cells",
     [
         ((1,), (3,), 5, 0, None),  # n below b^k
         ((1,), (3,), 37, 11, None),  # n above b^(k+1), start > 0
         ((2,), (3,), 30, 2, None),  # n between b^k and b^(k+1)
         ((1, 2, 3), (1, 2, 0), 40, 3, None),
         ((1, 2, 3), (3, 0, 1), 6, 50, None),
-        ((2, 3), (1, 0), 23, 100, NON_DYADIC),
-        ((1, 2, 3), (2, 1, 0), 45, 7, [[Fraction(1, 3), Fraction(-1, 3)], *NON_DYADIC]),
+        ((2, 3), (1, 0), 23, 100, 64),  # one replicate per block
+        ((1, 2, 3), (2, 1, 0), 45, 7, 256),  # two replicates per block
         ((1, 2), (63, 40), 4, 5, None),  # prefixes below 2^63 and 3^40, just inside 64 bits
         ((1,), (63,), 5, 3, None),  # k + 1 = default_precision(2), the deepest level
         ((1, 3), (63, 27), 4, 2**64 - 9, None),  # the same in bases 2 and 5, last indices
+        # n = S - 1, S, S + 1 and 3S + 2 around the cycle S = prod_j b_j^(k_j+1)
+        ((1, 2), (0, 0), 5, 0, None),  # S = 6
+        ((1, 2), (0, 0), 6, 0, None),
+        ((1, 2), (0, 0), 7, 0, None),
+        ((1, 2), (0, 0), 20, 13, None),
+        ((1, 3), (1, 0), 19, 0, None),  # S = 20
+        ((1, 3), (1, 0), 20, 0, None),
+        ((1, 3), (1, 0), 21, 5, 64),
+        ((1, 3), (1, 0), 62, 2**64 - 62, None),
     ],
 )
-def test_level_path_matches_per_point_oracle(kind, u, k, n, start, tables):
-    f = make_haar(u, k, tables=tables)
+def test_level_path_matches_per_point_oracle(kind, u, k, n, start, block_cells, monkeypatch):
+    if block_cells is not None:
+        monkeypatch.setattr(rqmc, "_BLOCK_CELLS", block_cells)
     spec = ScrambleSpec(kind, seed=20261018, replicate=4)
-    got = rqmc_estimate(f, n, 6, spec, start=start).means
-    assert got == _oracle_means(f, n, 6, spec, start)
+    got = rqmc_estimate(u, k, n, 6, spec, start=start).means
+    assert got == _oracle_means(u, k, n, 6, spec, start)
 
 
-def test_make_haar_pairs_levels_and_tables_with_u_as_given():
-    t1, t3 = [3, -3], NON_DYADIC[1]
-    a = make_haar((3, 1), (2, 0), tables=[t3, t1])
-    assert a == make_haar((1, 3), (0, 2), tables=[t1, t3])
-    assert a.levels == (0, 2)
+def test_levels_pair_with_u_as_given():
+    spec = ScrambleSpec("linear", seed=6)
+    a = rqmc_estimate((3, 1), (2, 0), 7, 3, spec)
+    assert a == rqmc_estimate((1, 3), (0, 2), 7, 3, spec)
+    assert a.sigma2 == 4.0  # (2 - 1) * (5 - 1)
     with pytest.raises(ValueError, match="coordinate 3 listed more than once"):
-        make_haar((3, 1, 3), (0, 0, 0))
+        rqmc_estimate((3, 1, 3), (0, 0, 0), 7, 3, spec)
+
+
+def test_memory_follows_n_mod_cycle():
+    # S = 2 * 3 * 5 = 30 and n = 2^22 = 139810 S + 4: only 4 points are
+    # scrambled and summed, where scrambling all of them peaks at 256 MiB.
+    spec = ScrambleSpec("nested", seed=1)
+    tracemalloc.start()
+    try:
+        rqmc_estimate((1, 2, 3), (0, 0, 0), 2**22, 4, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_rejected_words_are_redrawn(monkeypatch, redrawn_tags):
     # Batched Fisher-Yates and linear-row words are rejected and their rows
     # redrawn; blocks of a few replicates make several blocks per estimate.
     monkeypatch.setattr(rqmc, "_BLOCK_CELLS", 64)
-    f = make_haar((1, 2, 3), (2, 1, 0), tables=[[Fraction(1, 3), Fraction(-1, 3)],
-                                                      *NON_DYADIC])
-    got = {kind: rqmc_estimate(f, 23, 12, ScrambleSpec(kind, seed=9, replicate=3),
+    u, k = (1, 2, 3), (2, 1, 0)
+    got = {kind: rqmc_estimate(u, k, 23, 12, ScrambleSpec(kind, seed=9, replicate=3),
                                start=4).means for kind in ("nested", "linear")}
     assert set(redrawn_tags) == {"perm", "row"}  # each kind redrew at least one row
     for kind, means in got.items():
-        assert means == _oracle_means(f, 23, 12, ScrambleSpec(kind, seed=9, replicate=3), 4)
+        assert means == _oracle_means(u, k, 23, 12, ScrambleSpec(kind, seed=9, replicate=3), 4)
