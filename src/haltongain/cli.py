@@ -17,11 +17,22 @@ Exit codes: 0 on success; 1 on bad arguments, an unwritable --out
 included; 2 when an internal consistency check fails: oracle-check's
 handler returns 2 with its mismatch report, and a RuntimeError from the
 library (for example the two gain routes disagreeing) exits 2.
+
+Importing this module sets the process policy of a CLI run, which is short
+and makes no BLAS call.  OpenBLAS gets one thread, unless the user set
+OPENBLAS_NUM_THREADS, since its pool of workers costs each process CPU at
+start-up.  And the import heap, numpy's above all, is frozen (gc.freeze)
+once the imports are done: it lives until the process ends, so every later
+collection, the interpreter's last ones at exit included, skips it rather
+than walk it again.  It is done here, once per process, and not in `main`,
+which may run many times in one process; `import haltongain` and the
+library modules set neither.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -42,6 +53,8 @@ from . import gains, rqmc
 from .halton import halton_points
 from .primes import first_primes
 from .scramble import _HALF, _LOW, ScrambleSpec, _mulhi, randomize
+
+gc.freeze()  # the import heap, which every collection would walk again (see above)
 
 __all__ = ["dispatch", "main"]
 
@@ -94,28 +107,54 @@ def _open_out(path: str | None):
 
 
 _U = np.uint64
-_POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
+_TINY = 2.0**-36  # below it 10^(16-E) is past 5^27, and Python writes the value
+
+
+def _tens() -> np.ndarray:
+    """The least double >= 10^e for e in -10..15: x has decimal exponent
+    E = -11 + (how many of them are <= x) for x in [2^-36, 2^53)."""
+    tens = []
+    for e in range(-10, 16):
+        t = float(Fraction(10) ** e)
+        tens.append(t if Fraction(t) >= Fraction(10) ** e else math.nextafter(t, math.inf))
+    return np.array(tens)
+
+
+_TENS = _tens()
+# x 10^k = m * _SCALE[k] / 2^(s - _TWOS[k]) for k = 16 - E in 1..27: 10^k itself
+# through k = 18, then 5^k with its 2^k moved into the shift, which so stays in 0..62
+_SCALE = np.array([10**k if k <= 18 else 5**k for k in range(28)], dtype=np.uint64)
+_TWOS = np.array([0 if k <= 18 else k for k in range(28)], dtype=np.uint64)
 
 
 def _kept(e: int, zeros: int) -> list[bool]:
-    """Which of a field's 22 slots %.17g writes, at decimal exponent e when
+    """Which of a field's 27 slots %.17g writes, at decimal exponent e when
     the 17 digits end in `zeros` zeros.
 
-    Slots 0..20 hold 3 zeros and the 17 digits with a point after digit
-    slot 3 + e, and slot 21 the separator.  The field runs from slot
-    3 + min(e, 0), so e < 0 gives "0." and -e - 1 zeros, through the last
-    nonzero digit or the digit before the point, whichever is later; the
-    point is written only when a digit follows it.
+    Slots 0..21 hold 4 zeros and the 17 digits with a point after digit
+    slot 4 + e, slots 22..25 "e-XX", and slot 26 the separator.  The field
+    runs from slot 4 + min(e, 0), so e < 0 gives "0." and -e - 1 zeros,
+    through the last nonzero digit or the digit before the point, whichever
+    is later; the point is written only when a digit follows it.  Below
+    e = -4, %.17g's exponent form, the digits are laid out as at e = 0 and
+    "e-XX" follows them.
     """
-    first, point = 3 + min(e, 0), 4 + e
-    last = 20 - zeros if 20 - zeros > point else point - 1
-    return [False] * first + [True] * (last + 1 - first) + [False] * (20 - last) + [True]
+    exponent = e < -4
+    e = 0 if exponent else e
+    first, point = 4 + min(e, 0), 5 + e
+    last = 21 - zeros if 21 - zeros > point else point - 1
+    return ([False] * first + [True] * (last + 1 - first) + [False] * (21 - last)
+            + [exponent] * 4 + [True])
 
 
-# Row 17 * (e + 3) + zeros of _KEEP, and row e + 3 of _BEFORE_POINT (the
-# slots left of the point), for e in -3..15 and zeros in 0..16.
-_KEEP = np.array([_kept(e, zeros) for e in range(-3, 16) for zeros in range(17)], dtype=bool)
-_BEFORE_POINT = np.array([[c < 4 + e for c in range(20)] for e in range(-3, 16)])
+# Row 17 * (e + 11) + zeros of _KEEP, and row e + 11 of _POINT (the point's
+# slot), _BEFORE_POINT (which of slots 1..20 lie left of it) and, below
+# e = -4, _EXPONENT, for e in -11..15 and zeros in 0..16.
+_KEEP = np.array([_kept(e, zeros) for e in range(-11, 16) for zeros in range(17)], dtype=bool)
+_POINT = np.array([5 + (e if e >= -4 else 0) for e in range(-11, 16)])
+_BEFORE_POINT = np.array([[c < point for c in range(1, 21)] for point in _POINT])
+_EXPONENT = np.frombuffer(b"".join(b"e-%02d" % -e for e in range(-11, -4)),
+                          dtype=np.uint8).reshape(7, 4)
 
 
 def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -132,37 +171,45 @@ _QUADS, _QUAD_ZEROS = _quad_tables()
 
 
 def _digits17(m: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """round-half-even(m * 10^(16-e) / 2^s) for m < 2^53 and 0 <= s <= 62, exactly."""
-    p = _POW10[16 - e]
+    """round-half-even(m * 10^(16-e) / 2^s) for m < 2^53, exactly, where m / 2^s
+    lies in [2^-36, 2^53) and e is its decimal exponent."""
+    k = 16 - e
+    p, s = _SCALE[k], s - _TWOS[k]
     hi, lo = _mulhi((p, p >> _HALF, p & _LOW), m), p * m  # the 128-bit product
     q = hi << (_U(63) - s) << _U(1) | lo >> s
     rem2, half2 = (lo & ((_U(1) << s) - _U(1))) << _U(1), _U(1) << s
     return q + ((rem2 > half2) | ((rem2 == half2) & (q & _U(1) == _U(1)))).astype(np.uint64)
 
 
-def _g17_lines(columns: Sequence[np.ndarray]) -> str:
-    """CSV lines of the columns, every value written as '%.17g' % x writes it.
+def _g17_lines(columns: Sequence[np.ndarray], heads: np.ndarray | None = None) -> str:
+    """CSV lines of the columns, every value written as '%.17g' % x writes it,
+    and each line led by its entry of `heads`, a bytes array, if given.
 
-    Values must lie in [1e-3, 2^53), where %.17g is fixed-point.  The 17
-    significant digits of x = m / 2^s (m < 2^53) at decimal exponent E are
-    q = round-half-even(m * 10^(16-E) / 2^s); trailing zeros after the point,
-    and then a bare point, are dropped.
+    Values must lie in [0, 2^53), where float64 holds every integer exactly,
+    so an integer column below 2^53 is written as '%d' writes it.  %.17g
+    writes 0 as "0", x >= 1e-4 fixed-point, and smaller x in exponent form,
+    d.ddde-XX.  The 17 significant digits of x = m / 2^s (m < 2^53) at
+    decimal exponent E are q = round-half-even(m * 10^(16-E) / 2^s), exact
+    in 128 bits down to 2^-36 (E >= -11); trailing zeros after the point,
+    and then a bare point, are dropped.  The values in (0, 2^-36), which a
+    gain num/den reaches only when den passes 2^36, are written by Python's
+    own '%.17g'.
     """
-    x = np.stack(columns, axis=1).astype(np.float64)
-    if not np.all((x >= 1e-3) & (x < 2.0**53)):
-        raise ValueError("the %.17g writer takes values in [1e-3, 2^53)")
+    x = np.stack(columns, axis=1).astype(np.float64, copy=False)
+    if not np.all(~np.signbit(x) & (x < 2.0**53)):  # -0.0 is refused too
+        raise ValueError("the %.17g writer takes values in [0, 2^53)")
     width = x.shape[1]
     x = x.reshape(-1)
-    bits = x.view(np.uint64)
+    small = np.flatnonzero(x < _TINY)  # 0, and the values Python writes
+    y = np.maximum(x, _TINY)
+    bits = y.view(np.uint64)
     m = bits & _U((1 << 52) - 1) | _U(1 << 52)
     s = _U(1075) - (bits >> _U(52))
-    # log10 can miss by one next to a power of ten; q's length shows it
-    e = np.clip(np.floor(np.log10(x)), -3, 15).astype(np.int64)
+    # q < 10^17: no double in the domain lies within half a unit of its
+    # 17th digit below a power of ten, so none rounds up to the next one
+    e = np.searchsorted(_TENS, y, side="right") - 11
     q = _digits17(m, s, e)
-    miss = (q >= _POW10[17]).astype(np.int64) - (q < _POW10[16])
-    fix = np.flatnonzero(miss)
-    e[fix] += miss[fix]
-    q[fix] = _digits17(m[fix], s[fix], e[fix])
+    q[small], e[small] = 0, 0  # written as "0": 17 zeros at e = 0
 
     # q's 17 digits in groups of 1 + 4 + 4 + 4 + 4, each written as one
     # table word; the group splits run on 32-bit halves of q
@@ -176,18 +223,34 @@ def _g17_lines(columns: Sequence[np.ndarray]) -> str:
     for j, group in enumerate(groups):
         words[:, j] = _QUADS.take(group)
     digits = words.view(np.uint8)  # 3 zeros, then q's digits
-    zeros = _QUAD_ZEROS.take(groups[1])  # q >= 10^16, so top is not 0
+    # the zeros that end the last 16 digits; top is 0 only for q = 0, whose
+    # first digit the field keeps
+    zeros = _QUAD_ZEROS.take(groups[1])
     for group in groups[2:]:
         zeros = _QUAD_ZEROS.take(group) + (group == 0) * zeros
-    chars = np.empty((len(x), 22), dtype=np.uint8)
-    chars[:, 21] = ord(",")
-    chars[width - 1 :: width, 21] = ord("\n")  # after the last field of a row
-    # Slots after the point hold digit c - 1, the ones before it digit c.
-    chars[:, 1:21] = digits
-    lead = chars[:, :20]
-    lead += _BEFORE_POINT.take(e + 3, axis=0) * (digits - lead)  # uint8 wraps back
-    chars[np.arange(len(x)), e + 4] = ord(".")
-    return chars[_KEEP.take((e + 3) * 17 + zeros, axis=0)].tobytes().decode("ascii")
+    chars = np.empty((len(x), 27), dtype=np.uint8)
+    chars[:, 26] = ord(",")
+    chars[width - 1 :: width, 26] = ord("\n")  # after the last field of a row
+    # Slots after the point hold digit c - 1 of the 4 zeros and q's digits,
+    # the ones before it digit c.
+    chars[:, :2] = ord("0")
+    chars[:, 2:22] = digits
+    lead = chars[:, 1:21]
+    lead += _BEFORE_POINT.take(e + 11, axis=0) * (chars[:, 2:22] - lead)  # uint8 wraps back
+    chars[np.arange(len(x)), _POINT.take(e + 11)] = ord(".")
+    exponent = np.flatnonzero(e < -4)
+    chars[exponent, 22:26] = _EXPONENT.take(e[exponent] + 11, axis=0)
+    keep = _KEEP.take((e + 11) * 17 + zeros, axis=0)
+    tiny = small[x[small] > 0]
+    if len(tiny):
+        text = np.array(["%.17g" % v for v in x[tiny].tolist()], dtype="S26")
+        chars[tiny, :26] = text = text.view(np.uint8).reshape(-1, 26)
+        keep[tiny, :26] = text != 0
+    chars, keep = chars.reshape(-1, width * 27), keep.reshape(-1, width * 27)
+    if heads is not None:
+        head = heads.view(np.uint8).reshape(len(heads), -1)
+        chars, keep = np.hstack((head, chars)), np.hstack((head != 0, keep))
+    return chars[keep].tobytes().decode("ascii")
 
 
 def _rat(name: str, x: Fraction) -> dict[str, Any]:
@@ -306,13 +369,12 @@ def _cmd_gain(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str]:
     return itertools.chain(["n,gain_num,gain_den,gain_float\n"], lines)
 
 
-def _gain_columns(u, levels, n_max) -> tuple[list, list, list]:
-    """Numerators, denominators and floats of G_{u,k}(1..n_max).
+def _gain_columns(num: np.ndarray, den: np.ndarray) -> tuple[list, list, list]:
+    """Numerators, denominators and floats of a gain curve, as Python numbers.
 
     Each float is the Python-int quotient, which rounds correctly and so
     equals float(Fraction(num, den)).
     """
-    num, den = gains._gain_curve_arrays(u, levels, n_max)
     nums, dens = num.tolist(), den.tolist()
     return nums, dens, [a / b for a, b in zip(nums, dens)]
 
@@ -320,12 +382,12 @@ def _gain_columns(u, levels, n_max) -> tuple[list, list, list]:
 def _cmd_gain_curve(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str]:
     u, k = _subset_args(echo)
     n_max = echo["n_max"]
-    rows = zip(range(1, n_max + 1), *_gain_columns(u, k, n_max))
     if fmt == "json":
-        return {"gains": [
-            {"n": n, "num": a, "den": b, "float": f} for n, a, b, f in rows]}
-    lines = ("%d,%d,%d,%.17g\n" % row for row in rows)
-    return itertools.chain(["n,gain_num,gain_den,gain_float\n"], lines)
+        columns = _gain_columns(*gains._gain_curve_arrays(u, k, n_max))
+        return {"gains": [{"n": n, "num": a, "den": b, "float": f}
+                          for n, a, b, f in zip(range(1, n_max + 1), *columns)]}
+    rows = _curve_rows([("", u, k, 0)], n_max, by_n=False)
+    return itertools.chain(["n,gain_num,gain_den,gain_float\n"], rows)
 
 
 def _cmd_gamma(echo: dict[str, Any], fmt: str) -> dict[str, Any]:
@@ -373,6 +435,7 @@ def _cmd_oracle_check(echo: dict[str, Any], fmt: str) -> list[str] | tuple[list[
 
 
 _FIG2_LEVELS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_FIGURE_HEAD = "u,k,n,gain_num,gain_den,gain_float\n"
 
 
 def _csv_field(values) -> str:
@@ -381,28 +444,57 @@ def _csv_field(values) -> str:
     return f'"{text}"' if "," in text else text
 
 
+def _label(u, levels) -> str:
+    """The u and k fields that lead a figure row, with their separators."""
+    return _csv_field(u) + "," + _csv_field(levels) + ","
+
+
+_ROW_BLOCK = 1 << 12  # rows per block of a curve table
+
+
 def _curve_rows(curves, n_max: int, by_n: bool) -> Iterable[str]:
-    """CSV rows of each (u, levels, start) curve at start < n <= n_max.
+    """CSV rows "label n,num,den,gain" of each (label, u, levels, start) curve
+    at start < n <= n_max.
 
     Curve by curve, or, with by_n, count by count with the curves in the
-    order given.
+    order given.  The curves are evaluated first, so a refused one stops the
+    command before --out opens.  While every numerator and denominator is
+    below 2^53 they are stacked int64 arrays, each gain is one float64
+    division num / den, correctly rounded from exact operands as the
+    Python-int quotient is, and _g17_lines writes the rows 2^12 at a time.
+    Past 2^53, Python-int arrays included, each row is formatted from Python
+    ints on its own: the one route for that input.
     """
-    cols = [
-        (_csv_field(u) + "," + _csv_field(k) + ",", start,
-         *_gain_columns(u, k, n_max))
-        for u, k, start in curves
-    ]
-    counts = range(1, n_max + 1)
-    if by_n:
-        order = ((n, c) for n in counts for c in cols)
-    else:
-        order = ((n, c) for c in cols for n in counts)
-    rows = (
-        "%s%d,%d,%d,%.17g\n" % (head, n, nums[n - 1], dens[n - 1], floats[n - 1])
-        for n, (head, start, nums, dens, floats) in order
-        if start < n
-    )
-    return itertools.chain(["u,k,n,gain_num,gain_den,gain_float\n"], rows)
+    arrays = [gains._gain_curve_arrays(u, k, n_max) for _, u, k, _ in curves]
+    if any(num.dtype == object or max(num.max(), den.max()) >= 1 << 53 for num, den in arrays):
+        cols = [(label, start, *_gain_columns(num, den))
+                for (label, _, _, start), (num, den) in zip(curves, arrays)]
+        counts = range(1, n_max + 1)
+        if by_n:
+            order = ((n, c) for n in counts for c in cols)
+        else:
+            order = ((n, c) for c in cols for n in counts)
+        return (
+            "%s%d,%d,%d,%.17g\n" % (label, n, nums[n - 1], dens[n - 1], floats[n - 1])
+            for n, (label, start, nums, dens, floats) in order
+            if start < n
+        )
+    labels = np.array([label.encode() for label, *_ in curves], dtype="S")
+    num = np.array([num for num, _ in arrays], dtype=np.int64).reshape(-1, n_max)
+    den = np.array([den for _, den in arrays], dtype=np.int64).reshape(-1, n_max)
+    starts = np.array([start for *_, start in curves], dtype=np.int64)
+    counts = np.arange(1, n_max + 1)
+    kept = counts[:, None] > starts if by_n else counts > starts[:, None]
+    rows = np.flatnonzero(kept)
+
+    def blocks() -> Iterable[str]:
+        for first in range(0, len(rows), _ROW_BLOCK):
+            i = rows[first : first + _ROW_BLOCK]
+            n, c = np.divmod(i, len(curves)) if by_n else np.divmod(i, n_max)[::-1]
+            a, b = num[c, n], den[c, n]
+            yield _g17_lines((n + 1, a, b, a / b), labels[c])
+
+    return blocks()
 
 
 def _cmd_figure(echo: dict[str, Any], fmt: str) -> Iterable[str]:
@@ -410,8 +502,8 @@ def _cmd_figure(echo: dict[str, Any], fmt: str) -> Iterable[str]:
     if which == "1":
         return _cmd_bounds(echo, fmt)
     if which == "2":
-        curves = [((1, 2), levels, 0) for levels in _FIG2_LEVELS]
-        return _curve_rows(curves, 36, by_n=False)
+        curves = [(_label((1, 2), levels), (1, 2), levels, 0) for levels in _FIG2_LEVELS]
+        return itertools.chain([_FIGURE_HEAD], _curve_rows(curves, 36, by_n=False))
     n_max = echo["n_max"]
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -423,8 +515,8 @@ def _cmd_figure(echo: dict[str, Any], fmt: str) -> Iterable[str]:
         for levels in itertools.product(levels_below, repeat=len(u)):
             cell = math.prod(bases[j - 1] ** k for j, k in zip(u, levels))
             if cell < n_max:  # the curve only starts once a full level cell fits below n
-                curves.append((u, levels, cell))
-    return _curve_rows(curves, n_max, by_n=True)
+                curves.append((_label(u, levels), u, levels, cell))
+    return itertools.chain([_FIGURE_HEAD], _curve_rows(curves, n_max, by_n=True))
 
 
 _HANDLERS = {

@@ -20,10 +20,11 @@ n * denom + 2 T(n), T(n) = sum_{n' < n} sum_v H_v floor(n'/m_v).  One closed
 form, _prefix_at, gives T at a single n in Python ints: gain_exact uses it,
 the worst-gain scan re-checks with it, and it seeds _pair_prefix, the
 evaluator every gain curve, the scan and the oracle grid share, which gives
-T(n) - T(lo) over a range lo < n <= hi as two int64 cumulative sums.  The
-brute force shares none of it: it sums the defining pair kernel over index
-pairs.  There is one size rule, _terms' budget of _MAX_TERMS terms with
-m_v < n, and one int64 rule, _int64_terms' K (hi^2 - lo^2) < 2^64.
+T(n) - T(lo) over a range lo < n <= hi as two int64 cumulative sums of
+spikes set one coordinate at a time.  The brute force shares none of it: it
+sums the defining pair kernel over index pairs.  There is one size rule,
+_terms' budget of _MAX_TERMS terms with m_v < n, and one int64 rule,
+_int64_terms' K (hi^2 - lo^2) < 2^64.
 """
 
 from __future__ import annotations
@@ -157,20 +158,26 @@ def _int64_terms(terms: list[tuple[int, int]], lo: int, hi: int) -> list[tuple[i
     return small
 
 
-def _pair_prefix(terms: list[tuple[int, int]], lo: int, hi: int) -> np.ndarray:
+def _pair_prefix(bases: Sequence[int], terms: list[tuple[int, int]], lo: int,
+                 hi: int) -> np.ndarray:
     """T(n) - T(lo) for lo < n <= hi as an int64 array, at index n - lo - 1; T itself from lo = 0.
 
-    T(n) = sum_{n' < n} F(n'), F(n') = sum_v H_v floor(n'/m_v).  The differences
-    of F are spikes H_v at the multiples of m_v: once _int64_terms admits the
-    range they are scattered, and two in-place cumulative sums seeded with
-    F(lo) from _prefix_at give the chunk-local sums.
+    `terms` are _terms(bases, levels, limit) for a limit >= hi.  T(n) = sum_{n' < n} F(n'),
+    F(n') = sum_v H_v floor(n'/m_v), so the differences of F are spikes at the multiples
+    of M = prod b^k: there the m_v dividing n' are those of the v whose bases all divide
+    n'/M, and the distinct primes make the spike (-1)^|u| prod_{b | n'/M} (1 - b).  Once
+    _int64_terms admits the range, the spikes are set one coordinate at a time, and two
+    in-place cumulative sums seeded with F(lo) from _prefix_at give the chunk-local sums.
     """
     small = _int64_terms(terms, lo, hi)
     acc = np.zeros(hi - lo, dtype=np.int64)
-    for h, m in small:
-        first = (lo // m + 1) * m
-        if first < hi:
-            acc[first - lo :: m] += h
+    if small:  # ((-1)^|u|, M), the term of v = {}, comes first in bitmask order
+        sign, cell = small[0]
+        acc[(lo // cell + 1) * cell - lo :: cell] = sign
+        for b in bases:
+            m = cell * b
+            if m < hi:
+                acc[(lo // m + 1) * m - lo :: m] *= 1 - b
     acc[0] = _prefix_at(small, lo)[0]
     np.cumsum(acc, out=acc)  # acc[i] = F(lo + i)
     np.cumsum(acc, out=acc)  # acc[i] = T(lo + i + 1) - T(lo)
@@ -230,7 +237,7 @@ def _gain_curve_arrays(u: Iterable[int], levels: Sequence[int],
     _, levels, bases = pair_levels(u, levels)
     denom = math.prod(b - 1 for b in bases)
     terms = _terms(bases, levels, n_max)
-    t = _pair_prefix(terms, 0, n_max)
+    t = _pair_prefix(bases, terms, 0, n_max)
     n = np.arange(1, n_max + 1, dtype=np.int64)
     if n_max * (denom + len(terms) * n_max) >= 1 << 63:
         n, t = n.astype(object), t.astype(object)
@@ -281,13 +288,13 @@ def gamma_max(d: int, n_cap: int | None = None) -> GainSummary:
         if n_cap < 1:
             raise ValueError(f"n_cap must be >= 1, got {n_cap}")
         n_hi = min(n_cap, n_hi)
-    denom = math.prod(b - 1 for b in bases)
-    gamma, argmax = _scan_gamma(_terms(bases, (0,) * d, n_hi), denom, n_hi)
+    gamma, argmax = _scan_gamma(bases, (0,) * d, n_hi)
     return GainSummary(d, gamma, argmax, lower, upper)
 
 
-def _scan_gamma(terms: list[tuple[int, int]], denom: int, n_hi: int) -> tuple[Fraction, int]:
-    """Exact max of G(n) = 1 + 2 R(n) / denom, R(n) = T(n)/n, on 1..n_hi; smallest argmax.
+def _scan_gamma(bases: Sequence[int], levels: Sequence[int], n_hi: int) -> tuple[Fraction, int]:
+    """Exact max of G(n) = 1 + 2 R(n) / denom, R(n) = T(n)/n, denom = prod (b - 1), on
+    1..n_hi; smallest argmax.
 
     Chunk by chunk, lo < n <= hi: _pair_prefix gives L(n) = T(n) - T(lo),
     T(lo) is carried as a Python int, and the int64 rule is checked first on
@@ -304,6 +311,7 @@ def _scan_gamma(terms: list[tuple[int, int]], denom: int, n_hi: int) -> tuple[Fr
     900 times its rise above it.  So a chunk whose |T(lo)|/n is large next to
     its top holds no n*, and one without n* only adds exactly checked values.
     """
+    terms, denom = _terms(bases, levels, n_hi), math.prod(b - 1 for b in bases)
     last = (n_hi - 1) // _CHUNK * _CHUNK
     for lo in (max(last - _CHUNK, 0), last):
         _int64_terms(terms, lo, min(lo + _CHUNK, n_hi))
@@ -311,7 +319,7 @@ def _scan_gamma(terms: list[tuple[int, int]], denom: int, n_hi: int) -> tuple[Fr
     ratio = np.empty(min(_CHUNK, n_hi))  # one float buffer for every chunk
     for lo in range(0, n_hi, _CHUNK):
         hi = min(lo + _CHUNK, n_hi)
-        local = _pair_prefix(terms, lo, hi)  # local[i] = T(lo + i + 1) - T(lo)
+        local = _pair_prefix(bases, terms, lo, hi)  # local[i] = T(lo + i + 1) - T(lo)
         r = np.add(local, float(t_lo), out=ratio[: hi - lo])
         r /= np.arange(lo + 1, hi + 1, dtype=np.float64)
         top = r.max()
@@ -474,7 +482,7 @@ def oracle_check(
         for levels in itertools.product(range(k_max + 1), repeat=len(u)):
             bases = pair_levels(u, levels)[2]
             denom = math.prod(b - 1 for b in bases)
-            closed = _pair_prefix(_terms(bases, levels, n_max), 0, n_max)
+            closed = _pair_prefix(bases, _terms(bases, levels, n_max), 0, n_max)
             brute = _bruteforce_prefix(bases, levels, n_max)
             for i in np.flatnonzero(closed != brute):
                 n = int(i) + 1

@@ -12,7 +12,9 @@ against a slower second one:
 * nested and linear scrambles of one point's digits, drawing through
   `stream` (the `scramble_column` twins);
 * the brute-force gain of one query, its extreme moduli and the attained
-  lower bound n* (the `gains` twins);
+  lower bound n* (the `gains` twins), and the chunk-local prefix sums with
+  each term's spikes scattered on their own (`pair_prefix_by_terms`, the
+  twin of `gains._pair_prefix`);
 * the bound rows one d at a time, with compensated (Kahan) log sums
   (`bounds_rows`, the twin of `gains.bounds_table`).
 """
@@ -29,7 +31,7 @@ from typing import Iterable, Iterator, MutableMapping, Sequence
 import numpy as np
 
 from haltongain import scramble
-from haltongain.gains import _bruteforce_prefix, gain_exact, pair_levels
+from haltongain.gains import _bruteforce_prefix, _int64_terms, _prefix_at, gain_exact, pair_levels
 from haltongain.halton import PointSet, _leading, default_precision
 from haltongain.primes import first_primes
 from haltongain.scramble import _MASK, _MUL, _ROUNDS, _WEYL, ScrambleSpec, counter
@@ -303,6 +305,23 @@ def gain_bruteforce(
     t = int(_bruteforce_prefix(bases, levels, n)[-1])
     total = n * math.prod(b - 1 for b in bases)
     return Fraction(total + 2 * t, total)
+
+
+def pair_prefix_by_terms(terms: list[tuple[int, int]], lo: int, hi: int) -> np.ndarray:
+    """T(n) - T(lo) for lo < n <= hi, with the spikes H_v scattered at the multiples of
+    each m_v, term by term.
+
+    The per-term twin of `gains._pair_prefix`, which sets the spikes one
+    coordinate at a time; it shares the int64 rule and the F(lo) seed.
+    """
+    small = _int64_terms(terms, lo, hi)
+    acc = np.zeros(hi - lo, dtype=np.int64)
+    for h, m in small:
+        acc[(lo // m + 1) * m - lo :: m] += h
+    acc[0] = _prefix_at(small, lo)[0]
+    np.cumsum(acc, out=acc)
+    np.cumsum(acc, out=acc)
+    return acc
 
 
 def moduli(bases: Sequence[int], levels: Sequence[int]) -> tuple[int, int]:

@@ -18,7 +18,7 @@ import pytest
 
 import haltongain.cli as cli
 import haltongain.gains as gains
-from haltongain import bounds_table, first_primes, gain_exact
+from haltongain import bounds_table, first_primes, gain_curve, gain_exact
 from haltongain.cli import _g17_lines, main
 
 # sha256 of outputs built from exact integer digits with one correctly
@@ -664,26 +664,45 @@ def _g17(values) -> list[str]:
 def test_g17_writer_matches_percent_format():
     rng = np.random.default_rng(20261019)
     top = 2.0**53
-    # log-uniform over the domain, and uniform over its bit patterns
+    # log-uniform over the domain, and uniform over its bit patterns: from
+    # 1e-3 up, and below it, fixed-point down to 1e-4 and then the exponent
+    # form, to the least subnormal
     spread = 10.0 ** rng.uniform(-3, math.log10(top), 100_000)
-    lo, hi = (int(np.float64(v).view(np.uint64)) for v in (1e-3, top))
+    small = 10.0 ** rng.uniform(-323.3, -3, 100_000)
+    lo, mid, hi = (int(np.float64(v).view(np.uint64)) for v in (1e-3, 1e-3, top))
     bits = rng.integers(lo, hi, 100_000, dtype=np.uint64).view(np.float64)
+    small_bits = rng.integers(1, mid, 100_000, dtype=np.uint64).view(np.float64)
+    below = np.array([1e-4 * v for v in (0.1, 0.5, 0.9, 1.0, 1.5, 3.3344448149383128, 9.99)])
     # exact half-way cases, 18 significant digits ending in 5, with the
     # 17th digit even (kept) and odd (rounded up): 1 + 2^-17 and so on
     ties = [10.0**e + k * 2.0 ** (e - 17) for e in range(16) for k in (1, 3)]
     ties += [0.5 + 2.0**-18, 0.5 + 3 * 2.0**-18]
-    # powers of ten and their neighbours, where floor(log10(x)) can miss
-    tens = np.array([10.0**k for k in range(-3, 16)])
-    edges = np.concatenate([tens, np.nextafter(tens, 0)[1:], np.nextafter(tens, top),
+    # powers of ten and their neighbours, where the decimal exponent turns,
+    # at every exponent from -11 to 16 (none of the doubles below them
+    # rounds up to 17 digits of the next); 10^16 and its neighbours lie
+    # past 2^53 and are refused
+    tens = np.array([10.0**k for k in range(-11, 17)])
+    edges = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, top),
                             [9.9999999999999982, 1.0, top - 1, 2.0**52 + 0.5]])
-    for values in (spread, bits, ties, edges):
+    # 0; 2^-36, where Python's own '%.17g' takes over; the least normal
+    # and subnormal doubles
+    limits = [0.0, 2.0**-36, np.nextafter(2.0**-36, 0), np.nextafter(2.0**-36, 1),
+              2.0**-1022, 5e-324, 1e-11, 1e-100, 1e-300]
+    for values in (spread, small, bits, small_bits, below, ties, edges[edges < top], limits):
         assert _g17(values) == ["%.17g" % v for v in np.asarray(values).tolist()]
+    for value in edges[edges >= top]:
+        with pytest.raises(ValueError):
+            _g17([value])
     for t in ties:
         digits = format(Decimal(t), "f").replace(".", "").lstrip("0")
         assert len(digits) == 18 and digits[-1] == "5"
     # the d = 1 row of bounds, all four columns
     row = [np.array([v]) for v in (1, 1.0, 1.0, 1.5 + math.log(0.5))]
     assert _g17_lines(row) == "1,1,1,0.80685281944005471\n"
+    # a row led by its label, and a label-free one
+    row = [np.array([v, v]) for v in (3, 0, 1, 0.0)]
+    heads = np.array([b'"1,2","0,0",', b""])
+    assert _g17_lines(row, heads) == '"1,2","0,0",3,0,1,0\n3,0,1,0\n'
 
 
 def _trailing_zeros(x: float) -> int:
@@ -717,6 +736,14 @@ def test_g17_writer_integers_match_percent_d():
     for start in range(1, 1 << 20, 1 << 16):
         d = np.arange(start, start + (1 << 16), dtype=np.int64)
         assert _g17(d) == ["%d" % i for i in d.tolist()]
+    # the numerators and denominators of a curve: 0, and up to 2^53 - 1
+    rng = np.random.default_rng(20261020)
+    ints = np.concatenate([
+        [0, (1 << 53) - 1, 1 << 52, (1 << 52) - 1],
+        [10**k + j for k in range(1, 16) for j in (-1, 0, 1)],
+        np.exp2(rng.uniform(20, 53, 100_000)).astype(np.int64),
+    ]).astype(np.int64)
+    assert _g17(ints) == ["%d" % i for i in ints.tolist()]
 
 
 def test_g17_writer_tables_match_python_formatting():
@@ -725,10 +752,51 @@ def test_g17_writer_tables_match_python_formatting():
     assert cli._QUAD_ZEROS.tolist() == [4 - len(q.rstrip(b"0")) for q in quads]
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), 2.0**53, 9.99e-4])
+@pytest.mark.parametrize("bad", [-0.0, -5e-324, -1.0, float("nan"), float("inf"), 2.0**53])
 def test_g17_writer_refuses_values_outside_its_domain(bad):
-    with pytest.raises(ValueError, match=r"\[1e-3, 2\^53\)"):
+    # %.17g writes -0.0 as "-0"; no column holds it
+    with pytest.raises(ValueError, match=r"\[0, 2\^53\)"):
         _g17_lines([np.array([1.0, bad])])
+
+
+def _curve_csv_by_rows(u, levels, n_max) -> str:
+    """gain-curve's CSV one row at a time, from exact Fractions."""
+    rows = ("%d,%d,%d,%.17g\n" % (n, g.numerator, g.denominator, float(g))
+            for n, g in enumerate(gain_curve(u, levels, n_max), start=1))
+    return "n,gain_num,gain_den,gain_float\n" + "".join(rows)
+
+
+def test_gain_curve_csv_matches_per_row_route(capsys):
+    # u = 1 at level 0 holds 0 at even n and 1/n at odd n, so past
+    # n = 10^4 its gain column is written in exponent form
+    code, out = run(capsys, "gain-curve", "--u", "1", "--k", "0", "--n-max", "20000")
+    assert code == 0
+    assert "9.9990000999900015e-05" in out
+    assert out == _curve_csv_by_rows((1,), (0,), 20000)
+
+
+def test_curve_tables_switch_routes_at_2_53(capsys, monkeypatch):
+    # u = 30,40,...,80 at levels 0: every integer stays below 2^53 through
+    # n = 114 and reaches it at n = 115, where each row is formatted from
+    # Python ints; u = 1..20 runs on Python-int arrays from the start.
+    u, levels = (30, 40, 50, 60, 70, 80), (0,) * 6
+    num, den = gains._gain_curve_arrays(u, levels, 115)
+    assert max(num[:114].max(), den[:114].max()) < 1 << 53 <= max(num[114], den[114])
+    writes = []
+    monkeypatch.setattr(cli, "_g17_lines", lambda *args: writes.append(args) or "")
+    argv = ("gain-curve", "--u", ",".join(map(str, u)), "--k", "0,0,0,0,0,0")
+    assert run(capsys, *argv, "--n-max", "114") == (0, "n,gain_num,gain_den,gain_float\n")
+    assert len(writes) == 1
+    monkeypatch.undo()
+    for n_max in (114, 115):
+        code, out = run(capsys, *argv, "--n-max", str(n_max))
+        assert (code, out) == (0, _curve_csv_by_rows(u, levels, n_max))
+    monkeypatch.setattr(cli, "_g17_lines", None)  # the per-row route writes without it
+    code, out = run(capsys, *argv, "--n-max", "115")
+    assert (code, out) == (0, _curve_csv_by_rows(u, levels, 115))
+    wide = ",".join(map(str, range(1, 21)))
+    code, out = run(capsys, "gain-curve", "--u", wide, "--k", ",".join("0" * 20), "--n-max", "60")
+    assert (code, out) == (0, _curve_csv_by_rows(range(1, 21), (0,) * 20, 60))
 
 
 def test_help_exits_zero(capsys):
@@ -760,6 +828,15 @@ def test_cli_import_defaults_blas_to_one_thread(env, want):
 def test_cli_process_starts_no_blas_threads():
     code = "import os, haltongain.cli; print(len(os.listdir('/proc/self/task')))"
     assert _python(code) == "1\n"
+
+
+def test_only_the_cli_freezes_the_import_heap():
+    # The CLI's process policy: its import heap is frozen once, at import;
+    # the package and the library layers freeze nothing.
+    code = ("import gc, haltongain, haltongain.gains, haltongain.rqmc; "
+            "before = gc.get_freeze_count(); import haltongain.cli; "
+            "print(before, gc.get_freeze_count() > 0)")
+    assert _python(code) == "0 True\n"
 
 
 def test_module_entry_point():

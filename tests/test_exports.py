@@ -51,7 +51,7 @@ ORACLES = [
     "digits_of", "radical_inverse", "residue_match", "stratum_index", "stratum_counts",
     "stratum_occupancy", "LinearScramble", "permutation_node", "draw_linear_scramble",
     "nested_scramble_digits", "linear_scramble_digits", "lower_bound_n_star", "gain_bruteforce",
-    "philox", "stream",
+    "philox", "stream", "pair_prefix_by_terms",
 ]
 
 

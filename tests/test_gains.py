@@ -29,7 +29,8 @@ from haltongain import (
 from haltongain.gains import pair_levels
 from haltongain.primes import _prime_array
 
-from oracles import bounds_rows, gain_bruteforce, lower_bound_n_star, moduli, residue_match
+from oracles import (bounds_rows, gain_bruteforce, lower_bound_n_star, moduli,
+                     pair_prefix_by_terms, residue_match)
 
 D2_LEVELS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -255,16 +256,51 @@ def test_prefix_sum_overflow_bound():
     with pytest.raises(ValueError, match=refused):
         gains._int64_terms(four, 0, 1 << 31)
     # Four counts from lo = 2^59 - 3 are the last admitted: their sums reach
-    # 2^63 - 24, while F(lo) alone is 2^61.
+    # 2^63 - 24, while F(lo) alone is 2^61.  Four equal terms are no gain's
+    # terms, so the per-term scatter, which shares the rule and the F(lo)
+    # seed with _pair_prefix, sums them.
     lo = (1 << 59) - 3
-    got = gains._pair_prefix(four, lo, lo + 4)
+    got = pair_prefix_by_terms(four, lo, lo + 4)
     assert got.tolist() == [2 * (n - lo) * (n + lo - 1) for n in range(lo + 1, lo + 5)]
     assert got[-1] == (1 << 63) - 24
     with pytest.raises(ValueError, match=refused):
-        gains._pair_prefix(four, lo + 1, lo + 5)
+        pair_prefix_by_terms(four, lo + 1, lo + 5)
+    # The spikes of a real gain near the rule's edge: u = 1..3 at levels 0
+    # keeps K = 8 terms, admitted on 2^2 counts from lo = 2^57.
+    bases = (2, 3, 5)
+    terms = gains._terms(bases, (0, 0, 0), 1 << 59)
+    lo = 1 << 57
+    assert gains._pair_prefix(bases, terms, lo, lo + 4).tolist() == (
+        pair_prefix_by_terms(terms, lo, lo + 4).tolist())
+    with pytest.raises(ValueError, match=refused):
+        gains._pair_prefix(bases, terms, lo, lo + (1 << 3))
     # u = (1,) keeps the terms m = 1 and m = 2: refused before any array.
     with pytest.raises(ValueError, match=refused):
         gain_curve((1,), (0,), 1 << 40)
+
+
+def test_pair_prefix_matches_per_term_scatter():
+    # The spikes set one coordinate at a time against each term's spikes
+    # scattered on their own, over chunks with lo > 0: random queries and
+    # ranges, and 2^19-count chunks of the d = 8, 9 and 10 scans.
+    rng = random.Random(20261020)
+    for _ in range(300):
+        size = rng.randint(1, 5)
+        u = tuple(sorted(rng.sample(range(1, 9), size)))
+        _, levels, bases = pair_levels(u, [rng.randint(0, 2) for _ in u])
+        lo = rng.choice([0, rng.randint(1, 500), rng.randint(1, 10**12)])
+        hi = lo + rng.randint(1, 2000)
+        terms = gains._terms(bases, levels, hi)
+        got = gains._pair_prefix(bases, terms, lo, hi)
+        assert got.tolist() == pair_prefix_by_terms(terms, lo, hi).tolist(), (u, levels, lo, hi)
+    for d in (8, 9, 10):
+        bases = first_primes(d)
+        n_hi = math.prod(bases) // 2
+        terms = gains._terms(bases, (0,) * d, n_hi)
+        lo = rng.randrange(n_hi - gains._CHUNK)
+        hi = lo + gains._CHUNK
+        got = gains._pair_prefix(bases, terms, lo, hi)
+        assert np.array_equal(got, pair_prefix_by_terms(terms, lo, hi)), d
 
 
 # ----------------------------------------------------------- curve recurrences
@@ -577,11 +613,11 @@ def test_gamma_max_guards(monkeypatch):
 
 
 def test_gamma_scan_keeps_smallest_argmax(monkeypatch):
-    # One term that never reaches its modulus: G(n) = 1 for every n, so
+    # A level cell, 2^3, that no n <= 5 fills: G(n) = 1 for every n, so
     # every count ties and the first must win, within and across chunks.
     for chunk in (gains._CHUNK, 2):
         monkeypatch.setattr(gains, "_CHUNK", chunk)
-        assert gains._scan_gamma([(1, 10)], 1, 5) == (Fraction(1), 1)
+        assert gains._scan_gamma((2,), (3,), 5) == (Fraction(1), 1)
 
 
 def test_gamma_ten_window():
@@ -599,7 +635,7 @@ def test_gamma_ten_window():
     best, best_n = Fraction(0), None
     for lo in range(first, first + 3 * gains._CHUNK, gains._CHUNK):
         hi = lo + gains._CHUNK
-        local = gains._pair_prefix(terms, lo, hi)
+        local = gains._pair_prefix(bases, terms, lo, hi)
         t_lo = gains._prefix_at(terms, lo)[1]
         for n in [hi, *rng.sample(range(lo + 1, hi), 5)]:
             assert t_lo + int(local[n - lo - 1]) == gains._prefix_at(terms, n)[1]
