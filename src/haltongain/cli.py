@@ -337,9 +337,10 @@ def _cmd_primes(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str
 def _cmd_points(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str]:
     d, n, start = echo["d"], echo["n"], echo["start"]
     kind, replicate = echo["scramble"], echo["replicate"]
-    points = halton_points(d, start, n)
-    if kind != "none":
-        points = randomize(points, ScrambleSpec(kind, echo["seed"], replicate))
+    if kind == "none":
+        points = halton_points(d, start, n)
+    else:
+        points = randomize(d, start, n, ScrambleSpec(kind, echo["seed"], replicate))
     if fmt == "json":
         return {"start": start, "n": n,
                 "points": [[format(x, ".17g") for x in row] for row in points.coords.tolist()]}
@@ -349,7 +350,7 @@ def _cmd_points(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str
         head.append("# config: " + json.dumps(echo) + "\n")
     head.append(",".join(["i"] + [f"x{j}" for j in range(1, d + 1)]) + "\n")
     line = "%d" + ",%.17g" * d + "\n"
-    blocks = np.split(points.coords, range(1 << 12, n, 1 << 12))  # keeps coords only, not digits
+    blocks = np.split(points.coords, range(1 << 12, n, 1 << 12))
     rows = enumerate(itertools.chain.from_iterable(map(np.ndarray.tolist, blocks)), start)
     return itertools.chain(head, (line % (i, *row) for i, row in rows))
 

@@ -2,14 +2,14 @@
 
 The i-th point's coordinate j is the base-b_j radical inverse of i: write
 i = sum_l a_l * b^(l-1) and reflect the digits about the radix point,
-x = sum_l a_l * b^(-l).  A point set holds each coordinate as one integer
-digit array, as deep as its largest index needs, and floats as one array.
+x = sum_l a_l * b^(-l).  A point set is its floats, one array; a column's
+digits, as deep as its largest index needs, live only while its floats are made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -34,19 +34,16 @@ def default_precision(base: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """Consecutive Halton points as digit columns and realized floats.
+    """Consecutive Halton points, plain or scrambled, as realized floats.
 
-    `digits[c]` is column c+1, a uint64 array of shape (count, L_c) whose
-    entry [p, l-1] is digit l (weight b**-l) of point `start + p`; digits
-    past L_c are 0.  `coords[p, c]` is the matching float in [0,1), in one
-    read-only float64 array.  `bases[c]` is that column's base, the prime
-    p_{c+1}, as a Python int; a scrambled set keeps the bases of its source.
+    `coords[p, c]` is coordinate c+1 of point `start + p`, a float in [0,1),
+    in one read-only float64 array.  `bases[c]` is that column's base, the
+    prime p_{c+1}, as a Python int.
     """
 
     start: int
     count: int
     bases: tuple[int, ...]
-    digits: tuple[np.ndarray, ...]
     coords: np.ndarray
 
     @property
@@ -95,14 +92,6 @@ def _float_column(digits: np.ndarray, base: int, tails: np.ndarray | None) -> np
     return x
 
 
-def _point_set(start: int, bases: Sequence[int], digits: list, tails: list) -> PointSet:
-    """These digit columns and their float view, with `tails[c]` column c's
-    nested tails or None."""
-    coords = np.stack([_float_column(x, b, t) for b, x, t in zip(bases, digits, tails)], axis=1)
-    coords.flags.writeable = False
-    return PointSet(start, len(digits[0]), tuple(bases), tuple(digits), coords)
-
-
 def _index_digits(start: int, count: int, base: int, depth: int) -> np.ndarray:
     """Digits 1..L of indices start..start+count-1, one row each, L the
     digit count of the largest index, at least 1 and at most `depth`: every
@@ -116,9 +105,10 @@ def _index_digits(start: int, count: int, base: int, depth: int) -> np.ndarray:
     return out
 
 
-def halton_points(d: int, start: int, count: int) -> PointSet:
-    """Points start, ..., start+count-1 of the d-dimensional Halton sequence,
-    coordinate j in base p_j, each column as deep as its largest index needs."""
+def _point_set(d: int, start: int, count: int, column: Callable) -> PointSet:
+    """Points start, ..., start+count-1 in d dimensions, coordinate c in base
+    b the floats column(c, b): one column's digits are built, read and
+    dropped before the next column's."""
     bases = first_primes(d)
     _require_integers(start=start, count=count)
     if count < 1:
@@ -127,5 +117,14 @@ def halton_points(d: int, start: int, count: int) -> PointSet:
         raise ValueError(f"start must be >= 0, got {start}")
     if start + count > MAX_INDEX:
         raise ValueError("index range exceeds 64-bit point indices")
-    digits = [_index_digits(start, count, b, default_precision(b)) for b in bases]
-    return _point_set(start, bases, digits, [None] * len(digits))
+    coords = np.stack([column(c, b) for c, b in enumerate(bases, start=1)], axis=1)
+    coords.flags.writeable = False
+    return PointSet(start, count, bases, coords)
+
+
+def halton_points(d: int, start: int, count: int) -> PointSet:
+    """Points start, ..., start+count-1 of the d-dimensional Halton sequence,
+    coordinate j in base p_j, each read from digits as deep as its largest
+    index needs."""
+    return _point_set(d, start, count, lambda c, b: _float_column(
+        _index_digits(start, count, b, default_precision(b)), b, None))

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .gains import pair_levels
-from .halton import MAX_INDEX, _index_digits
+from .halton import _index_digits
 from .primes import _require_integers
 from .scramble import ScrambleSpec, scramble_column
 
@@ -77,10 +77,9 @@ def rqmc_estimate(
     n: int,
     replicates: int,
     spec: ScrambleSpec,
-    start: int = 0,
 ) -> EstimateSummary:
-    """Replicate means of the integrand at (u, levels) over n scrambled
-    Halton points, u and its levels checked by `pair_levels`.
+    """Replicate means of the integrand at (u, levels) over scrambled
+    Halton points 0, ..., n-1, u and its levels checked by `pair_levels`.
 
     Replicate r reuses `spec` with its replicate field set to
     spec.replicate + r, so a fixed (seed, spec) reproduces the summary bit
@@ -99,15 +98,13 @@ def rqmc_estimate(
     (n mod S) + sum_j b_j^(k_j+1) (k_j+1+b_j) cells, whatever n is.
     """
     u, levels, bases = pair_levels(u, levels)
-    _require_integers(n=n, replicates=replicates, start=start)
+    _require_integers(n=n, replicates=replicates)
     if n < 1 or n > _MAX_COUNT:
         raise ValueError(f"point count must be in 1..2^53, got {n}")
     if replicates < 2:
         raise ValueError(f"replicates must be >= 2 for a sample variance, got {replicates}")
     if spec.replicate + replicates > 1 << 64:
         raise ValueError("replicates past 2^64 - 1 do not fit the Philox key")
-    if start < 0 or start + n > MAX_INDEX:
-        raise ValueError("index range exceeds 64-bit point indices")
     # b^bits(n) > n: no huge power, and a capped exponent leaves n mod S = n.
     cycles = [b ** min(k + 1, int(n).bit_length()) for b, k in zip(bases, levels)]
     m = n % math.prod(cycles)
@@ -116,7 +113,7 @@ def rqmc_estimate(
     rows, positions = [], []
     for b, k, cycle in zip(bases, levels, cycles):
         size = min(m, cycle)
-        rows.append(_index_digits(start, size, b, k + 1))
+        rows.append(_index_digits(0, size, b, k + 1))
         positions.append(np.arange(m) % size)
     cells = m + sum(len(x) * b for x, b in zip(rows, bases))
     means = []

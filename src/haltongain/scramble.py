@@ -36,7 +36,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .halton import PointSet, _point_set, default_precision
+from .halton import PointSet, _float_column, _index_digits, _point_set, default_precision
 from .primes import _require_integers
 
 __all__ = [
@@ -253,24 +253,25 @@ def scramble_column(
     return out
 
 
-def randomize(points: PointSet, spec: ScrambleSpec) -> PointSet:
-    """Scramble every digit column of every point.
+def randomize(d: int, start: int, count: int, spec: ScrambleSpec) -> PointSet:
+    """Points start, ..., start+count-1 of the d-dimensional Halton sequence,
+    every digit column scrambled.
 
-    Each column is scrambled to D = default_precision(b) digits.  Nested
+    Each column's index digits are scrambled to D = default_precision(b)
+    digits, turned into floats and dropped before the next column's.  Nested
     realization adds one uniform tail draw per (point, coordinate) at the
     level below the last scrambled digit: the tail digits of a nested
     scramble are independent uniforms, and a single draw of 53 bits scaled
     by b**-D has exactly that law.  Linear tails are zero, matching the zero
     input digits beyond the stored ones.
     """
-    indices = np.uint64(points.start) + np.arange(points.count, dtype=np.uint64)
-    digits, tails = [], []
-    for column, (base, x) in enumerate(zip(points.bases, points.digits), start=1):
+    def column(c: int, base: int) -> np.ndarray:
         depth = default_precision(base)
-        if x.shape[1] > depth:  # its digits past D would be dropped, not scrambled
-            raise ValueError(f"column of {x.shape[1]} digits exceeds the limit {depth} "
-                             f"for base {base}")
-        digits.append(scramble_column(spec, column, base, x, range(depth))[0])
-        tails.append(draw(spec.seed, spec.replicate, "tail", column, 0, indices, [1 << 53])[:, 0]
-                     / 2.0**53 if spec.kind == "nested" else None)
-    return _point_set(points.start, points.bases, digits, tails)
+        x = scramble_column(spec, c, base, _index_digits(start, count, base, depth), range(depth))
+        tails = None
+        if spec.kind == "nested":
+            indices = np.uint64(start) + np.arange(count, dtype=np.uint64)
+            tails = draw(spec.seed, spec.replicate, "tail", c, 0, indices, [1 << 53])[:, 0] / 2**53
+        return _float_column(x[0], base, tails)
+
+    return _point_set(d, start, count, column)

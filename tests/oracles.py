@@ -32,7 +32,7 @@ import numpy as np
 
 from haltongain import scramble
 from haltongain.gains import _bruteforce_prefix, _int64_terms, _prefix_at, gain_exact, pair_levels
-from haltongain.halton import PointSet, _leading, default_precision
+from haltongain.halton import _leading, default_precision
 from haltongain.primes import first_primes
 from haltongain.scramble import _MASK, _MUL, _ROUNDS, _WEYL, ScrambleSpec, counter
 
@@ -40,7 +40,7 @@ from haltongain.scramble import _MASK, _MUL, _ROUNDS, _WEYL, ScrambleSpec, count
 def digits_of(i: int, base: int, precision: int) -> tuple[int, ...]:
     """First `precision` base-b digits of i, least significant first.
 
-    The per-point oracle of `halton_points`' digit columns.  Refuses to
+    The per-point oracle of `halton._index_digits`' digit columns.  Refuses to
     drop significant digits: requires base**precision > i.
     """
     if i < 0:
@@ -76,17 +76,20 @@ def radical_inverse(i: int, base: int) -> Fraction:
     return Fraction(num, den)
 
 
-def stratum_index(points: PointSet, levels: Sequence[int]) -> list[tuple[int, ...]]:
+def stratum_index(columns: Sequence[np.ndarray], bases: Sequence[int],
+                  levels: Sequence[int]) -> list[tuple[int, ...]]:
     """Which level-k elementary box each point falls in, one tuple per point.
 
-    Coordinate j with level k_j contributes floor(b^k_j * x_j), read off the
-    first k_j digits most significant first, digits past the stored ones
-    reading as 0.  Level 0 contributes 0.
+    `columns[j-1]` holds coordinate j's digit rows in base `bases[j-1]`,
+    plain or scrambled, digit l in column l-1.  Coordinate j with level k_j
+    contributes floor(b^k_j * x_j), read off the first k_j digits most
+    significant first, digits past the stored ones reading as 0, so it is
+    exact at every level.  Level 0 contributes 0.
     """
-    if len(levels) != points.dimension:
+    if not len(levels) == len(columns) == len(bases):
         raise ValueError("one level per coordinate required")
     cols = []
-    for x, b, k in zip(points.digits, points.bases, levels):
+    for x, b, k in zip(columns, bases, levels):
         if k < 0:
             raise ValueError(f"level must be >= 0, got {k}")
         if k > default_precision(b):
@@ -144,10 +147,10 @@ def stratum_counts(
 
 
 def stratum_occupancy(
-    points: PointSet, levels: Sequence[int]
+    columns: Sequence[np.ndarray], bases: Sequence[int], levels: Sequence[int]
 ) -> dict[tuple[int, ...], int]:
-    """Occupancy of level-k boxes for an existing (possibly scrambled) set."""
-    return dict(Counter(stratum_index(points, levels)))
+    """Occupancy of level-k boxes for digit columns, plain or scrambled."""
+    return dict(Counter(stratum_index(columns, bases, levels)))
 
 
 def philox(ctr: Sequence[int], key: Sequence[int]) -> tuple[int, int, int, int]:
@@ -246,7 +249,7 @@ def nested_scramble_digits(
 ) -> tuple[int, ...]:
     """Apply the nested scramble to one point's digits in one coordinate.
 
-    The per-point oracle of `randomize`'s nested columns.  Digit s+1 is
+    The per-point oracle of `scramble_column`'s nested columns.  Digit s+1 is
     permuted by node (coordinate, s, r) with r the input prefix
     (x_1, ..., x_s) read as an integer, so points agreeing to depth s share
     that node.  Pass a dict as `cache` to reuse nodes across the points of
@@ -274,7 +277,7 @@ def linear_scramble_digits(
 ) -> tuple[int, ...]:
     """Apply a drawn linear scramble to one point's digits in one coordinate.
 
-    The per-point oracle of `randomize`'s linear columns.
+    The per-point oracle of `scramble_column`'s linear columns.
     """
     b = scramble.base
     if any(not 0 <= a < b for a in x):

@@ -47,6 +47,7 @@ import haltongain.scramble as scramble
 
 from haltongain import (
     ScrambleSpec,
+    default_precision,
     first_primes,
     gain_curve,
     gain_exact,
@@ -56,6 +57,7 @@ from haltongain import (
     oracle_check,
     randomize,
     rqmc_estimate,
+    scramble_column,
     upper_bound_u_exact,
 )
 from haltongain.cli import main
@@ -438,29 +440,44 @@ def test_criterion_8_strata_balance(capfd):
     t0 = time.perf_counter()
     rng = random.Random(SEED)
     problems = []
+    bases = first_primes(3)
     for _ in range(20):
         start = rng.randrange(3_000_000)
-        pts = halton_points(3, start, 450)
+        # Digit columns: the index digits, and each scrambled by the call
+        # `randomize` makes; the floats of each set come from its own route.
+        plain = [_index_digits(start, 450, b, default_precision(b)) for b in bases]
         scrambled = {
-            kind: randomize(pts, ScrambleSpec(kind, SEED))
+            kind: [scramble_column(ScrambleSpec(kind, SEED), c, b, x, range(default_precision(b)))[0]
+                   for c, (b, x) in enumerate(zip(bases, plain), start=1)]
             for kind in ("nested", "linear")
         }
+        floats = {"plain": halton_points(3, start, 450).coords,
+                  **{kind: randomize(3, start, 450, ScrambleSpec(kind, SEED)).coords
+                     for kind in scrambled}}
         for levels, window in (((1, 2, 2), 450), ((1, 1, 1), 30)):
             boxes = window
             direct = stratum_counts(3, start, window, levels)
             if len(direct) != boxes or set(direct.values()) != {1}:
                 problems.append(f"index tally start={start} levels={levels}")
-            occ = stratum_occupancy(pts, levels) if window == 450 else None
+            occ = stratum_occupancy(plain, bases, levels) if window == 450 else None
             if occ is not None and occ != direct:
                 problems.append(f"digit tally differs start={start}")
             for kind, sc in scrambled.items():
                 tally: dict[tuple[int, ...], int] = {}
-                for key in stratum_index(sc, levels)[:window]:
+                for key in stratum_index(sc, bases, levels)[:window]:
                     tally[key] = tally.get(key, 0) + 1
                 if len(tally) != boxes or set(tally.values()) != {1}:
                     problems.append(
                         f"{kind} start={start} levels={levels} unbalanced"
                     )
+            # floor(b^k x), taken exactly from each float, is its digit stratum.
+            for kind, columns in (("plain", plain), *scrambled.items()):
+                strata = list(zip(*(
+                    [b**k * num // den for num, den in map(float.as_integer_ratio, x.tolist())]
+                    for x, b, k in zip(floats[kind].T, bases, levels))))
+                if strata != stratum_index(columns, bases, levels):
+                    problems.append(f"{kind} floats leave their strata start={start} "
+                                    f"levels={levels}")
     elapsed = time.perf_counter() - t0
     if elapsed >= 5.0:
         problems.append(f"took {elapsed:.2f}s, budget 5s")
@@ -469,6 +486,6 @@ def test_criterion_8_strata_balance(capfd):
         problems[0] if problems else (
             f"20 offsets: each 450-window fills 450 level-(1,2,2) boxes "
             f"once and each 30-window fills 30 level-(1,1,1) boxes once, "
-            f"plain and both scrambles [{elapsed:.2f}s]"
+            f"plain and both scrambles, each float in its digit box [{elapsed:.2f}s]"
         ),
     )

@@ -3,6 +3,7 @@ names its modules declare public, its 18 names and the entry points' call
 forms are pinned, only Python ints reach exact arithmetic, and the per-point
 oracles of tests/oracles.py stay out of it."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -71,15 +72,18 @@ def test_entry_points_take_one_call_form():
     assert _parameters(haltongain.gain_curve) == ["u", "levels", "n_max"]
     assert _parameters(haltongain.upper_bound_u_exact) == ["u"]
     assert _parameters(haltongain.halton_points) == ["d", "start", "count"]
-    assert _parameters(haltongain.rqmc_estimate) == [
-        "u", "levels", "n", "replicates", "spec", "start"]
+    assert _parameters(haltongain.randomize) == ["d", "start", "count", "spec"]
+    assert _parameters(haltongain.rqmc_estimate) == ["u", "levels", "n", "replicates", "spec"]
+    # A point set is its floats; its digits live only while they are read.
+    assert [f.name for f in dataclasses.fields(haltongain.PointSet)] == [
+        "start", "count", "bases", "coords"]
 
 
 def test_bases_are_python_ints():
     # Exact arithmetic reads bases as Python ints: a product of np.int64
     # wraps past 2^63.  No public function or class takes a `basis`.
     points = haltongain.halton_points(3, 0, 2)
-    scrambled = haltongain.randomize(points, haltongain.ScrambleSpec("nested", 1))
+    scrambled = haltongain.randomize(3, 0, 2, haltongain.ScrambleSpec("nested", 1))
     for bases in (
         haltongain.first_primes(30),
         haltongain.gains.pair_levels((30, 1), (0, 0))[2],

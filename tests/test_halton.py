@@ -1,14 +1,15 @@
 """Digit expansions, radical inverses, and stratum bookkeeping."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haltongain import default_precision, halton_points
-from haltongain.halton import MAX_INDEX
+from haltongain import default_precision, first_primes, halton_points
+from haltongain.halton import MAX_INDEX, _index_digits
 
 from oracles import (
     digits_of,
@@ -20,6 +21,12 @@ from oracles import (
 )
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _columns(d: int, start: int, count: int) -> list:
+    """The digit columns `halton_points` reads its floats from: each
+    coordinate's index digits, as deep as its largest index needs."""
+    return [_index_digits(start, count, b, default_precision(b)) for b in first_primes(d)]
 
 
 def _fraction(row, base: int) -> Fraction:
@@ -79,8 +86,9 @@ def test_radical_inverse_digit_reversal(i, base):
 
 def test_column_digits_fraction_and_float():
     pts = halton_points(1, 5, 1)
-    assert pts.digits[0][:, :3].tolist() == [[1, 0, 1]]
-    assert _fraction(pts.digits[0][0, :3], 2) == Fraction(5, 8)
+    [col] = _columns(1, 5, 1)
+    assert col[:, :3].tolist() == [[1, 0, 1]]
+    assert _fraction(col[0, :3], 2) == Fraction(5, 8)
     assert pts.coords.tolist() == [[0.625]]
     with pytest.raises(ValueError, match="read-only"):
         pts.coords[0, 0] = 0.5
@@ -104,7 +112,7 @@ def test_default_precision_covers_64_bit_indices():
 def test_first_points():
     pts = halton_points(3, 0, 2)
     assert pts.coords.tolist() == [[0.0, 0.0, 0.0], [0.5, 1 / 3, 0.2]]
-    assert pts.digits[0][1, 0] == 1
+    assert _columns(3, 0, 2)[0][1, 0] == 1
     assert pts.dimension == 3
     assert pts.bases == (2, 3, 5)
 
@@ -113,17 +121,31 @@ def test_point_fractions_match_radical_inverse():
     pts = halton_points(3, 37, 20)
     for p in range(pts.count):
         i = 37 + p
-        for c, col in enumerate(pts.digits):
+        for c, col in enumerate(_columns(3, 37, 20)):
             assert _fraction(col[p], pts.bases[c]) == radical_inverse(i, pts.bases[c])
 
 
 def test_float_realization_error():
     pts = halton_points(3, 1000, 50)
     for p in range(pts.count):
-        for c, col in enumerate(pts.digits):
+        for c, col in enumerate(_columns(3, 1000, 50)):
             x = pts.coords[p][c]
             assert 0.0 <= x < 1.0
             assert abs(x - float(_fraction(col[p], pts.bases[c]))) < 2.0**-50
+
+
+def test_point_set_holds_one_digit_column_at_a_time():
+    # Only the floats are kept: the peak is the widest digit column (base 2,
+    # 18 uint64 digits) and the float columns, where holding every digit
+    # column at once peaks near 10x the coords.
+    halton_points(8, 0, 8)  # primes and imports before the trace
+    tracemalloc.start()
+    try:
+        pts = halton_points(8, 0, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * pts.coords.nbytes
 
 
 def test_point_count_validation():
@@ -140,20 +162,20 @@ def test_point_count_validation():
     st.integers(min_value=0, max_value=4),
 )
 def test_stratum_index_is_scaled_floor(i, k):
-    pts = halton_points(2, i, 1)  # column 2 is base 3
-    [(_, r)] = stratum_index(pts, [0, k])
-    assert r == math.floor(_fraction(pts.digits[1][0, :6], 3) * 3**k)
+    columns = _columns(2, i, 1)  # column 2 is base 3
+    [(_, r)] = stratum_index(columns, (2, 3), [0, k])
+    assert r == math.floor(_fraction(columns[1][0, :6], 3) * 3**k)
 
 
 def test_stratum_index_validation():
-    pts = halton_points(1, 3, 1)
+    columns = _columns(1, 3, 1)
     with pytest.raises(ValueError):
-        stratum_index(pts, [1, 2])
+        stratum_index(columns, (2,), [1, 2])
     with pytest.raises(ValueError):
-        stratum_index(pts, [-1])
+        stratum_index(columns, (2,), [-1])
     with pytest.raises(ValueError, match=r"65 is past default_precision\(2\) = 64"):
-        stratum_index(pts, [65])
-    assert stratum_index(pts, [64]) == [(3 << 62,)]  # x = 0.11 in base 2; the rest reads 0
+        stratum_index(columns, (2,), [65])
+    assert stratum_index(columns, (2,), [64]) == [(3 << 62,)]  # x = 0.11 in base 2; the rest reads 0
 
 
 def test_residue_match_is_interval_agreement():
@@ -169,8 +191,7 @@ def test_residue_match_is_interval_agreement():
 def test_stratum_counts_match_occupancy():
     levels = (1, 2, 2)
     counts = stratum_counts(3, 117, 300, levels)
-    pts = halton_points(3, 117, 300)
-    assert counts == stratum_occupancy(pts, levels)
+    assert counts == stratum_occupancy(_columns(3, 117, 300), (2, 3, 5), levels)
     assert sum(counts.values()) == 300
 
 
@@ -207,7 +228,7 @@ def test_columns_match_per_point_oracles(start, count):
     # 64-bit index needs default_precision(b).
     pts = halton_points(5, start, count)
     assert pts.bases == (2, 3, 5, 7, 11)
-    for c, (b, col) in enumerate(zip(pts.bases, pts.digits)):
+    for c, (b, col) in enumerate(zip(pts.bases, _columns(5, start, count))):
         depth = default_precision(b)
         width = 1
         while start + count - 1 >= b**width:

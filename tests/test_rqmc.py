@@ -13,7 +13,9 @@ from haltongain import (
     first_primes,
     gain_exact,
     rqmc_estimate,
+    scramble_column,
 )
+from haltongain.halton import _index_digits
 
 from oracles import (
     digits_of,
@@ -109,13 +111,6 @@ def test_summary_arithmetic():
     )
 
 
-def test_start_offset_changes_points():
-    spec = ScrambleSpec("nested", seed=2)
-    a = rqmc_estimate((1, 2), (0, 0), 3, 2, spec)
-    b = rqmc_estimate((1, 2), (0, 0), 3, 2, spec, start=5)
-    assert a.means != b.means
-
-
 def test_validation():
     f = ((1,), (0,))
     with pytest.raises(ValueError):
@@ -130,13 +125,8 @@ def test_validation():
     rqmc_estimate(*f, 1, 2, ScrambleSpec("nested", replicate=(1 << 64) - 2))
     with pytest.raises(ValueError, match="2\\^64"):
         rqmc_estimate(*f, 1, 2, ScrambleSpec("nested", replicate=(1 << 64) - 1))
-    with pytest.raises(ValueError, match="64-bit point indices"):
-        rqmc_estimate(*f, 1, 2, ScrambleSpec("nested"), start=-1)
-    rqmc_estimate(*f, 2, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)  # the last index
-    with pytest.raises(ValueError, match="start must be an integer"):
-        rqmc_estimate(*f, 3, 2, ScrambleSpec("nested"), start=0.5)
-    with pytest.raises(ValueError, match="64-bit point indices"):
-        rqmc_estimate(*f, 3, 2, ScrambleSpec("nested"), start=(1 << 64) - 2)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        rqmc_estimate(*f, 2.5, 2, ScrambleSpec("nested"))
     # u and its levels go through pair_levels, as in every entry point
     with pytest.raises(ValueError, match="levels must be >= 0, got -1"):
         rqmc_estimate((1,), (-1,), 3, 2, ScrambleSpec("nested"))
@@ -154,10 +144,11 @@ def test_level_past_the_digit_limit_refused(kind, basis2):
             rqmc_estimate((c,), (limit,), 5, 2, ScrambleSpec(kind))
 
 
-def _oracle_means(u, levels, n, replicates, spec, start=0):
-    """rqmc_estimate's means the slow way: scramble every point in full."""
+def _oracle_points(u, levels, start, n, replicates, spec):
+    """Points start..start+n-1 of coordinates u, every point scrambled in
+    full by the per-point oracles: one list of points per replicate."""
     bases = [first_primes(max(u))[j - 1] for j in u]
-    means = []
+    out = []
     for r in range(replicates):
         rspec = ScrambleSpec(spec.kind, spec.seed, spec.replicate + r)
         scrambles = []
@@ -169,15 +160,16 @@ def _oracle_means(u, levels, n, replicates, spec, start=0):
                 L = draw_linear_scramble(rspec, c, b, k + 1)
                 scrambles.append(functools.partial(linear_scramble_digits, scramble=L,
                                                    depth=k + 1))
-        values = []
-        for i in range(start, start + n):
-            point = [
-                scramble(digits_of(i, b, k + 1 + i.bit_length()))
-                for scramble, b, k in zip(scrambles, bases, levels)
-            ]
-            values.append(evaluate(u, levels, point))
-        means.append(math.fsum(values) / n)
-    return tuple(means)
+        out.append([[scramble(digits_of(i, b, k + 1 + i.bit_length()))
+                     for scramble, b, k in zip(scrambles, bases, levels)]
+                    for i in range(start, start + n)])
+    return out
+
+
+def _oracle_means(u, levels, n, replicates, spec):
+    """rqmc_estimate's means the slow way: evaluate every fully scrambled point."""
+    return tuple(math.fsum(evaluate(u, levels, p) for p in points) / n
+                 for points in _oracle_points(u, levels, 0, n, replicates, spec))
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
@@ -209,8 +201,14 @@ def test_level_path_matches_per_point_oracle(kind, u, k, n, start, block_cells, 
     if block_cells is not None:
         monkeypatch.setattr(rqmc, "_BLOCK_CELLS", block_cells)
     spec = ScrambleSpec(kind, seed=20261018, replicate=4)
-    got = rqmc_estimate(u, k, n, 6, spec, start=start).means
-    assert got == _oracle_means(u, k, n, 6, spec, start)
+    assert rqmc_estimate(u, k, n, 6, spec).means == _oracle_means(u, k, n, 6, spec)
+    # The one digit each coordinate reads, scrambled by the call rqmc_estimate
+    # makes, is the oracle's at every window: here indices start..start+n-1.
+    points = _oracle_points(u, k, start, n, 6, spec)
+    for t, (c, level) in enumerate(zip(u, k)):
+        b = first_primes(c)[-1]
+        got = scramble_column(spec, c, b, _index_digits(start, n, b, level + 1), [level], 6)
+        assert got[:, :, 0].tolist() == [[p[t][level] for p in pts] for pts in points]
 
 
 def test_levels_pair_with_u_as_given():
@@ -240,8 +238,8 @@ def test_rejected_words_are_redrawn(monkeypatch, redrawn_tags):
     # redrawn; blocks of a few replicates make several blocks per estimate.
     monkeypatch.setattr(rqmc, "_BLOCK_CELLS", 64)
     u, k = (1, 2, 3), (2, 1, 0)
-    got = {kind: rqmc_estimate(u, k, 23, 12, ScrambleSpec(kind, seed=9, replicate=3),
-                               start=4).means for kind in ("nested", "linear")}
+    got = {kind: rqmc_estimate(u, k, 23, 12, ScrambleSpec(kind, seed=9, replicate=3)).means
+           for kind in ("nested", "linear")}
     assert set(redrawn_tags) == {"perm", "row"}  # each kind redrew at least one row
     for kind, means in got.items():
-        assert means == _oracle_means(u, k, 23, 12, ScrambleSpec(kind, seed=9, replicate=3), 4)
+        assert means == _oracle_means(u, k, 23, 12, ScrambleSpec(kind, seed=9, replicate=3))

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,15 +14,14 @@ from hypothesis import strategies as st
 
 from haltongain import (
     MAX_DIMENSION,
-    PointSet,
     ScrambleSpec,
     default_precision,
-    halton_points,
+    first_primes,
     randomize,
     scramble_column,
 )
 from haltongain import scramble
-from haltongain.halton import _point_set
+from haltongain.halton import _float_column, _index_digits
 from haltongain.scramble import _permutations, counter, draw, philox_array
 
 from oracles import (
@@ -150,20 +150,20 @@ def test_replicate_head_is_the_key_start(kind, tag, monkeypatch):
     spec = ScrambleSpec(kind, seed=1 << 40, replicate=123456)
     key = (spec.seed, spec.replicate)
     tails = []  # the nested tails randomize hands to the float view
-    monkeypatch.setattr(scramble, "_point_set", lambda *a: tails.append(a[3]) or _point_set(*a))
+    monkeypatch.setattr(scramble, "_float_column",
+                        lambda x, b, t: tails.append(t) or _float_column(x, b, t))
     for c, depth, r in ((4, 5, 300), (1, 0, 0), (2, 255, 1 << 70)):
         if tag == "tail":  # the tail of point i, with i < 2^64
             i = min(r, (1 << 64) - 1)
-            one = (np.zeros((1, 1), dtype=np.uint64),)
-            got = randomize(PointSet(i, 1, (3,), one, np.zeros((1, 1))), ScrambleSpec(kind, *key))
+            got = randomize(1, i, 1, ScrambleSpec(kind, *key))
             tail = stream(*key, "tail", 1, 0, i, [1 << 53])[0] / 2**53
-            assert tails.pop()[0].tolist() == [tail]
-            y = nested_scramble_digits((0,), 3, 1, spec, default_precision(3))
-            assert got.digits[0].tolist() == [list(y)]
-            assert got.coords[0, 0] == _realized(y, 3, tail)
+            assert tails.pop().tolist() == [tail]
+            y = nested_scramble_digits(digits_of(i, 2, 64), 2, 1, spec, 64)
+            assert _scrambled(*_plain(1, i, 1), spec)[0].tolist() == [list(y)]
+            assert got.coords[0, 0] == _realized(y, 2, tail)
             # At D digits the tail mostly falls below the float's last bit; at
             # one digit it moves the float by tail/3.
-            assert _point_set(i, (3,), one, [np.array([tail])]).coords[0, 0] == tail / 3
+            assert _float_column(np.zeros((1, 1), np.uint64), 3, np.array([tail]))[0] == tail / 3
         elif kind == "nested":
             swaps = stream(*key, "perm", c, depth, r, range(7, 1, -1))
             assert permutation_node(spec, c, 7, depth, r) == _fisher_yates(swaps)
@@ -382,13 +382,30 @@ def test_linear_scramble_bijective_on_prefixes():
     assert len(outs) == 8
 
 
+def _plain(d: int, start: int, count: int) -> tuple[list, tuple[int, ...]]:
+    """The index digit columns `randomize` scrambles, and their bases."""
+    bases = first_primes(d)
+    return [_index_digits(start, count, b, default_precision(b)) for b in bases], bases
+
+
+def _scrambled(columns, bases, spec) -> list:
+    """Each digit column scrambled to default_precision(b) digits: the
+    `scramble_column` call `randomize` makes."""
+    return [scramble_column(spec, c, b, x, range(default_precision(b)))[0]
+            for c, (b, x) in enumerate(zip(bases, columns), start=1)]
+
+
 @pytest.mark.parametrize("kind", ["nested", "linear"])
 def test_randomize_shapes_and_values(kind):
-    pts = halton_points(3, 3, 12)
-    out = randomize(pts, ScrambleSpec(kind, seed=31))
-    assert (out.start, out.count, out.bases) == (pts.start, pts.count, pts.bases)
+    spec = ScrambleSpec(kind, seed=31)
+    out = randomize(3, 3, 12, spec)
+    assert (out.start, out.count, out.bases) == (3, 12, (2, 3, 5))
+    assert out.coords.shape == (12, 3) and not out.coords.flags.writeable
+    with pytest.raises(ValueError, match="64-bit point indices"):  # halton_points' window check
+        randomize(3, (1 << 64) - 1, 2, spec)
+    digits = _scrambled(*_plain(3, 3, 12), spec)
     for p in range(out.count):
-        for c, (b, col) in enumerate(zip(out.bases, out.digits)):
+        for c, (b, col) in enumerate(zip(out.bases, digits)):
             x = out.coords[p][c]
             assert 0.0 <= x < 1.0
             # Digits pin the float down to one part in b**precision.
@@ -397,23 +414,37 @@ def test_randomize_shapes_and_values(kind):
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
 def test_randomize_deterministic(kind):
-    pts = halton_points(3, 0, 6)
-    a = randomize(pts, ScrambleSpec(kind, seed=9, replicate=1))
-    b = randomize(pts, ScrambleSpec(kind, seed=9, replicate=1))
+    a = randomize(3, 0, 6, ScrambleSpec(kind, seed=9, replicate=1))
+    b = randomize(3, 0, 6, ScrambleSpec(kind, seed=9, replicate=1))
     assert a.coords.tolist() == b.coords.tolist()
-    c = randomize(pts, ScrambleSpec(kind, seed=9, replicate=2))
+    c = randomize(3, 0, 6, ScrambleSpec(kind, seed=9, replicate=2))
     assert a.coords.tolist() != c.coords.tolist()
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
 def test_randomize_preserves_stratum_multiset(kind):
     # Scrambles permute the boxes, so occupancy counts survive as a multiset.
-    pts = halton_points(2, 7, 29)
+    columns, bases = _plain(2, 7, 29)
     levels = (2, 1)
-    before = stratum_occupancy(pts, levels)
-    after = stratum_occupancy(randomize(pts, ScrambleSpec(kind, seed=5)), levels)
+    before = stratum_occupancy(columns, bases, levels)
+    after = stratum_occupancy(_scrambled(columns, bases, ScrambleSpec(kind, seed=5)), bases, levels)
     assert sorted(before.values()) == sorted(after.values())
     assert sum(after.values()) == 29
+
+
+def test_randomize_holds_one_scrambled_column():
+    # A column's scrambled digits are dropped once its floats exist, so the
+    # peak stays near one base-2 column of 64 uint64 digits (10 MB here);
+    # holding all eight columns' digits at once peaks near 47 MB.
+    spec = ScrambleSpec("linear", seed=3)
+    randomize(8, 0, 8, spec)  # primes and imports before the trace
+    tracemalloc.start()
+    try:
+        randomize(8, 0, 20_000, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 20_000 * 64 * 8
 
 
 def _realized(row: tuple[int, ...], base: int, tail: float) -> float:
@@ -429,34 +460,41 @@ def _realized(row: tuple[int, ...], base: int, tail: float) -> float:
     return x if x < 1.0 else 1.0 - 2.0**-53
 
 
-def _padded(points, depths):
-    """`points` with column c's digits zero-padded to depths[c], keyed by
-    1-based coordinate: a column deeper than halton_points stores."""
-    digits = tuple(np.pad(x, ((0, 0), (0, depths.get(c, x.shape[1]) - x.shape[1])))
-                   for c, x in enumerate(points.digits, start=1))
-    return PointSet(points.start, points.count, points.bases, digits, points.coords)
+def _padded(x: np.ndarray, depth: int) -> np.ndarray:
+    """Digit column `x` zero-padded to `depth` digits: deeper than any index needs."""
+    return np.pad(x, ((0, 0), (0, depth - x.shape[1])))
 
 
-def _per_point(points, spec):
-    """randomize the slow way: every point through the per-point oracles,
-    each column to default_precision(b) digits, the missing ones read as 0."""
+def _per_point(columns, bases, start: int, spec):
+    """randomize the slow way: every point of the digit columns, the first
+    index `start`, through the per-point oracles, each column to
+    default_precision(b) digits, the missing ones read as 0."""
     digits, coords = [], []
-    for c, (b, col) in enumerate(zip(points.bases, points.digits)):
-        column = c + 1
+    for column, (b, col) in enumerate(zip(bases, columns), start=1):
         depth = default_precision(b)
         if spec.kind == "nested":
             cache: dict = {}
             rows = [nested_scramble_digits(x, b, column, spec, depth, cache)
                     for x in col.tolist()]
             tails = [stream(spec.seed, spec.replicate, "tail", column, 0, i, [1 << 53])[0] / 2**53
-                     for i in range(points.start, points.start + points.count)]
+                     for i in range(start, start + len(col))]
         else:
             L = draw_linear_scramble(spec, column, b, depth)
             rows = [linear_scramble_digits(x, L, depth) for x in col.tolist()]
-            tails = [0.0] * points.count
+            tails = [0.0] * len(col)
         digits.append(rows)
         coords.append([_realized(y, b, t) for y, t in zip(rows, tails)])
     return digits, [list(row) for row in zip(*coords)]
+
+
+def _assert_matches_oracles(out, spec) -> None:
+    """`randomize`'s floats `out`, and the `scramble_column` digits they are
+    read from, against every point through the per-point oracles."""
+    columns, bases = _plain(out.dimension, out.start, out.count)
+    digits, coords = _per_point(columns, bases, out.start, spec)
+    assert [x.tolist() for x in _scrambled(columns, bases, spec)] == [
+        [list(y) for y in rows] for rows in digits]
+    assert out.coords.tolist() == coords
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
@@ -471,13 +509,8 @@ def _per_point(points, spec):
     ],
 )
 def test_randomize_matches_per_point_oracles(kind, start, count):
-    pts = halton_points(5, start, count)
     spec = ScrambleSpec(kind, seed=20261018, replicate=5)
-    out = randomize(pts, spec)
-    digits, coords = _per_point(pts, spec)
-    assert [col.tolist() for col in out.digits] == [[list(y) for y in rows] for rows in digits]
-    assert out.coords.tolist() == coords
-
+    _assert_matches_oracles(randomize(5, start, count, spec), spec)
 
 
 @pytest.mark.parametrize("group_rows", [1, 100])
@@ -485,29 +518,25 @@ def test_nested_level_groups_draw_the_same_digits(group_rows, monkeypatch):
     # At the default budget each column here is one group.  Smaller budgets
     # close groups between levels, between replicate blocks, and across the
     # 64-digit column's prefixes of the last 64-bit indices.
-    pts = halton_points(5, (1 << 64) - 40, 40)
+    x = _index_digits((1 << 64) - 40, 40, 2, 64)
     spec = ScrambleSpec("nested", seed=20261018, replicate=5)
-    blocks = scramble_column(spec, 1, 2, pts.digits[0], range(64), 3)
+    blocks = scramble_column(spec, 1, 2, x, range(64), 3)
     monkeypatch.setattr(scramble, "_GROUP_ROWS", group_rows)
-    assert np.array_equal(scramble_column(spec, 1, 2, pts.digits[0], range(64), 3), blocks)
-    out = randomize(pts, spec)
-    digits, coords = _per_point(pts, spec)
-    assert [col.tolist() for col in out.digits] == [[list(y) for y in rows] for rows in digits]
-    assert out.coords.tolist() == coords
+    assert np.array_equal(scramble_column(spec, 1, 2, x, range(64), 3), blocks)
+    _assert_matches_oracles(randomize(5, (1 << 64) - 40, 40, spec), spec)
 
 
 def test_nested_prefixes_of_scrambled_digits():
     # Scrambled digits fill every stored digit, so the prefixes r of a second
     # nested scramble reach the top digit of the deepest one: 2^62 and more
     # in base 2, 3^39 and more in base 3.
-    pts = halton_points(2, 5, 30)
-    once = randomize(pts, ScrambleSpec("nested", seed=1))
-    assert all(x[:, -2].any() for x in once.digits)
+    columns, bases = _plain(2, 5, 30)
+    once = _scrambled(columns, bases, ScrambleSpec("nested", seed=1))
+    assert all(x[:, -2].any() for x in once)
     spec = ScrambleSpec("nested", seed=1, replicate=1)
-    digits, coords = _per_point(once, spec)
-    out = randomize(once, spec)
-    assert [x.tolist() for x in out.digits] == [[list(y) for y in rows] for rows in digits]
-    assert out.coords.tolist() == coords
+    digits, _ = _per_point(once, bases, 5, spec)
+    assert [x.tolist() for x in _scrambled(once, bases, spec)] == [
+        [list(y) for y in rows] for rows in digits]
 
 
 def test_linear_depth_limit_at_the_largest_base():
@@ -516,13 +545,11 @@ def test_linear_depth_limit_at_the_largest_base():
     assert 3 * (b - 1) ** 2 + (b - 1) < 2**63
     # The largest column product at the limit: every input digit is b - 1.
     col = np.full((2, 3), b - 1, dtype=np.uint64)
-    pts = PointSet(0, 2, (b,), (col,), np.zeros((2, 1)))
     spec = ScrambleSpec("linear", seed=3)
-    digits, coords = _per_point(pts, spec)
-    out = randomize(pts, spec)
-    assert out.digits[0].tolist() == [list(y) for y in digits[0]]
+    digits, _ = _per_point([col], (b,), 0, spec)
+    assert _scrambled([col], (b,), spec)[0].tolist() == [list(y) for y in digits[0]]
     with pytest.raises(ValueError, match="limit 3 for base 179424673"):
-        randomize(_padded(pts, {1: 4}), spec)
+        scramble_column(spec, 1, b, _padded(col, 4), range(4))
     # From base 1,753,413,058 the product at the default depth could leave
     # int64, so such a hand-built base is refused at any depth.
     first = 1_753_413_058
@@ -531,38 +558,31 @@ def test_linear_depth_limit_at_the_largest_base():
     col = np.full((2, 1), huge - 1, dtype=np.uint64)
     for kind in ("nested", "linear"):
         with pytest.raises(ValueError, match=f"limit 0 for base {huge}"):
-            randomize(PointSet(0, 2, (huge,), (col,), np.zeros((2, 1))), ScrambleSpec(kind))
+            scramble_column(ScrambleSpec(kind), 1, huge, col, range(default_precision(huge)))
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
 def test_depth_past_default_precision_refused(kind, basis3):
     # One digit deeper than default_precision(b) in any column is refused,
     # naming the limit; the default depth itself scrambles.
-    pts = halton_points(3, 7, 5)
+    columns, _ = _plain(3, 7, 5)
     spec = ScrambleSpec(kind, seed=2)
-    for column, b in enumerate(basis3, start=1):
+    for column, (b, x) in enumerate(zip(basis3, columns), start=1):
         limit = default_precision(b)
-        wide = _padded(pts, {column: limit + 1})
-        with pytest.raises(ValueError, match=f"column of {limit + 1} digits exceeds the limit "
-                                             f"{limit} for base {b}"):
-            randomize(wide, spec)
         with pytest.raises(ValueError, match=f"depth {limit + 1} exceeds the limit {limit} "
                                              f"for base {b}"):
-            scramble_column(spec, column, b, pts.digits[column - 1], [limit])
+            scramble_column(spec, column, b, x, [limit])
         # scramble_column reads only the digits of the levels it is asked for.
-        assert np.array_equal(scramble_column(spec, column, b, wide.digits[column - 1], [0]),
-                              scramble_column(spec, column, b, pts.digits[column - 1], [0]))
-    randomize(pts, spec)
+        assert np.array_equal(scramble_column(spec, column, b, _padded(x, limit + 1), [0]),
+                              scramble_column(spec, column, b, x, [0]))
+    randomize(3, 7, 5, spec)
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
 def test_rejected_words_are_redrawn(kind, redrawn_tags):
     # Batched Fisher-Yates, linear-row and tail words are rejected, and the
     # rows that hold them are redrawn to the oracles' draws.
-    pts = halton_points(5, 37, 40)
     spec = ScrambleSpec(kind, seed=20261018, replicate=5)
-    out = randomize(pts, spec)
+    out = randomize(5, 37, 40, spec)
     assert set(redrawn_tags) == ({"perm", "tail"} if kind == "nested" else {"row"})
-    digits, coords = _per_point(pts, spec)
-    assert [col.tolist() for col in out.digits] == [[list(y) for y in rows] for rows in digits]
-    assert out.coords.tolist() == coords
+    _assert_matches_oracles(out, spec)
