@@ -109,19 +109,16 @@ def rqmc_estimate(
     cycles = [b ** min(k + 1, int(n).bit_length()) for b, k in zip(bases, levels)]
     m = n % math.prod(cycles)
     # Per coordinate: digits 1..k+1 of the window's first min(m, b^(k+1)) indices, one per
-    # residue i mod b^(k+1) among them, and for point p < m the row p mod min(m, b^(k+1)).
-    rows, positions = [], []
-    for b, k, cycle in zip(bases, levels, cycles):
-        size = min(m, cycle)
-        rows.append(_index_digits(0, size, b, k + 1))
-        positions.append(np.arange(m) % size)
+    # residue i mod b^(k+1) among them, tiled so point p < m reads row p mod min(m, b^(k+1)).
+    rows = [_index_digits(0, min(m, cycle), b, k + 1) for b, k, cycle in zip(bases, levels, cycles)]
     cells = m + sum(len(x) * b for x, b in zip(rows, bases))
     means = []
     for r0, count in _blocks(replicates, cells):
         rspec = ScrambleSpec(spec.kind, spec.seed, spec.replicate + r0)
         product = 1.0  # then times each coordinate's factor, in u's order
-        for t, (c, b, k) in enumerate(zip(u, bases, levels)):
-            digits = scramble_column(rspec, c, b, rows[t], [k], count)[:, :, 0]
-            product = product * np.where(digits == b - 1, b - 1.0, -1.0)[:, positions[t]]
+        for c, b, k, x, cycle in zip(u, bases, levels, rows, cycles):
+            digits = scramble_column(rspec, c, b, x, [k], count)[:, :, 0]
+            factor = np.where(digits == b - 1, b - 1.0, -1.0)
+            product = product * np.tile(factor, -(-m // cycle))[:, :m]
         means.extend(math.fsum(row) / n for row in product.tolist())
     return _summarize(n, means, float(math.prod(b - 1 for b in bases)))

@@ -182,11 +182,12 @@ def scramble_column(
     """Scrambled digits levels[t]+1 of each digit row of one coordinate.
 
     The one place that turns a spec's kind into a scramble of digit arrays.
-    `x` is uint64 of shape (rows, digits), digit l+1 in column l, and the
-    digits past its columns are 0.  Returns uint64 of shape (replicates,
-    rows, len(levels)); block j is under replicate spec.replicate + j.
-    Linear: one `draw` gives matrix row level+1 and shift e_{level+1} for
-    every level and replicate, then one integer product (x @ L^T + e) mod b.
+    `x` must be uint64 of shape (rows, digits), digit l+1 in column l, and
+    the digits past its columns are 0; any other dtype is refused.  Returns
+    uint64 of shape (replicates, rows, len(levels)); block j is under
+    replicate spec.replicate + j.  Linear: one `draw` gives matrix row
+    level+1 and shift e_{level+1} for every level and replicate, then one
+    uint64 product x @ L^T, reduced in place: += e, then %= b.
     Nested: the permutations of every replicate's distinct nodes
     (coordinate, s, r) at each requested level s, r the prefix (x_1, ...,
     x_s) read as an integer, with one `draw` per group of consecutive levels
@@ -194,13 +195,15 @@ def scramble_column(
     digits of the full scramble.
 
     The deepest level scrambled is digit default_precision(b): every prefix
-    then fits in uint64, and the linear product, below D*(b-1)**2 + b, is
-    exact in int64.  That holds for every base up to p_{10^7} = 179,424,673
-    (depth 3) and fails from base 1,753,413,058, so a hand-built base whose
-    product could leave int64 is refused at every depth.
+    then fits in uint64, and the linear product plus shift stays below
+    D*(b-1)**2 + b <= 2^63.  That holds for every base up to p_{10^7} =
+    179,424,673 (depth 3) and fails from base 1,753,413,058, so a hand-built
+    base whose product could reach 2^63 is refused at every depth.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
+    if x.dtype != np.uint64:
+        raise ValueError(f"digits must be uint64, got {x.dtype}")
     levels = np.asarray(levels)
     if levels.size == 0 or levels.dtype.kind not in "iu" or levels.min() < 0:
         raise ValueError(f"levels must be one or more digit levels >= 0, got {levels.tolist()}")
@@ -218,12 +221,13 @@ def scramble_column(
         diagonal = np.tile(levels, replicates)
         drawn = draw(spec.seed, np.repeat(reps, len(levels)), "row", coordinate, diagonal + 1,
                      np.zeros(len(diagonal), np.uint64), [base - 1] + [base] * depth)
-        drawn = drawn.astype(np.int64)
-        matrix = np.zeros((len(diagonal), depth), dtype=np.int64)
+        matrix = np.zeros((len(diagonal), depth), dtype=np.uint64)
         matrix[:, :-1] = np.where(np.arange(depth - 1) < diagonal[:, None], drawn[:, 2:], 0)
         matrix[np.arange(len(diagonal)), diagonal] = 1 + drawn[:, 0]
-        y = (x[:, :depth].astype(np.int64) @ matrix[:, :stored].T + drawn[:, 1]) % base
-        return y.astype(np.uint64).reshape(rows, replicates, len(levels)).transpose(1, 0, 2)
+        y = x[:, :depth] @ matrix[:, :stored].T
+        y += drawn[:, 1]
+        y %= base
+        return y.reshape(rows, replicates, len(levels)).transpose(1, 0, 2)
     out = np.empty((replicates, rows, len(levels)), dtype=np.uint64)
     group: list[tuple[int, np.ndarray, np.ndarray, np.ndarray | int]] = []  # (s, nodes, which, a)
 

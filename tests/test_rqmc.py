@@ -233,6 +233,23 @@ def test_memory_follows_n_mod_cycle():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("kind", ["nested", "linear"])
+def test_memory_per_point_of_n_mod_cycle(kind):
+    # S = 2 * 3 * ... * 17 = 510510 and n = S - 1, so every point is summed.
+    # Each factor row is repeated out to n columns, with no per-point index
+    # array: the peak is the float product and its tolist, 40 bytes a point;
+    # an int64 index array per coordinate would add 8 bytes a point each.
+    spec = ScrambleSpec(kind, seed=1)
+    rqmc_estimate(range(1, 8), (0,) * 7, 7, 2, spec)  # primes and imports before the trace
+    tracemalloc.start()
+    try:
+        rqmc_estimate(range(1, 8), (0,) * 7, 510_509, 2, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 510_509
+
+
 def test_rejected_words_are_redrawn(monkeypatch, redrawn_tags):
     # Batched Fisher-Yates and linear-row words are rejected and their rows
     # redrawn; blocks of a few replicates make several blocks per estimate.

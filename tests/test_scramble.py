@@ -372,6 +372,32 @@ def test_scramble_column_of_zero_rows(kind, replicates):
     assert out.shape == (replicates, 0, 2) and out.dtype == np.uint64
 
 
+@pytest.mark.parametrize("kind", ["nested", "linear"])
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_scramble_column_refuses_digits_not_uint64(kind, dtype):
+    # int64 digits would send the nested prefix r + a * b^s and the linear
+    # product x @ L^T through float64, so only uint64 digits are scrambled.
+    x = _index_digits(0, 8, 2, 4).astype(dtype)
+    with pytest.raises(ValueError, match=f"digits must be uint64, got {np.dtype(dtype)}"):
+        scramble_column(ScrambleSpec(kind), 1, 2, x, [0, 3])
+
+
+def test_linear_scramble_reduces_its_product_in_place():
+    # The shift and mod b act on the uint64 product x @ L^T in place, and the
+    # output is a view of it: the peak is one (rows, 64) array, and any
+    # second one, a cast copy or a temporary of (y + e) % b, doubles it.
+    spec = ScrambleSpec("linear", seed=3)
+    x = _index_digits(0, 50_000, 2, 64)
+    scramble_column(spec, 1, 2, x[:8], range(64))  # imports before the trace
+    tracemalloc.start()
+    try:
+        out = scramble_column(spec, 1, 2, x, range(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * out.nbytes
+
+
 def test_linear_scramble_bijective_on_prefixes():
     spec = ScrambleSpec("linear", seed=8)
     L = draw_linear_scramble(spec, 1, 2, 3)
