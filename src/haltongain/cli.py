@@ -13,6 +13,11 @@ that is written as it is produced.  Only then does `dispatch` open --out
 and write {"config": echo, **body} or the text, so a refused argument
 leaves no file.
 
+CSV numbers go through one vectorized %.17g writer, `_g17_lines`, in blocks
+of `_BLOCK_FIELDS` fields.  Python formats them only where it cannot: the
+unbounded integers of `gain`, curve integers from 2^53, `points` indices (to
+2^64 - 1), the JSON strings of `points`, and values below 2^-36.
+
 Exit codes: 0 on success; 1 on bad arguments, an unwritable --out
 included; 2 when an internal consistency check fails: oracle-check's
 handler returns 2 with its mismatch report, and a RuntimeError from the
@@ -51,7 +56,7 @@ import numpy as np
 
 from . import gains, rqmc
 from .halton import halton_points
-from .primes import first_primes
+from .primes import _prime_array, first_primes
 from .scramble import _HALF, _LOW, ScrambleSpec, _mulhi, randomize
 
 gc.freeze()  # the import heap, which every collection would walk again (see above)
@@ -253,6 +258,9 @@ def _g17_lines(columns: Sequence[np.ndarray], heads: np.ndarray | None = None) -
     return chars[keep].tobytes().decode("ascii")
 
 
+_BLOCK_FIELDS = 1 << 12  # per _g17_lines call, which holds about 200 bytes a field
+
+
 def _rat(name: str, x: Fraction) -> dict[str, Any]:
     """The fields name, name_num, name_den and name_float of an exact value;
     name holds x itself, which `dispatch` writes as "num/den"."""
@@ -327,11 +335,13 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_primes(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str]:
-    primes = first_primes(echo["d"])
+    primes = _prime_array(echo["d"])
     if fmt == "json":
-        return {"d": len(primes), "primes": list(primes)}
-    rows = ("%d,%d\n" % row for row in enumerate(primes, start=1))
-    return itertools.chain(["j,prime\n"], rows)
+        return {"d": len(primes), "primes": primes.tolist()}
+    d, step = len(primes), _BLOCK_FIELDS // 2
+    lines = (_g17_lines((np.arange(j + 1, min(j + step, d) + 1), primes[j : j + step]))
+             for j in range(0, d, step))
+    return itertools.chain(["j,prime\n"], lines)
 
 
 def _cmd_points(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str]:
@@ -344,15 +354,14 @@ def _cmd_points(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str
     if fmt == "json":
         return {"start": start, "n": n,
                 "points": [[format(x, ".17g") for x in row] for row in points.coords.tolist()]}
-    head = []
-    if kind != "none":
-        # randomized runs carry their key in the header for replay
-        head.append("# config: " + json.dumps(echo) + "\n")
-    head.append(",".join(["i"] + [f"x{j}" for j in range(1, d + 1)]) + "\n")
-    line = "%d" + ",%.17g" * d + "\n"
-    blocks = np.split(points.coords, range(1 << 12, n, 1 << 12))
-    rows = enumerate(itertools.chain.from_iterable(map(np.ndarray.tolist, blocks)), start)
-    return itertools.chain(head, (line % (i, *row) for i, row in rows))
+    head = [",".join(["i"] + [f"x{j}" for j in range(1, d + 1)]) + "\n"]
+    if kind != "none":  # randomized runs carry their key in the header for replay
+        head.insert(0, "# config: " + json.dumps(echo) + "\n")
+    step = max(1, _BLOCK_FIELDS // d)
+    lines = (_g17_lines(points.coords[p : p + step].T,
+                        np.array([b"%d," % i for i in range(start + p, start + min(p + step, n))]))
+             for p in range(0, n, step))
+    return itertools.chain(head, lines)
 
 
 def _subset_args(echo: dict[str, Any]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -439,18 +448,11 @@ _FIG2_LEVELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _FIGURE_HEAD = "u,k,n,gain_num,gain_den,gain_float\n"
 
 
-def _csv_field(values) -> str:
-    # csv.writer quotes a field that holds the delimiter
-    text = ",".join(map(str, values))
-    return f'"{text}"' if "," in text else text
-
-
 def _label(u, levels) -> str:
-    """The u and k fields that lead a figure row, with their separators."""
-    return _csv_field(u) + "," + _csv_field(levels) + ","
-
-
-_ROW_BLOCK = 1 << 12  # rows per block of a curve table
+    """The u and k fields that lead a figure row, each with its separator;
+    as csv.writer does, a field that holds the delimiter is quoted."""
+    texts = (",".join(map(str, values)) for values in (u, levels))
+    return "".join(f'"{text}",' if "," in text else text + "," for text in texts)
 
 
 def _curve_rows(curves, n_max: int, by_n: bool) -> Iterable[str]:
@@ -462,9 +464,9 @@ def _curve_rows(curves, n_max: int, by_n: bool) -> Iterable[str]:
     command before --out opens.  While every numerator and denominator is
     below 2^53 they are stacked int64 arrays, each gain is one float64
     division num / den, correctly rounded from exact operands as the
-    Python-int quotient is, and _g17_lines writes the rows 2^12 at a time.
-    Past 2^53, Python-int arrays included, each row is formatted from Python
-    ints on its own: the one route for that input.
+    Python-int quotient is, and _g17_lines writes them in blocks of
+    _BLOCK_FIELDS fields.  Past 2^53, Python-int arrays included, each row
+    is formatted from Python ints on its own: the one route for that input.
     """
     arrays = [gains._gain_curve_arrays(u, k, n_max) for _, u, k, _ in curves]
     if any(num.dtype == object or max(num.max(), den.max()) >= 1 << 53 for num, den in arrays):
@@ -489,8 +491,8 @@ def _curve_rows(curves, n_max: int, by_n: bool) -> Iterable[str]:
     rows = np.flatnonzero(kept)
 
     def blocks() -> Iterable[str]:
-        for first in range(0, len(rows), _ROW_BLOCK):
-            i = rows[first : first + _ROW_BLOCK]
+        for first in range(0, len(rows), _BLOCK_FIELDS // 4):
+            i = rows[first : first + _BLOCK_FIELDS // 4]
             n, c = np.divmod(i, len(curves)) if by_n else np.divmod(i, n_max)[::-1]
             a, b = num[c, n], den[c, n]
             yield _g17_lines((n + 1, a, b, a / b), labels[c])

@@ -65,12 +65,6 @@ def _summarize(n: int, means: list[float], sigma2: float) -> EstimateSummary:
     )
 
 
-def _blocks(replicates: int, cells: int) -> list[tuple[int, int]]:
-    """(first, count) of each block of replicates, `cells` per replicate."""
-    step = max(1, _BLOCK_CELLS // max(cells, 1))
-    return [(r0, min(step, replicates - r0)) for r0 in range(0, replicates, step)]
-
-
 def rqmc_estimate(
     u: Sequence[int],
     levels: Sequence[int],
@@ -90,12 +84,14 @@ def rqmc_estimate(
     once and add exactly 0, so only the window's first n mod S points, whose
     residues are those of its last n mod S, are scrambled and summed, for a
     whole block of replicates at once.  An exponent past n's bit length is
-    capped there, which makes S > n and n mod S = n.  When S <= n <= 2^53
-    every factor is an integer and |f| <= prod_j (b_j - 1) < S, so every
-    product is exact and `math.fsum` rounds the same exact sum as over all
-    n points: the means are those of evaluating f at every fully scrambled
-    point, bit for bit.  Memory is about one block of replicates times
-    (n mod S) + sum_j b_j^(k_j+1) (k_j+1+b_j) cells, whatever n is.
+    capped there, which makes S > n and n mod S = n.  Every factor is b_j - 1
+    or -1, so f is an integer with |f| <= prod_j (b_j - 1), and a replicate's
+    sum over the n mod S points is exact: in int64 while (n mod S) prod_j
+    (b_j - 1) < 2^63, in Python ints past it.  It is the exact sum over all n
+    points, and each mean is that sum rounded to float once, then divided by
+    n <= 2^53.  Memory is about one block of replicates times (n mod S) +
+    sum_j b_j^(k_j+1) (k_j+1+b_j) cells, whatever n is: in int64, 16 bytes a
+    point of n mod S, the product and one tiled factor.
     """
     u, levels, bases = pair_levels(u, levels)
     _require_integers(n=n, replicates=replicates)
@@ -112,13 +108,15 @@ def rqmc_estimate(
     # residue i mod b^(k+1) among them, tiled so point p < m reads row p mod min(m, b^(k+1)).
     rows = [_index_digits(0, min(m, cycle), b, k + 1) for b, k, cycle in zip(bases, levels, cycles)]
     cells = m + sum(len(x) * b for x, b in zip(rows, bases))
+    step = max(1, _BLOCK_CELLS // max(cells, 1))  # replicates per block
+    sigma2 = math.prod(b - 1 for b in bases)
+    dtype = np.int64 if m * sigma2 < 1 << 63 else object  # object: Python ints
     means = []
-    for r0, count in _blocks(replicates, cells):
+    for r0 in range(0, replicates, step):
         rspec = ScrambleSpec(spec.kind, spec.seed, spec.replicate + r0)
-        product = 1.0  # then times each coordinate's factor, in u's order
+        product = np.ones((min(step, replicates - r0), m), dtype)  # times each factor, in u's order
         for c, b, k, x, cycle in zip(u, bases, levels, rows, cycles):
-            digits = scramble_column(rspec, c, b, x, [k], count)[:, :, 0]
-            factor = np.where(digits == b - 1, b - 1.0, -1.0)
-            product = product * np.tile(factor, -(-m // cycle))[:, :m]
-        means.extend(math.fsum(row) / n for row in product.tolist())
-    return _summarize(n, means, float(math.prod(b - 1 for b in bases)))
+            digits = scramble_column(rspec, c, b, x, [k], len(product))[:, :, 0]
+            product *= np.tile(np.where(digits == b - 1, b - 1, -1), -(-m // cycle))[:, :m]
+        means.extend(float(s) / n for s in product.sum(axis=1).tolist())
+    return _summarize(n, means, float(sigma2))

@@ -18,7 +18,8 @@ import pytest
 
 import haltongain.cli as cli
 import haltongain.gains as gains
-from haltongain import bounds_table, first_primes, gain_curve, gain_exact
+from haltongain import (ScrambleSpec, bounds_table, first_primes, gain_curve, gain_exact,
+                        halton_points, randomize)
 from haltongain.cli import _g17_lines, main
 
 # sha256 of outputs built from exact integer digits with one correctly
@@ -141,6 +142,36 @@ def test_points_plain(capsys):
     assert lines[1].startswith("0,0,0")
     assert lines[2].split(",")[1] == "0.5"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("d, n, start, kind", [
+    (3, 3000, 0, "none"),  # 1,365 rows a block of the writer: three blocks
+    (3, 3000, 0, "linear"),
+    (3, 3000, 0, "nested"),
+    (3, 3000, 2**53 - 1500, "none"),  # indices cross 2^53
+    (100, 50, 0, "none"),  # 40 rows a block
+])
+def test_points_csv_matches_per_row_route(capsys, d, n, start, kind):
+    if kind == "none":
+        coords = halton_points(d, start, n).coords
+    else:
+        coords = randomize(d, start, n, ScrambleSpec(kind, 0, 0)).coords
+    line = "%d" + ",%.17g" * d + "\n"
+    want = [",".join(["i"] + [f"x{j}" for j in range(1, d + 1)]) + "\n"]
+    want += [line % (i, *row) for i, row in enumerate(coords.tolist(), start)]
+    code, out = run(capsys, "points", "--d", str(d), "--n", str(n), "--start", str(start),
+                    "--scramble", kind)
+    assert code == 0
+    # a scrambled run's "# config:" line comes first
+    assert out.splitlines(keepends=True)[-n - 1 :] == want
+
+
+def test_primes_csv_matches_per_row_route(capsys):
+    # 2^11 + 3 rows: two full blocks of the writer and three rows past them
+    code, out = run(capsys, "primes", "--d", "2051")
+    assert code == 0
+    rows = ["%d,%d\n" % row for row in enumerate(first_primes(2051), start=1)]
+    assert out.splitlines(keepends=True) == ["j,prime\n"] + rows
 
 
 def test_points_scrambled_header_and_determinism(capsys):

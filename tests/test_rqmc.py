@@ -4,6 +4,7 @@ import functools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from haltongain import rqmc
@@ -195,6 +196,9 @@ def _oracle_means(u, levels, n, replicates, spec):
         ((1, 3), (1, 0), 20, 0, None),
         ((1, 3), (1, 0), 21, 5, 64),
         ((1, 3), (1, 0), 62, 2**64 - 62, None),
+        # the sums' int64 edge, 2 * prod_j (p_j - 1) = 8.87e18 < 2^63, and past it Python ints
+        (tuple(range(1, 17)), (0,) * 16, 2, 0, None),
+        (tuple(range(1, 18)), (0,) * 17, 3, 0, None),
     ],
 )
 def test_level_path_matches_per_point_oracle(kind, u, k, n, start, block_cells, monkeypatch):
@@ -209,6 +213,20 @@ def test_level_path_matches_per_point_oracle(kind, u, k, n, start, block_cells, 
         b = first_primes(c)[-1]
         got = scramble_column(spec, c, b, _index_digits(start, n, b, level + 1), [level], 6)
         assert got[:, :, 0].tolist() == [[p[t][level] for p in pts] for pts in points]
+
+
+@pytest.mark.parametrize("d, n", [(16, 2), (17, 3)])
+def test_sums_exact_past_int64(monkeypatch, d, n):
+    # Every scrambled digit at b - 1, so every product is prod_j (p_j - 1):
+    # n of them sum to 8.87e18 < 2^63 in int64 at d = 16, and past 2^63 in
+    # Python ints at d = 17, where int64 would wrap.
+    def top_digits(spec, c, b, x, levels, count):
+        return np.full((count, len(x), 1), b - 1, dtype=np.uint64)
+
+    monkeypatch.setattr(rqmc, "scramble_column", top_digits)
+    top = n * math.prod(p - 1 for p in first_primes(d))
+    summary = rqmc_estimate(range(1, d + 1), (0,) * d, n, 2, ScrambleSpec("nested"))
+    assert summary.means == (float(top) / n,) * 2
 
 
 def test_levels_pair_with_u_as_given():
@@ -237,8 +255,9 @@ def test_memory_follows_n_mod_cycle():
 def test_memory_per_point_of_n_mod_cycle(kind):
     # S = 2 * 3 * ... * 17 = 510510 and n = S - 1, so every point is summed.
     # Each factor row is repeated out to n columns, with no per-point index
-    # array: the peak is the float product and its tolist, 40 bytes a point;
-    # an int64 index array per coordinate would add 8 bytes a point each.
+    # array: the peak is the int64 product and one tiled factor, 16 bytes a
+    # point; an int64 index array per coordinate would add 8 bytes a point
+    # each, and a float product's tolist 32.
     spec = ScrambleSpec(kind, seed=1)
     rqmc_estimate(range(1, 8), (0,) * 7, 7, 2, spec)  # primes and imports before the trace
     tracemalloc.start()
@@ -247,7 +266,7 @@ def test_memory_per_point_of_n_mod_cycle(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * 510_509
+    assert peak <= 24 * 510_509
 
 
 def test_rejected_words_are_redrawn(monkeypatch, redrawn_tags):
