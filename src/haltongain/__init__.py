@@ -15,7 +15,7 @@ import importlib
 _HOMES = {
     "gains": ("GainSummary", "bounds_table", "gain_curve", "gain_exact", "gamma_max",
               "global_bounds_exact", "oracle_check", "upper_bound_u_exact"),
-    "halton": ("PointSet", "default_precision", "halton_points"),
+    "halton": ("default_precision", "halton_points"),
     "primes": ("MAX_DIMENSION", "first_primes"),
     "rqmc": ("EstimateSummary", "rqmc_estimate"),
     "scramble": ("ScrambleSpec", "randomize", "scramble_column"),

@@ -37,6 +37,7 @@ library modules set neither.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import itertools
 import json
@@ -55,9 +56,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import gains, rqmc
-from .halton import halton_points
+from .halton import _plain_column, _point_set, _window
 from .primes import _prime_array, first_primes
-from .scramble import _HALF, _LOW, ScrambleSpec, _mulhi, randomize
+from .scramble import _HALF, _LOW, ScrambleSpec, _mulhi, _scrambled_column
 
 gc.freeze()  # the import heap, which every collection would walk again (see above)
 
@@ -258,7 +259,9 @@ def _g17_lines(columns: Sequence[np.ndarray], heads: np.ndarray | None = None) -
     return chars[keep].tobytes().decode("ascii")
 
 
-_BLOCK_FIELDS = 1 << 12  # per _g17_lines call, which holds about 200 bytes a field
+# Fields per _g17_lines call, which holds about 200 bytes a field; also the
+# points of one generation block of `points` CSV
+_BLOCK_FIELDS = 1 << 12
 
 
 def _rat(name: str, x: Fraction) -> dict[str, Any]:
@@ -345,22 +348,24 @@ def _cmd_primes(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str
 
 
 def _cmd_points(echo: dict[str, Any], fmt: str) -> dict[str, Any] | Iterable[str]:
-    d, n, start = echo["d"], echo["n"], echo["start"]
-    kind, replicate = echo["scramble"], echo["replicate"]
-    if kind == "none":
-        points = halton_points(d, start, n)
-    else:
-        points = randomize(d, start, n, ScrambleSpec(kind, echo["seed"], replicate))
+    d, n, start, kind = echo["d"], echo["n"], echo["start"], echo["scramble"]
+    column = _plain_column if kind == "none" else functools.partial(
+        _scrambled_column, ScrambleSpec(kind, echo["seed"], echo["replicate"]))
+    _window(d, start, n)  # every refusal, before --out opens and before any point
     if fmt == "json":
-        return {"start": start, "n": n,
-                "points": [[format(x, ".17g") for x in row] for row in points.coords.tolist()]}
+        rows = _point_set(d, start, n, column).tolist()
+        return {"start": start, "n": n, "points": [[format(x, ".17g") for x in r] for r in rows]}
     head = [",".join(["i"] + [f"x{j}" for j in range(1, d + 1)]) + "\n"]
     if kind != "none":  # randomized runs carry their key in the header for replay
         head.insert(0, "# config: " + json.dumps(echo) + "\n")
     step = max(1, _BLOCK_FIELDS // d)
-    lines = (_g17_lines(points.coords[p : p + step].T,
-                        np.array([b"%d," % i for i in range(start + p, start + min(p + step, n))]))
-             for p in range(0, n, step))
+    # A digit depends only on its point's index and the key, so the window is
+    # made one block of _BLOCK_FIELDS points at a time, whatever n is.
+    blocks = ((i, _point_set(d, i, min(_BLOCK_FIELDS, start + n - i), column))
+              for i in range(start, start + n, _BLOCK_FIELDS))
+    lines = (_g17_lines(block[p : p + step].T,
+                        np.array([b"%d," % (i + j) for j in range(p, min(p + step, len(block)))]))
+             for i, block in blocks for p in range(0, len(block), step))
     return itertools.chain(head, lines)
 
 

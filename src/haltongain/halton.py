@@ -8,14 +8,13 @@ digits, as deep as its largest index needs, live only while its floats are made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .primes import _require_integers, first_primes
 
-__all__ = ["MAX_INDEX", "PointSet", "default_precision", "halton_points"]
+__all__ = ["MAX_INDEX", "default_precision", "halton_points"]
 
 # Point indices are 64-bit; the digit precision is chosen to match.
 MAX_INDEX = 1 << 64
@@ -30,25 +29,6 @@ def default_precision(base: int) -> int:
         p *= base
         d += 1
     return d
-
-
-@dataclass(frozen=True, eq=False)
-class PointSet:
-    """Consecutive Halton points, plain or scrambled, as realized floats.
-
-    `coords[p, c]` is coordinate c+1 of point `start + p`, a float in [0,1),
-    in one read-only float64 array.  `bases[c]` is that column's base, the
-    prime p_{c+1}, as a Python int.
-    """
-
-    start: int
-    count: int
-    bases: tuple[int, ...]
-    coords: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return len(self.bases)
 
 
 def _leading(digits: np.ndarray, base: int, k: int) -> np.ndarray:
@@ -105,10 +85,9 @@ def _index_digits(start: int, count: int, base: int, depth: int) -> np.ndarray:
     return out
 
 
-def _point_set(d: int, start: int, count: int, column: Callable) -> PointSet:
-    """Points start, ..., start+count-1 in d dimensions, coordinate c in base
-    b the floats column(c, b): one column's digits are built, read and
-    dropped before the next column's."""
+def _window(d: int, start: int, count: int) -> tuple[int, ...]:
+    """The bases of points start, ..., start+count-1 in d dimensions, once
+    every check of that window has passed; no point is made."""
     bases = first_primes(d)
     _require_integers(start=start, count=count)
     if count < 1:
@@ -117,14 +96,27 @@ def _point_set(d: int, start: int, count: int, column: Callable) -> PointSet:
         raise ValueError(f"start must be >= 0, got {start}")
     if start + count > MAX_INDEX:
         raise ValueError("index range exceeds 64-bit point indices")
-    coords = np.stack([column(c, b) for c, b in enumerate(bases, start=1)], axis=1)
+    return bases
+
+
+def _point_set(d: int, start: int, count: int, column: Callable) -> np.ndarray:
+    """Points start, ..., start+count-1 in d dimensions, coordinate c in base
+    b the floats column(c, b, start, count): one column's digits are built,
+    read and dropped before the next column's.  Row p of the read-only
+    float64 array of shape (count, d) is point start + p."""
+    bases = _window(d, start, count)
+    coords = np.stack([column(c, b, start, count) for c, b in enumerate(bases, start=1)], axis=1)
     coords.flags.writeable = False
-    return PointSet(start, count, bases, coords)
+    return coords
 
 
-def halton_points(d: int, start: int, count: int) -> PointSet:
+def _plain_column(c: int, base: int, start: int, count: int) -> np.ndarray:
+    return _float_column(_index_digits(start, count, base, default_precision(base)), base, None)
+
+
+def halton_points(d: int, start: int, count: int) -> np.ndarray:
     """Points start, ..., start+count-1 of the d-dimensional Halton sequence,
-    coordinate j in base p_j, each read from digits as deep as its largest
-    index needs."""
-    return _point_set(d, start, count, lambda c, b: _float_column(
-        _index_digits(start, count, b, default_precision(b)), b, None))
+    one read-only float64 array of shape (count, d) whose row p is point
+    start + p; coordinate j, in base p_j, is read from digits as deep as its
+    largest index needs."""
+    return _point_set(d, start, count, _plain_column)

@@ -30,13 +30,14 @@ Philox and one-stream PRF that check `draw` are the oracles `philox` and
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .halton import PointSet, _float_column, _index_digits, _point_set, default_precision
+from .halton import _float_column, _index_digits, _point_set, default_precision
 from .primes import _require_integers
 
 __all__ = [
@@ -257,25 +258,26 @@ def scramble_column(
     return out
 
 
-def randomize(d: int, start: int, count: int, spec: ScrambleSpec) -> PointSet:
-    """Points start, ..., start+count-1 of the d-dimensional Halton sequence,
-    every digit column scrambled.
+def _scrambled_column(spec: ScrambleSpec, c: int, base: int, start: int, count: int) -> np.ndarray:
+    """Coordinate c of points start, ..., start+count-1, every digit scrambled.
 
-    Each column's index digits are scrambled to D = default_precision(b)
-    digits, turned into floats and dropped before the next column's.  Nested
-    realization adds one uniform tail draw per (point, coordinate) at the
-    level below the last scrambled digit: the tail digits of a nested
-    scramble are independent uniforms, and a single draw of 53 bits scaled
-    by b**-D has exactly that law.  Linear tails are zero, matching the zero
-    input digits beyond the stored ones.
+    The index digits are scrambled to D = default_precision(b) digits and
+    turned into floats.  Nested realization adds one uniform tail draw per
+    (point, coordinate) at the level below the last scrambled digit: the
+    tail digits of a nested scramble are independent uniforms, and a single
+    draw of 53 bits scaled by b**-D has exactly that law.  Linear tails are
+    zero, matching the zero input digits beyond the stored ones.
     """
-    def column(c: int, base: int) -> np.ndarray:
-        depth = default_precision(base)
-        x = scramble_column(spec, c, base, _index_digits(start, count, base, depth), range(depth))
-        tails = None
-        if spec.kind == "nested":
-            indices = np.uint64(start) + np.arange(count, dtype=np.uint64)
-            tails = draw(spec.seed, spec.replicate, "tail", c, 0, indices, [1 << 53])[:, 0] / 2**53
-        return _float_column(x[0], base, tails)
+    depth = default_precision(base)
+    x = scramble_column(spec, c, base, _index_digits(start, count, base, depth), range(depth))
+    tails = None
+    if spec.kind == "nested":
+        indices = np.uint64(start) + np.arange(count, dtype=np.uint64)
+        tails = draw(spec.seed, spec.replicate, "tail", c, 0, indices, [1 << 53])[:, 0] / 2**53
+    return _float_column(x[0], base, tails)
 
-    return _point_set(d, start, count, column)
+
+def randomize(d: int, start: int, count: int, spec: ScrambleSpec) -> np.ndarray:
+    """Points start, ..., start+count-1 of the d-dimensional Halton sequence,
+    every digit column scrambled, as `halton_points` lays them out."""
+    return _point_set(d, start, count, functools.partial(_scrambled_column, spec))

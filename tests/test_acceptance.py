@@ -451,8 +451,8 @@ def test_criterion_8_strata_balance(capfd):
                    for c, (b, x) in enumerate(zip(bases, plain), start=1)]
             for kind in ("nested", "linear")
         }
-        floats = {"plain": halton_points(3, start, 450).coords,
-                  **{kind: randomize(3, start, 450, ScrambleSpec(kind, SEED)).coords
+        floats = {"plain": halton_points(3, start, 450),
+                  **{kind: randomize(3, start, 450, ScrambleSpec(kind, SEED))
                      for kind in scrambled}}
         for levels, window in (((1, 2, 2), 450), ((1, 1, 1), 30)):
             boxes = window

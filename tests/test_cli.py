@@ -150,12 +150,18 @@ def test_points_plain(capsys):
     (3, 3000, 0, "nested"),
     (3, 3000, 2**53 - 1500, "none"),  # indices cross 2^53
     (100, 50, 0, "none"),  # 40 rows a block
+    # windows of 4,096-point generation blocks, the last one short
+    (3, 9000, 7, "none"),
+    (3, 5000, 11, "linear"),
+    (2, 4500, 3, "nested"),
+    (2, 4100, 2**64 - 4100, "none"),  # two blocks that end at the last 64-bit index
+    (2, 4100, 2**64 - 4100, "nested"),
 ])
 def test_points_csv_matches_per_row_route(capsys, d, n, start, kind):
     if kind == "none":
-        coords = halton_points(d, start, n).coords
+        coords = halton_points(d, start, n)
     else:
-        coords = randomize(d, start, n, ScrambleSpec(kind, 0, 0)).coords
+        coords = randomize(d, start, n, ScrambleSpec(kind, 0, 0))
     line = "%d" + ",%.17g" * d + "\n"
     want = [",".join(["i"] + [f"x{j}" for j in range(1, d + 1)]) + "\n"]
     want += [line % (i, *row) for i, row in enumerate(coords.tolist(), start)]
@@ -164,6 +170,25 @@ def test_points_csv_matches_per_row_route(capsys, d, n, start, kind):
     assert code == 0
     # a scrambled run's "# config:" line comes first
     assert out.splitlines(keepends=True)[-n - 1 :] == want
+
+
+@pytest.mark.parametrize("kind", ["none", "linear"])
+def test_points_csv_memory_does_not_grow_with_n(tmp_path, kind):
+    # CSV makes and writes one 4,096-point block at a time, so the traced
+    # peak at 4n is the peak at n, within 256 KiB; a whole-window array
+    # grows it by more than 3 MB here.
+    out = str(tmp_path / "p.csv")
+    argv = ["points", "--d", "3", "--scramble", kind, "--out", out]
+    assert main([*argv, "--n", "50"]) == 0  # primes and imports before the trace
+    peaks = []
+    for n in (1 << 13, 1 << 15):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--n", str(n)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1 << 18, peaks
 
 
 def test_primes_csv_matches_per_row_route(capsys):
@@ -357,11 +382,12 @@ def test_huge_level_forms_no_power(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("variance", "--u", "1", "--k", "60", "--n", str(1 << 53), "--reps", "2"),
-    ("points", "--d", "1", "--n", str(10**15)),
+    ("points", "--d", "1", "--n", str(10**15), "--format", "json"),
 ], ids=["variance", "points"])
 def test_failed_allocation_is_reported(capsys, argv):
     # 3.31 EiB and 355 PiB exceed any address space, so numpy refuses them at once:
-    # one error line and exit 1, not a traceback.
+    # one error line and exit 1, not a traceback.  JSON builds the whole window;
+    # CSV makes one block at a time and so allocates nothing that grows with n.
     assert main(list(argv)) == 1
     out, err = capsys.readouterr()
     assert out == ""

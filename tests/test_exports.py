@@ -1,16 +1,17 @@
 """Export lists: every public name resolves, the package re-exports only
-names its modules declare public, its 18 names and the entry points' call
+names its modules declare public, its 17 names and the entry points' call
 forms are pinned, only Python ints reach exact arithmetic, and the per-point
 oracles of tests/oracles.py stay out of it."""
 
-import dataclasses
 import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import haltongain
+from haltongain.halton import _window
 
 import oracles
 
@@ -41,7 +42,7 @@ def test_package_imports_are_declared_public():
 PUBLIC = sorted([
     "GainSummary", "bounds_table", "gain_curve", "gain_exact",
     "gamma_max", "global_bounds_exact", "oracle_check", "upper_bound_u_exact",
-    "PointSet", "default_precision", "halton_points",
+    "default_precision", "halton_points",
     "MAX_DIMENSION", "first_primes",
     "EstimateSummary", "rqmc_estimate",
     "ScrambleSpec", "randomize", "scramble_column",
@@ -57,7 +58,7 @@ ORACLES = [
 
 
 def test_package_surface_is_pinned():
-    assert len(PUBLIC) == 18
+    assert len(PUBLIC) == 17
     assert sorted(haltongain.__all__) == PUBLIC
 
 
@@ -74,21 +75,20 @@ def test_entry_points_take_one_call_form():
     assert _parameters(haltongain.halton_points) == ["d", "start", "count"]
     assert _parameters(haltongain.randomize) == ["d", "start", "count", "spec"]
     assert _parameters(haltongain.rqmc_estimate) == ["u", "levels", "n", "replicates", "spec"]
-    # A point set is its floats; its digits live only while they are read.
-    assert [f.name for f in dataclasses.fields(haltongain.PointSet)] == [
-        "start", "count", "bases", "coords"]
+    # A point set is its floats, one read-only float64 array, row p point start + p.
+    spec = haltongain.ScrambleSpec("nested", 1)
+    for points in (haltongain.halton_points(3, 5, 4), haltongain.randomize(3, 5, 4, spec)):
+        assert type(points) is np.ndarray and points.dtype == np.float64
+        assert points.shape == (4, 3) and not points.flags.writeable
 
 
 def test_bases_are_python_ints():
     # Exact arithmetic reads bases as Python ints: a product of np.int64
     # wraps past 2^63.  No public function or class takes a `basis`.
-    points = haltongain.halton_points(3, 0, 2)
-    scrambled = haltongain.randomize(3, 0, 2, haltongain.ScrambleSpec("nested", 1))
     for bases in (
         haltongain.first_primes(30),
         haltongain.gains.pair_levels((30, 1), (0, 0))[2],
-        points.bases,
-        scrambled.bases,
+        _window(3, 0, 2),  # the bases halton_points and randomize read
     ):
         assert type(bases) is tuple
         assert {type(b) for b in bases} == {int}

@@ -4,12 +4,13 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haltongain import default_precision, first_primes, halton_points
-from haltongain.halton import MAX_INDEX, _index_digits
+from haltongain.halton import MAX_INDEX, _index_digits, _window
 
 from oracles import (
     digits_of,
@@ -89,9 +90,9 @@ def test_column_digits_fraction_and_float():
     [col] = _columns(1, 5, 1)
     assert col[:, :3].tolist() == [[1, 0, 1]]
     assert _fraction(col[0, :3], 2) == Fraction(5, 8)
-    assert pts.coords.tolist() == [[0.625]]
+    assert pts.tolist() == [[0.625]]
     with pytest.raises(ValueError, match="read-only"):
-        pts.coords[0, 0] = 0.5
+        pts[0, 0] = 0.5
 
 
 def test_precision_guard():
@@ -111,27 +112,27 @@ def test_default_precision_covers_64_bit_indices():
 
 def test_first_points():
     pts = halton_points(3, 0, 2)
-    assert pts.coords.tolist() == [[0.0, 0.0, 0.0], [0.5, 1 / 3, 0.2]]
+    assert pts.tolist() == [[0.0, 0.0, 0.0], [0.5, 1 / 3, 0.2]]
     assert _columns(3, 0, 2)[0][1, 0] == 1
-    assert pts.dimension == 3
-    assert pts.bases == (2, 3, 5)
+    assert pts.shape == (2, 3) and pts.dtype == np.float64
+    assert _window(3, 0, 2) == (2, 3, 5)
 
 
 def test_point_fractions_match_radical_inverse():
-    pts = halton_points(3, 37, 20)
-    for p in range(pts.count):
+    bases = first_primes(3)
+    for p in range(20):
         i = 37 + p
         for c, col in enumerate(_columns(3, 37, 20)):
-            assert _fraction(col[p], pts.bases[c]) == radical_inverse(i, pts.bases[c])
+            assert _fraction(col[p], bases[c]) == radical_inverse(i, bases[c])
 
 
 def test_float_realization_error():
-    pts = halton_points(3, 1000, 50)
-    for p in range(pts.count):
+    pts, bases = halton_points(3, 1000, 50), first_primes(3)
+    for p in range(50):
         for c, col in enumerate(_columns(3, 1000, 50)):
-            x = pts.coords[p][c]
+            x = pts[p][c]
             assert 0.0 <= x < 1.0
-            assert abs(x - float(_fraction(col[p], pts.bases[c]))) < 2.0**-50
+            assert abs(x - float(_fraction(col[p], bases[c]))) < 2.0**-50
 
 
 def test_point_set_holds_one_digit_column_at_a_time():
@@ -145,7 +146,7 @@ def test_point_set_holds_one_digit_column_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * pts.coords.nbytes
+    assert peak < 4 * pts.nbytes
 
 
 def test_point_count_validation():
@@ -227,8 +228,8 @@ def test_columns_match_per_point_oracles(start, count):
     # the digit count L of start+count-1 in its base, at least 1; the last
     # 64-bit index needs default_precision(b).
     pts = halton_points(5, start, count)
-    assert pts.bases == (2, 3, 5, 7, 11)
-    for c, (b, col) in enumerate(zip(pts.bases, _columns(5, start, count))):
+    assert pts.shape == (count, 5)
+    for c, (b, col) in enumerate(zip((2, 3, 5, 7, 11), _columns(5, start, count))):
         depth = default_precision(b)
         width = 1
         while start + count - 1 >= b**width:
@@ -241,8 +242,8 @@ def test_columns_match_per_point_oracles(start, count):
             row = col[p].tolist() + [0] * (depth - col.shape[1])
             assert tuple(row) == digits_of(i, b, depth)
             want = float(radical_inverse(i, b))
-            assert pts.coords[p][c] == (want if want < 1.0 else 1.0 - 2.0**-53)
+            assert pts[p][c] == (want if want < 1.0 else 1.0 - 2.0**-53)
     if start + count == MAX_INDEX:
-        assert pts.coords[-1, 0] == 1.0 - 2.0**-53  # 64 binary ones round to 1
+        assert pts[-1, 0] == 1.0 - 2.0**-53  # 64 binary ones round to 1
 
 

@@ -160,7 +160,7 @@ def test_replicate_head_is_the_key_start(kind, tag, monkeypatch):
             assert tails.pop().tolist() == [tail]
             y = nested_scramble_digits(digits_of(i, 2, 64), 2, 1, spec, 64)
             assert _scrambled(*_plain(1, i, 1), spec)[0].tolist() == [list(y)]
-            assert got.coords[0, 0] == _realized(y, 2, tail)
+            assert got[0, 0] == _realized(y, 2, tail)
             # At D digits the tail mostly falls below the float's last bit; at
             # one digit it moves the float by tail/3.
             assert _float_column(np.zeros((1, 1), np.uint64), 3, np.array([tail]))[0] == tail / 3
@@ -425,14 +425,13 @@ def _scrambled(columns, bases, spec) -> list:
 def test_randomize_shapes_and_values(kind):
     spec = ScrambleSpec(kind, seed=31)
     out = randomize(3, 3, 12, spec)
-    assert (out.start, out.count, out.bases) == (3, 12, (2, 3, 5))
-    assert out.coords.shape == (12, 3) and not out.coords.flags.writeable
+    assert out.shape == (12, 3) and out.dtype == np.float64 and not out.flags.writeable
     with pytest.raises(ValueError, match="64-bit point indices"):  # halton_points' window check
         randomize(3, (1 << 64) - 1, 2, spec)
     digits = _scrambled(*_plain(3, 3, 12), spec)
-    for p in range(out.count):
-        for c, (b, col) in enumerate(zip(out.bases, digits)):
-            x = out.coords[p][c]
+    for p in range(12):
+        for c, (b, col) in enumerate(zip((2, 3, 5), digits)):
+            x = out[p][c]
             assert 0.0 <= x < 1.0
             # Digits pin the float down to one part in b**precision.
             assert abs(x - float(_fraction(col[p], b))) <= b ** -col.shape[1] + 2**-50
@@ -442,9 +441,9 @@ def test_randomize_shapes_and_values(kind):
 def test_randomize_deterministic(kind):
     a = randomize(3, 0, 6, ScrambleSpec(kind, seed=9, replicate=1))
     b = randomize(3, 0, 6, ScrambleSpec(kind, seed=9, replicate=1))
-    assert a.coords.tolist() == b.coords.tolist()
+    assert a.tolist() == b.tolist()
     c = randomize(3, 0, 6, ScrambleSpec(kind, seed=9, replicate=2))
-    assert a.coords.tolist() != c.coords.tolist()
+    assert a.tolist() != c.tolist()
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
@@ -513,14 +512,16 @@ def _per_point(columns, bases, start: int, spec):
     return digits, [list(row) for row in zip(*coords)]
 
 
-def _assert_matches_oracles(out, spec) -> None:
-    """`randomize`'s floats `out`, and the `scramble_column` digits they are
-    read from, against every point through the per-point oracles."""
-    columns, bases = _plain(out.dimension, out.start, out.count)
-    digits, coords = _per_point(columns, bases, out.start, spec)
+def _assert_matches_oracles(out, start: int, spec) -> None:
+    """`randomize`'s floats `out` of points from `start`, and the
+    `scramble_column` digits they are read from, against every point through
+    the per-point oracles."""
+    count, d = out.shape
+    columns, bases = _plain(d, start, count)
+    digits, coords = _per_point(columns, bases, start, spec)
     assert [x.tolist() for x in _scrambled(columns, bases, spec)] == [
         [list(y) for y in rows] for rows in digits]
-    assert out.coords.tolist() == coords
+    assert out.tolist() == coords
 
 
 @pytest.mark.parametrize("kind", ["nested", "linear"])
@@ -536,7 +537,7 @@ def _assert_matches_oracles(out, spec) -> None:
 )
 def test_randomize_matches_per_point_oracles(kind, start, count):
     spec = ScrambleSpec(kind, seed=20261018, replicate=5)
-    _assert_matches_oracles(randomize(5, start, count, spec), spec)
+    _assert_matches_oracles(randomize(5, start, count, spec), start, spec)
 
 
 @pytest.mark.parametrize("group_rows", [1, 100])
@@ -549,7 +550,7 @@ def test_nested_level_groups_draw_the_same_digits(group_rows, monkeypatch):
     blocks = scramble_column(spec, 1, 2, x, range(64), 3)
     monkeypatch.setattr(scramble, "_GROUP_ROWS", group_rows)
     assert np.array_equal(scramble_column(spec, 1, 2, x, range(64), 3), blocks)
-    _assert_matches_oracles(randomize(5, (1 << 64) - 40, 40, spec), spec)
+    _assert_matches_oracles(randomize(5, (1 << 64) - 40, 40, spec), (1 << 64) - 40, spec)
 
 
 def test_nested_prefixes_of_scrambled_digits():
@@ -611,4 +612,4 @@ def test_rejected_words_are_redrawn(kind, redrawn_tags):
     spec = ScrambleSpec(kind, seed=20261018, replicate=5)
     out = randomize(5, 37, 40, spec)
     assert set(redrawn_tags) == ({"perm", "tail"} if kind == "nested" else {"row"})
-    _assert_matches_oracles(out, spec)
+    _assert_matches_oracles(out, 37, spec)
